@@ -17,7 +17,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..netsim.device import Device
 from ..netsim.network import LinkSpec, Network
-from ..netsim.partition import PartitionPlan
 from ..netsim.trace import Tracer
 from ..obs.fabric import FabricObs, Observation, observe_fabric
 from ..topology.graph import Link, Topology
@@ -68,10 +67,6 @@ class DumbNetFabric:
         notify_script_delay_s: float = 0.0,
         switch_cls: Optional[type] = None,
         obs: Union[bool, FabricObs] = False,
-        partitions: int = 1,
-        partition_mode: str = "inline",
-        partition_plan: Optional[PartitionPlan] = None,
-        boundary_link_spec: Optional[LinkSpec] = None,
     ) -> None:
         """Everything after ``controller_host`` is keyword-only: the
         tail is long, all-optional, and call sites that spelled the
@@ -85,20 +80,6 @@ class DumbNetFabric:
         default :class:`~repro.obs.fabric.FabricObs` hub, or pass a
         pre-configured instance.  Off (the default) the fabric pays
         nothing beyond dormant ``is not None`` gates.
-
-        ``partitions`` splits the emulation into that many per-
-        partition event loops coupled only at boundary links (see
-        :mod:`repro.netsim.partition`); ``partitions=1`` (the default)
-        is the serial simulator, byte-identical to previous releases.
-        ``partition_mode`` picks the coordinator: ``"inline"`` (one
-        process, deterministic, supports fault injection) or ``"fork"``
-        (one worker process per extra partition; no runtime topology
-        mutation).  ``partition_plan`` overrides the automatic
-        switch-to-partition assignment (:meth:`PartitionPlan.auto`,
-        re-rooted so the controller's partition is 0), and
-        ``boundary_link_spec`` sets the physical parameters of
-        cross-partition cables -- their latency bounds the conservative
-        lookahead, so longer boundary links mean fewer, larger windows.
         """
         if not topology.hosts:
             raise ValueError("a DumbNet fabric needs at least one host")
@@ -151,14 +132,6 @@ class DumbNetFabric:
             self.agents[name] = agent
             return agent
 
-        plan = partition_plan
-        if plan is None and partitions > 1:
-            plan = PartitionPlan.auto(topology, partitions)
-        if plan is not None and plan.num_partitions > 1:
-            # Root the plan at the controller's edge switch: the fork
-            # coordinator keeps partition 0 in the parent process, so
-            # the discovery driver talks to the controller directly.
-            plan = plan.rooted_at(topology.host_port(self.controller_host).switch)
         self.network = Network(
             topology,
             switch_factory=make_switch,
@@ -167,9 +140,6 @@ class DumbNetFabric:
             host_link_spec=host_link_spec,
             seed=seed,
             tracer=self.tracer,
-            plan=plan,
-            partition_mode=partition_mode,
-            boundary_link_spec=boundary_link_spec,
         )
 
         self.obs: Optional[FabricObs] = None
@@ -397,14 +367,6 @@ class DumbNetFabric:
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
         return self.network.run_until_idle(max_events=max_events)
-
-    def shutdown(self) -> None:
-        """Release partition worker processes (no-op otherwise)."""
-        self.network.shutdown()
-
-    def partition_report(self):
-        """Partition coordinator statistics, or ``None`` when serial."""
-        return self.network.partition_report()
 
     def fail_link(
         self,

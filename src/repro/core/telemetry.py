@@ -16,7 +16,6 @@ tag-routed probes: no switch configuration, no polling agents on boxes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -119,17 +118,6 @@ class FabricReport(ReportBase):
     #: dropped) from the controller's replicated topology store;
     #: ``dropped`` > 0 flags replica-view divergence.
     replication: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @property
-    def controller_cache(self) -> Dict[str, int]:
-        """Deprecated alias of :attr:`path_service`."""
-        warnings.warn(
-            "FabricReport.controller_cache is deprecated; use "
-            "FabricReport.path_service",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.path_service
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -325,20 +325,17 @@ class ChaosRunner:
         else:
             raise RuntimeError(f"bad channel target {args!r}")
         if kind == "loss-start":
-            op = lambda: setattr(channel, "loss_rate", value_args[0])
+            channel.loss_rate = value_args[0]
         elif kind == "loss-end":
-            op = lambda: setattr(channel, "loss_rate", 0.0)
+            channel.loss_rate = 0.0
         elif kind == "delay-start":
-            op = lambda: setattr(channel, "extra_latency_s", value_args[0])
+            channel.extra_latency_s = value_args[0]
         elif kind == "delay-end":
-            op = lambda: setattr(channel, "extra_latency_s", 0.0)
+            channel.extra_latency_s = 0.0
         elif kind == "dup-start":
-            op = lambda: setattr(channel, "duplicate_rate", value_args[0])
+            channel.duplicate_rate = value_args[0]
         else:
-            op = lambda: setattr(channel, "duplicate_rate", 0.0)
-        # Knob changes must land in the owning partition's loop, like
-        # every other fault (no-op routing when unpartitioned).
-        network.route_channel_op(channel, op)
+            channel.duplicate_rate = 0.0
 
     # ------------------------------------------------------------------
     # background workload + continuous checks
@@ -442,20 +439,7 @@ class ChaosRunner:
         """Schedule the timeline's fault applications on the fabric's
         loop WITHOUT invariant ticks or quiesce verification.  For
         benchmarks that drive their own workload and measurement but
-        want scripted, resolver-capable fault timing.
-
-        On a partitioned fabric the applications fire in partition 0's
-        loop and each fault is routed into the owning partition's loop
-        (exact, because partition 0 runs first in every window).  Fork
-        mode cannot mutate remote partitions -- chaos runs need
-        ``partition_mode="inline"``.
-        """
-        sim = getattr(self.fabric.network, "sim", None)
-        if sim is not None and sim.mode == "fork":
-            raise ValueError(
-                "ChaosRunner needs a shared address space to inject "
-                "faults; use partition_mode='inline' (or partitions=1)"
-            )
+        want scripted, resolver-capable fault timing."""
         for event in self.schedule.events():
             self.fabric.loop.schedule(event.time, self._apply, event)
 

@@ -4,7 +4,6 @@ from .events import EventHandle, EventLoop, SimulationError
 from .channel import Channel, ChannelEnd, DEFAULT_DETECTION_DELAY
 from .device import Device
 from .network import HOST_NIC_PORT, LinkSpec, Network
-from .partition import BoundaryChannel, PartitionedSimulation, PartitionPlan
 from .trace import PerfCounters, TraceEvent, Tracer
 
 __all__ = [
@@ -19,9 +18,6 @@ __all__ = [
     "Network",
     "LinkSpec",
     "HOST_NIC_PORT",
-    "BoundaryChannel",
-    "PartitionedSimulation",
-    "PartitionPlan",
     "Tracer",
     "TraceEvent",
 ]

@@ -121,8 +121,7 @@ class EventLoop:
         ``now + (time - now)``, which under floating point need not
         equal ``time`` (e.g. ``now=0.1, time=0.3`` rounds up by one
         ulp), so an event aimed at the same instant through
-        :meth:`call_at` could fire first despite being scheduled later
-        -- or straddle a partition's lookahead window.
+        :meth:`call_at` could fire first despite being scheduled later.
         """
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past (time={time})")
@@ -177,8 +176,7 @@ class EventLoop:
         """Deadline of the earliest *live* event, or None when idle.
 
         Pops cancelled entries off the top while peeking (adjusting the
-        dead count), so repeated calls are amortized O(1).  This is the
-        probe the partition coordinator uses to size lookahead windows.
+        dead count), so repeated calls are amortized O(1).
         """
         heap = self._heap
         while heap:

@@ -12,13 +12,12 @@ Hosts have a single NIC, always port 1 on the host device.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..topology.graph import Link, PortRef, Topology, TopologyError
 from .channel import Channel
 from .device import Device
-from .events import EventLoop, SimulationError
-from .partition import BoundaryChannel, PartitionedSimulation, PartitionPlan
+from .events import EventLoop
 from .trace import Tracer
 
 __all__ = ["Network", "LinkSpec", "HOST_NIC_PORT"]
@@ -58,35 +57,13 @@ class Network:
         host_link_spec: Optional[LinkSpec] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        plan: Optional[PartitionPlan] = None,
-        partition_mode: str = "inline",
-        boundary_link_spec: Optional[LinkSpec] = None,
     ) -> None:
-        """``plan`` splits the fabric into per-partition event loops
-        (see :mod:`repro.netsim.partition`); each device lands in its
-        partition's loop, and links whose endpoints straddle partitions
-        become :class:`BoundaryChannel` message queues, built from
-        ``boundary_link_spec`` (default: ``link_spec``).  Without a
-        plan, everything runs on one loop exactly as before.
-        """
         self.topology = topology
-        self.plan = plan
+        self.loop = EventLoop()
         self.rng = random.Random(seed)
         self.tracer = tracer if tracer is not None else Tracer()
         self.link_spec = link_spec or LinkSpec()
         self.host_link_spec = host_link_spec or self.link_spec
-        self.boundary_link_spec = boundary_link_spec or self.link_spec
-
-        if plan is None:
-            self._loops = [EventLoop()]
-            self.sim: Optional[PartitionedSimulation] = None
-        else:
-            self._loops = [EventLoop() for _ in range(plan.num_partitions)]
-            self.sim = PartitionedSimulation(self._loops, mode=partition_mode)
-        # The loop a factory (or _make_channel) sees while the network
-        # is under construction; parks on partition 0 afterwards, so
-        # `network.loop` is the controller-side loop.
-        self._current_loop = self._loops[0]
 
         self.switches: Dict[str, Device] = {}
         self.hosts: Dict[str, Device] = {}
@@ -94,51 +71,22 @@ class Network:
         self._host_channels: Dict[str, Channel] = {}
 
         for sw in topology.switches:
-            self._current_loop = self._loops[self._pid_of(sw)]
             self.switches[sw] = switch_factory(sw, topology.num_ports(sw), self)
         for host in topology.hosts:
-            self._current_loop = self._loops[self._pid_of_host(host)]
             self.hosts[host] = host_factory(host, self)
         for link in topology.links:
             self._wire_link(link)
         for host in topology.hosts:
             self._wire_host(host)
-        self._current_loop = self._loops[0]
         if self.tracer.counters_enabled:
             for name, device in {**self.switches, **self.hosts}.items():
                 device.enable_counters(self.tracer.counters_for(f"device:{name}"))
 
     # ------------------------------------------------------------------
-    # partition placement
-
-    @property
-    def loop(self) -> EventLoop:
-        """The current scheduling loop.
-
-        Unpartitioned: the one loop, as always.  Partitioned: during
-        construction, the loop of the device being built; afterwards,
-        partition 0's loop (the controller side).
-        """
-        return self._current_loop
-
-    @property
-    def loops(self) -> Tuple[EventLoop, ...]:
-        return tuple(self._loops)
-
-    def _pid_of(self, switch: str) -> int:
-        return 0 if self.plan is None else self.plan.pid_of(switch)
-
-    def _pid_of_host(self, host: str) -> int:
-        """Hosts live with the switch they are cabled to."""
-        if self.plan is None:
-            return 0
-        return self.plan.pid_of(self.topology.host_port(host).switch)
-
-    # ------------------------------------------------------------------
 
     def _make_channel(self, spec: LinkSpec) -> Channel:
         return Channel(
-            self._current_loop,
+            self.loop,
             bandwidth_bps=spec.bandwidth_bps,
             latency_s=spec.latency_s,
             jitter_s=spec.jitter_s,
@@ -147,22 +95,7 @@ class Network:
         )
 
     def _wire_link(self, link: Link) -> None:
-        pid_a = self._pid_of(link.a.switch)
-        pid_b = self._pid_of(link.b.switch)
-        if pid_a == pid_b:
-            self._current_loop = self._loops[pid_a]
-            channel = self._make_channel(self.link_spec)
-        else:
-            assert self.sim is not None
-            spec = self.boundary_link_spec
-            channel = BoundaryChannel(
-                self.sim,
-                (pid_a, pid_b),
-                (self._loops[pid_a], self._loops[pid_b]),
-                bandwidth_bps=spec.bandwidth_bps,
-                latency_s=spec.latency_s,
-                detection_delay_s=spec.detection_delay_s,
-            )
+        channel = self._make_channel(self.link_spec)
         self.switches[link.a.switch].attach(link.a.port, channel.ends[0])
         self.switches[link.b.switch].attach(link.b.port, channel.ends[1])
         self._link_channels[link.key()] = channel
@@ -173,7 +106,6 @@ class Network:
 
     def _wire_host(self, host: str) -> None:
         ref = self.topology.host_port(host)
-        self._current_loop = self._loops[self._pid_of(ref.switch)]
         channel = self._make_channel(self.host_link_spec)
         self.switches[ref.switch].attach(ref.port, channel.ends[0])
         self.hosts[host].attach(HOST_NIC_PORT, channel.ends[1])
@@ -215,27 +147,19 @@ class Network:
         exactly as if a cable had been plugged in, which is what lets
         the DumbNet controller discover the newcomer by reprobing.
         """
-        self._mutation_guard("hotplug_host")
         self.topology.add_host(host, switch, port)
-        # The newcomer lands in its switch's partition (no-op when
-        # unpartitioned: there is only the one loop).
-        self._current_loop = self._loops[self._pid_of(switch)]
-        try:
-            device = host_factory(host, self)
-            self.hosts[host] = device
-            channel = self._make_channel(self.host_link_spec)
-            self.switches[switch].attach(port, channel.ends[0])
-            device.attach(HOST_NIC_PORT, channel.ends[1])
-            self._host_channels[host] = channel
-            # Announce the PHY coming up on the switch side.
-            self.loop.schedule(
-                channel.detection_delay_s,
-                self.switches[switch].port_state_changed,
-                port,
-                True,
-            )
-        finally:
-            self._current_loop = self._loops[0]
+        device = host_factory(host, self)
+        self.hosts[host] = device
+        self._wire_host(host)
+        if self.tracer.counters_enabled:
+            device.enable_counters(self.tracer.counters_for(f"device:{host}"))
+        # Announce the PHY coming up on the switch side.
+        self.loop.schedule(
+            self._host_channels[host].detection_delay_s,
+            self.switches[switch].port_state_changed,
+            port,
+            True,
+        )
         return device
 
     def hotplug_switch(
@@ -254,11 +178,6 @@ class Network:
         which then escalates into incremental rediscovery of the
         newcomer (it appears as an unknown switch ID).
         """
-        if self.plan is not None:
-            raise SimulationError(
-                "hotplug_switch is not supported on a partitioned network: "
-                "the partition plan does not cover the newcomer"
-            )
         self.topology.add_switch(switch, num_ports)
         device = switch_factory(switch, num_ports, self)
         self.switches[switch] = device
@@ -285,56 +204,17 @@ class Network:
     # ------------------------------------------------------------------
     # failure injection
 
-    def _mutation_guard(self, what: str) -> None:
-        """Fork-mode workers own copies of the object graph; a parent-
-        side mutation would silently touch only the parent's copy."""
-        sim = self.sim
-        if sim is not None and sim.mode == "fork" and sim._forked:
-            raise SimulationError(
-                f"{what} is not supported once a fork-mode partitioned "
-                f"network is running; use inline partitioning for fault "
-                f"experiments"
-            )
-
-    def _route_mutation(self, pid: int, op) -> None:
-        """Run a fault op in the owning partition's loop (direct call
-        when unpartitioned or between windows)."""
-        if self.sim is None:
-            op()
-        else:
-            self.sim.route_op(pid, op)
-
-    def route_channel_op(self, channel: Channel, op) -> None:
-        """Run a channel mutation (fault-knob change) in the loop of the
-        partition that owns the channel.  Direct call when unpartitioned
-        or between windows; boundary channels reject knobs themselves."""
-        self._mutation_guard("channel mutation")
-        if self.sim is None:
-            op()
-            return
-        try:
-            pid = self._loops.index(channel.loop)
-        except ValueError:  # boundary channel: let its setter raise
-            pid = 0
-        self.sim.route_op(pid, op)
-
     def fail_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> None:
-        self._mutation_guard("fail_link")
-        channel = self.link_channel(sw_a, port_a, sw_b, port_b)
-        self._route_mutation(self._pid_of(sw_a), channel.fail)
+        self.link_channel(sw_a, port_a, sw_b, port_b).fail()
 
     def restore_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> None:
-        self._mutation_guard("restore_link")
-        channel = self.link_channel(sw_a, port_a, sw_b, port_b)
-        self._route_mutation(self._pid_of(sw_a), channel.restore)
+        self.link_channel(sw_a, port_a, sw_b, port_b).restore()
 
     def fail_switch(self, switch: str) -> None:
-        self._mutation_guard("fail_switch")
-        self._route_mutation(self._pid_of(switch), self.switches[switch].power_off)
+        self.switches[switch].power_off()
 
     def restore_switch(self, switch: str) -> None:
-        self._mutation_guard("restore_switch")
-        self._route_mutation(self._pid_of(switch), self.switches[switch].power_on)
+        self.switches[switch].power_on()
 
     def fail_random_link(self, rng: Optional[random.Random] = None) -> Link:
         """Cut a uniformly random *live* switch-switch link; returns which.
@@ -360,26 +240,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        if self.sim is not None:
-            return self.sim.run(until=until, max_events=max_events)
         return self.loop.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 50_000_000) -> int:
-        if self.sim is not None:
-            return self.sim.run_until_idle(max_events=max_events)
         return self.loop.run_until_idle(max_events=max_events)
 
     @property
     def now(self) -> float:
-        if self.sim is not None:
-            return self.sim.now
         return self.loop.now
-
-    def shutdown(self) -> None:
-        """Release partition workers (no-op for unpartitioned/inline)."""
-        if self.sim is not None:
-            self.sim.shutdown()
-
-    def partition_report(self) -> Optional[Dict[str, Any]]:
-        """Coordinator statistics, or ``None`` when unpartitioned."""
-        return None if self.sim is None else self.sim.report()

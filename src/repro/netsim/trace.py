@@ -15,7 +15,6 @@ asked for.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -100,16 +99,6 @@ class Tracer:
             label: self.counters[label].as_dict()
             for label in sorted(self.counters)
         })
-
-    def counter_report(self) -> Dict[str, Dict[str, float]]:
-        """Deprecated: use :meth:`report` (``.counters``)."""
-        warnings.warn(
-            "Tracer.counter_report() is deprecated; use "
-            "Tracer.report().counters",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.report().counters
 
     # ------------------------------------------------------------------
     # queries

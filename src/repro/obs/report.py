@@ -72,9 +72,7 @@ class ReportBase:
 class PerfReport(ReportBase):
     """The tracer's profiling buckets behind the report protocol.
 
-    ``counters`` keeps the exact mapping shape the old
-    ``Tracer.counter_report()`` returned (label -> plain counter dict),
-    so existing slicing code ports by appending ``.counters``.
+    ``counters`` maps label -> plain counter dict.
     """
 
     __slots__ = ("counters",)

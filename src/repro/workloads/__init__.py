@@ -4,9 +4,7 @@ The unified surface (PR 9): :class:`Workload` specs materialize
 deterministic :class:`FlowProgram` streams from a caller-seeded rng;
 :func:`run_scenario` executes a :class:`Scenario` (topology x workload
 x TE mechanism x engine) and reduces it to a scorecard cell;
-:class:`ScorecardReport` collects the grid.  The pre-unification
-conventions (``run_task``, ``run_incast_fluid``, ``TraceWorkload``)
-remain as deprecation shims that delegate to the same machinery.
+:class:`ScorecardReport` collects the grid.
 """
 
 from .api import (
@@ -27,14 +25,12 @@ from .hibench import (
     TaskSpec,
     hibench_task,
     legacy_task_rng,
-    run_task,
     task_program,
 )
 from .incast import (
     IncastSpec,
     drive_incast_packets,
     incast_flows,
-    run_incast_fluid,
 )
 from .scenario import (
     ENGINES,
@@ -56,7 +52,6 @@ from .suite import (
 )
 from .traces import (
     DATA_MINING_CDF,
-    TraceWorkload,
     WEB_SEARCH_CDF,
     mean_flow_bits,
     sample_flow_bits,
@@ -102,7 +97,6 @@ __all__ = [
     "hibench_task",
     "task_program",
     "legacy_task_rng",
-    "run_task",
     "TaskSpec",
     "Stage",
     "HIBENCH_TASKS",
@@ -122,10 +116,8 @@ __all__ = [
     # incast
     "IncastSpec",
     "incast_flows",
-    "run_incast_fluid",
     "drive_incast_packets",
     # traces
-    "TraceWorkload",
     "WEB_SEARCH_CDF",
     "DATA_MINING_CDF",
     "sample_flow_bits",

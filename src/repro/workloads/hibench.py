@@ -24,12 +24,10 @@ seed) so skew exists but shapes dominate.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..flowsim.simulator import FluidSimulator
-from .api import FlowProgram, FlowSpec, Phase, Workload, replay_program
+from .api import FlowProgram, FlowSpec, Phase, Workload
 
 __all__ = [
     "Stage",
@@ -37,7 +35,6 @@ __all__ = [
     "HiBenchWorkload",
     "hibench_task",
     "legacy_task_rng",
-    "run_task",
     "task_program",
     "HIBENCH_TASKS",
 ]
@@ -156,8 +153,7 @@ def _build_task(
 
 def task_program(task: TaskSpec) -> FlowProgram:
     """A :class:`TaskSpec` as a unified :class:`FlowProgram`: one phase
-    per stage, every stage flow tagged ``(task, stage)`` exactly as
-    :func:`run_task` always tagged them."""
+    per stage, every stage flow tagged ``(task, stage)``."""
     return FlowProgram(
         phases=tuple(
             Phase(
@@ -203,19 +199,3 @@ class HiBenchWorkload(Workload):
     def describe(self) -> Dict[str, object]:
         return {"name": self.name, "task": self.task, "scale": self.scale}
 
-
-def run_task(simulator: FluidSimulator, task: TaskSpec) -> float:
-    """Deprecated shim: replay a task via the unified program runner.
-
-    Stages are barriers: stage i+1's flows are released when the last
-    flow of stage i completes, matching MapReduce stage semantics.
-    Flow admission order, start times, tags and the returned duration
-    are byte-identical to the pre-unification loop.
-    """
-    warnings.warn(
-        "run_task() is deprecated; use run_scenario() with a "
-        "HiBenchWorkload, or replay_program(sim, task_program(task))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return replay_program(simulator, task_program(task)).duration_s

@@ -10,15 +10,13 @@ fluid simulator.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..core.fabric import DumbNetFabric
-from ..flowsim.simulator import FluidSimulator
-from .api import FlowProgram, FlowSpec, Phase, replay_program
+from .api import FlowProgram, FlowSpec
 
-__all__ = ["IncastSpec", "incast_flows", "run_incast_fluid", "drive_incast_packets"]
+__all__ = ["IncastSpec", "incast_flows", "drive_incast_packets"]
 
 
 @dataclass(frozen=True)
@@ -50,25 +48,13 @@ def incast_flows(
     hosts: Sequence[str],
     fanin: int,
     bits_per_sender: float,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     start_s: float = 0.0,
 ) -> IncastSpec:
-    """Deprecated shim: pick a sink and ``fanin`` senders from the list.
-
-    Use :class:`repro.workloads.IncastSweep` with an explicit seeded
-    rng; this shim keeps the legacy hidden-``Random(0)`` default so
-    pre-unification callers see identical draws.
-    """
+    """Pick a sink and ``fanin`` senders from the list (one round;
+    :class:`repro.workloads.IncastSweep` sweeps fan-ins)."""
     if len(hosts) < fanin + 1:
         raise ValueError(f"need {fanin + 1} hosts, got {len(hosts)}")
-    if rng is None:
-        warnings.warn(
-            "incast_flows() without an explicit rng uses a hidden "
-            "random.Random(0); pass a seeded rng (or use IncastSweep)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rng = random.Random(0)
     chosen = rng.sample(list(hosts), fanin + 1)
     return IncastSpec(
         sink=chosen[0],
@@ -76,26 +62,6 @@ def incast_flows(
         bits_per_sender=bits_per_sender,
         start_s=start_s,
     )
-
-
-def run_incast_fluid(simulator: FluidSimulator, spec: IncastSpec) -> float:
-    """Deprecated shim: run one round via the unified program runner.
-
-    With N senders into one NIC, the ideal duration is
-    N * bits_per_sender / NIC rate -- tests assert the simulator hits
-    it.  Admission order, start times, tags and the returned duration
-    are byte-identical to the pre-unification loop.
-    """
-    warnings.warn(
-        "run_incast_fluid() is deprecated; use run_scenario() with an "
-        "IncastSweep, or replay_program(sim, spec.program())",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = replay_program(simulator, spec.program(), base_s=0.0)
-    if not result.fcts:
-        raise RuntimeError("incast stalled: sink unreachable?")
-    return result.fcts[0]
 
 
 def drive_incast_packets(

@@ -11,25 +11,20 @@ pFabric literature are embedded as CDFs:
   most flows under 10 KB, elephants up to 1 GB.
 
 :func:`sample_flow_bits` inverse-transform samples a CDF;
-:class:`TraceWorkload` turns a distribution + arrival rate + traffic
-matrix into a ready flow list for the fluid simulator.
+:class:`repro.workloads.TraceReplay` turns a distribution + arrival
+rate + traffic matrix into a flow program.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-import warnings
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from .traffic import poisson_arrivals
+from typing import Sequence, Tuple
 
 __all__ = [
     "WEB_SEARCH_CDF",
     "DATA_MINING_CDF",
     "sample_flow_bits",
-    "TraceWorkload",
     "mean_flow_bits",
 ]
 
@@ -96,43 +91,3 @@ def mean_flow_bits(cdf: Sequence[Tuple[float, float]]) -> float:
         prev_size, prev_p = size, p
     return total * 8
 
-
-@dataclass
-class TraceWorkload:
-    """Deprecated shim: use :class:`repro.workloads.TraceReplay`.
-
-    The old trace-driven open-loop convention (embedded seed, bare
-    4-tuple rows).  :meth:`flows` now delegates to
-    :class:`~repro.workloads.suite.TraceReplay` -- same draws in the
-    same order, so pinned-seed rows are byte-identical to the
-    pre-unification generator.
-    """
-
-    hosts: Sequence[str]
-    cdf: Sequence[Tuple[float, float]]
-    load_bps: float
-    duration_s: float
-    seed: int = 0
-
-    def flows(self) -> List[Tuple[float, str, str, float]]:
-        """(start time, src, dst, size bits) rows, time-ordered."""
-        warnings.warn(
-            "TraceWorkload is deprecated; use repro.workloads.TraceReplay "
-            "with an explicit rng (its .program() feeds run_scenario)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .suite import TraceReplay
-
-        workload = TraceReplay(
-            self.cdf,
-            load_bps=self.load_bps,
-            duration_s=self.duration_s,
-            hosts=self.hosts,
-        )
-        program = workload.program(None, rng=random.Random(self.seed))
-        return [
-            (f.start_s, f.src, f.dst, f.size_bits)
-            for phase in program.phases
-            for f in phase.flows
-        ]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 __all__ = [
     "permutation_pairs",
@@ -25,17 +24,9 @@ __all__ = [
 
 
 def permutation_pairs(
-    hosts: Sequence[str], rng: Optional[random.Random] = None
+    hosts: Sequence[str], rng: random.Random
 ) -> List[Tuple[str, str]]:
     """A random permutation matrix: each host sends to exactly one other."""
-    if rng is None:
-        warnings.warn(
-            "permutation_pairs() without an explicit rng uses a hidden "
-            "random.Random(0); pass a seeded rng",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rng = random.Random(0)
     if len(hosts) < 2:
         return []
     dsts = list(hosts)
@@ -61,17 +52,9 @@ def stride_pairs(hosts: Sequence[str], stride: int) -> List[Tuple[str, str]]:
 
 
 def hotspot_pairs(
-    hosts: Sequence[str], num_hot: int = 1, rng: Optional[random.Random] = None
+    hosts: Sequence[str], num_hot: int = 1, *, rng: random.Random
 ) -> List[Tuple[str, str]]:
     """Everyone sends to a few hot destinations (incast-style)."""
-    if rng is None:
-        warnings.warn(
-            "hotspot_pairs() without an explicit rng uses a hidden "
-            "random.Random(0); pass a seeded rng",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        rng = random.Random(0)
     if len(hosts) < 2:
         return []
     num_hot = max(1, min(num_hot, len(hosts) - 1))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fabric import DumbNetFabric
+from repro.netsim import Tracer
 from repro.topology import leaf_spine, paper_testbed
 
 
@@ -59,6 +60,25 @@ class TestHotplug:
     def test_occupied_port_rejected(self, fabric):
         with pytest.raises(Exception):
             fabric.hotplug_host("clash", "leaf0", 1)  # spine uplink port
+
+    def test_hotplugged_host_gets_perf_counters(self):
+        """A hot-plugged host goes through the same wiring as a
+        construction-time one, so it and its NIC channel are profiled."""
+        tracer = Tracer(counters_enabled=True)
+        fab = DumbNetFabric(
+            leaf_spine(2, 2, 2, num_ports=16),
+            controller_host="h0_0",
+            seed=41,
+            tracer=tracer,
+        )
+        fab.adopt_blueprint()
+        agent = fab.hotplug_host("newbie", "leaf1", 9)
+        fab.run_until_idle()
+        agent.send_app("h0_1", "hello")
+        fab.run_until_idle()
+        counters = tracer.report().counters
+        assert counters["device:newbie"]["frames"] > 0
+        assert counters["nic:newbie"]["frames"] > 0
 
     def test_hotplug_on_testbed_scale(self):
         fab = DumbNetFabric(paper_testbed(), controller_host="h0_0", seed=5)

@@ -13,7 +13,7 @@ from repro.workloads import (
     IncastSpec,
     drive_incast_packets,
     incast_flows,
-    run_incast_fluid,
+    replay_program,
 )
 
 
@@ -28,7 +28,8 @@ class TestIncastSpec:
 
     def test_too_few_hosts(self):
         with pytest.raises(ValueError):
-            incast_flows(["a", "b"], fanin=4, bits_per_sender=1e6)
+            incast_flows(["a", "b"], fanin=4, bits_per_sender=1e6,
+                         rng=random.Random(0))
 
 
 class TestFluidIncast:
@@ -41,7 +42,7 @@ class TestFluidIncast:
             senders=("h0_0", "h0_1", "h0_2", "h0_3"),
             bits_per_sender=1e9,
         )
-        duration = run_incast_fluid(sim, spec)
+        duration = replay_program(sim, spec.program()).fcts[0]
         # 4 Gb into a 1 Gbps... the last hop is the leaf's host port at
         # host_bps: ideal = 4 s.
         assert duration == pytest.approx(4.0, rel=0.01)
@@ -54,7 +55,7 @@ class TestFluidIncast:
         sim = FluidSimulator(net, SingleShortestPolicy())
         spec = IncastSpec(sink="h1_0", senders=("h0_0",), bits_per_sender=1e6)
         with pytest.raises(RuntimeError):
-            run_incast_fluid(sim, spec)
+            replay_program(sim, spec.program())
 
 
 class TestPacketIncast:

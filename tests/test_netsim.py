@@ -96,8 +96,7 @@ class TestEventLoop:
         now), storing ``now + (time - now)`` -- which at now=0.3,
         time=0.9 is one ulp above 0.9, so a schedule_at aimed at the
         same instant as a call_at fired *after* it despite being
-        scheduled first (and at now=0.2 one ulp *below*, early enough
-        to straddle a partition's lookahead window)."""
+        scheduled first (and at now=0.2 one ulp *below*)."""
         loop = EventLoop()
         order = []
         loop.schedule(0.3, lambda: None)

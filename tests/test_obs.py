@@ -202,7 +202,7 @@ class TestExport:
 
 
 # ----------------------------------------------------------------------
-# the one report protocol + deprecation shims
+# the one report protocol
 
 
 class TestReportProtocol:
@@ -216,17 +216,8 @@ class TestReportProtocol:
         assert data["counters"]["device:x"]["frames"] == 7
         assert "7" in report.summary()
 
-    def test_counter_report_shim_warns_and_matches(self):
-        tracer = Tracer(counters_enabled=True)
-        tracer.counters_for("nic:h1").bits = 8.0
-        with pytest.warns(DeprecationWarning):
-            legacy = tracer.counter_report()
-        assert legacy == tracer.report().counters
-
-    def test_fabric_report_shim_warns_and_aliases(self):
+    def test_fabric_report_speaks_protocol(self):
         report = FabricReport(path_service={"hits": 3})
-        with pytest.warns(DeprecationWarning):
-            assert report.controller_cache == {"hits": 3}
         assert json.loads(report.to_json())["path_service"] == {"hits": 3}
         assert json.loads(report.to_json())["kind"] == "fabric-report"
 

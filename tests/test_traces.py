@@ -6,9 +6,9 @@ import pytest
 
 from repro.flowsim import FlowNet, FluidSimulator, RebalancingKPathPolicy
 from repro.topology import leaf_spine
+from repro.workloads import TraceReplay, replay_program
 from repro.workloads.traces import (
     DATA_MINING_CDF,
-    TraceWorkload,
     WEB_SEARCH_CDF,
     mean_flow_bits,
     sample_flow_bits,
@@ -49,49 +49,47 @@ class TestDistributions:
         assert mean_flow_bits(DATA_MINING_CDF) > mean_flow_bits(WEB_SEARCH_CDF)
 
 
-class TestTraceWorkload:
+def trace_flows(hosts, load_bps, duration_s, seed):
+    """The web-search trace's flow specs, time-ordered."""
+    workload = TraceReplay(
+        WEB_SEARCH_CDF, load_bps=load_bps, duration_s=duration_s, hosts=hosts
+    )
+    (phase,) = workload.program(None, rng=random.Random(seed)).phases
+    return phase.flows
+
+
+class TestTraceReplay:
     def test_flow_rows_shape(self):
         hosts = [f"h{i}" for i in range(8)]
-        workload = TraceWorkload(
-            hosts=hosts, cdf=WEB_SEARCH_CDF, load_bps=2e9, duration_s=0.5, seed=4
-        )
-        rows = workload.flows()
-        assert rows
-        times = [t for t, _s, _d, _b in rows]
+        flows = trace_flows(hosts, load_bps=2e9, duration_s=0.5, seed=4)
+        assert flows
+        times = [f.start_s for f in flows]
         assert times == sorted(times)
         assert all(0 <= t < 0.5 for t in times)
-        assert all(s != d for _t, s, d, _b in rows)
+        assert all(f.src != f.dst for f in flows)
 
     def test_offered_load_approximate(self):
         hosts = [f"h{i}" for i in range(8)]
-        workload = TraceWorkload(
-            hosts=hosts, cdf=WEB_SEARCH_CDF, load_bps=5e9, duration_s=2.0, seed=5
-        )
-        rows = workload.flows()
-        offered = sum(b for _t, _s, _d, b in rows) / 2.0
+        flows = trace_flows(hosts, load_bps=5e9, duration_s=2.0, seed=5)
+        offered = sum(f.size_bits for f in flows) / 2.0
         assert offered == pytest.approx(5e9, rel=0.35)  # heavy tail noise
 
     def test_deterministic_given_seed(self):
         hosts = ["a", "b", "c"]
-        w1 = TraceWorkload(hosts, WEB_SEARCH_CDF, 1e9, 0.2, seed=9).flows()
-        w2 = TraceWorkload(hosts, WEB_SEARCH_CDF, 1e9, 0.2, seed=9).flows()
+        w1 = trace_flows(hosts, 1e9, 0.2, seed=9)
+        w2 = trace_flows(hosts, 1e9, 0.2, seed=9)
         assert w1 == w2
 
     def test_needs_two_hosts(self):
         with pytest.raises(ValueError):
-            TraceWorkload(["solo"], WEB_SEARCH_CDF, 1e9, 1.0).flows()
+            trace_flows(["solo"], 1e9, 1.0, seed=0)
 
     def test_runs_through_fluid_simulator(self):
         topo = leaf_spine(2, 2, 4, num_ports=16)
-        workload = TraceWorkload(
-            hosts=topo.hosts, cdf=WEB_SEARCH_CDF, load_bps=1e9,
-            duration_s=0.2, seed=6,
-        )
+        workload = TraceReplay(WEB_SEARCH_CDF, load_bps=1e9, duration_s=0.2)
         net = FlowNet(topo, link_bps=10e9, host_bps=10e9)
         sim = FluidSimulator(net, RebalancingKPathPolicy(k=2),
                              rebalance_interval_s=0.01)
-        for start, src, dst, bits in workload.flows():
-            sim.add_flow(src, dst, bits, start_s=start)
-        sim.run()
+        replay_program(sim, workload.program(topo, rng=random.Random(6)))
         assert sim.completed
         assert all(f.done for f in sim.flows)

@@ -17,8 +17,9 @@ from repro.workloads import (
     pareto_flow_bits,
     permutation_pairs,
     poisson_arrivals,
-    run_task,
+    replay_program,
     stride_pairs,
+    task_program,
 )
 
 
@@ -113,7 +114,7 @@ class TestHiBench:
         net = FlowNet(topo, link_bps=1e9, host_bps=1e9)
         sim = FluidSimulator(net, SingleShortestPolicy())
         task = hibench_task("Aggregation", topo.hosts, seed=3, scale=0.01)
-        duration = run_task(sim, task)
+        duration = replay_program(sim, task_program(task)).duration_s
         assert duration > 0
         # Stage 2 flows must all start at/after stage 1 completion.
         stage1_tag = (task.name, task.stages[0].name)
@@ -132,7 +133,7 @@ class TestHiBench:
             net = FlowNet(topo, link_bps=1e9, host_bps=1e9)
             sim = FluidSimulator(net, policy)
             task = hibench_task("Terasort", topo.hosts, seed=2, scale=0.02)
-            durations[label] = run_task(sim, task)
+            durations[label] = replay_program(sim, task_program(task)).duration_s
         assert durations["balanced"] < durations["single"]
 
 
