@@ -40,6 +40,7 @@ from .messages import (
     TopologyPatch,
 )
 from .packet import ID_QUERY
+from .pathgraph import backup_path
 from .pathservice import PathService
 from .pathshard import PodMap, ShardedPathService
 from .rediscovery import AsyncProbeDriver, RediscoveryEngine
@@ -406,12 +407,8 @@ class Controller(HostAgent):
             return ()
         routes = [tuple(view.encode_path(src_host, primary, dst_host))]
         if want_backup:
-            costs = {}
-            for here, there in zip(primary, primary[1:]):
-                for link in view.links_between(here, there):
-                    costs[link.key()] = 1000.0
-            backup = view.shortest_switch_path(src_sw, dst_sw, link_costs=costs)
-            if backup is not None and backup != primary:
+            backup = backup_path(view, primary)
+            if backup is not None:
                 routes.append(tuple(view.encode_path(src_host, backup, dst_host)))
         return tuple(routes)
 

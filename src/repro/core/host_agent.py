@@ -43,7 +43,7 @@ from .messages import (
 )
 from .packet import ETHERTYPE_DUMBNET, ETHERTYPE_NOTIFY, Packet, PathTags
 from .pathcache import CachedPath, PathTable, TopoCache
-from .pathgraph import build_path_graph
+from .pathgraph import primary_and_backup
 
 __all__ = [
     "AgentConfig",
@@ -530,17 +530,12 @@ class HostAgent(Device):
             except Exception:
                 continue
         backup = None
-        graph = build_path_graph(
-            self.topo_cache.fragment,
-            att_src[0],
-            att_dst[0],
-            s=self.config.path_graph_s,
-            epsilon=self.config.path_graph_epsilon,
-            rng=self.rng,
+        _primary, backup_switches = primary_and_backup(
+            self.topo_cache.fragment, att_src[0], att_dst[0], self.rng
         )
-        if graph is not None and graph.backup is not None:
+        if backup_switches is not None:
             try:
-                backup = self.topo_cache.encode(self.name, list(graph.backup), dst)
+                backup = self.topo_cache.encode(self.name, backup_switches, dst)
             except Exception:
                 backup = None
         if primaries or backup:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import SSSPTree, Topology
 
-__all__ = ["PathGraph", "build_path_graph", "detour_vertices"]
+__all__ = ["PathGraph", "backup_path", "build_path_graph", "detour_vertices", "primary_and_backup"]
 
 #: Cost multiplier applied to primary-path links when computing the
 #: backup path: high enough that reuse only happens when unavoidable.
@@ -103,6 +103,44 @@ def detour_vertices(
     return detours
 
 
+def backup_path(
+    topology: Topology,
+    primary: Sequence[str],
+    rng: Optional[random.Random] = None,
+) -> Optional[List[str]]:
+    """A short path sharing as few cables as possible with ``primary``:
+    the shortest-path search re-run with every primary cable (parallel
+    ones included) made expensive, so reuse happens only where there is
+    no redundancy (Section 4.3).  None when it cannot differ."""
+    costs = {
+        link.key(): BACKUP_LINK_PENALTY
+        for here, there in zip(primary, primary[1:])
+        for link in topology.links_between(here, there)
+    }
+    backup = topology.shortest_switch_path(
+        primary[0], primary[-1], rng=rng, link_costs=costs
+    )
+    return None if backup == list(primary) else backup
+
+
+def primary_and_backup(
+    topology: Topology,
+    src_switch: str,
+    dst_switch: str,
+    rng: Optional[random.Random] = None,
+    tree: Optional[SSSPTree] = None,
+) -> Tuple[Optional[List[str]], Optional[List[str]]]:
+    """One randomized shortest path and its :func:`backup_path`;
+    ``(None, None)`` when unreachable.  ``rng`` is drawn from by the
+    primary walk-back first, then by the backup's."""
+    primary = topology.shortest_switch_path(
+        src_switch, dst_switch, rng=rng, tree=tree
+    )
+    if primary is None:
+        return None, None
+    return primary, backup_path(topology, primary, rng)
+
+
 def build_path_graph(
     topology: Topology,
     src_switch: str,
@@ -122,24 +160,11 @@ def build_path_graph(
     path always runs a fresh search because its link costs are unique to
     this primary.
     """
-    primary = topology.shortest_switch_path(
-        src_switch, dst_switch, rng=rng, tree=tree
+    primary, backup = primary_and_backup(
+        topology, src_switch, dst_switch, rng, tree
     )
     if primary is None:
         return None
-
-    # Backup: penalize primary links so the second run avoids them
-    # unless there is no redundancy (Section 4.3).
-    costs: Dict[FrozenSet, float] = {}
-    for here, there in zip(primary, primary[1:]):
-        for link in topology.links_between(here, there):
-            costs[link.key()] = BACKUP_LINK_PENALTY
-    backup_list = topology.shortest_switch_path(
-        src_switch, dst_switch, rng=rng, link_costs=costs
-    )
-    backup = tuple(backup_list) if backup_list is not None else None
-    if backup == tuple(primary):
-        backup = None  # no disjoint alternative exists
 
     nodes: Set[str] = set(primary)
     if backup:
@@ -149,22 +174,20 @@ def build_path_graph(
             detour_vertices(topology, primary, s, epsilon, distances=distances)
         )
 
+    # Every cable hangs off both of its switches: emit it from its ``a``
+    # side only and each induced edge appears exactly once.
     edges: List[Tuple[str, int, str, int]] = []
-    seen_edges: Set[FrozenSet] = set()
     for node in nodes:
         for link in topology.links_of(node):
-            if link.a.switch in nodes and link.b.switch in nodes:
-                if link.key() not in seen_edges:
-                    seen_edges.add(link.key())
-                    edges.append(
-                        (link.a.switch, link.a.port, link.b.switch, link.b.port)
-                    )
+            a, b = link.a, link.b
+            if a.switch == node and b.switch in nodes:
+                edges.append((node, a.port, b.switch, b.port))
 
     return PathGraph(
         src_switch=src_switch,
         dst_switch=dst_switch,
         primary=tuple(primary),
-        backup=backup,
+        backup=tuple(backup) if backup else None,
         nodes=frozenset(nodes),
         edges=tuple(sorted(edges)),
         s=s,

@@ -6,8 +6,8 @@ controller can cache path graphs for popular pairs" (§4.3, Fig 12) and
 controller's repeated path work near-free while keeping every answer
 byte-identical to a fresh computation:
 
-* **Shared SSSP trees** -- one full Dijkstra run per (current topology,
-  source switch), memoized and reused across ``_tags_between``,
+* **Shared SSSP trees** -- one full BFS per (current topology, source
+  switch), memoized and reused across ``_tags_between``,
   ``_routes_between``, gossip-overlay rebuilds, and every path-graph
   build (primary walk-back and Algorithm-1 detour distance maps).  A
   full tree reproduces the early-terminating per-pair run exactly: the
@@ -15,7 +15,7 @@ byte-identical to a fresh computation:
   the same content in the same relaxation order.
 
 * **A bounded LRU path-graph cache** keyed on (src switch, dst switch,
-  s, epsilon) within one coherency epoch -- (view identity,
+  s, epsilon) within one coherency epoch -- (``Topology.uid``,
   ``Topology.topo_version``) -- with hit/miss/eviction counters
   surfaced through :mod:`repro.core.telemetry` and the chaos report.
   Any switch-graph mutation made behind the service's back moves the
@@ -169,8 +169,8 @@ class PathService:
         self._by_link: Dict[LinkCacheKey, Set[GraphKey]] = {}
         self._links_of: Dict[GraphKey, Tuple[LinkCacheKey, ...]] = {}
         self._trees: Dict[str, SSSPTree] = {}
-        #: Coherency epoch: (view identity, view.topo_version) the
-        #: cached state was built against; None when empty.
+        #: Coherency epoch: (view.uid, view.topo_version) the cached
+        #: state was built against; None when empty.
         self._epoch: Optional[Tuple[int, int]] = None
 
     def __len__(self) -> int:
@@ -182,7 +182,7 @@ class PathService:
     def _sync(self, view: Topology) -> None:
         """Drop everything if the view's switch graph moved without the
         controller telling us (a direct test/fault-injector edit)."""
-        current = (id(view), view.topo_version)
+        current = (view.uid, view.topo_version)
         if self._epoch == current:
             return
         if self._epoch is not None:
@@ -300,7 +300,7 @@ class PathService:
         back to a full flush.
         """
         self.stats.link_invalidations += 1
-        current = (id(view), view.topo_version)
+        current = (view.uid, view.topo_version)
         single_step = (
             self._epoch is not None
             and self._epoch[0] == current[0]

@@ -36,8 +36,13 @@ class FlowNet:
         self.capacities: Dict[LinkId, float] = {}
         #: Ports whose cable is down (both endpoints of a failed link).
         self._down_ports: Set[Tuple[str, int]] = set()
+        #: Bumped whenever a cable actually changes state.
+        self.link_epoch = 0
         #: Yen-enumeration cache (the wiring never changes, only state).
         self._path_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
+        #: (src host, dst host, k) -> alive candidates; valid for one
+        #: ``link_epoch`` (emptied when it moves).
+        self._alive_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
         #: Tag-walk cache: (src, path, dst) -> static link id list.
         self._route_cache: Dict[Tuple, Optional[List[LinkId]]] = {}
         port_overrides = port_overrides or {}
@@ -64,22 +69,24 @@ class FlowNet:
     # failures
 
     def fail_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> None:
-        if not self.topology.has_link(sw_a, port_a, sw_b, port_b):
-            raise TopologyError(f"no link {sw_a}-{port_a} <-> {sw_b}-{port_b}")
-        self._down_ports.add((sw_a, port_a))
-        self._down_ports.add((sw_b, port_b))
+        self._set_link_state(sw_a, port_a, sw_b, port_b, up=False)
 
     def restore_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> None:
-        self._down_ports.discard((sw_a, port_a))
-        self._down_ports.discard((sw_b, port_b))
+        self._set_link_state(sw_a, port_a, sw_b, port_b, up=True)
 
-    def link_is_up(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> bool:
-        return (sw_a, port_a) not in self._down_ports
-
-    def port_is_up(self, switch: str, port: int) -> bool:
-        if (switch, port) in self._down_ports:
-            return False
-        return self.topology.peer(switch, port) is not None
+    def _set_link_state(self, sw_a: str, port_a: int, sw_b: str, port_b: int, up: bool) -> None:
+        if not self.topology.has_link(sw_a, port_a, sw_b, port_b):
+            raise TopologyError(f"no link {sw_a}-{port_a} <-> {sw_b}-{port_b}")
+        ports = {(sw_a, port_a), (sw_b, port_b)}
+        is_up = ports.isdisjoint(self._down_ports)
+        if is_up == up:
+            return
+        if up:
+            self._down_ports -= ports
+        else:
+            self._down_ports |= ports
+        self.link_epoch += 1
+        self._alive_cache.clear()
 
     # ------------------------------------------------------------------
     # routes
@@ -130,17 +137,22 @@ class FlowNet:
         """k shortest alive switch paths between two hosts.
 
         The Yen enumeration is cached per switch pair (the topology
-        itself never changes, only link state); aliveness is re-checked
-        per call with a cheap hop walk.
+        itself never changes, only link state); the aliveness walk over
+        its candidates is cached per host pair until a cable changes
+        state.
         """
-        src_sw = self.topology.host_port(src_host).switch
-        dst_sw = self.topology.host_port(dst_host).switch
-        key = (src_sw, dst_sw, k)
-        candidates = self._path_cache.get(key)
-        if candidates is None:
-            candidates = self.topology.k_shortest_switch_paths(src_sw, dst_sw, k * 2)
-            self._path_cache[key] = candidates
-        alive = [
-            p for p in candidates if self.path_is_alive(src_host, p, dst_host)
-        ]
+        memo = (src_host, dst_host, k)
+        alive = self._alive_cache.get(memo)
+        if alive is None:
+            src_sw = self.topology.host_port(src_host).switch
+            dst_sw = self.topology.host_port(dst_host).switch
+            key = (src_sw, dst_sw, k)
+            candidates = self._path_cache.get(key)
+            if candidates is None:
+                candidates = self.topology.k_shortest_switch_paths(src_sw, dst_sw, k * 2)
+                self._path_cache[key] = candidates
+            alive = [p for p in candidates if self.path_is_alive(src_host, p, dst_host)]
+            if len(alive) == len(candidates):
+                alive = candidates  # nothing filtered: share the Yen list
+            self._alive_cache[memo] = alive
         return alive[:k]

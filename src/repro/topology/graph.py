@@ -23,7 +23,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PortRef",
@@ -35,11 +35,14 @@ __all__ = [
 ]
 
 
+_INF = float("inf")
+
+
 class TopologyError(ValueError):
     """Raised for malformed wiring: duplicate ports, unknown nodes, etc."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PortRef:
     """A (switch, port) endpoint.  Ports are numbered from 1.
 
@@ -54,16 +57,20 @@ class PortRef:
         return f"{self.switch}-{self.port}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """An undirected switch-to-switch cable between two :class:`PortRef`."""
 
     a: PortRef
     b: PortRef
+    #: Computed once: the path searches look a cable's identity up per
+    #: relaxed edge.  Not part of eq / hash / repr.
+    _key: FrozenSet[PortRef] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise TopologyError(f"link connects port {self.a} to itself")
+        object.__setattr__(self, "_key", frozenset((self.a, self.b)))
 
     @property
     def endpoints(self) -> Tuple[PortRef, PortRef]:
@@ -78,13 +85,13 @@ class Link:
 
     def key(self) -> FrozenSet[PortRef]:
         """Orientation-independent identity of the cable."""
-        return frozenset((self.a, self.b))
+        return self._key
 
     def __str__(self) -> str:
         return f"{self.a}<->{self.b}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HostAttachment:
     """A host NIC plugged into a switch port."""
 
@@ -103,8 +110,8 @@ class SSSPTree:
     have accumulated for any destination, so walking back through a
     shared tree reproduces per-destination runs byte for byte.
 
-    Trees are snapshots: they are only valid for the exact topology (and
-    ``link_costs``) they were computed on.  The controller's
+    Trees are snapshots: they are only valid for the exact topology
+    they were computed on.  The controller's
     :class:`~repro.core.pathservice.PathService` memoizes them per
     source and drops them on any switch-graph mutation.
     """
@@ -144,14 +151,24 @@ class Topology:
     used by the path-graph detour search (Algorithm 1).
     """
 
+    _uids = itertools.count(1)
+
     def __init__(self) -> None:
+        #: Process-unique and never reused (unlike ``id()``); a
+        #: :meth:`copy` gets its own.  With :attr:`topo_version` it is
+        #: the coherency key for anything memoized against this object.
+        self.uid = next(Topology._uids)
         self._switch_ports: Dict[str, int] = {}
         self._hosts: Dict[str, PortRef] = {}
         # Occupancy of every wired port: PortRef -> Link | HostAttachment
         self._port_use: Dict[PortRef, object] = {}
         self._links: Dict[FrozenSet[PortRef], Link] = {}
-        # Adjacency: switch -> list[(neighbor switch, Link)]
+        # Adjacency: switch -> list[(neighbor switch, Link)], in wiring
+        # order -- which is the order the path searches relax edges in.
         self._adj: Dict[str, List[Tuple[str, Link]]] = {}
+        # Sorted distinct neighbors per switch, filled on demand and
+        # dropped for exactly the switches a mutation touches.
+        self._nbrs: Dict[str, Tuple[str, ...]] = {}
         self._hosts_on_switch: Dict[str, List[str]] = {}
         #: Bumped by every switch-graph mutation (switches and cables,
         #: not host attachments).  Consumers that memoize shortest-path
@@ -196,6 +213,8 @@ class Topology:
         self._links[link.key()] = link
         self._adj[sw_a].append((sw_b, link))
         self._adj[sw_b].append((sw_a, link))
+        self._nbrs.pop(sw_a, None)
+        self._nbrs.pop(sw_b, None)
         self.topo_version += 1
         return link
 
@@ -213,6 +232,8 @@ class Topology:
         self._adj[link.b.switch] = [
             (nbr, lnk) for nbr, lnk in self._adj[link.b.switch] if lnk is not link
         ]
+        self._nbrs.pop(link.a.switch, None)
+        self._nbrs.pop(link.b.switch, None)
         self.topo_version += 1
 
     def remove_switch(self, switch: str) -> None:
@@ -226,6 +247,7 @@ class Topology:
         del self._switch_ports[switch]
         del self._adj[switch]
         del self._hosts_on_switch[switch]
+        self._nbrs.pop(switch, None)
         self.topo_version += 1
 
     def remove_host(self, host: str) -> None:
@@ -304,15 +326,25 @@ class Topology:
         return user
 
     def links_of(self, switch: str) -> Iterator[Link]:
-        seen: Set[FrozenSet[PortRef]] = set()
+        """Every cable on ``switch``, once (a cable cannot loop back)."""
         for _nbr, link in self._adj.get(switch, ()):
-            if link.key() not in seen:
-                seen.add(link.key())
-                yield link
+            yield link
 
     def neighbors(self, switch: str) -> List[str]:
         """Distinct neighbor switches (parallel links collapse)."""
-        return sorted({nbr for nbr, _link in self._adj.get(switch, ())})
+        if switch not in self._adj:
+            return []
+        return list(self._sorted_neighbors(switch))
+
+    def _sorted_neighbors(self, switch: str) -> Tuple[str, ...]:
+        """:meth:`neighbors` of a known switch as a shared, memoized
+        tuple -- what the BFS loops iterate."""
+        nbrs = self._nbrs.get(switch)
+        if nbrs is None:
+            nbrs = self._nbrs[switch] = tuple(
+                sorted({nbr for nbr, _link in self._adj[switch]})
+            )
+        return nbrs
 
     def links_between(self, sw_a: str, sw_b: str) -> List[Link]:
         return [link for nbr, link in self._adj.get(sw_a, ()) if nbr == sw_b]
@@ -350,7 +382,7 @@ class Topology:
         frontier = [start]
         while frontier:
             sw = frontier.pop()
-            for nbr in self.neighbors(sw):
+            for nbr in self._sorted_neighbors(sw):
                 if nbr not in seen:
                     seen.add(nbr)
                     frontier.append(nbr)
@@ -365,50 +397,57 @@ class Topology:
             raise TopologyError(f"unknown switch {source!r}")
         dist = {source: 0}
         frontier = [source]
+        hops = 0
         while frontier:
+            hops += 1
             nxt: List[str] = []
             for sw in frontier:
-                for nbr in self.neighbors(sw):
+                for nbr in self._sorted_neighbors(sw):
                     if nbr not in dist:
-                        dist[nbr] = dist[sw] + 1
+                        dist[nbr] = hops
                         nxt.append(nbr)
             frontier = nxt
         return dist
 
-    def sssp_tree(
-        self,
-        source: str,
-        link_costs: Optional[Dict[FrozenSet[PortRef], float]] = None,
-    ) -> SSSPTree:
-        """The full shortest-path DAG from ``source`` (Dijkstra, no
-        early termination).  One tree answers every destination the
-        per-pair :meth:`shortest_switch_path` would, with identical
-        parent lists for every switch a walk-back can visit, so callers
-        that serve many destinations from one source (the controller's
-        path service) compute the tree once and share it.
+    def sssp_tree(self, source: str) -> SSSPTree:
+        """The full unit-cost shortest-path DAG from ``source``.
+
+        A level-order BFS over the adjacency lists in wiring order.
+        That is exactly what a ``(distance, push counter)`` Dijkstra
+        does when every cable costs 1: a switch is pushed once, when
+        first reached, so the heap pops in FIFO order and relaxes the
+        same edges in the same sequence.  One tree therefore answers
+        every destination the per-pair :meth:`shortest_switch_path`
+        would, with identical parent lists for every switch a walk-back
+        can visit, so callers that serve many destinations from one
+        source (the controller's path service) compute it once.
         """
         if source not in self._switch_ports:
             raise TopologyError(f"unknown switch {source!r}")
+        adj = self._adj
         dist: Dict[str, float] = {source: 0.0}
         parents: Dict[str, List[str]] = {}
-        heap: List[Tuple[float, int, str]] = [(0.0, 0, source)]
-        counter = itertools.count(1)
-        while heap:
-            d, _tie, sw = heapq.heappop(heap)
-            if d > dist.get(sw, float("inf")):
-                continue
-            for nbr, link in self._adj[sw]:
-                cost = 1.0
-                if link_costs is not None:
-                    cost = link_costs.get(link.key(), 1.0)
-                nd = d + cost
-                old = dist.get(nbr, float("inf"))
-                if nd < old - 1e-12:
-                    dist[nbr] = nd
-                    parents[nbr] = [sw]
-                    heapq.heappush(heap, (nd, next(counter), nbr))
-                elif abs(nd - old) <= 1e-12 and sw not in parents.get(nbr, ()):
-                    parents.setdefault(nbr, []).append(sw)
+        frontier = [source]
+        d = 0.0
+        while frontier:
+            d += 1.0
+            # A switch gets its distance when its level is complete, so
+            # "has parents but no distance yet" means "first reached in
+            # this level": another edge into it is an equal-cost tie.
+            nxt: List[str] = []
+            for sw in frontier:
+                for nbr, _link in adj[sw]:
+                    if nbr in dist:
+                        continue
+                    tied = parents.get(nbr)
+                    if tied is None:
+                        parents[nbr] = [sw]
+                        nxt.append(nbr)
+                    elif sw not in tied:  # parallel cables
+                        tied.append(sw)
+            for sw in nxt:
+                dist[sw] = d
+            frontier = nxt
         return SSSPTree(source=source, dist=dist, parents=parents)
 
     def shortest_switch_path(
@@ -427,8 +466,8 @@ class Topology:
         lets the path-graph generator inflate primary-path links when it
         computes the backup path.  ``tree`` short-circuits the Dijkstra
         run with a precomputed :meth:`sssp_tree` rooted at ``src``; the
-        caller guarantees the tree was built on this topology with the
-        same ``link_costs``.
+        caller guarantees the tree was built on this topology and passes
+        no ``link_costs`` with it.
         """
         if tree is not None:
             if tree.source != src:
@@ -440,28 +479,37 @@ class Topology:
             return None
         if src == dst:
             return [src]
+        adj = self._adj
+        # Only switches on a re-priced cable look costs up per edge.
+        cost_of = (link_costs or {}).get
+        repriced = {end.switch for key in link_costs or () for end in key}
         dist: Dict[str, float] = {src: 0.0}
         parents: Dict[str, List[str]] = {}
         heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-        counter = itertools.count(1)
+        pushes = 0
         while heap:
             d, _tie, sw = heapq.heappop(heap)
-            if d > dist.get(sw, float("inf")):
+            if d > dist[sw]:
                 continue
             if sw == dst:
                 break
-            for nbr, link in self._adj[sw]:
-                cost = 1.0
-                if link_costs is not None:
-                    cost = link_costs.get(link.key(), 1.0)
-                nd = d + cost
-                old = dist.get(nbr, float("inf"))
+            lookup = sw in repriced
+            nd = d + 1.0
+            for nbr, link in adj[sw]:
+                if lookup:
+                    nd = d + cost_of(link._key, 1.0)
+                old = dist.get(nbr, _INF)
                 if nd < old - 1e-12:
                     dist[nbr] = nd
                     parents[nbr] = [sw]
-                    heapq.heappush(heap, (nd, next(counter), nbr))
-                elif abs(nd - old) <= 1e-12 and sw not in parents.get(nbr, ()):
-                    parents.setdefault(nbr, []).append(sw)
+                    pushes += 1
+                    heapq.heappush(heap, (nd, pushes, nbr))
+                elif -1e-12 <= nd - old <= 1e-12:
+                    tied = parents.get(nbr)
+                    if tied is None:
+                        parents[nbr] = [sw]
+                    elif sw not in tied:
+                        tied.append(sw)
         if dst not in dist:
             return None
         # Walk back choosing a parent (randomly when rng given).
@@ -482,23 +530,25 @@ class Topology:
         if first is None:
             return []
         paths = [first]
+        #: every path ever accepted or queued, so a duplicate is one probe
+        seen = {tuple(first)}
         candidates: List[Tuple[int, int, List[str]]] = []
         counter = itertools.count()
-        banned_links: Set[Tuple[str, str]]
         while len(paths) < k:
             prev = paths[-1]
+            # Accepted paths that share prev[:i + 1]; shrinks as i grows.
+            sharing = paths
             for i in range(len(prev) - 1):
                 spur = prev[i]
-                root = prev[:i + 1]
-                banned_links = set()
-                for path in paths:
-                    if path[:i + 1] == root and len(path) > i + 1:
-                        banned_links.add((path[i], path[i + 1]))
-                banned_nodes = set(root[:-1])
-                spur_path = self._shortest_avoiding(spur, dst, banned_nodes, banned_links)
+                sharing = [p for p in sharing if len(p) > i + 1 and p[i] == spur]
+                spur_path = self._shortest_avoiding(
+                    spur, dst, prev[:i], {p[i + 1] for p in sharing}
+                )
                 if spur_path is not None:
-                    total = root[:-1] + spur_path
-                    if total not in paths and all(c[2] != total for c in candidates):
+                    total = prev[:i] + spur_path
+                    identity = tuple(total)
+                    if identity not in seen:
+                        seen.add(identity)
                         heapq.heappush(
                             candidates, (len(total), next(counter), total)
                         )
@@ -512,40 +562,42 @@ class Topology:
         self,
         src: str,
         dst: str,
-        banned_nodes: Set[str],
-        banned_links: Set[Tuple[str, str]],
+        banned_nodes: Iterable[str],
+        banned_first_hops: Collection[str],
     ) -> Optional[List[str]]:
-        """BFS shortest path that avoids given nodes and directed edges."""
-        if src in banned_nodes:
+        """BFS shortest path that never enters ``banned_nodes`` and does
+        not leave ``src`` towards any of ``banned_first_hops`` (Yen only
+        ever bans edges out of the spur node).  Stops as soon as ``dst``
+        is reached: its predecessor chain is fixed from then on."""
+        # Banned switches start out "visited"; nothing ever points at them.
+        prev: Dict[str, Optional[str]] = dict.fromkeys(banned_nodes)
+        if src in prev or dst in prev:
             return None
-        prev: Dict[str, Optional[str]] = {src: None}
+        if src == dst:
+            return [src]
+        prev[src] = None
+        neighbors = self._sorted_neighbors
+        skip = banned_first_hops
         frontier = [src]
         while frontier:
             nxt: List[str] = []
             for sw in frontier:
-                if sw == dst:
-                    frontier = []
-                    break
-                for nbr in self.neighbors(sw):
-                    if nbr in prev or nbr in banned_nodes:
-                        continue
-                    if (sw, nbr) in banned_links:
+                for nbr in neighbors(sw):
+                    if nbr in prev or nbr in skip:
                         continue
                     prev[nbr] = sw
+                    if nbr == dst:
+                        path = [dst]
+                        cur: Optional[str] = sw
+                        while cur is not None:
+                            path.append(cur)
+                            cur = prev[cur]
+                        path.reverse()
+                        return path
                     nxt.append(nbr)
-            else:
-                frontier = nxt
-                continue
-            break
-        if dst not in prev:
-            return None
-        path = [dst]
-        cur: Optional[str] = dst
-        while prev[cur] is not None:  # type: ignore[index]
-            cur = prev[cur]  # type: ignore[index]
-            path.append(cur)  # type: ignore[arg-type]
-        path.reverse()
-        return path
+            skip = ()  # only the first level leaves src
+            frontier = nxt
+        return None
 
     # ------------------------------------------------------------------
     # tag encoding (Section 3.2)

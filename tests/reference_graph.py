@@ -1,0 +1,219 @@
+"""The seed path algorithms, kept as oracles.
+
+These are the bodies ``repro.topology.graph`` and
+``repro.core.pathgraph`` had before the path-kernel rewrite (commit
+b8eb70d), copied as plain functions over a :class:`Topology`: a fresh
+sorted set per ``neighbors`` call, a heap Dijkstra for ``sssp_tree``, a
+``frozenset`` built per relaxed edge, Yen's with linear-scan dedup, and
+the double-walk edge induction.  They read only ``_adj`` and
+``_switch_ports`` and share no code with the kernel, so
+``test_graph_differential.py`` can demand kernel == reference.  Nothing
+under ``src/`` may import this module.
+"""
+
+import heapq
+import itertools
+
+from repro.core.pathgraph import PathGraph, detour_vertices
+from repro.topology.graph import SSSPTree, TopologyError
+
+BACKUP_LINK_PENALTY = 1000.0
+
+
+def link_key(link):
+    return frozenset((link.a, link.b))
+
+
+def neighbors(topo, switch):
+    return sorted({nbr for nbr, _link in topo._adj.get(switch, ())})
+
+
+def links_of(topo, switch):
+    seen = set()
+    for _nbr, link in topo._adj.get(switch, ()):
+        if link_key(link) not in seen:
+            seen.add(link_key(link))
+            yield link
+
+
+def switch_distances(topo, source):
+    if source not in topo._switch_ports:
+        raise TopologyError(f"unknown switch {source!r}")
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for sw in frontier:
+            for nbr in neighbors(topo, sw):
+                if nbr not in dist:
+                    dist[nbr] = dist[sw] + 1
+                    nxt.append(nbr)
+        frontier = nxt
+    return dist
+
+
+def _dijkstra(topo, src, dst, link_costs):
+    """The seed relaxation loop; ``dst=None`` never terminates early."""
+    dist = {src: 0.0}
+    parents = {}
+    heap = [(0.0, 0, src)]
+    counter = itertools.count(1)
+    while heap:
+        d, _tie, sw = heapq.heappop(heap)
+        if d > dist.get(sw, float("inf")):
+            continue
+        if sw == dst:
+            break
+        for nbr, link in topo._adj[sw]:
+            cost = 1.0
+            if link_costs is not None:
+                cost = link_costs.get(link_key(link), 1.0)
+            nd = d + cost
+            old = dist.get(nbr, float("inf"))
+            if nd < old - 1e-12:
+                dist[nbr] = nd
+                parents[nbr] = [sw]
+                heapq.heappush(heap, (nd, next(counter), nbr))
+            elif abs(nd - old) <= 1e-12 and sw not in parents.get(nbr, ()):
+                parents.setdefault(nbr, []).append(sw)
+    return dist, parents
+
+
+def sssp_tree(topo, source, link_costs=None):
+    if source not in topo._switch_ports:
+        raise TopologyError(f"unknown switch {source!r}")
+    dist, parents = _dijkstra(topo, source, None, link_costs)
+    return SSSPTree(source=source, dist=dist, parents=parents)
+
+
+def shortest_switch_path(topo, src, dst, rng=None, link_costs=None):
+    if src not in topo._switch_ports or dst not in topo._switch_ports:
+        return None
+    if src == dst:
+        return [src]
+    dist, parents = _dijkstra(topo, src, dst, link_costs)
+    if dst not in dist:
+        return None
+    path = [dst]
+    cur = dst
+    while cur != src:
+        choices = parents[cur]
+        cur = rng.choice(choices) if rng is not None else choices[0]
+        path.append(cur)
+    path.reverse()
+    return path
+
+
+def _shortest_avoiding(topo, src, dst, banned_nodes, banned_links):
+    if src in banned_nodes:
+        return None
+    prev = {src: None}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for sw in frontier:
+            if sw == dst:
+                frontier = []
+                break
+            for nbr in neighbors(topo, sw):
+                if nbr in prev or nbr in banned_nodes:
+                    continue
+                if (sw, nbr) in banned_links:
+                    continue
+                prev[nbr] = sw
+                nxt.append(nbr)
+        else:
+            frontier = nxt
+            continue
+        break
+    if dst not in prev:
+        return None
+    path = [dst]
+    cur = dst
+    while prev[cur] is not None:
+        cur = prev[cur]
+        path.append(cur)
+    path.reverse()
+    return path
+
+
+def k_shortest_switch_paths(topo, src, dst, k):
+    if k < 1:
+        return []
+    first = shortest_switch_path(topo, src, dst)
+    if first is None:
+        return []
+    paths = [first]
+    candidates = []
+    counter = itertools.count()
+    while len(paths) < k:
+        prev = paths[-1]
+        for i in range(len(prev) - 1):
+            spur = prev[i]
+            root = prev[:i + 1]
+            banned_links = set()
+            for path in paths:
+                if path[:i + 1] == root and len(path) > i + 1:
+                    banned_links.add((path[i], path[i + 1]))
+            banned_nodes = set(root[:-1])
+            spur_path = _shortest_avoiding(topo, spur, dst, banned_nodes, banned_links)
+            if spur_path is not None:
+                total = root[:-1] + spur_path
+                if total not in paths and all(c[2] != total for c in candidates):
+                    heapq.heappush(candidates, (len(total), next(counter), total))
+        if not candidates:
+            break
+        _len, _tie, best = heapq.heappop(candidates)
+        paths.append(best)
+    return paths
+
+
+def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
+    """The seed builder without its ``tree`` / ``distances`` shortcuts
+    (both were required to agree with the fresh searches below)."""
+    primary = shortest_switch_path(topo, src_switch, dst_switch, rng=rng)
+    if primary is None:
+        return None
+    costs = {}
+    for here, there in zip(primary, primary[1:]):
+        for nbr, link in topo._adj.get(here, ()):
+            if nbr == there:
+                costs[link_key(link)] = BACKUP_LINK_PENALTY
+    backup_list = shortest_switch_path(
+        topo, src_switch, dst_switch, rng=rng, link_costs=costs
+    )
+    backup = tuple(backup_list) if backup_list is not None else None
+    if backup == tuple(primary):
+        backup = None
+
+    nodes = set(primary)
+    if backup:
+        nodes.update(backup)
+    if len(primary) > 1:
+        nodes.update(
+            detour_vertices(
+                topo, primary, s, epsilon,
+                distances=lambda source: switch_distances(topo, source),
+            )
+        )
+
+    edges = []
+    seen_edges = set()
+    for node in nodes:
+        for link in links_of(topo, node):
+            if link.a.switch in nodes and link.b.switch in nodes:
+                if link_key(link) not in seen_edges:
+                    seen_edges.add(link_key(link))
+                    edges.append(
+                        (link.a.switch, link.a.port, link.b.switch, link.b.port)
+                    )
+    return PathGraph(
+        src_switch=src_switch,
+        dst_switch=dst_switch,
+        primary=tuple(primary),
+        backup=backup,
+        nodes=frozenset(nodes),
+        edges=tuple(sorted(edges)),
+        s=s,
+        epsilon=epsilon,
+    )

@@ -16,7 +16,12 @@ from repro.flowsim import (
     ThroughputSeries,
     max_min_rates,
 )
-from repro.topology import leaf_spine, line
+from repro.topology import TopologyError, leaf_spine, line
+
+
+def reversed_cable(cable):
+    sw_a, port_a, sw_b, port_b = cable
+    return (sw_b, port_b, sw_a, port_a)
 
 
 class TestMaxMin:
@@ -142,6 +147,38 @@ class TestFlowNet:
         assert net.route_links("h0_0", ["leaf0", "spine0", "leaf1"], "h1_0") is None
         assert net.k_paths("h0_0", "h1_0", 4) == [["leaf0", "spine1", "leaf1"]]
         net.restore_link("leaf0", 1, "spine0", 1)
+        assert len(net.k_paths("h0_0", "h1_0", 4)) == 2
+
+    def test_restore_of_an_unknown_cable_raises_like_fail(self):
+        """A typo'd restore must not "succeed" while the real cable
+        stays down; fail_link has always validated the same way."""
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        net = FlowNet(topo)
+        net.fail_link("leaf0", 1, "spine0", 1)
+        epoch = net.link_epoch
+        for typo in (
+            ("leaf0", 1, "spine0", 2),   # wrong far port: no such cable
+            ("leaf0", 1, "spine1", 1),   # mismatched pair
+            ("leaf9", 1, "spine0", 1),   # unknown switch
+        ):
+            with pytest.raises(TopologyError):
+                net.restore_link(*typo)
+            with pytest.raises(TopologyError):
+                net.fail_link(*typo)
+        assert net.link_epoch == epoch
+        assert net.k_paths("h0_0", "h1_0", 4) == [["leaf0", "spine1", "leaf1"]]
+
+    def test_link_epoch_moves_only_on_real_state_changes(self):
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        net = FlowNet(topo)
+        cable = ("leaf0", 1, "spine0", 1)
+        net.restore_link(*cable)  # already up
+        assert net.link_epoch == 0
+        net.fail_link(*cable)
+        net.fail_link(*reversed_cable(cable))  # already down
+        assert net.link_epoch == 1
+        net.restore_link(*reversed_cable(cable))
+        assert net.link_epoch == 2
         assert len(net.k_paths("h0_0", "h1_0", 4)) == 2
 
     def test_port_overrides(self):

@@ -171,6 +171,43 @@ class TestLinkEviction:
         assert got == want
         assert service.stats.stale_flushes == 1
 
+    def test_a_new_view_at_a_recycled_address_is_a_new_epoch(self):
+        """CPython reuses addresses: a *different* view with the same
+        mutation count must not be served the previous view's cache."""
+
+        def view_without(index):
+            topo = fat_tree(4)
+            link = sorted(topo.links, key=str)[index]
+            topo.remove_link(
+                link.a.switch, link.a.port, link.b.switch, link.b.port
+            )
+            return topo
+
+        service = PathService(seed=5)
+        pairs = switch_pairs(fat_tree(4), 6, seed=2)
+        uids = set()
+        for index in range(32):
+            topo = view_without(0)
+            for src, dst in pairs:
+                service.path_graph(topo, src, dst, S_PARAM, EPSILON)
+            uids.add(topo.uid)
+            del topo
+            topo = view_without(index)  # usually lands on the freed address
+            uids.add(topo.uid)
+            for src, dst in pairs:
+                got = service.path_graph(topo, src, dst, S_PARAM, EPSILON)
+                assert got == service.build_fresh(
+                    topo, src, dst, S_PARAM, EPSILON
+                )
+                # ... and build_fresh itself did not lean on stale trees.
+                assert got == build_path_graph(
+                    topo, src, dst, s=S_PARAM, epsilon=EPSILON,
+                    rng=service.rng_for(src, dst, S_PARAM, EPSILON),
+                )
+            del topo
+        assert len(uids) == 64  # never reused, unlike id()
+        assert fat_tree(4).copy().uid not in uids
+
     def test_flush_empties_everything(self):
         topo = figure1()
         service = PathService()

@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.flowsim import FlowNet
 from repro.topology import (
     HostAttachment,
     Link,
     PortRef,
     Topology,
     TopologyError,
+    fat_tree,
     figure1,
     line,
     ring,
@@ -159,6 +163,85 @@ class TestMutation:
         clone.remove_link("A", 1, "B", 1)
         assert not clone.same_wiring(topo)
         assert topo.has_link("A", 1, "B", 1)
+
+
+class TestMemoHygiene:
+    """The kernel's memos may never be observable except as speed."""
+
+    def test_mutating_the_returned_neighbor_list_does_not_poison_the_memo(self):
+        topo = build_square()
+        got = topo.neighbors("A")
+        got.append("Z")
+        got.sort(reverse=True)
+        assert topo.neighbors("A") == ["B", "D"]
+        assert topo.switch_distances("A") == {"A": 0, "B": 1, "D": 1, "C": 2}
+
+    def test_every_mutator_refreshes_the_neighbors_it_touches(self):
+        topo = build_square()
+        assert [topo.neighbors(sw) for sw in "ABCD"] == [
+            ["B", "D"], ["A", "C"], ["B", "D"], ["A", "C"],
+        ]
+        topo.add_link("A", 3, "C", 3)
+        assert topo.neighbors("A") == ["B", "C", "D"]
+        assert topo.neighbors("C") == ["A", "B", "D"]
+        topo.remove_link("A", 1, "B", 1)
+        assert topo.neighbors("A") == ["C", "D"]
+        assert topo.neighbors("B") == ["C"]
+        topo.remove_switch("D")
+        assert topo.neighbors("A") == ["C"]
+        assert topo.neighbors("C") == ["A", "B"]
+        assert topo.neighbors("D") == []
+        # A new switch under a removed name starts clean.
+        topo.add_switch("D", 8)
+        assert topo.neighbors("D") == []
+        topo.add_link("D", 1, "B", 4)
+        assert topo.neighbors("D") == ["B"]
+        assert topo.k_shortest_switch_paths("A", "D", 3) == [["A", "C", "B", "D"]]
+
+    def test_link_key_is_cached_and_orientation_independent(self):
+        link = Link(PortRef("A", 1), PortRef("B", 2))
+        assert link.key() is link.key()
+        flipped = Link(PortRef("B", 2), PortRef("A", 1))
+        assert link.key() == flipped.key() == frozenset((link.a, link.b))
+        assert link != flipped  # eq / hash still see the orientation
+        assert repr(link) == "Link(a=PortRef(switch='A', port=1), b=PortRef(switch='B', port=2))"
+        # slots: no per-instance dict to pay for the cached key with
+        assert not hasattr(link, "__dict__")
+        assert not hasattr(link.a, "__dict__")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=10
+        )
+    )
+    def test_k_paths_after_any_fail_restore_sequence_equal_a_fresh_flownet(
+        self, steps
+    ):
+        topo = fat_tree(4)
+        cables = sorted(
+            (l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links
+        )
+        pairs = [("h0_0_0", "h3_1_1"), ("h1_0_1", "h1_1_0"), ("h2_1_1", "h0_1_0")]
+        net = FlowNet(topo)
+        down = set()
+        for fail, pick in steps:
+            cable = cables[pick % len(cables)]
+            if fail:
+                net.fail_link(*cable)
+                down.add(cable)
+            else:
+                net.restore_link(*cable)
+                down.discard(cable)
+            fresh = FlowNet(topo)
+            for cable in sorted(down):
+                fresh.fail_link(*cable)
+            for src, dst in pairs:
+                for k in (1, 4):
+                    got = net.k_paths(src, dst, k)
+                    assert got == fresh.k_paths(src, dst, k)
+                    got.clear()  # the caller's copy, not the memo
+                    assert net.k_paths(src, dst, k) == fresh.k_paths(src, dst, k)
 
 
 class TestConnectivity:
