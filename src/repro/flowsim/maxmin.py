@@ -23,7 +23,7 @@ raises :class:`FairnessError` instead of being silently clamped.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 __all__ = ["max_min_rates", "FairnessError"]
 
@@ -55,86 +55,99 @@ def max_min_rates(
         if not demand >= 0:  # also rejects NaN
             raise FairnessError(f"negative demand for flow {flow!r}: {demand!r}")
     rates: Dict[FlowId, float] = {}
-    # flow -> {link: crossings}; insertion order follows the route.
-    active: Dict[FlowId, Dict[LinkId, int]] = {}
+    # Per-link state lives in lists indexed by *slot*, handed out in
+    # first-crossing order: link ids are tuples, and a tuple re-hashes on
+    # every dict probe.  Links no route crosses get no state at all.
+    slot_of: Dict[LinkId, int] = {}
+    users: List[Dict[FlowId, int]] = []  # slot -> {flow: crossings}
+    weight: List[int] = []  # slot -> sum of users[slot] multiplicities
+    # flow -> the slots it crosses, in first-crossing order.
+    active: Dict[FlowId, List[int]] = {}
     for flow, route in flow_routes.items():
-        crossings: Dict[LinkId, int] = {}
+        row: List[int] = []
         for link in route:
-            if link not in capacities:
-                raise FairnessError(f"flow {flow!r} crosses unknown link {link!r}")
-            crossings[link] = crossings.get(link, 0) + 1
-        active[flow] = crossings
+            slot = slot_of.get(link)
+            if slot is None:
+                if link not in capacities:
+                    raise FairnessError(f"flow {flow!r} crosses unknown link {link!r}")
+                slot = slot_of[link] = len(users)
+                users.append({})
+                weight.append(0)
+            on_link = users[slot]
+            if flow in on_link:  # hairpin: one more crossing
+                on_link[flow] += 1
+            else:
+                on_link[flow] = 1
+                row.append(slot)
+            weight[slot] += 1
+        active[flow] = row
 
-    residual: Dict[LinkId, float] = {}
-    users: Dict[LinkId, Dict[FlowId, int]] = {}
-    weight: Dict[LinkId, int] = {}  # sum of users[link] multiplicities
+    # Every capacity is validated, crossed or not.
     for link, cap in capacities.items():
-        if cap <= 0:
+        if not cap > 0:  # also rejects NaN
             raise FairnessError(f"non-positive capacity on {link!r}")
-        residual[link] = float(cap)
-        users[link] = {}
-        weight[link] = 0
-    for flow, crossings in active.items():
-        for link, mult in crossings.items():
-            users[link][flow] = mult
-            weight[link] += mult
+    # The crossed slots in the order ``capacities`` lists their links: the
+    # freeze pass below walks this list and recomputes shares as it
+    # freezes, so that order decides which links freeze in which round.
+    live = [slot for slot in map(slot_of.get, capacities) if slot is not None]
+    capacity = [float(capacities[link]) for link in slot_of]
+    residual = list(capacity)
 
     def freeze(flow: FlowId, rate: float) -> None:
         rates[flow] = rate
-        for link, mult in active[flow].items():
-            left = residual[link] - rate * mult
+        for slot in active.pop(flow):
+            mult = users[slot].pop(flow)
+            left = residual[slot] - rate * mult
             if left < 0.0:
                 # Fair shares divide by the same multiplicities freeze
                 # subtracts, so only rounding dust can land here.
-                if left < -1e-9 * float(capacities[link]):
+                if left < -1e-9 * capacity[slot]:
+                    link = list(slot_of)[slot]  # slots are insertion ranks
                     raise FairnessError(
                         f"overcommitted link {link!r} by {-left!r} "
                         f"freezing flow {flow!r} at {rate!r}"
                     )
                 left = 0.0
-            residual[link] = left
-            del users[link][flow]
-            weight[link] -= mult
-        del active[flow]
+            residual[slot] = left
+            weight[slot] -= mult
 
     # Flows with no capacity constraint at all freeze at their demand.
-    for flow in list(active):
-        if not active[flow]:
-            freeze(flow, float(demands.get(flow, math.inf)))
+    for flow in [flow for flow, row in active.items() if not row]:
+        freeze(flow, float(demands.get(flow, math.inf)))
 
     while active:
         # The fair increment every remaining flow could still take: a
         # flow crossing a link m times eats m units of weight there.
+        # Links whose last user froze drop out of the scan for good.
+        live = [slot for slot in live if weight[slot]]
         bottleneck_share = math.inf
-        for link, flows_on in users.items():
-            if not flows_on:
-                continue
-            share = residual[link] / weight[link]
+        for slot in live:
+            share = residual[slot] / weight[slot]
             if share < bottleneck_share:
                 bottleneck_share = share
-        # Demand-capped flows below the share freeze first.
-        capped = [
-            flow
-            for flow in active
-            if demands.get(flow, math.inf) <= bottleneck_share + 1e-15
-        ]
-        if capped:
-            for flow in capped:
-                freeze(flow, float(demands[flow]))
-            continue
+        # Demand-capped flows below the share freeze first.  Only a flow
+        # that *has* a demand can be capped by it.
+        if demands:
+            limit = bottleneck_share + 1e-15
+            capped = [
+                flow for flow in active if flow in demands and demands[flow] <= limit
+            ]
+            if capped:
+                for flow in capped:
+                    freeze(flow, float(demands[flow]))
+                continue
         if not math.isfinite(bottleneck_share):
-            # No link constrains the rest (shouldn't happen: handled
-            # above), freeze them at demand.
+            # No finite link constrains the rest: uncapped, so +inf.
             for flow in list(active):
                 freeze(flow, float(demands.get(flow, math.inf)))
             break
         # Freeze every flow on a bottleneck link at the share.
         froze_any = False
-        for link in list(users):
-            flows_on = users[link]
+        for slot in live:
+            flows_on = users[slot]
             if not flows_on:
                 continue
-            share = residual[link] / weight[link]
+            share = residual[slot] / weight[slot]
             if share <= bottleneck_share + 1e-15:
                 # Dict order = first-crossing order, so the freeze
                 # sequence is deterministic (the old set iterated in

@@ -9,13 +9,18 @@ uplink.  Per-port capacity overrides express experiments like Figure 13
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import HostAttachment, PortRef, Topology, TopologyError
+
+if TYPE_CHECKING:
+    from .simulator import Flow
 
 __all__ = ["FlowNet"]
 
 LinkId = Tuple
+#: One alive candidate: (switch path, its directed link ids).
+Candidate = Tuple[List[str], Tuple[LinkId, ...]]
 
 #: Route-cache miss sentinel (None is a legitimate cached value).
 _UNSET = object()
@@ -38,13 +43,18 @@ class FlowNet:
         self._down_ports: Set[Tuple[str, int]] = set()
         #: Bumped whenever a cable actually changes state.
         self.link_epoch = 0
-        #: Yen-enumeration cache (the wiring never changes, only state).
+        #: Yen-enumeration cache (the wiring never changes, only state):
+        #: (src switch, dst switch, paths asked for) -> switch paths.
         self._path_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
-        #: (src host, dst host, k) -> alive candidates; valid for one
-        #: ``link_epoch`` (emptied when it moves).
-        self._alive_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
-        #: Tag-walk cache: (src, path, dst) -> static link id list.
-        self._route_cache: Dict[Tuple, Optional[List[LinkId]]] = {}
+        #: (src host, dst host, k) -> the first k alive candidates, each
+        #: with its links; valid for one ``link_epoch`` (emptied when it
+        #: moves).
+        self._alive_cache: Dict[Tuple[str, str, int], Tuple[Candidate, ...]] = {}
+        #: Tag-walk cache: (src, path, dst) -> static link id tuple.
+        self._route_cache: Dict[Tuple, Optional[Tuple[LinkId, ...]]] = {}
+        #: link id -> the equal key object of ``capacities``, filled on
+        #: the first walk: every route then shares one tuple per link.
+        self._link_ids: Dict[LinkId, LinkId] = {}
         port_overrides = port_overrides or {}
         switch_overrides = switch_overrides or {}
 
@@ -93,12 +103,14 @@ class FlowNet:
 
     def route_links(
         self, src_host: str, switch_path: Sequence[str], dst_host: str
-    ) -> Optional[List[LinkId]]:
+    ) -> Optional[Tuple[LinkId, ...]]:
         """Directed link ids a flow on this path occupies, or None if
         the path crosses a failed link.
 
-        The tag walk itself is cached (the wiring is immutable);
-        aliveness against the current failure set is checked per call.
+        The tag walk itself is cached (the wiring is immutable) and
+        handed out as a tuple: flows and the candidate memo hold the
+        same object.  Aliveness against the current failure set is
+        checked per call.
         """
         key = (src_host, tuple(switch_path), dst_host)
         links = self._route_cache.get(key, _UNSET)
@@ -115,44 +127,76 @@ class FlowNet:
 
     def _walk(
         self, src_host: str, switch_path: Sequence[str], dst_host: str
-    ) -> Optional[List[LinkId]]:
+    ) -> Optional[Tuple[LinkId, ...]]:
         topo = self.topology
         try:
             tags = topo.encode_path(src_host, switch_path, dst_host)
         except TopologyError:
             return None
-        links: List[LinkId] = [("htx", src_host)]
+        ids = self._link_ids
+        if not ids:
+            ids.update(zip(self.capacities, self.capacities))
+        link: LinkId = ("htx", src_host)
+        links = [ids.get(link, link)]
         current = topo.host_port(src_host).switch
         for tag in tags:
-            links.append(("tx", current, tag))
+            link = ("tx", current, tag)
+            links.append(ids.get(link, link))
             peer = topo.peer(current, tag)
             if isinstance(peer, PortRef):
                 current = peer.switch
-        return links
+        return tuple(links)
 
     def path_is_alive(self, src_host: str, switch_path: Sequence[str], dst_host: str) -> bool:
         return self.route_links(src_host, switch_path, dst_host) is not None
 
-    def k_paths(self, src_host: str, dst_host: str, k: int) -> List[List[str]]:
-        """k shortest alive switch paths between two hosts.
+    def flow_links(self, flow: "Flow") -> Optional[Tuple[LinkId, ...]]:
+        """:meth:`route_links` of the flow's current path (None without
+        one), resolved once and reused until the flow is given another
+        path object or a cable changes state."""
+        path = flow.switch_path
+        if path is None:
+            return None
+        if flow._links_path is not path or flow._links_epoch != self.link_epoch:
+            flow._links = self.route_links(flow.src, path, flow.dst)
+            flow._links_path = path
+            flow._links_epoch = self.link_epoch
+        return flow._links
+
+    def candidates(self, src_host: str, dst_host: str, k: int) -> Tuple[Candidate, ...]:
+        """The k shortest alive switch paths between two hosts, each
+        paired with its :meth:`route_links`.
 
         The Yen enumeration is cached per switch pair (the topology
         itself never changes, only link state); the aliveness walk over
         its candidates is cached per host pair until a cable changes
-        state.
+        state.  Yen's loop only ever stops earlier for a smaller count,
+        so its first k paths are the same whether k or 2k were asked
+        for: k suffice while every one of them is alive, and the 2k
+        margin is enumerated once a cable is down or a walk fails.
         """
         memo = (src_host, dst_host, k)
-        alive = self._alive_cache.get(memo)
-        if alive is None:
+        found = self._alive_cache.get(memo)
+        if found is None:
             src_sw = self.topology.host_port(src_host).switch
             dst_sw = self.topology.host_port(dst_host).switch
-            key = (src_sw, dst_sw, k)
-            candidates = self._path_cache.get(key)
-            if candidates is None:
-                candidates = self.topology.k_shortest_switch_paths(src_sw, dst_sw, k * 2)
-                self._path_cache[key] = candidates
-            alive = [p for p in candidates if self.path_is_alive(src_host, p, dst_host)]
-            if len(alive) == len(candidates):
-                alive = candidates  # nothing filtered: share the Yen list
-            self._alive_cache[memo] = alive
-        return alive[:k]
+            for want in (2 * k,) if self._down_ports else (k, 2 * k):
+                key = (src_sw, dst_sw, want)
+                paths = self._path_cache.get(key)
+                if paths is None:
+                    paths = self.topology.k_shortest_switch_paths(src_sw, dst_sw, want)
+                    self._path_cache[key] = paths
+                alive = [
+                    (path, links)
+                    for path in paths
+                    if (links := self.route_links(src_host, path, dst_host)) is not None
+                ]
+                if len(alive) == len(paths):
+                    break  # nothing filtered: a longer list adds nothing to [:k]
+            found = self._alive_cache[memo] = tuple(alive[:k])
+        return found
+
+    def k_paths(self, src_host: str, dst_host: str, k: int) -> List[List[str]]:
+        """k shortest alive switch paths between two hosts (a fresh
+        list of the memoised :meth:`candidates` paths)."""
+        return [path for path, _links in self.candidates(src_host, dst_host, k)]

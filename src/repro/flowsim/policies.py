@@ -25,11 +25,10 @@ scorecard can report path-churn alongside completion times.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .network import FlowNet
-from .simulator import Flow, PathPolicy
+from .simulator import Flow, PathPolicy, better_path, least_loaded
 
 __all__ = ["SprayKPathPolicy", "EcnAwareKPathPolicy"]
 
@@ -51,12 +50,12 @@ class SprayKPathPolicy(PathPolicy):
         self._next: Dict[Tuple[str, str], int] = {}
 
     def choose(self, net: FlowNet, flow: Flow) -> Optional[List[str]]:
-        paths = net.k_paths(flow.src, flow.dst, self.k)
-        if not paths:
+        found = net.candidates(flow.src, flow.dst, self.k)
+        if not found:
             return None
         index = self._next.get((flow.src, flow.dst), 0)
-        self._next[(flow.src, flow.dst)] = (index + 1) % len(paths)
-        return paths[index % len(paths)]
+        self._next[(flow.src, flow.dst)] = (index + 1) % len(found)
+        return found[index % len(found)][0]
 
 
 class EcnAwareKPathPolicy(PathPolicy):
@@ -94,9 +93,9 @@ class EcnAwareKPathPolicy(PathPolicy):
         """Rebuild the per-link utilisation map from standing rates."""
         loads: Dict[Tuple, float] = {}
         for flow in flows:
-            if flow.done or flow.switch_path is None or flow.rate_bps <= 0:
+            if flow.done or flow.rate_bps <= 0:
                 continue
-            links = net.route_links(flow.src, flow.switch_path, flow.dst)
+            links = net.flow_links(flow)
             if links is None:
                 continue
             for link in links:
@@ -107,21 +106,11 @@ class EcnAwareKPathPolicy(PathPolicy):
             if net.capacities.get(link, 0.0) > 0
         }
 
-    def _path_util(self, net: FlowNet, src: str, path: List[str], dst: str) -> float:
-        links = net.route_links(src, path, dst)
-        if links is None:
-            return math.inf
-        return max((self._util.get(link, 0.0) for link in links), default=0.0)
-
     # ------------------------------------------------------------------
 
     def choose(self, net: FlowNet, flow: Flow) -> Optional[List[str]]:
-        paths = net.k_paths(flow.src, flow.dst, self.k)
-        if not paths:
-            return None
-        return min(
-            paths, key=lambda p: self._path_util(net, flow.src, p, flow.dst)
-        )
+        best = least_loaded(net, flow, self.k, self._util)
+        return None if best is None else best[0]
 
     def rebalance(self, net: FlowNet, flows: Sequence[Flow]) -> bool:
         self._measure(net, flows)
@@ -129,18 +118,12 @@ class EcnAwareKPathPolicy(PathPolicy):
         for flow in flows:
             if flow.done or flow.pinned or flow.switch_path is None:
                 continue
-            current = self._path_util(net, flow.src, flow.switch_path, flow.dst)
-            if current < self.mark_util:
-                continue  # unmarked path: stay put
-            paths = net.k_paths(flow.src, flow.dst, self.k)
-            if not paths:
-                continue
-            best = min(
-                paths, key=lambda p: self._path_util(net, flow.src, p, flow.dst)
+            # An unmarked path (bottleneck below ``mark_util``) stays put.
+            move = better_path(
+                net, flow, self.k, self._util, self.headroom, self.mark_util
             )
-            best_util = self._path_util(net, flow.src, best, flow.dst)
-            if best_util * self.headroom < current and best != flow.switch_path:
-                flow.switch_path = best
+            if move is not None:
+                flow.switch_path = move[0]
                 self.reroutes += 1
                 changed = True
         return changed

@@ -80,7 +80,7 @@ FINISH_EPS_REL = 1e-12
 TIME_EPS = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One fluid flow."""
 
@@ -91,6 +91,9 @@ class Flow:
     start_s: float
     demand_bps: float = math.inf
     tag: Hashable = None  # caller-defined grouping (task id, stage id...)
+    #: Re-route by assigning a whole list, never by editing one in place:
+    #: :meth:`FlowNet.flow_links` keys the resolved links on the path
+    #: *object*.
     switch_path: Optional[List[str]] = None
     remaining_bits: float = 0.0
     rate_bps: float = 0.0
@@ -101,6 +104,13 @@ class Flow:
     #: has promoted to the packet region (their path is baked into a
     #: live packet pipeline).
     pinned: bool = False
+    # Resolved-route cache, owned by :meth:`FlowNet.flow_links`: the
+    # links of ``_links_path`` as of ``_links_epoch``.
+    _links: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
+    _links_path: Optional[List[str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _links_epoch: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -130,8 +140,8 @@ class SingleShortestPolicy(PathPolicy):
     path" baseline of Figure 13 and the classic L2/STP behaviour."""
 
     def choose(self, net: FlowNet, flow: Flow) -> Optional[List[str]]:
-        paths = net.k_paths(flow.src, flow.dst, 1)
-        return paths[0] if paths else None
+        found = net.candidates(flow.src, flow.dst, 1)
+        return found[0][0] if found else None
 
 
 class HashedKPathPolicy(PathPolicy):
@@ -142,10 +152,73 @@ class HashedKPathPolicy(PathPolicy):
         self.seed = seed
 
     def choose(self, net: FlowNet, flow: Flow) -> Optional[List[str]]:
-        paths = net.k_paths(flow.src, flow.dst, self.k)
-        if not paths:
+        found = net.candidates(flow.src, flow.dst, self.k)
+        if not found:
             return None
-        return paths[hash((self.seed, flow.fid)) % len(paths)]
+        return found[hash((self.seed, flow.fid)) % len(found)][0]
+
+
+def _bottleneck(level: Mapping[Tuple, float], links: Sequence[Tuple]) -> float:
+    """``max(level.get(link, 0) for link in links)`` as a plain loop
+    (same first-item start, same ``>`` replacement, half the cost)."""
+    get = level.get
+    worst = get(links[0], 0)
+    for link in links:
+        value = get(link, 0)
+        if value > worst:
+            worst = value
+    return worst
+
+
+def least_loaded(
+    net: FlowNet,
+    flow: Flow,
+    k: int,
+    level: Mapping[Tuple, float],
+    current: Optional[float] = None,
+) -> Optional[Tuple[List[str], Tuple, float]]:
+    """The first of the flow's k alive candidates with the lowest
+    bottleneck ``level`` (per-link load or utilisation), as ``(path,
+    links, bottleneck)``; None when no candidate is alive.  ``current``
+    is the already-known bottleneck of ``flow.switch_path``, reused when
+    that path is one of the candidates."""
+    known = flow.switch_path if current is not None else None
+    best = None
+    for path, links in net.candidates(flow.src, flow.dst, k):
+        value = current if path is known else _bottleneck(level, links)
+        if best is None or value < best[2]:
+            best = (path, links, value)
+    return best
+
+
+def better_path(
+    net: FlowNet,
+    flow: Flow,
+    k: int,
+    level: Mapping[Tuple, float],
+    headroom: float,
+    mark: float = -math.inf,
+) -> Optional[Tuple[List[str], Optional[Tuple], Tuple]]:
+    """The one load scan behind every rebalancer: where a routed flow
+    should migrate, as ``(path, links it leaves, links it joins)``, or
+    None to stay put.
+
+    The flow stays while its path's bottleneck ``level`` is below
+    ``mark``, and otherwise moves only to a different path whose
+    bottleneck times ``headroom`` is still below its own -- which damps
+    oscillation.  Every bottleneck is looked up once.
+    """
+    old_links = net.flow_links(flow)
+    current = math.inf if old_links is None else _bottleneck(level, old_links)
+    if current < mark:
+        return None
+    best = least_loaded(net, flow, k, level, current)
+    if best is None:
+        return None
+    path, links, value = best
+    if value * headroom < current and path != flow.switch_path:
+        return path, old_links, links
+    return None
 
 
 class RebalancingKPathPolicy(PathPolicy):
@@ -166,63 +239,46 @@ class RebalancingKPathPolicy(PathPolicy):
         self.reroutes = 0
         self._load: Dict[Tuple, int] = {}
 
-    def _path_load(self, net: FlowNet, src: str, path: List[str], dst: str) -> float:
-        links = net.route_links(src, path, dst)
-        if links is None:
-            return math.inf
-        return max(self._load.get(link, 0) for link in links)
-
     def _recount(self, net: FlowNet, flows: Sequence[Flow]) -> None:
-        self._load.clear()
+        load = self._load
+        load.clear()
         for flow in flows:
-            if flow.done or flow.switch_path is None:
+            if flow.done:
                 continue
-            links = net.route_links(flow.src, flow.switch_path, flow.dst)
+            links = net.flow_links(flow)
             if links is None:
                 continue
             for link in links:
-                self._load[link] = self._load.get(link, 0) + 1
+                load[link] = load.get(link, 0) + 1
 
     def choose(self, net: FlowNet, flow: Flow) -> Optional[List[str]]:
-        paths = net.k_paths(flow.src, flow.dst, self.k)
-        if not paths:
+        best = least_loaded(net, flow, self.k, self._load)
+        if best is None:
             return None
-        best = min(
-            paths, key=lambda p: self._path_load(net, flow.src, p, flow.dst)
-        )
-        links = net.route_links(flow.src, best, flow.dst)
-        if links is not None:
-            for link in links:
-                self._load[link] = self._load.get(link, 0) + 1
-        return best
+        path, links, _load = best
+        for link in links:
+            self._load[link] = self._load.get(link, 0) + 1
+        return path
 
     def rebalance(self, net: FlowNet, flows: Sequence[Flow]) -> bool:
         self._recount(net, flows)
+        load = self._load
         changed = False
         for flow in flows:
             if flow.done or flow.pinned or flow.switch_path is None:
                 continue
-            current_load = self._path_load(net, flow.src, flow.switch_path, flow.dst)
-            paths = net.k_paths(flow.src, flow.dst, self.k)
-            if not paths:
+            move = better_path(net, flow, self.k, load, self.headroom)
+            if move is None:
                 continue
-            best = min(
-                paths, key=lambda p: self._path_load(net, flow.src, p, flow.dst)
-            )
-            best_load = self._path_load(net, flow.src, best, flow.dst)
-            if best_load * self.headroom < current_load and best != flow.switch_path:
-                # Move the flow: update counts incrementally.
-                old_links = net.route_links(flow.src, flow.switch_path, flow.dst)
-                if old_links:
-                    for link in old_links:
-                        self._load[link] = max(0, self._load.get(link, 0) - 1)
-                new_links = net.route_links(flow.src, best, flow.dst)
-                if new_links:
-                    for link in new_links:
-                        self._load[link] = self._load.get(link, 0) + 1
-                flow.switch_path = best
-                self.reroutes += 1
-                changed = True
+            # Move the flow: update counts incrementally.
+            flow.switch_path, old_links, new_links = move
+            if old_links:
+                for link in old_links:
+                    load[link] = max(0, load.get(link, 0) - 1)
+            for link in new_links:
+                load[link] = load.get(link, 0) + 1
+            self.reroutes += 1
+            changed = True
         return changed
 
 
@@ -404,14 +460,12 @@ class FluidSimulator:
 
     def _recompute(self) -> None:
         active = self._active
+        flow_links = self.net.flow_links
         # Revalidate routes (failures may have killed some) and give
         # routeless flows another chance.
         for flow in active:
-            if flow.switch_path is not None and not self.net.path_is_alive(
-                flow.src, flow.switch_path, flow.dst
-            ):
-                flow.switch_path = None
-            if flow.switch_path is None:
+            if flow_links(flow) is None:
+                flow.switch_path = None  # the policy sees a routeless flow
                 flow.switch_path = self.policy.choose(self.net, flow)
                 flow.stalled = flow.switch_path is None
         self._revalidate_external()
@@ -427,10 +481,7 @@ class FluidSimulator:
         routes: Dict[Hashable, Sequence] = {}
         demands: Dict[Hashable, float] = {}
         for flow in active:
-            if flow.switch_path is None:
-                flow.rate_bps = 0.0
-                continue
-            links = self.net.route_links(flow.src, flow.switch_path, flow.dst)
+            links = flow_links(flow)
             if links is None:
                 flow.rate_bps = 0.0
                 flow.switch_path = None

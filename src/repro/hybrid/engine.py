@@ -43,7 +43,7 @@ worth it.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..flowsim.network import FlowNet
 from ..flowsim.simulator import (
@@ -78,7 +78,9 @@ class _Promoted:
     def __init__(self, flow: Flow) -> None:
         self.flow = flow
         self.zoom = None
-        self.links: Optional[List[Tuple]] = None
+        #: The route the zoom is chained on (a ``FlowNet.route_links``
+        #: tuple, compared with the next one to spot a reroute).
+        self.links: Optional[Tuple[Tuple, ...]] = None
         #: Packet-measured throughput over the last epoch (None until
         #: the first harvest, or after an epoch with no deliveries --
         #: "unknown" falls back to an uncapped fair share).
@@ -132,9 +134,7 @@ class HybridEngine(FluidSimulator):
         # Link-level selectors need the route the flow would take.
         if flow.switch_path is None:
             flow.switch_path = self.policy.choose(self.net, flow)
-        if flow.switch_path is None:
-            return False
-        links = self.net.route_links(flow.src, flow.switch_path, flow.dst)
+        links = self.net.flow_links(flow)
         return links is not None and roi.matches_links(links)
 
     def _admit(self, flow: Flow) -> None:
@@ -148,16 +148,13 @@ class HybridEngine(FluidSimulator):
         self.promoted_total += 1
         if flow.switch_path is None:
             flow.switch_path = self.policy.choose(self.net, flow)
-        if flow.switch_path is None:
-            flow.stalled = True
-            return
-        links = self.net.route_links(flow.src, flow.switch_path, flow.dst)
+        links = self.net.flow_links(flow)
         if links is None:
             flow.switch_path = None
             flow.stalled = True
             return
-        record.links = list(links)
-        record.zoom = self.region.start_flow(flow, record.links)
+        record.links = links
+        record.zoom = self.region.start_flow(flow, links)
 
     # ------------------------------------------------------------------
     # fluid-epoch hooks
@@ -167,15 +164,11 @@ class HybridEngine(FluidSimulator):
             flow = record.flow
             if flow.done:
                 continue
-            if flow.switch_path is not None and not self.net.path_is_alive(
-                flow.src, flow.switch_path, flow.dst
-            ):
-                flow.switch_path = None
-            links = None
-            if flow.switch_path is None:
+            links = self.net.flow_links(flow)
+            if links is None:
+                flow.switch_path = None  # the policy sees a routeless flow
                 flow.switch_path = self.policy.choose(self.net, flow)
-            if flow.switch_path is not None:
-                links = self.net.route_links(flow.src, flow.switch_path, flow.dst)
+                links = self.net.flow_links(flow)
             if links is None:
                 flow.switch_path = None
                 if not flow.stalled:
@@ -185,12 +178,12 @@ class HybridEngine(FluidSimulator):
                         self.region.stall(record.zoom)
                 continue
             if flow.stalled or record.zoom is None or record.links != links:
-                record.links = list(links)
+                record.links = links
                 flow.stalled = False
                 if record.zoom is None:
-                    record.zoom = self.region.start_flow(flow, record.links)
+                    record.zoom = self.region.start_flow(flow, links)
                 else:
-                    self.region.rechain(record.zoom, record.links)
+                    self.region.rechain(record.zoom, links)
 
     def _external_demands(self):
         if not self._promoted:

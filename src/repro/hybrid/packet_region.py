@@ -88,7 +88,28 @@ class _Sink:
         self.region = region
 
     def receive(self, _port: int, frame: _Frame) -> None:
-        self.region._on_hop(frame)
+        """One frame finished one hop: forward it, or deliver it and
+        let the window inject the next."""
+        hops = frame.hops
+        idx = frame.idx = frame.idx + 1
+        if idx < len(hops):
+            end = hops[idx]
+            end.channel.transmit(end, frame, frame.bits)
+            return
+        region = self.region
+        zoom = frame.zoom
+        zoom.inflight -= 1
+        zoom.delivered_epoch += frame.bits
+        region.frames_delivered += 1
+        flow = zoom.flow
+        remaining = flow.remaining_bits - frame.bits
+        flow.remaining_bits = remaining if remaining > 0.0 else 0.0
+        if zoom.remaining_inject > 0 and not zoom.stalled:
+            region._inject_one(zoom)
+        elif zoom.inflight == 0 and zoom.remaining_inject <= 0 and not zoom.done:
+            zoom.done = True
+            flow.remaining_bits = 0.0
+            region.finished.append((zoom, region.loop.now))
 
 
 class PacketRegion:
@@ -175,27 +196,8 @@ class PacketRegion:
             bits = zoom.remaining_inject
         zoom.remaining_inject -= bits
         zoom.inflight += 1
-        frame = _Frame(zoom, bits, zoom.chain)
-        frame.hops[0].transmit(frame, bits)
-
-    def _on_hop(self, frame: _Frame) -> None:
-        frame.idx += 1
-        if frame.idx < len(frame.hops):
-            frame.hops[frame.idx].transmit(frame, frame.bits)
-            return
-        zoom = frame.zoom
-        zoom.inflight -= 1
-        zoom.delivered_epoch += frame.bits
-        self.frames_delivered += 1
-        flow = zoom.flow
-        remaining = flow.remaining_bits - frame.bits
-        flow.remaining_bits = remaining if remaining > 0.0 else 0.0
-        if zoom.remaining_inject > 0 and not zoom.stalled:
-            self._inject_one(zoom)
-        elif zoom.inflight == 0 and zoom.remaining_inject <= 0 and not zoom.done:
-            zoom.done = True
-            flow.remaining_bits = 0.0
-            self.finished.append((zoom, self.loop.now))
+        end = zoom.chain[0]
+        end.channel.transmit(end, _Frame(zoom, bits, zoom.chain), bits)
 
     # ------------------------------------------------------------------
     # boundary contract (engine side)

@@ -131,6 +131,28 @@ class TestMaxMin:
         with pytest.raises(FairnessError):
             max_min_rates({}, {"L": 0.0})
 
+    def test_infinite_capacity_means_unconstrained(self):
+        """Regression: with no finite link the bottleneck share is inf,
+        and the demand-capped scan used to admit flows that have no
+        demand (``inf <= inf``) and die on ``demands[flow]``."""
+        assert max_min_rates({"f": ["L"]}, {"L": math.inf}) == {"f": math.inf}
+        rates = max_min_rates(
+            {"capped": ["L"], "free": ["L", "M"]},
+            {"L": math.inf, "M": math.inf},
+            demands={"capped": 3.0},
+        )
+        assert rates == {"capped": 3.0, "free": math.inf}
+
+    @pytest.mark.parametrize("demands", [None, {"f": 2.0}])
+    def test_nan_capacity_rejected(self, demands):
+        """Regression: NaN passed ``cap <= 0`` and then either leaked a
+        KeyError (uncapped flow) or counted as unconstrained (a capped
+        flow silently got its demand)."""
+        with pytest.raises(FairnessError):
+            max_min_rates({"f": ["L"]}, {"L": math.nan}, demands=demands)
+        with pytest.raises(FairnessError):  # crossed or not
+            max_min_rates({"f": ["L"]}, {"L": 1.0, "idle": math.nan}, demands=demands)
+
 
 class TestFlowNet:
     def test_route_links_cover_every_hop(self):
@@ -139,6 +161,33 @@ class TestFlowNet:
         links = net.route_links("h0_0", ["leaf0", "spine0", "leaf1"], "h1_0")
         assert links[0] == ("htx", "h0_0")
         assert len(links) == 4  # NIC + leaf0->spine0 + spine0->leaf1 + leaf1->host
+
+    def test_cached_routes_cannot_be_edited_by_a_caller(self):
+        """One walk is shared by the route cache, the candidate memo and
+        every flow on the path: it is handed out immutable."""
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        net = FlowNet(topo)
+        links = net.route_links("h0_0", ["leaf0", "spine0", "leaf1"], "h1_0")
+        assert isinstance(links, tuple)
+        with pytest.raises(AttributeError):
+            links.append(("htx", "h1_1"))
+        with pytest.raises(TypeError):
+            links[0] = ("htx", "h1_1")
+        keys = {key: key for key in net.capacities}
+        for path, cand_links in net.candidates("h0_0", "h1_0", 4):
+            assert cand_links is net.route_links("h0_0", path, "h1_0")
+            # ... and every id is the key object of ``capacities``.
+            assert all(link is keys[link] for link in cand_links)
+
+    def test_k_paths_answer_survives_a_caller_appending_to_it(self):
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        net = FlowNet(topo)
+        first = net.k_paths("h0_0", "h1_0", 4)
+        want = [list(path) for path in first]
+        first.append(["leaf0", "nowhere", "leaf1"])
+        first.reverse()
+        assert net.k_paths("h0_0", "h1_0", 4) == want
+        assert net.k_paths("h0_0", "h1_0", 1) == want[:1]
 
     def test_failed_link_invalidates_route(self):
         topo = leaf_spine(2, 2, 2, num_ports=16)
