@@ -4,12 +4,14 @@ The engine *is* a :class:`~repro.flowsim.simulator.FluidSimulator` --
 same clock, same event loop, same max-min epochs -- that diverts flows
 matching a :class:`~repro.hybrid.roi.RegionOfInterest` into a
 :class:`~repro.hybrid.packet_region.PacketRegion` instead of the fluid
-active set.  The two fidelities are coupled at epoch boundaries by an
-explicit consistency contract:
+active set.  The region is a self-contained FIFO-network kernel with
+its own clock (``region.now``), advanced to the fluid clock at every
+coupling; nothing here touches the netsim emulator.  The two fidelities
+are coupled at epoch boundaries by an explicit consistency contract:
 
 * **fluid -> packet**: after every max-min solve, the per-link sum of
   fluid-only rates becomes shaped background load on the region's
-  channels (``ChannelEnd.background_bps``), so promoted frames
+  hops (``PacketRegion.set_backgrounds``), so promoted frames
   serialise into exactly the residual bandwidth the fluid traffic
   leaves behind.
 * **packet -> fluid**: each promoted flow appears in the max-min fill
@@ -105,6 +107,9 @@ class HybridEngine(FluidSimulator):
         region_latency_s: float = 1e-6,
         demand_slack: float = DEMAND_SLACK,
     ) -> None:
+        if not epoch_s > 0:  # also refuses NaN
+            # A zero epoch re-arms the coupling bound at ``now`` forever.
+            raise ValueError(f"epoch_s must be > 0, got {epoch_s}")
         super().__init__(net, policy, rebalance_interval_s)
         self.roi = roi if roi is not None else RegionOfInterest.empty()
         self.epoch_s = epoch_s
@@ -244,7 +249,7 @@ class HybridEngine(FluidSimulator):
     def _coupling_bound(self) -> Optional[float]:
         if not self._promoted:
             return None
-        if self.region.loop.next_event_time() is None:
+        if self.region.idle:
             # Everything promoted is stalled with nothing in flight;
             # bounding the epoch would spin the clock forever.
             return None
@@ -252,7 +257,7 @@ class HybridEngine(FluidSimulator):
 
     def _couple_to(self, t: float) -> None:
         region = self.region
-        last = region.loop.now
+        last = region.now
         region.advance_to(t)
         if not self._promoted:
             return
@@ -356,7 +361,7 @@ def build_engine(
     * ``"fluid"``  -- plain :class:`FluidSimulator` (roi must be empty);
     * ``"hybrid"`` -- :class:`HybridEngine` promoting ``roi``;
     * ``"packet"`` -- :class:`HybridEngine` promoting *everything*: the
-      pure packet-fidelity baseline on the same channel machinery.
+      pure packet-fidelity baseline on the same packet region.
     """
     if net is None:
         net = FlowNet(topology, link_bps=link_bps, host_bps=host_bps)

@@ -43,7 +43,7 @@ class ChannelEnd:
     """One plug of a channel: knows its device, port, and twin."""
 
     __slots__ = ("channel", "index", "device", "port", "busy_until",
-                 "last_arrival", "peer", "background_bps", "_recv_cb")
+                 "last_arrival", "peer", "_recv_cb")
 
     def __init__(self, channel: "Channel", index: int) -> None:
         self.channel = channel
@@ -54,11 +54,6 @@ class ChannelEnd:
         # and the latest arrival already booked (the FIFO clamp).
         self.busy_until: float = 0.0
         self.last_arrival: float = 0.0
-        # Shaped background load (bps) stealing bandwidth from this
-        # direction -- the hybrid engine projects fluid-simulated
-        # traffic onto packet-level channels this way.  Zero (the
-        # default) leaves the transmit arithmetic untouched.
-        self.background_bps: float = 0.0
         # The twin end; assigned by Channel.__init__ once both exist.
         self.peer: "ChannelEnd" = None  # type: ignore[assignment]
         # Pre-bound device.receive, cached at attach time (binding a
@@ -198,13 +193,6 @@ class Channel:
             start = now
         if self._fast:
             bandwidth = self.bandwidth_bps
-            bg = sender.background_bps
-            if bg and bandwidth:
-                bandwidth -= bg
-                if bandwidth <= 0.0:
-                    # Saturated by background: never fully starve the
-                    # foreground, or a promoted flow could deadlock.
-                    bandwidth = self.bandwidth_bps * 1e-6
             free = start + size_bits / bandwidth if bandwidth else start
             sender.busy_until = free
             arrival = free + self.latency_s
@@ -248,14 +236,8 @@ class Channel:
                     sender.busy_until = start + size_bits / self.bandwidth_bps
                 return True
         tx_time = 0.0
-        bandwidth = self.bandwidth_bps
-        if bandwidth:
-            bg = sender.background_bps
-            if bg:
-                bandwidth -= bg
-                if bandwidth <= 0.0:
-                    bandwidth = self.bandwidth_bps * 1e-6
-            tx_time = size_bits / bandwidth
+        if self.bandwidth_bps:
+            tx_time = size_bits / self.bandwidth_bps
         sender.busy_until = start + tx_time
         latency = self.latency_s + self._extra_latency_s
         if self._jitter_s and rng is not None:

@@ -8,6 +8,11 @@ on the same 100-flow websearch trace, so "the engine got faster, not
 different" is checkable by ``pytest`` alone.  The constants were computed
 at the commit *before* the flow-level hot-loop rewrite (7f7184a) and must
 never be re-pinned by a change that claims only host time.
+
+The packet-region constants at the bottom (an all-promoted incast cell in
+the e2e workload's spelling, and a partial-ROI cell whose promoted flows
+share core links with fluid ones) were computed at the commit before the
+region became a FIFO-merge kernel (0fa2b3b), under the same rule.
 """
 
 import hashlib
@@ -17,9 +22,9 @@ import pytest
 
 from repro.core.te import make_flow_policy
 from repro.flowsim import FlowNet
-from repro.hybrid import RegionOfInterest, build_engine
-from repro.topology import fat_tree
-from repro.workloads import TraceReplay, replay_program
+from repro.hybrid import PacketRegion, RegionOfInterest, build_engine
+from repro.topology import fat_tree, leaf_spine
+from repro.workloads import IncastSweep, Scenario, TraceReplay, replay_program, run_scenario
 
 LINK_BPS = 2.5e9
 SEED = 4
@@ -53,6 +58,9 @@ FINISH_DIGESTS = {
     ),
 }
 HYBRID_FAULT_DIGEST = "5ae6708a59cab2a7941e6549ca5b52bf"
+#: (finish digest, region events_run, region frames_delivered)
+INCAST_ALL_PROMOTED = ("f425ef8218180932fb903532eedd4223", 25_530, 8_280)
+HYBRID_SHAPED = ("5d83612667b26ccad14d0ab8616e2861", 119_190, 19_938)
 
 
 def _blake2(value) -> str:
@@ -109,3 +117,49 @@ def test_hybrid_tag_roi_finish_times_are_pinned_under_an_outage():
     assert sim.promoted_total == len(PROMOTED_TAGS)
     assert sim.promoted_finished == len(PROMOTED_TAGS)
     assert finish_digest(sim, flows) == HYBRID_FAULT_DIGEST
+
+
+def test_all_promoted_incast_cell_is_pinned():
+    """``packet_incast``'s shape (hybrid, roi=all, ecmp on a leaf-spine)
+    at a tenth of its size: every hop completion runs in the region."""
+    run = run_scenario(
+        Scenario(
+            IncastSweep(fanins=(4, 8), bits_per_sender=4e6, rounds_per_fanin=2),
+            te="ecmp",
+            engine="hybrid",
+            roi=RegionOfInterest.all(),
+            topology=leaf_spine(2, 2, 10),
+            link_bps=LINK_BPS,
+            seed=7,
+        ),
+        on_stall="record",
+    )
+    flows = run.result.flows
+    assert len(flows) == 24 and all(f.done for f in flows)
+    stats = run.sim.region.stats()
+    digest = _blake2([(f.src, f.dst, f.size_bits, f.finished_at) for f in flows])
+    assert (digest, stats["events_run"], stats["frames_delivered"]) == INCAST_ALL_PROMOTED
+
+
+def test_hybrid_cell_with_shaped_core_links_is_pinned(monkeypatch):
+    """Promoted and fluid flows share core links, so the region's hops
+    serialise into a residual that moves with every max-min solve."""
+    shaped = set()
+    set_backgrounds = PacketRegion.set_backgrounds
+
+    def spy(region, loads_bps):
+        set_backgrounds(region, loads_bps)
+        shaped.update(
+            link for link, bps in loads_bps.items() if bps and link in region._hops
+        )
+
+    monkeypatch.setattr(PacketRegion, "set_backgrounds", spy)
+    sim, flows, _duration = run_cell(
+        "flowlet", engine="hybrid", roi=RegionOfInterest.of_tags(*PROMOTED_TAGS)
+    )
+    assert sum(1 for link in shaped if link[1].startswith("core")) >= 10
+    stats = sim.region.stats()
+    assert stats["background_links"] > 0  # still shaped after the last solve
+    assert (
+        finish_digest(sim, flows), stats["events_run"], stats["frames_delivered"]
+    ) == HYBRID_SHAPED

@@ -1,6 +1,8 @@
 """Hybrid-fidelity dataplane tests: ROI selection, channel shaping,
 boundary consistency, failure handling, fabric/obs integration."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.fabric import DumbNetFabric
@@ -10,9 +12,8 @@ from repro.flowsim import (
     RebalancingKPathPolicy,
     SingleShortestPolicy,
 )
-from repro.hybrid import HybridEngine, RegionOfInterest, build_engine
-from repro.netsim.channel import Channel
-from repro.netsim.events import EventLoop
+from repro.flowsim.simulator import Flow
+from repro.hybrid import HybridEngine, PacketRegion, RegionOfInterest, build_engine
 from repro.topology import leaf_spine, line
 
 
@@ -59,49 +60,39 @@ class TestRegionOfInterest:
             RegionOfInterest.of_links("leaf0")
 
 
-class _RecvSink:
-    def __init__(self):
-        self.got = []
-
-    def receive(self, port, packet):
-        self.got.append(packet)
-
-
 class TestChannelBackgroundShaping:
-    def _channel(self, bandwidth=1e9):
-        loop = EventLoop()
-        channel = Channel(loop, bandwidth_bps=bandwidth, latency_s=0.0)
-        sink = _RecvSink()
-        channel.ends[1].attach(sink, 0)
-        return loop, channel, sink
+    """Background shaping on the region's hop (the cable model of the
+    packet region; ``netsim.Channel`` no longer knows about it)."""
+
+    LINK = ("tx", "s0", 0)
+
+    def _send_one_frame(self, bits, background_bps=0.0, capacity=1e9):
+        """One ``bits``-sized frame booked at t=0 on a zero-latency hop."""
+        region = PacketRegion(
+            SimpleNamespace(capacities={self.LINK: capacity}),
+            latency_s=0.0, mtu_bytes=int(bits) // 8, window=1,
+        )
+        hop = region.hop_for(self.LINK)
+        region.set_backgrounds({self.LINK: background_bps})
+        flow = Flow(0, "a", "b", bits, 0.0, remaining_bits=bits)
+        region.start_flow(flow, [self.LINK])
+        return region, hop, flow
 
     def test_zero_background_identical_serialization(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].transmit("p", 1e6)
-        assert channel.ends[0].busy_until == 1e6 / 1e9
+        region, hop, flow = self._send_one_frame(1e6)
+        assert hop.busy_until == 1e6 / 1e9
 
     def test_background_steals_bandwidth(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].background_bps = 5e8
-        channel.ends[0].transmit("p", 1e6)
+        region, hop, flow = self._send_one_frame(1e6, background_bps=5e8)
         # Residual 0.5 Gbps -> twice the serialization time.
-        assert channel.ends[0].busy_until == pytest.approx(2e-3)
-        loop.run()
-        assert sink.got == ["p"]
+        assert hop.busy_until == pytest.approx(2e-3)
+        region.advance_to(1.0)
+        assert region.frames_delivered == 1 and flow.remaining_bits == 0.0
 
     def test_saturated_background_never_starves(self):
-        loop, channel, sink = self._channel()
-        channel.ends[0].background_bps = 2e9  # over capacity
-        channel.ends[0].transmit("p", 1e3)
+        region, hop, flow = self._send_one_frame(1e3, background_bps=2e9)  # over capacity
         # Clamped to bandwidth * 1e-6, not zero or negative.
-        assert channel.ends[0].busy_until == pytest.approx(1e3 / (1e9 * 1e-6))
-
-    def test_background_applies_on_slow_path_too(self):
-        loop, channel, sink = self._channel()
-        channel.extra_latency_s = 1e-3  # forces the slow path
-        channel.ends[0].background_bps = 5e8
-        channel.ends[0].transmit("p", 1e6)
-        assert channel.ends[0].busy_until == pytest.approx(2e-3)
+        assert hop.busy_until == pytest.approx(1e3 / (1e9 * 1e-6))
 
 
 def _fig9ish(sim_cls_or_engine, roi=None, hosts=6, size=1e8, failures=()):
@@ -231,6 +222,45 @@ class TestPromotion:
         sim.run()  # must terminate, not spin
         assert not flow.done
         assert flow.stalled
+
+
+class TestDegenerateParameters:
+    """Values that used to hang the run (``epoch_s=0``, ``mtu_bytes=0``),
+    silently lose the flow (``window=0``) or book arrivals in the past
+    (negative latency) are refused at construction."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"window": 0},
+        {"window": -3},
+        {"mtu_bytes": 0},
+        {"epoch_s": 0.0},
+        {"epoch_s": -1e-3},
+        {"epoch_s": float("nan")},
+        {"region_latency_s": -1e-6},
+        {"region_latency_s": float("nan")},
+    ])
+    def test_engine_rejects(self, kwargs):
+        topo = leaf_spine(spines=2, leaves=2, hosts_per_leaf=2, num_ports=64)
+        with pytest.raises(ValueError):
+            build_engine(topo, "hybrid", roi=RegionOfInterest.all(), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"window": 0}, {"mtu_bytes": 0}, {"latency_s": -1e-6},
+        {"latency_s": float("nan")},
+    ])
+    def test_region_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            PacketRegion(SimpleNamespace(capacities={}), **kwargs)
+
+    def test_boundary_values_accepted(self):
+        topo = leaf_spine(spines=2, leaves=2, hosts_per_leaf=2, num_ports=64)
+        sim = build_engine(
+            topo, "hybrid", roi=RegionOfInterest.all(),
+            window=1, mtu_bytes=1, region_latency_s=0.0, epoch_s=1e-4,
+        )
+        sim.add_flow("h0_0", "h1_0", 800.0)
+        sim.run()
+        assert sim.report().as_dict()["flows"]["completed"] == 1
 
 
 class TestBoundaryConsistency:

@@ -221,6 +221,14 @@ class TestChannel:
         loop.run()
         assert a.port_events == []
 
+    def test_channel_end_knows_no_background_shaping(self):
+        # Fluid background load is the hybrid region's business (its
+        # hops shape themselves); the cable model carries no hook for it.
+        end = Channel(EventLoop(), bandwidth_bps=1e9).ends[0]
+        assert "background_bps" not in type(end).__slots__
+        with pytest.raises(AttributeError):
+            end.background_bps = 5e8
+
 
 class TestDevice:
     def test_processing_delay_serializes(self):
