@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..netsim.device import Device
@@ -276,22 +277,17 @@ class HostAgent(Device):
     # ------------------------------------------------------------------
     # probing interface (used by EmulatedProbeTransport and reprobes)
 
-    def send_probe(self, spec: ProbeSpec, delay_s: float = 0.0) -> int:
-        """Send one probing message; optionally deferred by ``delay_s``.
+    def send_probe(self, spec: ProbeSpec) -> int:
+        """Send one probing message now; returns its nonce."""
+        args = self._arm_probe(spec)
+        self.send_tagged(*args)
+        return args[1].nonce
 
-        Deferred sends model the prober's CPU crafting probes serially:
-        the discovery transport spaces a round's probes by the host
-        processing delay, which is what makes emulated discovery time
-        proportional to probe count (Figure 8).
-        """
+    def _arm_probe(self, spec: ProbeSpec) -> Tuple[Tuple[int, ...], ProbeMessage]:
+        """Register a probe as outstanding; returns ``send_tagged``'s args."""
         nonce = next_nonce()
         self._outstanding_probes[nonce] = spec
-        probe = ProbeMessage(nonce=nonce, origin=self.name, reply_tags=spec.reply_tags)
-        if delay_s > 0:
-            self.loop.schedule(delay_s, self.send_tagged, spec.tags, probe)
-        else:
-            self.send_tagged(spec.tags, probe)
-        return nonce
+        return spec.tags, ProbeMessage(nonce=nonce, origin=self.name, reply_tags=spec.reply_tags)
 
     def collect_probe(self, nonce: int) -> Optional[ProbeOutcome]:
         self._outstanding_probes.pop(nonce, None)
@@ -589,12 +585,18 @@ class EmulatedProbeTransport(ProbeTransport):
 
     def probe_round(self, specs: Sequence[ProbeSpec]) -> List[Optional[ProbeOutcome]]:
         # Probes leave back-to-back at the agent's processing rate: the
-        # wire is parallel but the prober's CPU is not (Section 7.2.1).
-        spacing = self.agent.config.proc_delay_s
-        nonces = [
-            self.agent.send_probe(spec, delay_s=i * spacing)
-            for i, spec in enumerate(specs)
-        ]
+        # wire is parallel but the prober's CPU is not (Section 7.2.1; it
+        # is what makes discovery time track probe count in Figure 8).
+        # Probe 0 goes out now, the rest as one timer batch.
+        agent, spacing = self.agent, self.agent.config.proc_delay_s
+        nonces = [agent.send_probe(specs[0])] if specs else []
+
+        def later(i: int, spec: ProbeSpec):
+            args = agent._arm_probe(spec)
+            nonces.append(args[1].nonce)
+            return i * spacing, agent.send_tagged, args
+
+        agent.loop.call_batch(later(i, spec) for i, spec in islice(enumerate(specs), 1, None))
         self._sent += len(specs)
         self.network.run_until_idle()
         outcomes = [self.agent.collect_probe(nonce) for nonce in nonces]

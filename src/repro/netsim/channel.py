@@ -43,7 +43,7 @@ class ChannelEnd:
     """One plug of a channel: knows its device, port, and twin."""
 
     __slots__ = ("channel", "index", "device", "port", "busy_until",
-                 "last_arrival", "peer", "_recv_cb")
+                 "last_arrival", "peer", "_recv_cb", "_fused")
 
     def __init__(self, channel: "Channel", index: int) -> None:
         self.channel = channel
@@ -59,6 +59,8 @@ class ChannelEnd:
         # Pre-bound device.receive, cached at attach time (binding a
         # method per delivered frame allocates).
         self._recv_cb: Optional[Callable[[int, Any], None]] = None
+        # Set by Device.attach: Channel._deliver serves an idle Device inline.
+        self._fused: Optional["Device"] = None
 
     def attach(self, device: "Device", port: int) -> None:
         if self.device is not None:
@@ -105,6 +107,7 @@ class Channel:
         self._fast = True
         self._refresh_fast()
         self.up = True
+        self._downs = 0  # line-down transitions so far
         self.ends = (ChannelEnd(self, 0), ChannelEnd(self, 1))
         self.ends[0].peer = self.ends[1]
         self.ends[1].peer = self.ends[0]
@@ -212,7 +215,7 @@ class Channel:
             # hottest line of the emulator.
             seq = loop._seq
             loop._seq = seq + 1
-            heappush(loop._heap, (arrival, seq, self._deliver_cb, (receiver, packet)))
+            heappush(loop._heap, (arrival, seq, self._deliver_cb, (receiver, packet, self._downs)))
             loop._live += 1
             return True
         return self._transmit_slow(sender, receiver, packet, size_bits, start, now)
@@ -258,7 +261,7 @@ class Channel:
         obs = self._obs_wait
         if obs is not None:
             obs.observe(start - now)
-        self.loop.call_at(arrival, self._deliver_cb, receiver, packet)
+        self.loop.call_at(arrival, self._deliver_cb, receiver, packet, self._downs)
         if self._duplicate_rate > 0 and rng is not None:
             if rng.random() < self._duplicate_rate:
                 # A duplicated frame arrives one serialization slot
@@ -266,16 +269,33 @@ class Channel:
                 self.frames_duplicated += 1
                 dup = packet.fork() if hasattr(packet, "fork") else packet
                 self.loop.call_at(
-                    arrival + max(tx_time, 1e-9), self._deliver_cb, receiver, dup
+                    arrival + max(tx_time, 1e-9), self._deliver_cb, receiver, dup, self._downs
                 )
         return True
 
-    def _deliver(self, receiver: ChannelEnd, packet: Any) -> None:
-        if not self.up:
+    def _deliver(self, receiver: ChannelEnd, packet: Any, downs: int) -> None:
+        if downs != self._downs:  # the line went down while it was on the wire
             self.frames_dropped += 1
             return
         self.frames_delivered += 1
-        receiver._recv_cb(receiver.port, packet)
+        device = receiver._fused
+        if device is None or device._busy or device._queue or not device.powered:
+            receiver._recv_cb(receiver.port, packet)
+            return
+        # Device.receive's idle-server branch, fused into the delivery:
+        # the same single _serve event, so interleavings are unchanged.
+        device.packets_received += 1
+        device._busy = True
+        delay = device._pd
+        stats = device._stats
+        if stats is not None:
+            stats.frames += 1
+            stats.service_s += delay
+        loop = self.loop
+        seq = loop._seq
+        loop._seq = seq + 1
+        heappush(loop._heap, (loop.now + delay, seq, device._serve_cb, ("pkt", receiver.port, packet)))
+        loop._live += 1
 
     # ------------------------------------------------------------------
     # physical state (failure injection)
@@ -284,16 +304,17 @@ class Channel:
         """Change the line state and notify both endpoint devices.
 
         Notification is delayed by the PHY detection time; frames already
-        in flight when the line goes down are dropped at delivery.  Going
-        down also resets both directions' queue state (busy_until and the
-        FIFO clamp): frames that were serializing are gone, so traffic
-        sent after a restore must not queue behind ghosts of dropped
-        frames.
+        in flight when the line goes down are dropped at delivery, even
+        if it is back up by then.  Going down also resets both
+        directions' queue state (busy_until and the FIFO clamp): frames
+        that were serializing are gone, so traffic sent after a restore
+        must not queue behind ghosts of dropped frames.
         """
         if up == self.up:
             return
         self.up = up
         if not up:
+            self._downs += 1
             for end in self.ends:
                 end.busy_until = 0.0
                 end.last_arrival = 0.0

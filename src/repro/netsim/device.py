@@ -11,9 +11,10 @@ a time with a configurable per-frame processing delay.  Subclasses
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from .channel import ChannelEnd
 from .events import EventLoop
@@ -21,22 +22,14 @@ from .trace import PerfCounters
 
 __all__ = ["Device"]
 
-ProcDelay = Union[float, Callable[[Any], float]]
-
 
 class Device:
     """A node with ports, a processing queue, and state-change hooks."""
 
-    def __init__(
-        self,
-        name: str,
-        loop: EventLoop,
-        proc_delay: ProcDelay = 0.0,
-    ) -> None:
+    def __init__(self, name: str, loop: EventLoop, proc_delay: float = 0.0) -> None:
         self.name = name
         self.loop = loop
-        self._pd: ProcDelay = proc_delay
-        self._pd_callable = callable(proc_delay)
+        self.proc_delay = proc_delay
         self.ports: Dict[int, ChannelEnd] = {}
         self.powered = True
         self._queue: Deque[Tuple[str, int, Any]] = deque()
@@ -53,14 +46,16 @@ class Device:
         self._stats = stats
 
     @property
-    def proc_delay(self) -> ProcDelay:
+    def proc_delay(self) -> float:
+        """Seconds of service per frame or port event; finite and >= 0."""
         return self._pd
 
     @proc_delay.setter
-    def proc_delay(self, value: ProcDelay) -> None:
-        # Cached callable() verdict: the service path asks once per frame.
+    def proc_delay(self, value: float) -> None:
+        # Checked once here, so the per-frame service path needs no check.
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{self.name}: proc_delay must be finite and >= 0, got {value}")
         self._pd = value
-        self._pd_callable = callable(value)
 
     # ------------------------------------------------------------------
     # wiring
@@ -69,6 +64,7 @@ class Device:
         if port in self.ports:
             raise ValueError(f"{self.name}: port {port} already wired")
         end.attach(self, port)
+        end._fused = self
         self.ports[port] = end
 
     def port_is_up(self, port: int) -> bool:
@@ -79,7 +75,8 @@ class Device:
     # dataplane
 
     def receive(self, port: int, packet: Any) -> None:
-        """Called by the channel when a frame arrives.  Queues for service."""
+        """Called by the channel when a frame arrives.  Queues for service.
+        (``Channel._deliver`` has its own copy of the idle branch.)"""
         if not self.powered:
             return
         self.packets_received += 1
@@ -94,9 +91,7 @@ class Device:
         # round-trip.  Same single _serve event as the queued path, so
         # event interleavings are unchanged.
         self._busy = True
-        delay = self._pd(packet) if self._pd_callable else self._pd
-        if delay < 0:
-            raise ValueError(f"{self.name}: negative proc_delay {delay}")
+        delay = self._pd
         stats = self._stats
         if stats is not None:
             stats.frames += 1
@@ -120,7 +115,7 @@ class Device:
             return
         self._busy = True
         kind, port, item = self._queue.popleft()
-        delay = self._pd(item) if self._pd_callable else self._pd
+        delay = self._pd
         stats = self._stats
         if stats is not None:
             stats.frames += 1
@@ -139,11 +134,8 @@ class Device:
 
     def send(self, port: int, packet: Any, size_bits: Optional[float] = None) -> bool:
         """Transmit out of ``port``.  Returns False if the port is dead."""
-        if not self.powered:
-            return False
-        try:
-            end = self.ports[port]
-        except KeyError:
+        end = self.ports.get(port)
+        if end is None or not self.powered:
             return False
         if size_bits is None:
             try:

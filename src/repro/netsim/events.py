@@ -17,6 +17,7 @@ order:
   fire-and-forget fast path used by the per-frame hot code (channels,
   device service queues): no handle object is allocated, the heap entry
   is a plain ``(time, seq, callback, args)`` tuple.
+  :meth:`EventLoop.call_batch` arms many, heaping only the earliest.
 
 Cancellation is lazy: a cancelled handle is only marked dead, and the
 heap skips it on pop.  So cancel-heavy workloads (protocol timers that
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 __all__ = ["EventLoop", "EventHandle", "SimulationError", "COMPACT_MIN_DEAD"]
 
@@ -156,6 +157,38 @@ class EventLoop:
         heappush(self._heap, (time, seq, callback, args))
         self._live += 1
 
+    def call_batch(self, items: Iterable[Tuple[float, Callable[..., None], Tuple[Any, ...]]]) -> None:
+        """``call_after(delay, callback, *args)`` per item, in order, with
+        the same seqs and ``pending`` -- but only the batch's head sits
+        in the heap, so other events pay heap depth for what is really
+        in flight.  Same order: the batch is sorted once by ``(time,
+        seq)`` (seq is unique; callbacks are never compared), so every
+        unfired entry is >= the head, and firing the head pushes the
+        next entry *before* its callback runs -- any entry that could be
+        the minimum at a pop (nested ``run`` included) is in the heap.
+        A negative delay raises before anything is scheduled.
+        """
+        now, seq, heap = self.now, self._seq, self._heap
+        entries: list = []  # (time, seq, callback, args), descending
+
+        def fire(_time, _seq, callback, args):
+            if entries:
+                head = entries.pop()
+                heappush(heap, (head[0], head[1], fire, head))
+            callback(*args)
+
+        for delay, callback, args in items:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            entries.append((now + delay, seq, callback, args))
+            seq += 1
+        if entries:
+            entries.sort(reverse=True)
+            self._live += len(entries)
+            self._seq = seq
+            head = entries.pop()
+            heappush(heap, (head[0], head[1], fire, head))
+
     # ------------------------------------------------------------------
 
     @property
@@ -171,22 +204,6 @@ class EventLoop:
     @property
     def events_run(self) -> int:
         return self._events_run
-
-    def next_event_time(self) -> Optional[float]:
-        """Deadline of the earliest *live* event, or None when idle.
-
-        Pops cancelled entries off the top while peeking (adjusting the
-        dead count), so repeated calls are amortized O(1).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3] is None and entry[2].callback is None:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            return entry[0]
-        return None
 
     def _compact(self) -> None:
         """Drop cancelled handle entries and restore the heap invariant.

@@ -78,17 +78,12 @@ def drive_incast_packets(
     :class:`~repro.core.ecn.EcnSwitch` fabrics: the sink's last-hop
     backlog marks packets, observable via ``switch.packets_marked``.
     """
-    for sender in spec.senders:
-        agent = fabric.agents[sender]
-        for i in range(packets_per_sender):
-            fabric.loop.schedule(
-                spec.start_s + i * gap_s,
-                agent.send_app,
-                spec.sink,
-                ("incast", sender, i),
-                packet_bytes,
-                (sender, spec.sink),
-            )
+    fabric.loop.call_batch(
+        (spec.start_s + i * gap_s, fabric.agents[sender].send_app,
+         (spec.sink, ("incast", sender, i), packet_bytes, (sender, spec.sink)))
+        for sender in spec.senders
+        for i in range(packets_per_sender)
+    )
     fabric.run_until_idle()
     sink = fabric.agents[spec.sink]
     return sum(

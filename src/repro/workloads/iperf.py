@@ -188,9 +188,10 @@ def measure_rtts(
         send_times[(src, dst, seq)] = (fabric.loop.now, cold)
         agent.send_app(dst, ("ping", src, seq), payload_bytes=64)
 
-    for index, (src, dst) in enumerate(pairs):
-        base = index * stagger_s
-        for seq in range(packets_per_pair):
-            fabric.loop.schedule(base + seq * gap_s, launch, src, dst, seq)
+    fabric.loop.call_batch(
+        (index * stagger_s + seq * gap_s, launch, (src, dst, seq))
+        for index, (src, dst) in enumerate(pairs)
+        for seq in range(packets_per_pair)
+    )
     fabric.run_until_idle()
     return samples

@@ -110,6 +110,26 @@ class TestEventLoop:
         # Equal deadlines fire in scheduling order.
         assert order == ["schedule_at", "call_at"]
 
+    def test_call_batch_fires_in_time_then_scheduling_order(self):
+        loop = EventLoop()
+        order = []
+        loop.call_after(1.0, order.append, "before")
+        loop.call_batch((d, order.append, (i,)) for i, d in enumerate([2.0, 1.0, 0.0, 1.0]))
+        loop.call_after(1.0, order.append, "after")
+        assert loop.pending == 6
+        assert len(loop._heap) == 3  # the batch keeps only its head there
+        assert loop.run() == 6
+        assert order == [2, "before", 1, 3, "after", 0]
+        assert loop.now == 2.0 and loop.events_run == 6 and loop.pending == 0
+
+    def test_call_batch_negative_delay_schedules_nothing(self):
+        loop = EventLoop()
+        with pytest.raises(SimulationError):
+            loop.call_batch([(1.0, print, ()), (-1e-9, print, ())])
+        assert loop.pending == 0 and loop.run() == 0
+        loop.call_batch([])
+        assert loop.pending == 0
+
     def test_schedule_at_past_time_rejected(self):
         loop = EventLoop()
         loop.schedule(1.0, lambda: None)
@@ -121,16 +141,6 @@ class TestEventLoop:
         loop.schedule_at(1.0, fired.append, 1)
         loop.run()
         assert fired == [1]
-
-    def test_next_event_time_skips_cancelled(self):
-        loop = EventLoop()
-        early = loop.schedule(1.0, lambda: None)
-        loop.schedule(2.0, lambda: None)
-        assert loop.next_event_time() == 1.0
-        early.cancel()
-        assert loop.next_event_time() == 2.0
-        loop.run()
-        assert loop.next_event_time() is None
 
 
 class Recorder(Device):
@@ -266,6 +276,23 @@ class TestDevice:
         loop = EventLoop()
         dev = Recorder("solo", loop)
         assert dev.send(3, FakeFrame()) is False
+
+    @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
+    def test_proc_delay_must_be_finite_and_non_negative(self, bad):
+        # Checked once, at construction and in the setter, instead of
+        # per frame (where the idle and queued paths raised different
+        # errors, and only after the bad value had been accepted).
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="proc_delay"):
+            Recorder("r", loop, proc_delay=bad)
+        dev = Recorder("r", loop, proc_delay=1e-6)
+        with pytest.raises(ValueError, match="proc_delay"):
+            dev.proc_delay = bad
+        assert dev.proc_delay == 1e-6
+
+    def test_proc_delay_is_a_number_not_a_callable(self):
+        with pytest.raises(TypeError):
+            Recorder("r", EventLoop(), proc_delay=lambda _frame: 1e-6)
 
 
 class TestNetworkBuilder:
@@ -475,6 +502,25 @@ class TestChannelFifo:
         loop.run()
         assert len(b.packets) == 1
         assert b.packets[0][0] == pytest.approx(t0 + 1.0)  # not t0 + 11s
+
+    def test_frame_on_the_wire_across_a_flap_is_dropped(self):
+        # Regression: only the line state at arrival was checked, so a
+        # frame in flight across fail(); restore() was delivered -- at
+        # 18 us, after a frame sent behind it (15.08 us), because the
+        # flap had reset the FIFO clamp.
+        loop = EventLoop()
+        a, b, ch = wire_pair(loop, bandwidth=1e9, latency=10e-6)
+        a.send(1, "old", size_bits=8000)
+
+        def flap_then_send():
+            ch.fail()
+            ch.restore()
+            a.send(1, "new", size_bits=80)
+
+        loop.schedule(5e-6, flap_then_send)
+        loop.run()
+        assert [(t, f) for t, _p, f in b.packets] == [(pytest.approx(15.08e-6), "new")]
+        assert ch.frames_delivered == 1 and ch.frames_dropped == 1
 
 
 @settings(deadline=None, max_examples=40)
