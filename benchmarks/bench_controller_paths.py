@@ -38,7 +38,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core.controller import Controller
 from repro.core.pathgraph import build_path_graph
-from repro.core.pathservice import link_cache_key
 from repro.netsim.events import EventLoop
 from repro.topology import cube
 from repro.topology.fattree import fat_tree
@@ -164,12 +163,13 @@ def bench_failure_storm(ctl: Controller, pairs) -> dict:
     evicted_total = 0
     invalidate_wall = 0.0
     for sw_a, port_a, sw_b, port_b in storm:
-        lk = link_cache_key(sw_a, port_a, sw_b, port_b)
-        affected = {
-            key
-            for key in service.cached_keys()
-            if lk in service._links_of.get(key, ())
-        }
+        # A graph names each cable once, in either orientation.
+        orientations = {(sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)}
+        affected = set()
+        for key in service.cached_keys():
+            graph = service.path_graph(view, *key)  # a hit
+            if graph is not None and orientations & set(graph.edges):
+                affected.add(key)
         survivors = set(service.cached_keys()) - affected
         view.remove_link(sw_a, port_a, sw_b, port_b)
         t0 = time.perf_counter()

@@ -38,7 +38,6 @@ from .pathservice import (
     PathService,
     PathServiceStats,
     StablePathRng,
-    link_cache_key,
     stable_salt,
 )
 from .pathcache import CachedPath, PathTable, PathTableEntry, TopoCache
@@ -109,7 +108,6 @@ __all__ = [
     "PathService",
     "PathServiceStats",
     "StablePathRng",
-    "link_cache_key",
     "stable_salt",
     "TopoCache",
     "PathTable",

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..netsim.device import Device
 from ..netsim.events import EventLoop
 from ..netsim.network import HOST_NIC_PORT, Network
-from ..topology.graph import Topology
+from ..topology.graph import TopologyError
 from .discovery import ProbeOutcome, ProbeSpec, ProbeTransport
 from .messages import (
     Ack,
@@ -63,7 +63,7 @@ RoutingFunction = Callable[["HostAgent", str, object], Optional[CachedPath]]
 class AgentConfig:
     """Tunables of one host agent."""
 
-    #: How many shortest paths TopoCache computes per destination.
+    #: How many shortest paths the agent installs per destination.
     k_paths: int = 4
     #: Path-graph parameters the host passes along to the controller.
     path_graph_s: int = 2
@@ -443,13 +443,11 @@ class HostAgent(Device):
                 sw_a, port_a, sw_b, port_b = change.args
                 self.topo_cache.port_up(sw_a, port_a)
                 self.topo_cache.port_up(sw_b, port_b)
-                if self.topo_cache.fragment.has_switch(sw_a) and self.topo_cache.fragment.has_switch(sw_b):
-                    if not self.topo_cache.fragment.has_link(sw_a, port_a, sw_b, port_b):
-                        if (
-                            self.topo_cache.fragment.peer(sw_a, port_a) is None
-                            and self.topo_cache.fragment.peer(sw_b, port_b) is None
-                        ):
-                            self.topo_cache.fragment.add_link(sw_a, port_a, sw_b, port_b)
+                fragment = self.topo_cache.fragment
+                # A cable already cached occupies both of these ports.
+                if fragment.has_switch(sw_a) and fragment.has_switch(sw_b):
+                    if fragment.peer(sw_a, port_a) is None and fragment.peer(sw_b, port_b) is None:
+                        fragment.add_link(sw_a, port_a, sw_b, port_b)
             elif change.op == "switch-up":
                 switch, num_ports = change.args
                 if not self.topo_cache.fragment.has_switch(switch):
@@ -518,21 +516,23 @@ class HostAgent(Device):
         att_dst = self.topo_cache.attachment(dst)
         if att_src is None or att_dst is None:
             return
-        switch_paths = self.topo_cache.k_shortest(self.name, dst, self.config.k_paths)
+        fragment = self.topo_cache.fragment
+        src_sw, dst_sw = att_src[0], att_dst[0]
+        # One walk-back tree serves Yen's first path and the primary.
+        tree = fragment.sssp_tree(src_sw, stop=dst_sw)
+        switch_paths = fragment.k_shortest_switch_paths(src_sw, dst_sw, self.config.k_paths, tree)
         primaries = []
         for switches in switch_paths:
             try:
                 primaries.append(self.topo_cache.encode(self.name, switches, dst))
-            except Exception:
+            except TopologyError:
                 continue
         backup = None
-        _primary, backup_switches = primary_and_backup(
-            self.topo_cache.fragment, att_src[0], att_dst[0], self.rng
-        )
+        _primary, backup_switches = primary_and_backup(fragment, src_sw, dst_sw, self.rng, tree)
         if backup_switches is not None:
             try:
                 backup = self.topo_cache.encode(self.name, backup_switches, dst)
-            except Exception:
+            except TopologyError:
                 backup = None
         if primaries or backup:
             if self.obs is not None:

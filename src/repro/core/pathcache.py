@@ -1,8 +1,8 @@
 """The host agent's two-level path cache (Section 5.2, Figure 4).
 
 * :class:`TopoCache` aggregates the path graphs the controller has
-  returned into one partial topology view, answers k-shortest-path
-  queries against it, and absorbs failure news and topology patches.
+  returned into one partial topology view, the fragment the agent's
+  k shortest paths come from, and absorbs failure news and patches.
 * :class:`PathTable` caches fully-encoded tag routes per destination
   host (the k shortest paths plus the backup path), remembers which
   path each flow is bound to, and invalidates instantly when a cached
@@ -55,7 +55,6 @@ class TopoCache:
         self.version = 0
         #: (switch, port) pairs known dead; survives fragment rebuilds.
         self.dead_ports: Set[Tuple[str, int]] = set()
-        self.graphs_merged = 0
 
     # ------------------------------------------------------------------
     # merging controller replies
@@ -65,13 +64,9 @@ class TopoCache:
         for sw_a, port_a, sw_b, port_b in reply.edges:
             self._ensure_switch(sw_a)
             self._ensure_switch(sw_b)
-            if not self.fragment.has_link(sw_a, port_a, sw_b, port_b):
-                occupied = (
-                    self.fragment.peer(sw_a, port_a) is not None
-                    or self.fragment.peer(sw_b, port_b) is not None
-                )
-                if not occupied:
-                    self.fragment.add_link(sw_a, port_a, sw_b, port_b)
+            # A cable already cached occupies both of these ports.
+            if self.fragment.peer(sw_a, port_a) is None and self.fragment.peer(sw_b, port_b) is None:
+                self.fragment.add_link(sw_a, port_a, sw_b, port_b)
         for host, attachment in (
             (reply.src, reply.src_attachment),
             (reply.dst, reply.dst_attachment),
@@ -79,7 +74,6 @@ class TopoCache:
             if attachment is not None:
                 self.record_attachment(host, attachment[0], attachment[1])
         self.version = max(self.version, reply.version)
-        self.graphs_merged += 1
         self._apply_dead_ports()
 
     def record_attachment(self, host: str, switch: str, port: int) -> None:
@@ -126,30 +120,15 @@ class TopoCache:
     # ------------------------------------------------------------------
     # queries
 
-    def knows_host(self, host: str) -> bool:
-        return self.fragment.has_host(host)
-
     def attachment(self, host: str) -> Optional[Tuple[str, int]]:
         if not self.fragment.has_host(host):
             return None
         ref = self.fragment.host_port(host)
         return (ref.switch, ref.port)
 
-    def k_shortest(self, src_host: str, dst_host: str, k: int) -> List[List[str]]:
-        """k shortest switch sequences between two known hosts."""
-        if not (self.fragment.has_host(src_host) and self.fragment.has_host(dst_host)):
-            return []
-        src_sw = self.fragment.host_port(src_host).switch
-        dst_sw = self.fragment.host_port(dst_host).switch
-        return self.fragment.k_shortest_switch_paths(src_sw, dst_sw, k)
-
     def encode(self, src_host: str, switches: Sequence[str], dst_host: str) -> CachedPath:
         tags = self.fragment.encode_path(src_host, switches, dst_host)
         return CachedPath.from_encoding(switches, tags)
-
-    @property
-    def size_switches(self) -> int:
-        return len(self.fragment.switches)
 
 
 #: Tombstone binding index: the flow *was* bound but its path died.
@@ -170,9 +149,6 @@ class PathTableEntry:
     flow_bindings: Dict[object, int] = field(default_factory=dict)
     #: Flow keys already counted as failed over to the backup path.
     backup_flows: Set[object] = field(default_factory=set)
-
-    def alive_primaries(self) -> List[CachedPath]:
-        return list(self.primaries)
 
     @property
     def empty(self) -> bool:

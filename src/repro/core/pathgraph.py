@@ -55,11 +55,6 @@ class PathGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_keys(self) -> Set[FrozenSet[Tuple[str, int]]]:
-        return {
-            frozenset(((a, ap), (b, bp))) for a, ap, b, bp in self.edges
-        }
-
 
 def detour_vertices(
     topology: Topology,
@@ -77,6 +72,9 @@ def detour_vertices(
     ``distances`` substitutes a memoized source -> distance-map provider
     (e.g. the controller path service's shared SSSP trees) for the
     per-window BFS; it must agree with ``topology.switch_distances``.
+    Every map must list switches in nondecreasing distance (level
+    order), as ``switch_distances`` and ``SSSPTree.dist`` do: the scan
+    of a window stops at the first switch beyond the budget.
     """
     if s < 1:
         raise ValueError(f"detour window s must be >= 1, got {s}")
@@ -86,16 +84,16 @@ def detour_vertices(
     detours: Set[str] = set()
     length = len(primary)
     step = max(1, s // 2)
+    budget = s + epsilon
     i = 0
     while i < length - 1:
         a = primary[i]
         b = primary[min(i + s, length - 1)]
         dist_a = dist_of(a)
         dist_b = dist_of(b)
-        budget = s + epsilon
         for x, da in dist_a.items():
             if da > budget:
-                continue
+                break
             db = dist_b.get(x)
             if db is not None and da + db <= budget:
                 detours.add(x)
@@ -110,16 +108,34 @@ def backup_path(
 ) -> Optional[List[str]]:
     """A short path sharing as few cables as possible with ``primary``:
     the shortest-path search re-run with every primary cable (parallel
-    ones included) made expensive, so reuse happens only where there is
-    no redundancy (Section 4.3).  None when it cannot differ."""
+    ones included) priced at :data:`BACKUP_LINK_PENALTY`, so reuse
+    happens only where there is no redundancy (Section 4.3).  None when
+    it cannot differ.
+
+    When ``dst`` is D < penalty hops away without a primary cable, that
+    penalised Dijkstra is a level-order BFS over the graph minus those
+    cables, up to D's level.  A switch at depth d < penalty only has
+    unpenalised parents, at depth d - 1: a penalised relaxation only
+    sets a tentative >= penalty, which the first cheap one resets
+    (parents included) and never ties.  Pushing such tentatives uses up
+    counter values but never reorders the cheap pushes, and none pops
+    before ``dst``.  So the pop order, every parent list's contents and
+    order, and each ``rng.choice`` of the walk-back are the Dijkstra's.
+    Only when the primary's cables separate src from dst (or D reaches
+    the penalty) does the penalised search itself run.
+    """
+    if len(primary) < 2:
+        return None
+    src, dst = primary[0], primary[-1]
     costs = {
         link.key(): BACKUP_LINK_PENALTY
         for here, there in zip(primary, primary[1:])
         for link in topology.links_between(here, there)
     }
-    backup = topology.shortest_switch_path(
-        primary[0], primary[-1], rng=rng, link_costs=costs
-    )
+    tree = topology.sssp_tree(src, avoid=costs, stop=dst)
+    if tree.dist.get(dst, BACKUP_LINK_PENALTY) < BACKUP_LINK_PENALTY:
+        return tree.path_to(dst, rng=rng)
+    backup = topology.shortest_switch_path(src, dst, rng=rng, link_costs=costs)
     return None if backup == list(primary) else backup
 
 
@@ -157,8 +173,8 @@ def build_path_graph(
     ``src_switch``) and ``distances`` (a memoized source -> distance-map
     provider) let the controller's path service share shortest-path work
     across queries; both must describe ``topology`` exactly.  The backup
-    path always runs a fresh search because its link costs are unique to
-    this primary.
+    path always runs a fresh search because the cables it avoids are
+    this primary's.
     """
     primary, backup = primary_and_backup(
         topology, src_switch, dst_switch, rng, tree
@@ -174,22 +190,13 @@ def build_path_graph(
             detour_vertices(topology, primary, s, epsilon, distances=distances)
         )
 
-    # Every cable hangs off both of its switches: emit it from its ``a``
-    # side only and each induced edge appears exactly once.
-    edges: List[Tuple[str, int, str, int]] = []
-    for node in nodes:
-        for link in topology.links_of(node):
-            a, b = link.a, link.b
-            if a.switch == node and b.switch in nodes:
-                edges.append((node, a.port, b.switch, b.port))
-
     return PathGraph(
         src_switch=src_switch,
         dst_switch=dst_switch,
         primary=tuple(primary),
         backup=tuple(backup) if backup else None,
         nodes=frozenset(nodes),
-        edges=tuple(sorted(edges)),
+        edges=tuple(sorted(topology.links_within(nodes))),
         s=s,
         epsilon=epsilon,
     )

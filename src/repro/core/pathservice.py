@@ -58,22 +58,13 @@ __all__ = [
     "PathService",
     "PathServiceStats",
     "StablePathRng",
-    "link_cache_key",
     "stable_salt",
 ]
 
-#: Orientation-independent identity of a cable in the reverse index.
-LinkCacheKey = Tuple[Tuple[str, int], Tuple[str, int]]
 #: One cached path graph: (src switch, dst switch, s, epsilon).
 GraphKey = Tuple[str, str, int, int]
 
 _MISSING = object()
-
-
-def link_cache_key(sw_a: str, port_a: int, sw_b: str, port_b: int) -> LinkCacheKey:
-    """Normalize a cable's endpoints so both orientations collide."""
-    a, b = (sw_a, port_a), (sw_b, port_b)
-    return (a, b) if a <= b else (b, a)
 
 
 def stable_salt(seed: int, src: str, dst: str, s: int, epsilon: int) -> str:
@@ -166,8 +157,9 @@ class PathService:
         self.seed = seed
         self.stats = PathServiceStats()
         self._graphs: "OrderedDict[GraphKey, Optional[PathGraph]]" = OrderedDict()
-        self._by_link: Dict[LinkCacheKey, Set[GraphKey]] = {}
-        self._links_of: Dict[GraphKey, Tuple[LinkCacheKey, ...]] = {}
+        #: Reverse index: each cached graph's own ``edges`` tuples (every
+        #: cable once, from its ``a`` side) -> the keys holding them.
+        self._by_link: Dict[Tuple[str, int, str, int], Set[GraphKey]] = {}
         self._trees: Dict[str, SSSPTree] = {}
         #: Coherency epoch: (view.uid, view.topo_version) the cached
         #: state was built against; None when empty.
@@ -205,7 +197,7 @@ class PathService:
         return tree
 
     def distances(self, view: Topology, source: str) -> Mapping[str, float]:
-        """Hop-distance map from ``source`` (tree-backed, memoized)."""
+        """Level-ordered hop-distance map from ``source`` (memoized tree)."""
         return self.tree(view, source).dist
 
     def shortest_path(
@@ -261,27 +253,24 @@ class PathService:
         )
 
     def _insert(self, key: GraphKey, graph: Optional[PathGraph]) -> None:
-        links: Tuple[LinkCacheKey, ...] = ()
-        if graph is not None:
-            links = tuple(
-                {link_cache_key(a, ap, b, bp) for a, ap, b, bp in graph.edges}
-            )
         self._graphs[key] = graph
-        self._links_of[key] = links
-        for lk in links:
-            self._by_link.setdefault(lk, set()).add(key)
+        if graph is not None:
+            for edge in graph.edges:
+                self._by_link.setdefault(edge, set()).add(key)
         while len(self._graphs) > self.capacity:
-            old_key, _old = self._graphs.popitem(last=False)
-            self._forget(old_key)
+            old_key, old = self._graphs.popitem(last=False)
+            self._forget(old_key, old)
             self.stats.capacity_evictions += 1
 
-    def _forget(self, key: GraphKey) -> None:
-        for lk in self._links_of.pop(key, ()):
-            bucket = self._by_link.get(lk)
+    def _forget(self, key: GraphKey, graph: Optional[PathGraph]) -> None:
+        if graph is None:
+            return
+        for edge in graph.edges:
+            bucket = self._by_link.get(edge)
             if bucket is not None:
                 bucket.discard(key)
                 if not bucket:
-                    del self._by_link[lk]
+                    del self._by_link[edge]
 
     # ------------------------------------------------------------------
     # invalidation
@@ -314,16 +303,11 @@ class PathService:
             return 0
         self._epoch = current
         self._trees.clear()
-        keys = self._by_link.pop(
-            link_cache_key(sw_a, port_a, sw_b, port_b), None
-        )
-        if not keys:
-            return 0
+        # The caller may name the cable from either side.
         evicted = 0
-        for key in list(keys):
-            if key in self._graphs:
-                del self._graphs[key]
-                self._forget(key)
+        for edge in ((sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)):
+            for key in self._by_link.pop(edge, ()):
+                self._forget(key, self._graphs.pop(key))
                 evicted += 1
         self.stats.link_evictions += evicted
         return evicted
@@ -358,6 +342,5 @@ class PathService:
     def _drop_all(self) -> None:
         self._graphs.clear()
         self._by_link.clear()
-        self._links_of.clear()
         self._trees.clear()
         self._epoch = None

@@ -120,9 +120,6 @@ class SSSPTree:
     dist: Dict[str, float] = field(default_factory=dict)
     parents: Dict[str, List[str]] = field(default_factory=dict)
 
-    def reaches(self, switch: str) -> bool:
-        return switch in self.dist
-
     def path_to(
         self, dst: str, rng: Optional[random.Random] = None
     ) -> Optional[List[str]]:
@@ -349,6 +346,16 @@ class Topology:
     def links_between(self, sw_a: str, sw_b: str) -> List[Link]:
         return [link for nbr, link in self._adj.get(sw_a, ()) if nbr == sw_b]
 
+    def links_within(self, switches: Collection[str]) -> List[Tuple[str, int, str, int]]:
+        """Every cable with both ends in ``switches``, once, as ``(a
+        switch, a port, b switch, b port)``: emitted from its ``a`` side."""
+        return [
+            (sw, link.a.port, nbr, link.b.port)
+            for sw in switches
+            for nbr, link in self._adj[sw]
+            if nbr in switches and link.a.switch == sw
+        ]
+
     def degree(self, switch: str) -> int:
         return len(self._adj.get(switch, ()))
 
@@ -409,8 +416,14 @@ class Topology:
             frontier = nxt
         return dist
 
-    def sssp_tree(self, source: str) -> SSSPTree:
-        """The full unit-cost shortest-path DAG from ``source``.
+    def sssp_tree(
+        self,
+        source: str,
+        *,
+        avoid: Collection[FrozenSet[PortRef]] = (),
+        stop: Optional[str] = None,
+    ) -> SSSPTree:
+        """The unit-cost shortest-path DAG from ``source``.
 
         A level-order BFS over the adjacency lists in wiring order.
         That is exactly what a ``(distance, push counter)`` Dijkstra
@@ -421,16 +434,36 @@ class Topology:
         would, with identical parent lists for every switch a walk-back
         can visit, so callers that serve many destinations from one
         source (the controller's path service) compute it once.
+
+        ``avoid`` (cable keys) searches the graph without those cables.
+        ``stop`` ends the search at the level that reaches that switch:
+        the tree then holds the levels before it, whose parent lists are
+        complete, and ``stop`` with all of its parents -- exactly what
+        ``path_to(stop)`` walks.  ``dist`` is in level order either way.
         """
         if source not in self._switch_ports:
             raise TopologyError(f"unknown switch {source!r}")
         adj = self._adj
+        if avoid:
+            # Only the avoided cables' own switches get a filtered list.
+            adj = dict(adj)
+            for sw in {end.switch for key in avoid for end in key}:
+                adj[sw] = [(nbr, link) for nbr, link in adj[sw] if link._key not in avoid]
+        into_stop = {nbr for nbr, _link in adj.get(stop, ())}
         dist: Dict[str, float] = {source: 0.0}
         parents: Dict[str, List[str]] = {}
         frontier = [source]
         d = 0.0
-        while frontier:
+        while frontier and stop not in dist:
             d += 1.0
+            if into_stop:
+                # ``stop`` is in this level iff the frontier cables to it,
+                # and those switches, in frontier order, are its parents.
+                tied = [sw for sw in frontier if sw in into_stop]
+                if tied:
+                    parents[stop] = tied
+                    dist[stop] = d
+                    break
             # A switch gets its distance when its level is complete, so
             # "has parents but no distance yet" means "first reached in
             # this level": another edge into it is an equal-cost tie.
@@ -522,11 +555,14 @@ class Topology:
         path.reverse()
         return path
 
-    def k_shortest_switch_paths(self, src: str, dst: str, k: int) -> List[List[str]]:
-        """Yen's algorithm for the k shortest loop-free switch sequences."""
+    def k_shortest_switch_paths(
+        self, src: str, dst: str, k: int, tree: Optional[SSSPTree] = None
+    ) -> List[List[str]]:
+        """Yen's algorithm for the k shortest loop-free switch sequences;
+        ``tree`` serves the first one as in :meth:`shortest_switch_path`."""
         if k < 1:
             return []
-        first = self.shortest_switch_path(src, dst)
+        first = self.shortest_switch_path(src, dst, tree=tree)
         if first is None:
             return []
         paths = [first]

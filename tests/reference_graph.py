@@ -3,9 +3,10 @@
 These are the bodies ``repro.topology.graph`` and
 ``repro.core.pathgraph`` had before the path-kernel rewrite (commit
 b8eb70d), copied as plain functions over a :class:`Topology`: a fresh
-sorted set per ``neighbors`` call, a heap Dijkstra for ``sssp_tree``, a
-``frozenset`` built per relaxed edge, Yen's with linear-scan dedup, and
-the double-walk edge induction.  They read only ``_adj`` and
+sorted set per ``neighbors`` call, a heap Dijkstra for ``sssp_tree`` and
+for the penalised backup search, a ``frozenset`` built per relaxed edge,
+Yen's with linear-scan dedup, a detour scan over whole distance maps,
+and the double-walk edge induction.  They read only ``_adj`` and
 ``_switch_ports`` and share no code with the kernel, so
 ``test_graph_differential.py`` can demand kernel == reference.  Nothing
 under ``src/`` may import this module.
@@ -14,7 +15,7 @@ under ``src/`` may import this module.
 import heapq
 import itertools
 
-from repro.core.pathgraph import PathGraph, detour_vertices
+from repro.core.pathgraph import PathGraph
 from repro.topology.graph import SSSPTree, TopologyError
 
 BACKUP_LINK_PENALTY = 1000.0
@@ -168,23 +169,49 @@ def k_shortest_switch_paths(topo, src, dst, k):
     return paths
 
 
+def detour_vertices(topo, primary, s, epsilon, distances):
+    """Algorithm 1, scanning every entry of every window's distance map."""
+    detours = set()
+    length = len(primary)
+    step = max(1, s // 2)
+    i = 0
+    while i < length - 1:
+        a = primary[i]
+        b = primary[min(i + s, length - 1)]
+        dist_a = distances(a)
+        dist_b = distances(b)
+        budget = s + epsilon
+        for x, da in dist_a.items():
+            if da > budget:
+                continue
+            db = dist_b.get(x)
+            if db is not None and da + db <= budget:
+                detours.add(x)
+        i += step
+    return detours
+
+
+def backup_path(topo, primary, rng=None):
+    """The penalised Dijkstra: every cable between consecutive primary
+    switches (parallel ones included) costs ``BACKUP_LINK_PENALTY``."""
+    costs = {}
+    for here, there in zip(primary, primary[1:]):
+        for nbr, link in topo._adj.get(here, ()):
+            if nbr == there:
+                costs[link_key(link)] = BACKUP_LINK_PENALTY
+    backup = shortest_switch_path(
+        topo, primary[0], primary[-1], rng=rng, link_costs=costs
+    )
+    return None if backup == list(primary) else backup
+
+
 def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
     """The seed builder without its ``tree`` / ``distances`` shortcuts
     (both were required to agree with the fresh searches below)."""
     primary = shortest_switch_path(topo, src_switch, dst_switch, rng=rng)
     if primary is None:
         return None
-    costs = {}
-    for here, there in zip(primary, primary[1:]):
-        for nbr, link in topo._adj.get(here, ()):
-            if nbr == there:
-                costs[link_key(link)] = BACKUP_LINK_PENALTY
-    backup_list = shortest_switch_path(
-        topo, src_switch, dst_switch, rng=rng, link_costs=costs
-    )
-    backup = tuple(backup_list) if backup_list is not None else None
-    if backup == tuple(primary):
-        backup = None
+    backup = backup_path(topo, primary, rng)
 
     nodes = set(primary)
     if backup:
@@ -211,7 +238,7 @@ def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
         src_switch=src_switch,
         dst_switch=dst_switch,
         primary=tuple(primary),
-        backup=backup,
+        backup=tuple(backup) if backup else None,
         nodes=frozenset(nodes),
         edges=tuple(sorted(edges)),
         s=s,

@@ -7,7 +7,10 @@ wires random views (parallel cables included), interleaves queries with
 filled and then invalidated, and demands equal answers: same distances,
 same parent lists *in the same order*, same paths for the same seeded
 rng (and the rng left in the same state), same Yen lists, same
-``PathGraph``.
+``PathGraph``.  Two more properties pin the pieces that stopped being
+the seed's searches: the backup BFS against the penalised Dijkstra, and
+a host agent's installs against seed Yen + the seed builder on its
+fragment over time.
 """
 
 import random
@@ -16,9 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_graph as ref
-from repro.core.fabric import DumbNetFabric
-from repro.core.pathgraph import build_path_graph
+from repro.core.host_agent import HostAgent
+from repro.core.messages import (
+    PathReply,
+    PortStateNotification,
+    TopologyChange,
+    TopologyPatch,
+)
+from repro.core.pathgraph import backup_path, build_path_graph, detour_vertices
 from repro.core.pathservice import PathService, StablePathRng
+from repro.netsim.events import EventLoop
 from repro.topology import cube, fat_tree, jellyfish
 
 
@@ -164,32 +174,206 @@ def test_kernel_equals_seed_algorithms_under_interleaved_mutation(
     assert_kernel_matches_reference(clone, seed, service)
 
 
-def test_install_paths_draws_from_the_agent_rng_like_the_seed_builder():
-    """``_install_paths`` used to build a whole path graph just to read
-    ``.backup``; the helper it calls now must leave ``agent.rng`` exactly
-    where that build left it (two walk-backs, same order) and install the
-    same backup."""
-    fabric = DumbNetFabric(fat_tree(4), controller_host="h0_0_0", seed=3)
-    fabric.adopt_blueprint()
-    pairs = [("h1_0_0", "h3_1_1"), ("h2_1_0", "h0_1_1"), ("h1_1_1", "h1_0_1")]
-    fabric.warm_paths(pairs)
-    for src, dst in pairs:
-        agent = fabric.agents[src]
-        cache = agent.topo_cache
+def assert_backup_and_detours_match_reference(topo, primary, pick, service):
+    mine, theirs = random.Random(pick), random.Random(pick)
+    assert backup_path(topo, primary, mine) == ref.backup_path(topo, primary, theirs)
+    assert mine.getstate() == theirs.getstate()
+    stable = StablePathRng(f"{pick}:{primary[0]}:{primary[-1]}")
+    assert backup_path(topo, primary, stable) == ref.backup_path(topo, primary, stable)
+    assert backup_path(topo, primary) == ref.backup_path(topo, primary)
+    for s, eps in ((2, 1), (1, 0), (3, 2)):
+        want = ref.detour_vertices(
+            topo, primary, s, eps, lambda source: ref.switch_distances(topo, source)
+        )
+        assert detour_vertices(topo, primary, s, eps) == want
+        assert detour_vertices(
+            topo, primary, s, eps,
+            distances=lambda source: service.distances(topo, source),
+        ) == want
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    parallel=st.lists(st.integers(0, 10**6), max_size=6),
+    tail=st.integers(0, 3),
+)
+def test_backup_bfs_equals_the_penalised_dijkstra(kind, a, b, seed, parallel, tail):
+    """``backup_path`` is a BFS over the view minus the primary's cables,
+    with the penalised Dijkstra left only as its fallback: the answer and
+    every draw of the walk-back must be the seed search's, and the detour
+    scan that stops at the budget must find the seed's detours with
+    either distance provider.  Extra parallel cables, plus one doubled
+    hop per primary, check that every cable of a primary hop is avoided;
+    a pendant tail, hung off the fabric by a bridge, makes every primary
+    into it separate its ends, so the fallback runs."""
+    topo = make_view(kind, a, b, seed)
+    for x in parallel:
+        mutate(topo, "parallel", x, 0)
+    switches = sorted(topo.switches)
+    end = switches[seed % len(switches)]
+    for i in range(tail):
+        port = free_port(topo, end)
+        if port is None:
+            break
+        topo.add_switch(f"tail{i}", 4)
+        topo.add_link(end, port, f"tail{i}", 1)
+        end = f"tail{i}"
+    service = PathService(seed=seed)
+    rng = random.Random(seed)
+    switches = sorted(topo.switches)
+    for k in range(6):
+        src = rng.choice(switches)
+        dst = end if k % 3 == 2 else rng.choice(switches)
+        pick = rng.randrange(10**6)
+        # A primary as the controller draws one: a seeded walk-back.
+        primary = ref.shortest_switch_path(topo, src, dst, rng=random.Random(pick))
+        if primary is None:
+            continue
+        assert_backup_and_detours_match_reference(topo, primary, pick, service)
+        if len(primary) < 2:
+            continue
+        hop = pick % (len(primary) - 1)
+        here, there = primary[hop], primary[hop + 1]
+        doubled = topo.copy()
+        port_a, port_b = free_port(doubled, here), free_port(doubled, there)
+        if port_a is not None and port_b is not None:
+            doubled.add_link(here, port_a, there, port_b)
+            assert_backup_and_detours_match_reference(doubled, primary, pick, service)
+
+
+def installed(agent, dst):
+    """One PathTable entry as plain tag tuples: (primaries, backup)."""
+    entry = agent.path_table.entry(dst)
+    if entry is None:
+        return None
+    backup = entry.backup.tags if entry.backup is not None else None
+    return [path.tags for path in entry.primaries], backup
+
+
+def seed_install(agent, dst, rng):
+    """What ``_install_paths(dst)`` must install on the agent's fragment
+    as it stands: seed Yen's paths and the backup of the seed builder
+    drawing from ``rng``.  None when it installs nothing."""
+    fragment = agent.topo_cache.fragment
+    if not (fragment.has_host(agent.name) and fragment.has_host(dst)):
+        return None
+    src_sw = fragment.host_port(agent.name).switch
+    dst_sw = fragment.host_port(dst).switch
+    config = agent.config
+    primaries = [
+        tuple(fragment.encode_path(agent.name, path, dst))
+        for path in ref.k_shortest_switch_paths(fragment, src_sw, dst_sw, config.k_paths)
+    ]
+    graph = ref.build_path_graph(
+        fragment, src_sw, dst_sw, config.path_graph_s, config.path_graph_epsilon, rng=rng
+    )
+    backup = None
+    if graph is not None and graph.backup is not None:
+        backup = tuple(fragment.encode_path(agent.name, list(graph.backup), dst))
+    if not primaries and backup is None:
+        return None
+    return primaries, backup
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["reply", "reply", "news", "link-down", "link-up", "switch-down"]
+            ),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_install_paths_draws_from_the_agent_rng_like_the_seed_builder(
+    kind, a, b, seed, steps
+):
+    """``_install_paths`` takes Yen's first path and the primary from one
+    early-stopping tree and the backup from a BFS.  After every step of
+    any mix of controller replies, failure news and topology patches
+    (whose refresh reinstalls only the degraded entries), every PathTable
+    entry and ``agent.rng`` must be what seed Yen and the seed builder
+    give on the same fragment."""
+    truth = make_view(kind, a, b, seed)
+    for x in range(seed % 4):
+        mutate(truth, "parallel", seed + x, 0)
+    hosts = sorted(truth.hosts)
+    switches = sorted(truth.switches)
+    cables = sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in truth.links)
+    me = hosts[seed % len(hosts)]
+    others = [host for host in hosts if host != me]
+    agent = HostAgent(me, EventLoop(), rng=random.Random(seed))
+    home = truth.host_port(me)
+    agent.topo_cache.record_attachment(me, home.switch, home.port)
+    refreshes = []
+    refresh = agent._refresh_cached_paths
+
+    def spy():  # the entries a patch's refresh starts from
+        refreshes.append(
+            {dst: installed(agent, dst) for dst in agent.path_table.destinations()}
+        )
+        refresh()
+
+    agent._refresh_cached_paths = spy
+    for version, (op, x, y) in enumerate(steps, start=1):
         twin = random.Random()
         twin.setstate(agent.rng.getstate())
-        graph = ref.build_path_graph(
-            cache.fragment,
-            cache.attachment(src)[0],
-            cache.attachment(dst)[0],
-            s=agent.config.path_graph_s,
-            epsilon=agent.config.path_graph_epsilon,
-            rng=twin,
-        )
-        agent._install_paths(dst)
-        assert agent.rng.getstate() == twin.getstate()
-        installed = agent.path_table.entry(dst).backup
-        if graph.backup is None:
-            assert installed is None
+        if op == "reply":
+            dst = others[x % len(others)]
+            src_ref, dst_ref = truth.host_port(me), truth.host_port(dst)
+            graph = build_path_graph(
+                truth, src_ref.switch, dst_ref.switch, rng=random.Random(y)
+            )
+            if graph is None:
+                continue
+            want = {d: installed(agent, d) for d in agent.path_table.destinations()}
+            agent.topo_cache.merge_reply(PathReply(
+                nonce=version, src=me, dst=dst, found=True,
+                src_attachment=(src_ref.switch, src_ref.port),
+                dst_attachment=(dst_ref.switch, dst_ref.port),
+                edges=graph.edges, version=version,
+            ))
+            agent._install_paths(dst)
+            fresh = seed_install(agent, dst, twin)
+            if fresh is not None:
+                want[dst] = fresh
+        elif op == "news":
+            sw_a, port_a, sw_b, port_b = cables[x % len(cables)]
+            switch, port = (sw_a, port_a) if y % 2 else (sw_b, port_b)
+            agent._on_news(
+                PortStateNotification(switch=switch, port=port, up=False, seq=version)
+            )
+            want = {d: installed(agent, d) for d in agent.path_table.destinations()}
         else:
-            assert installed.tags == cache.encode(src, list(graph.backup), dst).tags
+            args = (switches[x % len(switches)],) if op == "switch-down" else cables[x % len(cables)]
+            agent._on_patch(TopologyPatch(
+                version=version, changes=(TopologyChange(op, args),), origin="ctl"
+            ))
+            want = {}
+            for dst, entry in refreshes.pop().items():
+                if entry is not None and len(entry[0]) >= agent.config.k_paths:
+                    want[dst] = entry
+                else:
+                    want[dst] = seed_install(agent, dst, twin) or entry
+        assert {d: installed(agent, d) for d in agent.path_table.destinations()} == want
+        assert agent.rng.getstate() == twin.getstate()

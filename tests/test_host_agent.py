@@ -9,6 +9,7 @@ from repro.core.messages import AppData, ProbeMessage, ProbeReply
 from repro.core.packet import ETHERTYPE_DUMBNET, ETHERTYPE_IPV4, Packet, PathTags
 from repro.netsim import EventLoop
 from repro.topology import figure1, leaf_spine
+from repro.topology.graph import TopologyError
 
 
 class TestReceiveFiltering:
@@ -125,6 +126,28 @@ class TestSendPath:
         # The verifier rejected the app route and no default path was
         # taken through the override (falls back to the path table).
         assert h4.dropped_invalid >= 1
+
+    def test_install_drops_only_stale_encodings(self, fig1_fabric):
+        """A path the fragment cannot encode (TopologyError) is skipped;
+        any other error from encoding is a bug and must surface."""
+        h4 = fig1_fabric.agents["H4"]
+        h4.send_app("H5", "warm")
+        fig1_fabric.run_until_idle()
+        entry = h4.path_table.entry("H5")
+
+        def stale(*args):
+            raise TopologyError("stale fragment")
+
+        h4.topo_cache.encode = stale
+        h4._install_paths("H5")
+        assert h4.path_table.entry("H5") is entry  # nothing encodable
+
+        def broken(*args):
+            raise KeyError("bug")
+
+        h4.topo_cache.encode = broken
+        with pytest.raises(KeyError):
+            h4._install_paths("H5")
 
     def test_request_retry_then_give_up(self):
         """With no controller reachable, path requests retry and stop."""

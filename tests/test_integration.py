@@ -105,7 +105,7 @@ class TestEcmpDegenerateEquivalence:
         agent.send_app("h2_0_0", "x")
         fab.run_until_idle()
         # DumbNet's cached shortest paths between the two edges.
-        cached = agent.topo_cache.k_shortest("h0_0_0", "h2_0_0", 16)
+        cached = agent.topo_cache.fragment.k_shortest_switch_paths("edge0_0", "edge2_0", 16)
         cached_shortest = {
             tuple(p) for p in cached if len(p) == len(cached[0])
         }

@@ -37,15 +37,15 @@ class TestTopoCache:
         topo = figure1()
         cache = TopoCache("H4")
         cache.merge_reply(make_reply(topo, "H4", "H5"))
-        assert cache.knows_host("H5")
+        assert cache.fragment.has_host("H5")
         assert cache.attachment("H4") == ("S4", 6)
-        assert cache.size_switches == 5
+        assert len(cache.fragment.switches) == 5
 
     def test_k_shortest_on_fragment(self):
         topo = figure1()
         cache = TopoCache("H4")
         cache.merge_reply(make_reply(topo, "H4", "H5"))
-        paths = cache.k_shortest("H4", "H5", 3)
+        paths = cache.fragment.k_shortest_switch_paths("S4", "S5", 3)
         assert paths
         assert all(p[0] == "S4" and p[-1] == "S5" for p in paths)
         assert paths[0] in (["S4", "S5"],)
@@ -63,7 +63,7 @@ class TestTopoCache:
         cache = TopoCache("H4")
         cache.merge_reply(make_reply(topo, "H4", "H5"))
         cache.port_down("S4", 3)
-        assert cache.k_shortest("H4", "H5", 1)[0] != ["S4", "S5"]
+        assert cache.fragment.k_shortest_switch_paths("S4", "S5", 1)[0] != ["S4", "S5"]
 
     def test_dead_port_survives_new_merges(self):
         """News can arrive before the path graph that contains the dead
@@ -85,9 +85,8 @@ class TestTopoCache:
 
     def test_unknown_host_queries(self):
         cache = TopoCache("H4")
-        assert not cache.knows_host("H5")
+        assert not cache.fragment.has_host("H5")
         assert cache.attachment("H5") is None
-        assert cache.k_shortest("H4", "H5", 2) == []
 
 
 class TestPathTable:

@@ -12,7 +12,6 @@ from repro.core.pathgraph import build_path_graph
 from repro.core.pathservice import (
     PathService,
     StablePathRng,
-    link_cache_key,
     stable_salt,
 )
 from repro.topology import cube, figure1
@@ -125,10 +124,11 @@ class TestLinkEviction:
         link = sorted(
             (l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links
         )[7]
-        lk = link_cache_key(*link)
+        sw_a, port_a, sw_b, port_b = link
+        orientations = {link, (sw_b, port_b, sw_a, port_a)}
         affected = {
             key for key in service.cached_keys()
-            if lk in service._links_of.get(key, ())
+            if orientations & set(service.path_graph(topo, *key).edges)
         }
         survivors = set(service.cached_keys()) - affected
         assert affected and survivors  # the test must exercise both sides
@@ -215,7 +215,7 @@ class TestLinkEviction:
         service.flush()
         assert len(service) == 0
         assert service.stats.flushes == 1
-        assert not service._by_link and not service._links_of
+        assert not service._by_link
 
 
 @settings(
