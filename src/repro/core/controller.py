@@ -615,10 +615,9 @@ class Controller(HostAgent):
         if self.view.peer(switch, port) is None and self.view.peer(neighbor, r) is None:
             self.view.add_link(switch, port, neighbor, r)
             self.view_version += 1
-            # A restored link can create new shortest paths anywhere, so
-            # precise eviction cannot honor it: flush the path cache.
-            self.path_service.flush()
             change = TopologyChange(op="link-up", args=(switch, port, neighbor, r))
+            # Undoes the cable's own outage, else flushes the path cache.
+            self.path_service.note_topology_change(self.view, change.op, change.args)
             self._log_change(change)
             self._flood_patch((change,), self.view_version)
         self._finalize_reprobe(switch, port, host=None, keep_link=True)

@@ -30,9 +30,22 @@ byte-identical to a fresh computation:
   shortest-path parent sets elsewhere: with the stable tie-breaker
   below, an argmin over a subset that still contains the old argmin is
   unchanged, so a fresh build on the patched view reproduces the
-  surviving entry bit for bit.  Link *restores* (and new switches, and
-  whole-view adoption) can create new shortest paths anywhere, so they
-  flush the cache wholesale.
+  surviving entry bit for bit.  SSSP trees survive too, except where
+  the cable's lower end ``u`` is the *first* parent of its other end
+  ``v``: otherwise BFS discovers every switch from the same parent at
+  the same slot, and the tree minus ``u`` in ``parents[v]`` (unless a
+  parallel cable remains) is the patched view's BFS.
+
+* **A link flap is an undo** -- the link-up of the last downed cable,
+  as the next mutation, drops what the outage cached and restores the
+  evicted graphs (at the LRU's oldest end, in their old order) and the
+  kept pre-down trees.  A path graph depends only on wiring
+  (:class:`StablePathRng` is order-free, ``edges`` sorted, ``nodes`` a
+  frozenset, the detour set a set), so it is exact again if the cable
+  keeps its ``a`` side; a kept tree is, as the returning cable is
+  appended to both adjacency lists, which cannot move ``v``'s discovery
+  when ``u`` is not its first parent.  Anything else that can create
+  shortest paths, or is not a one-step epoch advance, flushes.
 
 **Determinism contract.**  Randomized tie-breaking among equal-cost
 parents is what spreads load across shortest paths (§4.3), but a
@@ -49,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import SSSPTree, Topology
@@ -113,6 +127,7 @@ class PathServiceStats:
         "stale_flushes",
         "tree_builds",
         "tree_hits",
+        "restores",
     )
 
     def __init__(self) -> None:
@@ -125,6 +140,8 @@ class PathServiceStats:
         self.stale_flushes = 0
         self.tree_builds = 0
         self.tree_hits = 0
+        #: Link flaps undone on link-up instead of flushed.
+        self.restores = 0
 
     @property
     def lookups(self) -> int:
@@ -138,6 +155,19 @@ class PathServiceStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
+
+
+@dataclass
+class _Outage:
+    """The one link-down a matching link-up can undo: the cable as the
+    cached graphs name it, the epoch after the down, the evicted graphs
+    (oldest first), the pre-down trees it kept and the keys cached since."""
+
+    cable: Set[Tuple[str, int, str, int]]
+    epoch: Tuple[int, int]
+    evicted: List[Tuple[GraphKey, PathGraph]]
+    trees: Dict[str, SSSPTree]
+    built: Set[GraphKey] = field(default_factory=set)
 
 
 class PathService:
@@ -164,6 +194,7 @@ class PathService:
         #: Coherency epoch: (view.uid, view.topo_version) the cached
         #: state was built against; None when empty.
         self._epoch: Optional[Tuple[int, int]] = None
+        self._outage: Optional[_Outage] = None
 
     def __len__(self) -> int:
         return len(self._graphs)
@@ -254,6 +285,8 @@ class PathService:
 
     def _insert(self, key: GraphKey, graph: Optional[PathGraph]) -> None:
         self._graphs[key] = graph
+        if self._outage is not None:
+            self._outage.built.add(key)
         if graph is not None:
             for edge in graph.edges:
                 self._by_link.setdefault(edge, set()).add(key)
@@ -279,9 +312,10 @@ class PathService:
         self, view: Topology, sw_a: str, port_a: int, sw_b: str, port_b: int
     ) -> int:
         """A cable went down: evict exactly the cached path graphs whose
-        edges contain it (§4.2: only affected flows react) and drop the
-        SSSP trees (distances elsewhere may have grown).  Returns the
-        number of evicted entries.
+        edges contain it (§4.2: only affected flows react), keep every
+        SSSP tree whose BFS order the cable cannot move, and record the
+        outage so :meth:`note_topology_change` can undo it on link-up.
+        Returns the number of evicted entries.
 
         ``view`` is the already-patched view.  Selective retention is
         only sound when the removal is the sole mutation since the cache
@@ -302,40 +336,86 @@ class PathService:
             self._epoch = current
             return 0
         self._epoch = current
-        self._trees.clear()
-        # The caller may name the cable from either side.
-        evicted = 0
-        for edge in ((sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)):
-            for key in self._by_link.pop(edge, ()):
-                self._forget(key, self._graphs.pop(key))
-                evicted += 1
-        self.stats.link_evictions += evicted
-        return evicted
+        # The caller may name the cable from either side; the graphs
+        # holding it name it from its ``a`` side.
+        named = {(sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)}
+        cable = {edge for edge in named if edge in self._by_link} or named
+        doomed = set().union(*(self._by_link.pop(edge, ()) for edge in cable))
+        # LRU order, never set order: it decides later capacity evictions.
+        evicted = [(key, graph) for key, graph in self._graphs.items() if key in doomed]
+        for key, graph in evicted:
+            del self._graphs[key]
+            self._forget(key, graph)
+        self.stats.link_evictions += len(evicted)
+        kept: Dict[str, SSSPTree] = {}
+        trees: Dict[str, SSSPTree] = {}
+        parallel = view.links_between(sw_a, sw_b)
+        for source, tree in self._trees.items():
+            dist = tree.dist
+            if sw_a in dist and dist[sw_a] != dist[sw_b]:
+                u, v = (sw_a, sw_b) if dist[sw_a] < dist[sw_b] else (sw_b, sw_a)
+                if tree.parents[v][0] == u:
+                    continue  # v's discovery slot may move: rebuild
+                if not parallel:
+                    parents = dict(tree.parents)
+                    parents[v] = [p for p in parents[v] if p != u]
+                    trees[source] = SSSPTree(source, dist, parents)
+            trees.setdefault(source, tree)
+            kept[source] = tree
+        self._trees = trees
+        self._outage = _Outage(cable, current, evicted, kept)
+        return len(evicted)
 
     def note_topology_change(self, view: Topology, op: str, args: Tuple) -> None:
         """Apply the right invalidation for one already-applied
         :class:`~repro.core.messages.TopologyChange`.
 
-        Callers that mutate the view through a delta stream (the
-        incremental rediscovery pipeline, replicas replaying the quorum
-        log) route every change through here instead of choosing between
-        :meth:`invalidate_link` and :meth:`flush` themselves: link
-        removals get precise eviction, anything that can create new
-        shortest paths (link-up, switch-up, adopt-view) flushes, and
-        host attachment changes cost nothing (they never touch switch
-        reachability).
+        Callers that mutate the view (the controller's reprobe and
+        incremental rediscovery, replicas replaying the quorum log,
+        shards) route every change through here instead of choosing
+        between :meth:`invalidate_link` and :meth:`flush` themselves:
+        link removals get precise eviction, the link-up that returns the
+        last downed cable as the very next mutation restores the
+        pre-outage graphs and trees, host attachment changes cost
+        nothing (they never touch switch reachability), and anything
+        else (another link-up, switch-up, adopt-view) flushes.
         """
         if op == "link-down":
             sw_a, port_a, sw_b, port_b = args
             self.invalidate_link(view, sw_a, port_a, sw_b, port_b)
         elif op in ("host-up", "host-down"):
             pass
-        else:  # link-up, switch-up, switch-down, adopt-view, unknown
+        elif not (op == "link-up" and self._undo_outage(view, args)):
             self.flush()
 
+    def _undo_outage(self, view: Topology, args: Tuple) -> bool:
+        """Undo the recorded outage if this link-up returns its cable, from
+        the same side, as the only mutation since; False otherwise."""
+        outage = self._outage
+        if (
+            outage is None
+            or (view.uid, view.topo_version - 1) != outage.epoch
+            or outage.cable.isdisjoint(view.links_within((args[0], args[2])))
+        ):
+            return False
+        self._outage = None
+        for key in outage.built:
+            self._forget(key, self._graphs.pop(key, None))
+        # Never touched since before the outage: the LRU's oldest end.
+        for key, graph in reversed(outage.evicted):
+            self._graphs[key] = graph
+            self._graphs.move_to_end(key, last=False)
+            for edge in graph.edges:
+                self._by_link.setdefault(edge, set()).add(key)
+        self._trees = outage.trees
+        self._epoch = (view.uid, view.topo_version)
+        self.stats.restores += 1
+        return True
+
     def flush(self) -> None:
-        """Topology changed in a way precise eviction cannot honor (link
-        restored, switch appeared, new view adopted): drop everything."""
+        """Topology changed in a way precise eviction cannot honor (a
+        link-up that is not an undo, a switch appeared, a new view was
+        adopted): drop everything."""
         self._drop_all()
         self.stats.flushes += 1
 
@@ -344,3 +424,4 @@ class PathService:
         self._by_link.clear()
         self._trees.clear()
         self._epoch = None
+        self._outage = None

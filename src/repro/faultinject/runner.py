@@ -220,7 +220,8 @@ class ChaosReport(ReportBase):
                 "path service:       "
                 f"{ps.get('hits', 0)} hits / {ps.get('misses', 0)} misses, "
                 f"{ps.get('link_evictions', 0)} link evictions, "
-                f"{ps.get('flushes', 0)} flushes"
+                f"{ps.get('flushes', 0)} flushes, "
+                f"{ps.get('restores', 0)} restores"
             )
         for violation in self.violations[:20]:
             lines.append(f"  VIOLATION {violation}")

@@ -113,7 +113,8 @@ class SSSPTree:
     Trees are snapshots: they are only valid for the exact topology
     they were computed on.  The controller's
     :class:`~repro.core.pathservice.PathService` memoizes them per
-    source and drops them on any switch-graph mutation.
+    source and keeps or restores one across a link flap only where the
+    flap provably leaves its BFS order alone (see that module).
     """
 
     source: str

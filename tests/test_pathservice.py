@@ -1,7 +1,12 @@
 """PathService tests: cache correctness, link-indexed eviction,
 byte-identity with fresh builds, and the end-to-end controller wiring."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -218,44 +223,92 @@ class TestLinkEviction:
         assert not service._by_link
 
 
+def parallel_cube():
+    """A 3x3 torus with a second cable beside every third one."""
+    topo = cube([3, 3], hosts_per_switch=1, num_ports=12)
+
+    def free(sw):
+        return next(p for p in range(1, 13) if topo.peer(sw, p) is None)
+
+    for sw_a, sw_b in sorted((l.a.switch, l.b.switch) for l in topo.links)[::3]:
+        topo.add_link(sw_a, free(sw_a), sw_b, free(sw_b))
+    return topo
+
+
+TOPOLOGIES = {
+    "cube": lambda: cube([3, 3, 3], hosts_per_switch=1, num_ports=8),
+    "fat_tree": lambda: fat_tree(4, hosts_per_edge=1),
+    "parallel": parallel_cube,
+}
+
+
+def cables(topo):
+    return sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links)
+
+
+def assert_trees_exact(service, topo):
+    """Every memoised tree is the BFS of the current view, orders included."""
+    for source, tree in service._trees.items():
+        want = topo.sssp_tree(source)
+        assert list(tree.dist.items()) == list(want.dist.items())
+        assert list(tree.parents.items()) == list(want.parents.items())
+
+
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
+    shape=st.sampled_from(sorted(TOPOLOGIES)),
     steps=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=10**6)),
+        st.tuples(
+            st.sampled_from(["down", "restore-latest", "restore-older", "join"]),
+            st.integers(min_value=0, max_value=10**6),
+        ),
         min_size=1,
         max_size=12,
     ),
     query_seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_service_tracks_fresh_builds_through_fail_restore_sequences(
-    steps, query_seed
+    shape, steps, query_seed
 ):
-    """After ANY sequence of link failures and restores, every service
-    answer equals a fresh ``build_path_graph`` on the current view."""
-    topo = cube([3, 3, 3], hosts_per_switch=1, num_ports=8)
+    """After ANY sequence of link failures, restores (of the latest or an
+    older down, named from either side) and host joins, every service
+    answer equals a fresh ``build_path_graph`` on the current view and
+    every memoised SSSP tree equals a fresh one in order."""
+    topo = TOPOLOGIES[shape]()
     service = PathService(seed=99)
     pairs = switch_pairs(topo, 8, seed=query_seed)
+    free_ports = [
+        (sw, port)
+        for sw in sorted(topo.switches)
+        for port in range(1, topo.num_ports(sw) + 1)
+        if topo.peer(sw, port) is None
+    ]
     removed = []
-    for restore, pick in steps:
-        if restore and removed:
-            link = removed.pop(pick % len(removed))
+    for kind, pick in steps:
+        if kind.startswith("restore") and removed:
+            index = len(removed) - 1 if kind == "restore-latest" else pick % len(removed)
+            sw_a, port_a, sw_b, port_b = removed.pop(index)
+            link = (sw_a, port_a, sw_b, port_b) if pick % 2 else (sw_b, port_b, sw_a, port_a)
             topo.add_link(*link)
-            service.flush()
+            service.note_topology_change(topo, "link-up", link)
+        elif kind == "join" and free_ports:
+            sw, port = free_ports.pop(pick % len(free_ports))
+            host = f"joined-{sw}-{port}"
+            topo.add_host(host, sw, port)
+            service.note_topology_change(topo, "host-up", (host, sw, port))
         else:
-            links = sorted(
-                (l.a.switch, l.a.port, l.b.switch, l.b.port)
-                for l in topo.links
-            )
+            links = cables(topo)
             if not links:
                 continue
             link = links[pick % len(links)]
             topo.remove_link(*link)
-            service.invalidate_link(topo, *link)
+            service.note_topology_change(topo, "link-down", link)
             removed.append(link)
+        assert_trees_exact(service, topo)
         for src, dst in pairs:
             got = service.path_graph(topo, src, dst, S_PARAM, EPSILON)
             want = build_path_graph(
@@ -263,6 +316,96 @@ def test_service_tracks_fresh_builds_through_fail_restore_sequences(
                 rng=service.rng_for(src, dst, S_PARAM, EPSILON),
             )
             assert got == want
+        assert_trees_exact(service, topo)
+
+
+class TestFlapUndo:
+    def test_link_up_of_the_downed_cable_restores(self):
+        topo = cube([4, 4, 4], hosts_per_switch=1, num_ports=8)
+        service = PathService(seed=1)
+        pairs = switch_pairs(topo, 40, seed=3)
+        for src, dst in pairs:
+            service.path_graph(topo, src, dst, S_PARAM, EPSILON)
+        before = service.cached_keys()
+        trees = dict(service._trees)
+        link = cables(topo)[7]
+        topo.remove_link(*link)
+        service.note_topology_change(topo, "link-down", link)
+        assert service.stats.link_evictions > 0
+        assert service._trees  # the flap kept some trees
+        for src, dst in pairs[:10]:
+            service.path_graph(topo, src, dst, S_PARAM, EPSILON)
+        topo.add_link(*link)
+        service.note_topology_change(topo, "link-up", link)
+        assert service.stats.restores == 1
+        assert service.stats.flushes == 0
+        assert set(service.cached_keys()) == set(before)
+        assert service._trees == {
+            source: tree for source, tree in trees.items()
+            if source in service._trees
+        }
+        assert_trees_exact(service, topo)
+        misses = service.stats.misses
+        for src, dst in pairs:
+            service.path_graph(topo, src, dst, S_PARAM, EPSILON)
+        assert service.stats.misses == misses
+
+    def test_any_other_link_up_flushes(self):
+        topo = figure1()
+        service = PathService(seed=0)
+        service.path_graph(topo, "S1", "S4", S_PARAM, EPSILON)
+        first, second = cables(topo)[:2]
+        topo.remove_link(*first)
+        service.note_topology_change(topo, "link-down", first)
+        topo.remove_link(*second)
+        service.note_topology_change(topo, "link-down", second)
+        topo.add_link(*first)  # not the outstanding outage
+        service.note_topology_change(topo, "link-up", first)
+        assert service.stats.restores == 0
+        assert service.stats.flushes == 1
+        assert len(service) == 0
+
+
+_FLAP_SCRIPT = """
+import json
+from repro.core.pathservice import PathService
+from repro.topology.fattree import fat_tree
+
+topo = fat_tree(4, hosts_per_edge=1)
+service = PathService(capacity=12, seed=7)
+switches = sorted(topo.switches)
+pairs = [(a, b) for a in switches[:6] for b in switches[-6:]]
+links = sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links)
+for step in range(12):
+    link = links[(7 * step) % len(links)]
+    for src, dst in pairs[step::3]:
+        service.path_graph(topo, src, dst, 2, 1)
+    topo.remove_link(*link)
+    service.note_topology_change(topo, "link-down", link)
+    for src, dst in pairs[step % 2::5]:
+        service.path_graph(topo, src, dst, 2, 1)
+    topo.add_link(*link)
+    service.note_topology_change(topo, "link-up", link)
+print(json.dumps([service.stats.as_dict(), service.cached_keys()]))
+"""
+
+
+def test_flap_undo_is_independent_of_hash_seed():
+    """Restored graphs go back in LRU order, never in set order: capacity
+    evictions, counters and the cache contents match across hash seeds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _FLAP_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(json.loads(run.stdout))
+    stats, _keys = outputs[0]
+    assert stats["restores"] == 12
+    assert stats["capacity_evictions"] > 0
+    assert outputs[0] == outputs[1]
 
 
 class TestControllerWiring:
