@@ -25,8 +25,10 @@ from ..netsim.events import EventLoop
 from ..netsim.network import Network
 from ..topology.graph import HostAttachment, PortRef, Topology
 from .discovery import (
+    AsyncProbeDriver,
     DiscoveryResult,
     ProbeSpec,
+    RediscoveryEngine,
     discover,
     route_tags,
 )
@@ -43,7 +45,6 @@ from .packet import ID_QUERY
 from .pathgraph import backup_path
 from .pathservice import PathService
 from .pathshard import PodMap, ShardedPathService
-from .rediscovery import AsyncProbeDriver, RediscoveryEngine
 
 __all__ = ["Controller", "ControllerConfig"]
 
@@ -99,7 +100,6 @@ class Controller(HostAgent):
             tracer=tracer,
             config=config or ControllerConfig(),
             rng=rng,
-            is_controller=True,
         )
         #: The authoritative network view.
         self.view: Optional[Topology] = None

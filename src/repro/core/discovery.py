@@ -1,15 +1,53 @@
-"""Host-driven topology discovery (Section 4.1).
+"""Host-driven topology discovery and rediscovery (Sections 4.1, 4.2).
 
-A single host -- in practice the controller -- maps the whole fabric by
-breadth-first probing, using nothing but the dumb switches' two
-dataplane behaviours: tag forwarding and the tag-0 ID query.
+A single host -- in practice the controller -- maps the fabric using
+nothing but the dumb switches' two dataplane behaviours: tag forwarding
+and the tag-0 ID query.  One probe grammar does all the work:
 
-The algorithm is written against an abstract :class:`ProbeTransport`,
-with two implementations:
+* a host probe per open port (``tags + (q,)`` with a return route),
+* a bounce probe per candidate back-port (``tags + (q, 0, r) + back``),
+* a verification probe per surviving candidate (``tags + (q, r, 0) +
+  back``) to separate real back-ports from coincidental multi-hop
+  returns.
 
-* :class:`EmulatedProbeTransport` drives a real host agent inside the
-  discrete-event emulator: every probe is an actual packet crossing
-  actual channels, and discovery time is the emulator clock.
+:class:`RediscoveryEngine` is the one frontier BFS that speaks it.  It
+expands a view from *frontier ports*, and it has two seeds.  At boot
+(:func:`discover`) the view is empty and the only frontier is the
+origin's own switch, found by a phase-0 port search.  Afterwards
+(:func:`incremental_discover`, blueprint repair, the controller's
+link-up escalation) the frontiers are the ports the caller knows to be
+dirty: Section 4.2's "probe the ports to discover and verify the newly
+added links and switches" -- the *ports*, not the fabric -- so a
+one-switch delta costs O(dirty ports * P) probes instead of the
+bootstrap's O(N * P^2).
+
+When a bounce names a switch the view has never seen, the engine adds
+it, derives its probe routes from the parent's (no shortest-path runs
+mid-expansion), and enqueues *all* of the newcomer's open ports as new
+frontiers -- the recursion that turns "one unknown neighbor" into a
+complete map of whatever subgraph is behind it.
+
+The engine is sans-IO: it hands out bounded batches of
+:class:`ProbeSpec` (:meth:`RediscoveryEngine.next_round`) and consumes
+their outcomes (:meth:`RediscoveryEngine.feed`).  Two drivers wrap it:
+
+* :func:`discover` and :func:`incremental_discover` pull rounds through
+  a blocking :class:`ProbeTransport`;
+* :class:`AsyncProbeDriver` pipelines rounds over a live host agent on
+  the event loop, one bounded outstanding-probe window per settle
+  period -- what the controller's mid-run escalation uses.
+
+Every confirmed element is reported as a
+:class:`~repro.core.messages.TopologyChange` through the caller's
+``on_change`` hook *as it lands*, so controller replicas converge
+through the quorum log on deltas, never a bulk view swap.
+
+Transports come in two kinds:
+
+* :class:`~repro.core.host_agent.EmulatedProbeTransport` drives a real
+  host agent inside the discrete-event emulator: every probe is an
+  actual packet crossing actual channels, and discovery time is the
+  emulator clock.
 * :class:`OracleProbeTransport` computes each probe's outcome directly
   on the ground-truth topology and charges a calibrated per-message
   controller cost.  It produces identical discovery results and exact
@@ -22,11 +60,13 @@ to probe count" claim is tested, not assumed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import HostAttachment, PortRef, Topology
-from .packet import ID_QUERY, MAX_PORT_TAG
+from .messages import TopologyChange
+from .packet import ID_QUERY
 
 __all__ = [
     "ProbeSpec",
@@ -40,6 +80,12 @@ __all__ = [
     "verify_expected_topology",
     "VerificationReport",
     "route_tags",
+    "RediscoveryEngine",
+    "RediscoveryResult",
+    "AsyncProbeDriver",
+    "incremental_discover",
+    "repair_from_verification",
+    "DEFAULT_PROBE_WINDOW",
 ]
 
 
@@ -64,7 +110,6 @@ class ProbeOutcome:
     kind: str  # "id" (bounce with SwitchIDReply) or "host" (ProbeReply)
     switch_id: Optional[str] = None
     host: Optional[str] = None
-    is_controller: bool = False
     #: Counter snapshot when the replying switch is a StatsSwitch.
     stats: Optional[Tuple[Tuple[str, int], ...]] = None
 
@@ -113,19 +158,16 @@ class OracleProbeTransport(ProbeTransport):
         self,
         topology: Topology,
         origin: str,
-        controller_hosts: Optional[Set[str]] = None,
         per_message_cost_s: float = DEFAULT_PER_MESSAGE_COST_S,
     ) -> None:
         self.topology = topology
         self.origin = origin
-        self.controllers = controller_hosts or set()
         self.per_message_cost_s = per_message_cost_s
         self.max_ports = max(
             (topology.num_ports(sw) for sw in topology.switches), default=0
         )
         self._sent = 0
         self._received = 0
-        self.rounds = 0
 
     # -- transport interface ------------------------------------------
 
@@ -141,7 +183,6 @@ class OracleProbeTransport(ProbeTransport):
         return (self._sent + self._received) * self.per_message_cost_s
 
     def probe_round(self, specs: Sequence[ProbeSpec]) -> List[Optional[ProbeOutcome]]:
-        self.rounds += 1
         outcomes = []
         for spec in specs:
             self._sent += 1
@@ -170,9 +211,7 @@ class OracleProbeTransport(ProbeTransport):
         reply_landing = self._follow_tags(host, spec.reply_tags)
         if reply_landing is None or reply_landing[0] != self.origin:
             return None
-        return ProbeOutcome(
-            kind="host", host=host, is_controller=host in self.controllers
-        )
+        return ProbeOutcome(kind="host", host=host)
 
     def _follow_tags(
         self, from_host: str, tags: Sequence[int]
@@ -216,7 +255,7 @@ class OracleProbeTransport(ProbeTransport):
 
 
 # ----------------------------------------------------------------------
-# The BFS discovery algorithm
+# Probe rounds and routes
 
 
 @dataclass
@@ -264,143 +303,6 @@ def _retrying_round(
     return outcomes
 
 
-@dataclass
-class DiscoveryResult:
-    view: Topology
-    origin: str
-    origin_attachment: Tuple[str, int]
-    controller_hosts: List[str]
-    stats: DiscoveryStats
-
-    @property
-    def switches_found(self) -> int:
-        return len(self.view.switches)
-
-    @property
-    def hosts_found(self) -> int:
-        return len(self.view.hosts)
-
-
-def discover(
-    transport: ProbeTransport, origin: str, probe_retries: int = 0
-) -> DiscoveryResult:
-    """Map the network reachable from ``origin`` by BFS probing.
-
-    ``probe_retries`` > 0 re-sends probes whose outcome was lost, which
-    keeps discovery correct on a lossy fabric at the price of inflated
-    probe counts (empty ports never answer, retried or not).
-    """
-    stats = DiscoveryStats()
-    max_ports = transport.max_ports
-
-    def run_round(specs: List[ProbeSpec]) -> List[Optional[ProbeOutcome]]:
-        return _retrying_round(transport, stats, specs, probe_retries)
-
-    # Phase 0: find our own port and the root switch ID by sending
-    # 0-1-ø, 0-2-ø, ... and seeing which ID reply bounces back.
-    own_port = None
-    root = None
-    specs = [ProbeSpec(tags=(ID_QUERY, p)) for p in range(1, max_ports + 1)]
-    for p, outcome in zip(range(1, max_ports + 1), run_round(specs)):
-        if outcome is not None and outcome.kind == "id":
-            own_port, root = p, outcome.switch_id
-            break
-    if own_port is None or root is None:
-        raise DiscoveryError(f"host {origin!r} could not reach its switch")
-
-    view = Topology()
-    view.add_switch(root, max_ports)
-    view.add_host(origin, root, own_port)
-
-    controllers: List[str] = []
-    tags_to: Dict[str, Tuple[int, ...]] = {root: ()}
-    tags_from: Dict[str, Tuple[int, ...]] = {root: (own_port,)}
-    queue: List[str] = [root]
-
-    while queue:
-        switch = queue.pop(0)
-        to_here = tags_to[switch]
-        from_here = tags_from[switch]
-        open_ports = [
-            q for q in range(1, max_ports + 1) if view.peer(switch, q) is None
-        ]
-        if not open_ports:
-            continue
-
-        # One combined round: a host probe and P switch probes per port.
-        specs = []
-        index: List[Tuple[str, int, int]] = []  # (kind, q, r)
-        for q in open_ports:
-            specs.append(ProbeSpec(tags=to_here + (q,), reply_tags=from_here))
-            index.append(("host", q, 0))
-            for r in range(1, max_ports + 1):
-                specs.append(
-                    ProbeSpec(tags=to_here + (q, ID_QUERY, r) + from_here)
-                )
-                index.append(("switch", q, r))
-        outcomes = run_round(specs)
-
-        hosts_at: Dict[int, ProbeOutcome] = {}
-        bounces_at: Dict[int, List[Tuple[int, str]]] = {}
-        for (kind, q, r), outcome in zip(index, outcomes):
-            if outcome is None:
-                continue
-            if kind == "host" and outcome.kind == "host":
-                hosts_at[q] = outcome
-            elif kind == "switch" and outcome.kind == "id":
-                bounces_at.setdefault(q, []).append((r, outcome.switch_id))
-
-        for q, outcome in hosts_at.items():
-            assert outcome.host is not None
-            if not view.has_host(outcome.host):
-                view.add_host(outcome.host, switch, q)
-                if outcome.is_controller and outcome.host not in controllers:
-                    controllers.append(outcome.host)
-
-        # Resolve each port's bounce candidates with verification
-        # probes: does the return hop really transit this switch?
-        for q, candidates in bounces_at.items():
-            if q in hosts_at or view.peer(switch, q) is not None:
-                continue
-            if len(candidates) > 1:
-                stats.ambiguities_resolved += 1
-            confirmed: Optional[Tuple[int, str]] = None
-            for r, neighbor_id in candidates:
-                if view.has_switch(neighbor_id) and view.peer(neighbor_id, r) is not None:
-                    continue  # that port of the neighbor is already taken
-                verify = ProbeSpec(tags=to_here + (q, r, ID_QUERY) + from_here)
-                stats.verifications += 1
-                result = run_round([verify])[0]
-                if result is not None and result.kind == "id" and result.switch_id == switch:
-                    confirmed = (r, neighbor_id)
-                    break
-            if confirmed is None:
-                continue
-            r, neighbor_id = confirmed
-            if not view.has_switch(neighbor_id):
-                view.add_switch(neighbor_id, max_ports)
-                tags_to[neighbor_id] = to_here + (q,)
-                tags_from[neighbor_id] = (r,) + from_here
-                queue.append(neighbor_id)
-            view.add_link(switch, q, neighbor_id, r)
-
-    stats.probes_sent = transport.probes_sent
-    stats.replies_received = transport.replies_received
-    stats.elapsed_s = transport.elapsed()
-    return DiscoveryResult(
-        view=view,
-        origin=origin,
-        origin_attachment=(root, own_port),
-        controller_hosts=controllers,
-        stats=stats,
-    )
-
-
-# ----------------------------------------------------------------------
-# Bootstrap-by-verification (Section 4.1: with prior knowledge, hosts
-# "quickly verify (instead of discover) all links")
-
-
 def route_tags(
     topology: Topology, origin: str, switch: str
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -419,6 +321,596 @@ def route_tags(
         from_tags.append(back.port)
     from_tags.reverse()
     return tuple(to_tags), tuple(from_tags) + (attach.port,)
+
+
+# ----------------------------------------------------------------------
+# The frontier BFS engine
+
+#: Default bound on probes outstanding in one round.  Large enough that
+#: a single switch join (1 + P specs per port, P ports) usually fits in
+#: one or two rounds; small enough that a runaway expansion cannot dump
+#: an unbounded burst onto the control path.
+DEFAULT_PROBE_WINDOW = 512
+
+#: Callback invoked once per confirmed topology element.
+ChangeHook = Callable[[TopologyChange], None]
+
+
+@dataclass
+class RediscoveryResult:
+    """What one incremental expansion found (the view is mutated in
+    place; ``changes`` is the replayable delta log)."""
+
+    view: Topology
+    origin: str
+    changes: List[TopologyChange]
+    stats: DiscoveryStats
+    switches_added: List[str]
+    links_added: List[Tuple[str, int, str, int]]
+    #: Deepest frontier reached, in switch hops from the seeded ports
+    #: (0 = only the seeds themselves were probed).
+    max_frontier_depth: int = 0
+    #: Seeded frontiers that never became reachable from the origin
+    #: (their switch had no route even after expansion finished).
+    unreachable_frontiers: List[Tuple[str, int]] = field(default_factory=list)
+
+
+@dataclass
+class _PortProbe:
+    """One frontier port mid-flight: scan outcomes arrive first, then
+    (if bounces survived) a verification round."""
+
+    switch: str
+    port: int
+    depth: int
+    to_tags: Tuple[int, ...]
+    from_tags: Tuple[int, ...]
+    #: (candidate back-port, claimed switch ID) pairs awaiting
+    #: verification, in bounce order.
+    candidates: List[Tuple[int, str]] = field(default_factory=list)
+
+
+class RediscoveryEngine:
+    """Frontier-BFS probe planner over a topology view.
+
+    The engine mutates ``view`` directly as elements are confirmed and
+    reports each mutation through ``on_change``.  It never talks to a
+    transport: call :meth:`next_round` for the next bounded batch of
+    specs, deliver their outcomes (``None`` = lost/empty) to
+    :meth:`feed` in the same order, repeat until :attr:`done`.
+    """
+
+    def __init__(
+        self,
+        view: Topology,
+        origin: str,
+        max_ports: int,
+        window: int = DEFAULT_PROBE_WINDOW,
+        on_change: Optional[ChangeHook] = None,
+    ) -> None:
+        if max_ports < 1:
+            raise ValueError(f"max_ports must be >= 1, got {max_ports}")
+        self.view = view
+        self.origin = origin
+        self.max_ports = max_ports
+        # A round must fit at least one full port scan (host probe +
+        # max_ports bounces), whatever the caller asked for.
+        self.window = max(int(window), max_ports + 1)
+        self.on_change = on_change
+        self.stats = DiscoveryStats()
+        self.changes: List[TopologyChange] = []
+        self.switches_added: List[str] = []
+        self.links_added: List[Tuple[str, int, str, int]] = []
+        self.max_frontier_depth = 0
+        #: Ports queued for their scan round, FIFO = breadth-first.
+        self._scan_queue: Deque[_PortProbe] = deque()
+        #: Ports whose scan produced candidates, queued for verification.
+        self._verify_queue: Deque[_PortProbe] = deque()
+        #: The in-flight round: (kind, port-probe, extra) per spec, in
+        #: spec order.  kind is "host", "bounce" or "verify".
+        self._inflight: List[Tuple[str, _PortProbe, int, str]] = []
+        #: Probe routes per switch, derived from the parent at
+        #: expansion time (new switches) or from the view (seeds).
+        self._to_tags: Dict[str, Tuple[int, ...]] = {}
+        self._from_tags: Dict[str, Tuple[int, ...]] = {}
+        #: Frontier ports ever enqueued, so overlapping seeds (both
+        #: ends of one new cable) are scanned at most once.
+        self._enqueued: Set[Tuple[str, int]] = set()
+        #: Frontiers whose switch has no route from the origin *yet*
+        #: (a repair can prune every link of a switch before its
+        #: replacements are confirmed).  Retried after each round that
+        #: grows the view; whatever is still parked at the end was
+        #: genuinely unreachable.
+        self._parked: List[Tuple[str, int, int]] = []
+
+    # ------------------------------------------------------------------
+    # seeding
+
+    def add_frontier(self, switch: str, port: int, depth: int = 0) -> bool:
+        """Queue one dirty port for scanning.  Returns False when the
+        port is unknown, already occupied in the view, or already
+        queued."""
+        if not self.view.has_switch(switch):
+            return False
+        if not 1 <= port <= self.view.num_ports(switch):
+            return False
+        if self.view.peer(switch, port) is not None:
+            return False
+        if (switch, port) in self._enqueued:
+            return False
+        self._enqueued.add((switch, port))
+        routes = self._routes_for(switch)
+        if routes is None:
+            self._parked.append((switch, port, depth))
+            return True
+        self._scan_queue.append(
+            _PortProbe(switch, port, depth, routes[0], routes[1])
+        )
+        return True
+
+    def add_switch_frontier(self, switch: str, depth: int = 0) -> int:
+        """Queue every open port of ``switch``; returns how many."""
+        if not self.view.has_switch(switch):
+            return 0
+        count = 0
+        for port in range(1, self.view.num_ports(switch) + 1):
+            if self.add_frontier(switch, port, depth=depth):
+                count += 1
+        return count
+
+    def seed_confirmed_link(
+        self, switch: str, port: int, r: int, neighbor: str
+    ) -> None:
+        """Seed with a cable the caller already verified out-of-band
+        (the controller's reprobe session): apply the switch/link,
+        emit their changes, and queue the newcomer's remaining ports
+        as frontier."""
+        if not self.view.has_switch(neighbor):
+            self.view.add_switch(neighbor, self.max_ports)
+            self.switches_added.append(neighbor)
+            routes = self._routes_for(switch)
+            if routes is not None:
+                self._to_tags[neighbor] = routes[0] + (port,)
+                self._from_tags[neighbor] = (r,) + routes[1]
+            self._emit(
+                TopologyChange(op="switch-up", args=(neighbor, self.max_ports))
+            )
+        if (
+            self.view.peer(switch, port) is None
+            and self.view.peer(neighbor, r) is None
+        ):
+            self.view.add_link(switch, port, neighbor, r)
+            self.links_added.append((switch, port, neighbor, r))
+            self._emit(
+                TopologyChange(op="link-up", args=(switch, port, neighbor, r))
+            )
+        self.add_switch_frontier(neighbor, depth=1)
+
+    def _routes_for(self, switch: str) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        cached = self._to_tags.get(switch)
+        if cached is not None:
+            return cached, self._from_tags[switch]
+        try:
+            to_tags, from_tags = route_tags(self.view, self.origin, switch)
+        except DiscoveryError:
+            return None  # no route *yet*; anything else is a caller bug
+        self._to_tags[switch] = to_tags
+        self._from_tags[switch] = from_tags
+        return to_tags, from_tags
+
+    # ------------------------------------------------------------------
+    # round planning
+
+    @property
+    def done(self) -> bool:
+        return not (self._scan_queue or self._verify_queue or self._inflight)
+
+    def next_round(self) -> List[ProbeSpec]:
+        """The next bounded batch of probes, or ``[]`` when done.
+
+        Verification probes for already-scanned ports go first (finish
+        in-flight work before widening the frontier), then as many
+        whole-port scans as fit the window.  The previous round's
+        outcomes must have been :meth:`feed`-delivered already.
+        """
+        if self._inflight:
+            raise RuntimeError("previous round's outcomes not fed back yet")
+        specs: List[ProbeSpec] = []
+        inflight = self._inflight
+        while self._verify_queue and len(specs) < self.window:
+            probe = self._verify_queue.popleft()
+            base = probe.to_tags
+            for r, neighbor_id in probe.candidates:
+                specs.append(
+                    ProbeSpec(
+                        tags=base + (probe.port, r, ID_QUERY) + probe.from_tags
+                    )
+                )
+                inflight.append(("verify", probe, r, neighbor_id))
+                self.stats.verifications += 1
+        while self._scan_queue and len(specs) + self.max_ports + 1 <= self.window:
+            probe = self._scan_queue.popleft()
+            if self.view.peer(probe.switch, probe.port) is not None:
+                continue  # confirmed from the other end meanwhile
+            self.max_frontier_depth = max(self.max_frontier_depth, probe.depth)
+            specs.append(
+                ProbeSpec(
+                    tags=probe.to_tags + (probe.port,),
+                    reply_tags=probe.from_tags,
+                )
+            )
+            inflight.append(("host", probe, 0, ""))
+            for r in range(1, self.max_ports + 1):
+                specs.append(
+                    ProbeSpec(
+                        tags=probe.to_tags + (probe.port, ID_QUERY, r)
+                        + probe.from_tags
+                    )
+                )
+                inflight.append(("bounce", probe, r, ""))
+        return specs
+
+    # ------------------------------------------------------------------
+    # outcome consumption
+
+    def feed(self, outcomes: Sequence[Optional[ProbeOutcome]]) -> List[TopologyChange]:
+        """Deliver one round's outcomes (same order as its specs).
+        Returns the topology changes this round confirmed."""
+        inflight = self._inflight
+        if len(outcomes) != len(inflight):
+            raise ValueError(
+                f"round had {len(inflight)} specs, got {len(outcomes)} outcomes"
+            )
+        self._inflight = []
+        before = len(self.changes)
+        # Group back by port so a port's host reply beats its bounces.
+        hosts_at: Dict[Tuple[str, int], ProbeOutcome] = {}
+        bounces_at: Dict[Tuple[str, int], _PortProbe] = {}
+        #: Per port, every candidate whose verification came home.
+        verified: Dict[Tuple[str, int], Tuple[_PortProbe, List[Tuple[int, str]]]] = {}
+        for (kind, probe, r, claimed), outcome in zip(inflight, outcomes):
+            key = (probe.switch, probe.port)
+            if outcome is None:
+                continue
+            if kind == "host" and outcome.kind == "host":
+                hosts_at[key] = outcome
+            elif kind == "bounce" and outcome.kind == "id" and outcome.switch_id:
+                probe.candidates.append((r, outcome.switch_id))
+                bounces_at[key] = probe
+            elif (
+                kind == "verify"
+                and outcome.kind == "id"
+                and outcome.switch_id == probe.switch
+            ):
+                verified.setdefault(key, (probe, []))[1].append((r, claimed))
+
+        for (switch, port), outcome in hosts_at.items():
+            self._confirm_host(switch, port, outcome)
+        for probe, candidates in verified.values():
+            self._confirm_link(probe, candidates)
+        for key, probe in bounces_at.items():
+            if key in hosts_at or key in verified:
+                continue
+            if self.view.peer(probe.switch, probe.port) is not None:
+                continue
+            if len(probe.candidates) > 1:
+                self.stats.ambiguities_resolved += 1
+            # Drop candidates whose claimed far port is visibly taken.
+            probe.candidates = [
+                (r, neighbor)
+                for r, neighbor in probe.candidates
+                if not (
+                    self.view.has_switch(neighbor)
+                    and self.view.peer(neighbor, r) is not None
+                )
+            ]
+            if probe.candidates:
+                self._verify_queue.append(probe)
+        confirmed = self.changes[before:]
+        if confirmed and self._parked:
+            self._retry_parked()
+        return confirmed
+
+    def _retry_parked(self) -> None:
+        """Reattempt frontiers whose switch had no route when seeded."""
+        still_parked: List[Tuple[str, int, int]] = []
+        for switch, port, depth in self._parked:
+            if self.view.peer(switch, port) is not None:
+                continue  # confirmed from the other end meanwhile
+            routes = self._routes_for(switch)
+            if routes is None:
+                still_parked.append((switch, port, depth))
+            else:
+                self._scan_queue.append(
+                    _PortProbe(switch, port, depth, routes[0], routes[1])
+                )
+        self._parked = still_parked
+
+    # ------------------------------------------------------------------
+    # view mutation + delta log
+
+    def _emit(self, change: TopologyChange) -> None:
+        self.changes.append(change)
+        if self.on_change is not None:
+            self.on_change(change)
+
+    def _confirm_host(self, switch: str, port: int, outcome: ProbeOutcome) -> None:
+        host = outcome.host
+        assert host is not None
+        if self.view.has_host(host) or self.view.peer(switch, port) is not None:
+            return
+        self.view.add_host(host, switch, port)
+        self._emit(TopologyChange(op="host-up", args=(host, switch, port)))
+
+    def _confirm_link(
+        self, probe: _PortProbe, verified: List[Tuple[int, str]]
+    ) -> None:
+        """Wire ``probe``'s port to the first verified candidate whose
+        far port is still free.  Parallel cables verify every port of
+        their bundle, and a sibling port confirmed earlier in the same
+        round may already hold the first one."""
+        switch, port = probe.switch, probe.port
+        for r, neighbor in verified:
+            if not (
+                self.view.has_switch(neighbor)
+                and self.view.peer(neighbor, r) is not None
+            ):
+                break
+        else:
+            return
+        if not self.view.has_switch(neighbor):
+            self.view.add_switch(neighbor, self.max_ports)
+            self.switches_added.append(neighbor)
+            # Route through the just-confirmed cable: cheaper than a
+            # shortest-path run, and the parent's route plus one hop.
+            self._to_tags[neighbor] = probe.to_tags + (port,)
+            self._from_tags[neighbor] = (r,) + probe.from_tags
+            self._emit(
+                TopologyChange(op="switch-up", args=(neighbor, self.max_ports))
+            )
+        if (
+            self.view.peer(switch, port) is not None
+            or self.view.peer(neighbor, r) is not None
+        ):
+            return
+        self.view.add_link(switch, port, neighbor, r)
+        self.links_added.append((switch, port, neighbor, r))
+        self._emit(TopologyChange(op="link-up", args=(switch, port, neighbor, r)))
+        if neighbor in self.switches_added:
+            # Recurse: every other open port of the newcomer is frontier,
+            # one switch hop deeper than the port that found it.
+            self.add_switch_frontier(neighbor, depth=probe.depth + 1)
+
+    def result(self) -> RediscoveryResult:
+        return RediscoveryResult(
+            view=self.view,
+            origin=self.origin,
+            changes=self.changes,
+            stats=self.stats,
+            switches_added=self.switches_added,
+            links_added=self.links_added,
+            max_frontier_depth=self.max_frontier_depth,
+            unreachable_frontiers=[(s, p) for s, p, _d in self._parked],
+        )
+
+
+# ----------------------------------------------------------------------
+# Blocking drivers: bootstrap, incremental expansion, blueprint repair
+
+
+def _drain(
+    engine: RediscoveryEngine, transport: ProbeTransport, probe_retries: int
+) -> None:
+    """Pull the engine's rounds through ``transport`` until it is done."""
+    while True:
+        specs = engine.next_round()
+        if not specs:
+            return
+        engine.feed(_retrying_round(transport, engine.stats, specs, probe_retries))
+
+
+@dataclass
+class DiscoveryResult:
+    view: Topology
+    origin: str
+    origin_attachment: Tuple[str, int]
+    stats: DiscoveryStats
+
+    @property
+    def switches_found(self) -> int:
+        return len(self.view.switches)
+
+    @property
+    def hosts_found(self) -> int:
+        return len(self.view.hosts)
+
+
+def discover(
+    transport: ProbeTransport, origin: str, probe_retries: int = 0
+) -> DiscoveryResult:
+    """Map the network reachable from ``origin``: the frontier BFS
+    seeded with every port of the origin's own switch.
+
+    ``probe_retries`` > 0 re-sends probes whose outcome was lost, which
+    keeps discovery correct on a lossy fabric at the price of inflated
+    probe counts (empty ports never answer, retried or not).
+    """
+    stats = DiscoveryStats()
+    max_ports = transport.max_ports
+
+    # Phase 0: find our own port and the root switch ID by sending
+    # 0-1-ø, 0-2-ø, ... and seeing which ID reply bounces back.  This is
+    # the one step an empty view allows; the rest is frontier expansion.
+    own_port = None
+    root = None
+    specs = [ProbeSpec(tags=(ID_QUERY, p)) for p in range(1, max_ports + 1)]
+    outcomes = _retrying_round(transport, stats, specs, probe_retries)
+    for p, outcome in zip(range(1, max_ports + 1), outcomes):
+        if outcome is not None and outcome.kind == "id":
+            own_port, root = p, outcome.switch_id
+            break
+    if own_port is None or root is None:
+        raise DiscoveryError(f"host {origin!r} could not reach its switch")
+
+    view = Topology()
+    view.add_switch(root, max_ports)
+    view.add_host(origin, root, own_port)
+    engine = RediscoveryEngine(view=view, origin=origin, max_ports=max_ports)
+    engine.stats = stats  # phase 0's round belongs to the same run
+    engine.add_switch_frontier(root)
+    _drain(engine, transport, probe_retries)
+
+    stats.probes_sent = transport.probes_sent
+    stats.replies_received = transport.replies_received
+    stats.elapsed_s = transport.elapsed()
+    return DiscoveryResult(
+        view=view,
+        origin=origin,
+        origin_attachment=(root, own_port),
+        stats=stats,
+    )
+
+
+def incremental_discover(
+    transport: ProbeTransport,
+    origin: str,
+    view: Topology,
+    frontiers: Iterable[Tuple[str, int]],
+    probe_retries: int = 0,
+    window: int = DEFAULT_PROBE_WINDOW,
+    on_change: Optional[ChangeHook] = None,
+) -> RediscoveryResult:
+    """Expand ``view`` from ``frontiers`` through a blocking transport.
+
+    ``frontiers`` are the (switch, port) pairs known to be dirty: the
+    ports that raised link-up, or the endpoints a blueprint
+    verification flagged.  ``view`` is mutated in place; the result
+    carries the delta log and probe accounting (probe counts are the
+    transport's delta over this call, so a transport can be shared with
+    an earlier full discovery)."""
+    engine = RediscoveryEngine(
+        view=view,
+        origin=origin,
+        max_ports=transport.max_ports,
+        window=window,
+        on_change=on_change,
+    )
+    for switch, port in frontiers:
+        engine.add_frontier(switch, port)
+    sent_before = transport.probes_sent
+    received_before = transport.replies_received
+    elapsed_before = transport.elapsed()
+    _drain(engine, transport, probe_retries)
+    engine.stats.probes_sent = transport.probes_sent - sent_before
+    engine.stats.replies_received = transport.replies_received - received_before
+    engine.stats.elapsed_s = transport.elapsed() - elapsed_before
+    return engine.result()
+
+
+def repair_from_verification(
+    transport: ProbeTransport,
+    origin: str,
+    expected: Topology,
+    report: VerificationReport,
+    probe_retries: int = 0,
+    window: int = DEFAULT_PROBE_WINDOW,
+    on_change: Optional[ChangeHook] = None,
+) -> RediscoveryResult:
+    """The follow-up a dirty blueprint verification calls for.
+
+    Starts from ``expected`` minus everything the report flagged, then
+    rediscovers *exactly those frontiers*: the four endpoints of every
+    missing link and the expected attachment port of every missing
+    host.  O(dirty elements * P) probes instead of a full O(N * P^2)
+    re-discovery; whatever is really cabled at those ports (the
+    blueprint's element, something else, or nothing) ends up in the
+    returned view."""
+    view = expected.copy()
+    frontiers: List[Tuple[str, int]] = []
+    for sw_a, port_a, sw_b, port_b in report.missing_links:
+        if view.has_link(sw_a, port_a, sw_b, port_b):
+            view.remove_link(sw_a, port_a, sw_b, port_b)
+        frontiers.append((sw_a, port_a))
+        frontiers.append((sw_b, port_b))
+    for host in report.missing_hosts:
+        if expected.has_host(host):
+            ref = expected.host_port(host)
+            if view.has_host(host):
+                view.remove_host(host)
+            frontiers.append((ref.switch, ref.port))
+    return incremental_discover(
+        transport,
+        origin,
+        view,
+        frontiers,
+        probe_retries=probe_retries,
+        window=window,
+        on_change=on_change,
+    )
+
+
+# ----------------------------------------------------------------------
+# Event-loop driver (the controller's mid-run escalation)
+
+
+class AsyncProbeDriver:
+    """Pipeline an engine's rounds over a live agent's probe interface.
+
+    Each round sends up to one window of probes back-to-back through
+    ``agent.send_probe`` and collects them after ``settle_s`` of
+    simulated time -- the asynchronous analogue of
+    :func:`_retrying_round`'s batch-and-wait, so a multi-switch join
+    costs a few settle windows, not one blocking drain of the whole
+    event loop.  ``on_round`` fires after every round that confirmed
+    something (the controller floods patches there); ``on_done`` fires
+    once, when the frontier is exhausted.
+    """
+
+    def __init__(
+        self,
+        agent,
+        engine: RediscoveryEngine,
+        settle_s: float,
+        on_round: Optional[Callable[[List[TopologyChange]], None]] = None,
+        on_done: Optional[Callable[["AsyncProbeDriver"], None]] = None,
+    ) -> None:
+        self.agent = agent
+        self.engine = engine
+        self.settle_s = settle_s
+        self.on_round = on_round
+        self.on_done = on_done
+        self.started_at = agent.loop.now
+        self._nonces: List[int] = []
+
+    def start(self) -> None:
+        self._kick()
+
+    def _kick(self) -> None:
+        specs = self.engine.next_round()
+        if not specs:
+            if self.on_done is not None:
+                self.on_done(self)
+            return
+        self._nonces = [self.agent.send_probe(spec) for spec in specs]
+        self.engine.stats.probes_sent += len(specs)
+        self.engine.stats.rounds += 1
+        self.agent.loop.schedule(self.settle_s, self._collect)
+
+    def _collect(self) -> None:
+        outcomes = [self.agent.collect_probe(nonce) for nonce in self._nonces]
+        self._nonces = []
+        self.engine.stats.replies_received += sum(
+            1 for o in outcomes if o is not None
+        )
+        confirmed = self.engine.feed(outcomes)
+        if confirmed and self.on_round is not None:
+            self.on_round(confirmed)
+        self._kick()
+
+
+# ----------------------------------------------------------------------
+# Bootstrap-by-verification (Section 4.1: with prior knowledge, hosts
+# "quickly verify (instead of discover) all links")
 
 
 @dataclass
@@ -449,9 +941,8 @@ def verify_expected_topology(
     so a mis-wire where ``b.port`` is actually cabled to some other
     switch that happens to route the probe home would verify clean.
     Mis-wired elements come back in the ``missing_*`` lists; feed the
-    report to :func:`repro.core.rediscovery.repair_from_verification`,
-    which re-probes exactly those frontiers instead of re-running full
-    discovery.
+    report to :func:`repair_from_verification`, which re-probes exactly
+    those frontiers instead of re-running full discovery.
     """
     stats = DiscoveryStats()
     specs: List[ProbeSpec] = []

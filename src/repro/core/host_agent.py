@@ -97,14 +97,12 @@ class HostAgent(Device):
         tracer=None,
         config: Optional[AgentConfig] = None,
         rng: Optional[random.Random] = None,
-        is_controller: bool = False,
     ) -> None:
         config = config or AgentConfig()
         super().__init__(name, loop, proc_delay=config.proc_delay_s)
         self.config = config
         self.tracer = tracer
         self.rng = rng or random.Random(hash(name) & 0xFFFF)
-        self.is_controller = is_controller
 
         # Identity learned at bootstrap.
         self.attachment: Optional[Tuple[str, int]] = None
@@ -367,16 +365,12 @@ class HostAgent(Device):
             return
         if not probe.reply_tags:
             return
-        reply = ProbeReply(
-            nonce=probe.nonce, host=self.name, is_controller=self.is_controller
-        )
+        reply = ProbeReply(nonce=probe.nonce, host=self.name)
         self.send_tagged(probe.reply_tags, reply, dst=probe.origin)
 
     def _on_probe_reply(self, reply: ProbeReply) -> None:
         if reply.nonce in self._outstanding_probes:
-            self._probe_outcomes[reply.nonce] = ProbeOutcome(
-                kind="host", host=reply.host, is_controller=reply.is_controller
-            )
+            self._probe_outcomes[reply.nonce] = ProbeOutcome(kind="host", host=reply.host)
 
     # ------------------------------------------------------------------
     # failure handling, host side (Section 4.2)

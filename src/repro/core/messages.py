@@ -60,7 +60,6 @@ class ProbeReply:
 
     nonce: int
     host: str
-    is_controller: bool
     wire_size: int = 24
 
 

@@ -57,11 +57,6 @@ class ReplicatedControlPlane:
         names = [primary.name] + [s.name for s in self.standbys]
         self.store = ReplicatedTopologyStore(names, primary.view)
         primary.replicator = self.store
-        # Standbys are passive: they don't answer path queries until
-        # promoted (the paper serializes discovery/serving through one
-        # primary and keeps the rest as replicas).
-        for standby in self.standbys:
-            standby.is_controller = True
 
     # ------------------------------------------------------------------
 
@@ -153,6 +148,5 @@ class ReplicatedControlPlane:
         if device is not None and not device.powered:
             device.power_on()
         self.store.recover(name)
-        controller.is_controller = True
         controller.replicator = None
         self.standbys.append(controller)

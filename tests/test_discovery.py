@@ -11,6 +11,7 @@ from repro.core.discovery import (
     ProbeSpec,
     _retrying_round,
     discover,
+    repair_from_verification,
     route_tags,
     verify_expected_topology,
 )
@@ -29,16 +30,12 @@ from repro.topology import (
 )
 
 
-def oracle_for(topo, origin, controllers=None):
-    return OracleProbeTransport(topo, origin, controller_hosts=controllers or set())
-
-
 class TestOracleWalk:
     """The oracle must mirror DumbSwitch semantics exactly."""
 
     def test_bounce_with_id(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         # 0-9-ø: query S3's ID, come straight back.
         (outcome,) = transport.probe_round([ProbeSpec(tags=(ID_QUERY, 9))])
         assert outcome is not None and outcome.kind == "id"
@@ -46,7 +43,7 @@ class TestOracleWalk:
 
     def test_link_bounce_from_paper(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         # Section 4.1: PM 1-0-1-9-ø discovers S1 via the S3-1/S1-1 link.
         (outcome,) = transport.probe_round(
             [ProbeSpec(tags=(1, ID_QUERY, 1, 9))]
@@ -55,7 +52,7 @@ class TestOracleWalk:
 
     def test_host_probe_from_paper(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         # PM to S3 port 5 reaches H3, which replies along 9-ø.
         (outcome,) = transport.probe_round(
             [ProbeSpec(tags=(5,), reply_tags=(9,))]
@@ -64,13 +61,13 @@ class TestOracleWalk:
 
     def test_lost_probe(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         (outcome,) = transport.probe_round([ProbeSpec(tags=(8,))])  # empty port
         assert outcome is None
 
     def test_host_with_extra_tags_dropped(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         (outcome,) = transport.probe_round(
             [ProbeSpec(tags=(5, 3), reply_tags=(9,))]
         )
@@ -80,7 +77,7 @@ class TestOracleWalk:
         """Section 4.1: probing S1's port 2 bounces for two different
         return ports because S1 and S2 share the return path 1-9-ø."""
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         outcomes = transport.probe_round(
             [
                 ProbeSpec(tags=(1, 2, ID_QUERY, 1) + (1, 9)),
@@ -93,7 +90,7 @@ class TestOracleWalk:
 
     def test_verification_probe_distinguishes(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         outcomes = transport.probe_round(
             [
                 ProbeSpec(tags=(1, 2, 1, ID_QUERY) + (1, 9)),
@@ -106,7 +103,7 @@ class TestOracleWalk:
 
     def test_reply_counts_as_message(self):
         topo = figure1()
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         transport.probe_round([ProbeSpec(tags=(5,), reply_tags=(9,))])
         assert transport.probes_sent == 2  # probe + host reply
         assert transport.replies_received == 1
@@ -129,24 +126,19 @@ class TestDiscovery:
     )
     def test_full_discovery_matches_ground_truth(self, topo_factory, origin):
         topo = topo_factory()
-        result = discover(oracle_for(topo, origin), origin)
+        result = discover(OracleProbeTransport(topo, origin), origin)
         assert result.view.same_wiring(topo), (
             f"discovered {result.view.summary()} != truth {topo.summary()}"
         )
 
-    def test_finds_controllers(self):
-        topo = figure1()
-        result = discover(oracle_for(topo, "H1", controllers={"C3"}), "H1")
-        assert result.controller_hosts == ["C3"]
-
     def test_origin_attachment(self):
         topo = figure1()
-        result = discover(oracle_for(topo, "C3"), "C3")
+        result = discover(OracleProbeTransport(topo, "C3"), "C3")
         assert result.origin_attachment == ("S3", 9)
 
     def test_ambiguities_resolved_on_figure1(self):
         topo = figure1()
-        result = discover(oracle_for(topo, "C3"), "C3")
+        result = discover(OracleProbeTransport(topo, "C3"), "C3")
         assert result.stats.ambiguities_resolved >= 1
         assert result.stats.verifications >= result.stats.ambiguities_resolved
 
@@ -159,7 +151,7 @@ class TestDiscovery:
         # probing from a host on a switch with no ports beyond its own.
         # A host alone on a switch still finds it, so instead check the
         # error path with a zero-port transport.
-        transport = oracle_for(topo, "lonely")
+        transport = OracleProbeTransport(topo, "lonely")
         transport.max_ports = 0
         with pytest.raises(DiscoveryError):
             discover(transport, "lonely")
@@ -168,7 +160,7 @@ class TestDiscovery:
         topo = figure1()
         topo.remove_link("S2", 3, "S5", 2)
         topo.remove_link("S4", 3, "S5", 1)
-        result = discover(oracle_for(topo, "C3"), "C3")
+        result = discover(OracleProbeTransport(topo, "C3"), "C3")
         # S5 and H5 are unreachable and must not appear.
         assert not result.view.has_switch("S5")
         assert not result.view.has_host("H5")
@@ -179,7 +171,7 @@ class TestDiscovery:
         counts = {}
         for ports in (6, 12):
             topo = ring(4, num_ports=ports)
-            transport = oracle_for(topo, "hR0_0")
+            transport = OracleProbeTransport(topo, "hR0_0")
             discover(transport, "hR0_0")
             counts[ports] = transport.probes_sent
         ratio = counts[12] / counts[6]
@@ -191,7 +183,7 @@ class TestDiscovery:
         counts = {}
         for n in (4, 8):
             topo = line(n, num_ports=8)
-            transport = oracle_for(topo, "hL0_0")
+            transport = OracleProbeTransport(topo, "hL0_0")
             discover(transport, "hL0_0")
             counts[n] = transport.probes_sent
         ratio = counts[8] / counts[4]
@@ -203,7 +195,7 @@ class TestRouteTags:
         topo = figure1()
         to_tags, from_tags = route_tags(topo, "C3", "S4")
         # Forward tags must land a probe on S4; verify via oracle walk.
-        transport = oracle_for(topo, "C3")
+        transport = OracleProbeTransport(topo, "C3")
         (outcome,) = transport.probe_round(
             [ProbeSpec(tags=to_tags + (ID_QUERY,) + from_tags)]
         )
@@ -225,7 +217,7 @@ class TestRouteTags:
 class TestVerificationBootstrap:
     def test_clean_blueprint(self):
         topo = paper_testbed()
-        transport = oracle_for(topo, "h0_0")
+        transport = OracleProbeTransport(topo, "h0_0")
         report = verify_expected_topology(transport, "h0_0", topo)
         assert report.clean
         assert report.confirmed_links == len(topo.links)
@@ -234,9 +226,9 @@ class TestVerificationBootstrap:
     def test_verification_is_cheap(self):
         """O(links + hosts) probes, not O(N * P^2)."""
         topo = paper_testbed()
-        verify_transport = oracle_for(topo, "h0_0")
+        verify_transport = OracleProbeTransport(topo, "h0_0")
         verify_expected_topology(verify_transport, "h0_0", topo)
-        full_transport = oracle_for(topo, "h0_0")
+        full_transport = OracleProbeTransport(topo, "h0_0")
         discover(full_transport, "h0_0")
         assert verify_transport.probes_sent < full_transport.probes_sent / 10
 
@@ -244,7 +236,7 @@ class TestVerificationBootstrap:
         truth = paper_testbed()
         blueprint = truth.copy()
         truth.remove_link("leaf0", 1, "spine0", 1)
-        transport = oracle_for(truth, "h1_0")
+        transport = OracleProbeTransport(truth, "h1_0")
         report = verify_expected_topology(transport, "h1_0", blueprint)
         assert not report.clean
         assert ("leaf0", 1, "spine0", 1) in report.missing_links or (
@@ -255,7 +247,7 @@ class TestVerificationBootstrap:
         truth = paper_testbed()
         blueprint = truth.copy()
         truth.remove_host("h3_2")
-        transport = oracle_for(truth, "h0_0")
+        transport = OracleProbeTransport(truth, "h0_0")
         report = verify_expected_topology(transport, "h0_0", blueprint)
         assert "h3_2" in report.missing_hosts
 
@@ -291,22 +283,20 @@ class TestVerificationMisWire:
 
     def test_crossed_cable_flagged(self):
         truth, blueprint = self._scenario()
-        report = verify_expected_topology(oracle_for(truth, "H"), "H", blueprint)
+        report = verify_expected_topology(OracleProbeTransport(truth, "H"), "H", blueprint)
         assert not report.clean
         assert ("A", 2, "B", 2) in report.missing_links
 
     def test_honest_links_still_verify(self):
         truth, blueprint = self._scenario()
-        report = verify_expected_topology(oracle_for(truth, "H"), "H", blueprint)
+        report = verify_expected_topology(OracleProbeTransport(truth, "H"), "H", blueprint)
         assert report.missing_links == [("A", 2, "B", 2)]
         assert report.missing_hosts == []
         assert report.confirmed_links == 3  # the three spoke uplinks
 
     def test_repair_recovers_the_real_wiring(self):
-        from repro.core.rediscovery import repair_from_verification
-
         truth, blueprint = self._scenario()
-        transport = oracle_for(truth, "H")
+        transport = OracleProbeTransport(truth, "H")
         report = verify_expected_topology(transport, "H", blueprint)
         repaired = repair_from_verification(transport, "H", blueprint, report)
         assert repaired.view.same_wiring(truth)
@@ -314,12 +304,13 @@ class TestVerificationMisWire:
 
 class _DropFirstAttempt:
     """Transport wrapper: the first attempt of selected specs vanishes
-    (scenario (i) loss), retries go through untouched."""
+    (scenario (i) loss), retries go through untouched.  ``drop_specs``
+    is anything supporting ``in``."""
 
     def __init__(self, inner, drop_specs):
         self.inner = inner
         self.max_ports = inner.max_ports
-        self._drop = set(drop_specs)
+        self._drop = drop_specs
         self._seen = set()
 
     def probe_round(self, specs):
@@ -367,7 +358,7 @@ class TestRetryingRoundAccounting:
         specs, expect = _host_probe_specs(topo, origin)
         assert len(specs) == 5
         transport = _DropFirstAttempt(
-            oracle_for(topo, origin), {specs[i] for i in drop}
+            OracleProbeTransport(topo, origin), {specs[i] for i in drop}
         )
         stats = DiscoveryStats()
         outcomes = _retrying_round(transport, stats, specs, probe_retries=2)
@@ -385,7 +376,7 @@ class TestRetryingRoundAccounting:
         origin = sorted(topo.hosts)[0]
         specs, expect = _host_probe_specs(topo, origin)
         transport = _DropFirstAttempt(
-            oracle_for(topo, origin), {specs[i] for i in drop}
+            OracleProbeTransport(topo, origin), {specs[i] for i in drop}
         )
         stats = DiscoveryStats()
         outcomes = _retrying_round(transport, stats, specs, probe_retries=0)
@@ -408,7 +399,7 @@ class TestRetryingRoundAccounting:
         ]
         stats = DiscoveryStats()
         outcomes = _retrying_round(
-            oracle_for(topo, "O"), stats, specs, probe_retries=2
+            OracleProbeTransport(topo, "O"), stats, specs, probe_retries=2
         )
         assert outcomes[0] is not None and outcomes[0].host == "X"
         assert outcomes[1] is None

@@ -67,7 +67,7 @@ class TestProbing:
     def test_unknown_probe_reply_ignored(self):
         loop = EventLoop()
         agent = HostAgent("h", loop)
-        reply = ProbeReply(nonce=1234, host="x", is_controller=False)
+        reply = ProbeReply(nonce=1234, host="x")
         packet = Packet(src="x", ethertype=ETHERTYPE_DUMBNET, tags=PathTags([]), payload=reply)
         agent.handle_packet(1, packet)  # must not raise
         assert agent.collect_probe(1234) is None

@@ -6,22 +6,20 @@ import pytest
 from repro.consensus.store import ReplicatedTopologyStore, apply_change
 from repro.core.discovery import (
     OracleProbeTransport,
+    RediscoveryEngine,
     discover,
+    incremental_discover,
+    repair_from_verification,
     verify_expected_topology,
 )
 from repro.core.fabric import DumbNetFabric
-from repro.core.rediscovery import (
-    RediscoveryEngine,
-    incremental_discover,
-    repair_from_verification,
-)
 from repro.faultinject import (
     ChaosRunner,
     FaultSchedule,
     ScheduleError,
     build_chaos_fabric,
 )
-from repro.topology import Topology, fat_tree, leaf_spine
+from repro.topology import Topology, TopologyError, fat_tree, leaf_spine
 
 
 def _free_ports(topo, limit):
@@ -75,8 +73,13 @@ class TestEngineOracle:
         assert inc.max_frontier_depth >= 1
 
     def test_probes_an_order_of_magnitude_below_full(self):
-        full, inc = self._expand()
-        assert inc.stats.probes_sent * 10 <= full.stats.probes_sent
+        # Exact oracle message counts, so a change to the probe schedule
+        # of either seed shows up here, not only a ratio collapse.
+        for (k, ports, cables), counts in (((4, 6, 3), (718, 49)), ((8, 10, 4), (6955, 126))):
+            full, inc = self._expand(k, ports, cables)
+            assert inc.view.same_wiring(full.view)
+            assert (full.stats.probes_sent, inc.stats.probes_sent) == counts
+            assert inc.stats.probes_sent * 10 <= full.stats.probes_sent
 
     def test_change_log_replays_into_a_replica(self):
         truth = fat_tree(4, num_ports=6)
@@ -169,6 +172,18 @@ class TestEngineOracle:
         )
         assert inc.unreachable_frontiers == [("island", 1)]
         assert inc.changes == []
+
+    def test_unknown_origin_raises_instead_of_reading_unreachable(self):
+        truth = fat_tree(4, num_ports=6)
+        origin = truth.hosts[0]
+        view = discover(OracleProbeTransport(truth, origin=origin), origin).view
+        with pytest.raises(TopologyError):
+            incremental_discover(
+                OracleProbeTransport(truth, origin=origin),
+                "ghost",
+                view,
+                _free_ports(view, 2),
+            )
 
 
 class TestRepairFromVerification:
