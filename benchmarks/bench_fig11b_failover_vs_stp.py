@@ -119,7 +119,7 @@ def run_stp():
         return StpBridge(name, ports, network.loop, tracer=tracer, **STP_TIMERS)
 
     def make_host(name, network):
-        return L2Host(name, network.loop, tracer=tracer)
+        return L2Host(name, network.loop)
 
     net = Network(
         paper_testbed(), make_bridge, make_host,

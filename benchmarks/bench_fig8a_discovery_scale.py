@@ -124,8 +124,8 @@ def test_fig8a_discovery_scale(benchmark):
         title="Projection (paper reports <= ~70 s)",
     )
     # Emulator throughput for the packet-by-packet point (the scale
-    # sweep uses the oracle transport, which runs no events); full
-    # hot-path numbers live in BENCH_netsim.json.
+    # sweep uses the oracle transport, which runs no events); the
+    # e2e `bootstrap_discovery` workload times this loop end to end.
     text += (
         f"\n\nEmulated testbed point: {fabric.loop.events_run} events "
         f"in {wall:.2f}s wall ({fabric.loop.events_run / wall:,.0f} events/s)"

@@ -66,7 +66,7 @@ def stp_side():
         )
 
     def host(name, network):
-        return L2Host(name, network.loop, tracer=tracer)
+        return L2Host(name, network.loop)
 
     net = Network(paper_testbed(), bridge, host, link_spec=spec,
                   host_link_spec=spec, tracer=tracer)

@@ -9,8 +9,8 @@ slices, exactly the loop a terminal UI or scrape agent would run:
 * ``fabric.observe()`` is a read-only snapshot: taking one schedules
   no events and draws no randomness, so watching the run cannot
   change it (CI pins this with a golden-trace equivalence test);
-* the flight recorder shows the *recent* failure/fault events without
-  holding the whole trace;
+* the fabric's event record answers "what happened recently?" per
+  category (``fabric.tracer.last``);
 * the same snapshot exports as a CLI table, JSON, or Prometheus text.
 
 Run:  python examples/observability.py
@@ -42,14 +42,13 @@ def dashboard_frame(fabric, step: int) -> None:
     print(f"\n===== dashboard frame {step} @ t={fabric.now:.3f}s =====")
     print(observation.summary())
 
-    hub = fabric.obs
-    recent = hub.recorder.last("fault-applied", 3)
+    recent = fabric.tracer.last("fault-applied", 3)
     if recent:
         print("recent faults:")
-        for when, kind, detail in recent:
-            print(f"  t={when:.3f}s  {kind}: {detail}")
+        for event in recent:
+            print(f"  t={event.time:.3f}s  {event.node}: {event.detail}")
 
-    lat = hub.query_latency
+    lat = fabric.obs.query_latency
     if lat.count:
         print(f"path-query latency: n={lat.count} "
               f"p50={lat.p50 * 1e6:.1f}us p99={lat.p99 * 1e6:.1f}us")

@@ -295,9 +295,8 @@ class _BpduFrame:
 class L2Host(Device):
     """A plain Ethernet host: sends L2 frames, records deliveries."""
 
-    def __init__(self, name: str, loop: EventLoop, tracer=None) -> None:
+    def __init__(self, name: str, loop: EventLoop) -> None:
         super().__init__(name, loop, proc_delay=1e-6)
-        self.tracer = tracer
         self.delivered: List[Tuple[float, str, object]] = []
         self.bytes_received = 0
 
@@ -308,5 +307,3 @@ class L2Host(Device):
         if isinstance(packet, L2Frame) and packet.dst == self.name:
             self.delivered.append((self.loop.now, packet.src, packet.payload))
             self.bytes_received += packet.size_bytes
-            if self.tracer is not None:
-                self.tracer.record(self.loop.now, "l2-delivered", self.name, packet.src)

@@ -66,7 +66,7 @@ class DumbNetFabric:
         tracer: Optional[Tracer] = None,
         notify_script_delay_s: float = 0.0,
         switch_cls: Optional[type] = None,
-        obs: Union[bool, FabricObs] = False,
+        obs: bool = False,
     ) -> None:
         """Everything after ``controller_host`` is keyword-only: the
         tail is long, all-optional, and call sites that spelled the
@@ -76,10 +76,11 @@ class DumbNetFabric:
         :class:`~repro.core.switch.DumbSwitch`); any subclass with the
         same constructor works, e.g. :class:`~repro.core.ecn.EcnSwitch`.
 
-        ``obs`` enables the observability layer: ``True`` builds a
-        default :class:`~repro.obs.fabric.FabricObs` hub, or pass a
-        pre-configured instance.  Off (the default) the fabric pays
-        nothing beyond dormant ``is not None`` gates.
+        ``obs=True`` builds a :class:`~repro.obs.fabric.FabricObs` hub
+        (``fabric.obs``), clocked by the simulator and wired into every
+        host agent and channel, hot-plugged ones included.  Off (the
+        default) the fabric pays nothing beyond dormant ``is not None``
+        gates.
         """
         if not topology.hosts:
             raise ValueError("a DumbNet fabric needs at least one host")
@@ -95,6 +96,9 @@ class DumbNetFabric:
         self._rng = random.Random(seed)
         self.agents: Dict[str, HostAgent] = {}
         self.controller: Optional[Controller] = None
+        self.obs: Optional[FabricObs] = (
+            FabricObs(clock=lambda: self.network.loop.now) if obs else None
+        )
 
         switch_type = switch_cls or DumbSwitch
 
@@ -106,9 +110,6 @@ class DumbNetFabric:
                 tracer=self.tracer,
                 notify_script_delay_s=notify_script_delay_s,
             )
-
-        # Kept for hot-plugging switches into the running fabric.
-        self._switch_factory = make_switch
 
         def make_host(name: str, network: Network) -> Device:
             rng = random.Random(self._rng.randrange(2**31))
@@ -129,6 +130,7 @@ class DumbNetFabric:
                     config=self.agent_config,
                     rng=rng,
                 )
+            agent.obs = self.obs
             self.agents[name] = agent
             return agent
 
@@ -141,11 +143,8 @@ class DumbNetFabric:
             seed=seed,
             tracer=self.tracer,
         )
-
-        self.obs: Optional[FabricObs] = None
-        if obs:
-            self.obs = obs if isinstance(obs, FabricObs) else FabricObs()
-            self.obs.attach(self)
+        if self.obs is not None:
+            self.network.attach_obs(self.obs)
 
         #: Flow-level dataplane (``from_topology(engine="fluid"|"hybrid")``):
         #: a FluidSimulator/HybridEngine over this topology, or None for
@@ -255,8 +254,8 @@ class DumbNetFabric:
     def observe(self) -> Observation:
         """A read-only snapshot of every observable counter and metric.
 
-        Works on any fabric; live histograms/flight-recorder data are
-        present when the fabric was built with ``obs``.
+        Works on any fabric; live histograms are present when the
+        fabric was built with ``obs``.
         """
         return observe_fabric(self)
 
@@ -303,23 +302,8 @@ class DumbNetFabric:
         itself -- after which the newcomer is a first-class citizen.
         Run the loop (``run_until_idle``) to let all of that happen.
         """
-        rng = random.Random(self._rng.randrange(2**31))
-
-        def factory(name: str, network: Network) -> Device:
-            agent = HostAgent(
-                name,
-                network.loop,
-                tracer=self.tracer,
-                config=self.agent_config,
-                rng=rng,
-            )
-            self.agents[name] = agent
-            return agent
-
-        device = self.network.hotplug_host(host, switch, port, factory)
+        device = self.network.hotplug_host(host, switch, port)
         assert isinstance(device, HostAgent)
-        if self.obs is not None:
-            self.obs.attach_hotplug(device, self.network.host_channel(host))
         return device
 
     def hotplug_switch(
@@ -337,16 +321,7 @@ class DumbNetFabric:
         the newcomer's links and hosts without a full re-discovery.
         Run the loop (``run_until_idle``) to let all of that happen.
         """
-        device = self.network.hotplug_switch(
-            switch, num_ports, tuple(links), self._switch_factory
-        )
-        if self.obs is not None:
-            for new_port, peer_switch, peer_port in links:
-                channel = self.network.link_channel(
-                    switch, new_port, peer_switch, peer_port
-                )
-                channel.enable_obs(self.obs.link_queue_wait)
-        return device
+        return self.network.hotplug_switch(switch, num_ports, tuple(links))
 
     # ------------------------------------------------------------------
     # delegation helpers

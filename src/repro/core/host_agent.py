@@ -132,7 +132,7 @@ class HostAgent(Device):
         self._pending_sends: Dict[str, List[Tuple[Any, int, object]]] = {}
         self._path_requests: Dict[str, Tuple[int, int]] = {}  # dst -> (nonce, tries)
 
-        # Observability hub (set by FabricObs.attach); None costs one
+        # Observability hub (set by DumbNetFabric(obs=True)); None costs one
         # check at the few gated call sites, like the tracer gates.
         self.obs = None
         self._obs_query_t0: Dict[str, float] = {}
@@ -341,8 +341,6 @@ class HostAgent(Device):
         now = self.loop.now
         payload = packet.payload.data if isinstance(packet.payload, AppData) else packet.payload
         self.delivered.append((now, packet.src, payload))
-        if self.tracer is not None:
-            self.tracer.record(now, "app-delivered", self.name, packet.src)
         if self.app_receive is not None:
             self.app_receive(packet.src, payload, now)
 

@@ -45,10 +45,6 @@ class ChaosFabric:
     controller_hosts: Tuple[str, ...]
     plane: Optional[ReplicatedControlPlane]
     tracer: Tracer
-    #: Observability hub carried over from the wrapped fabric (None
-    #: when the fabric was built without one); the runner flight-records
-    #: applied faults through it.
-    obs: Optional[Any] = None
 
     @property
     def controller(self) -> Controller:
@@ -74,7 +70,6 @@ class ChaosFabric:
             controller_hosts=(fabric.controller_host,),
             plane=None,
             tracer=fabric.tracer,
-            obs=getattr(fabric, "obs", None),
         )
 
 
@@ -169,7 +164,7 @@ class ChaosReport(ReportBase):
     quiesce_time: float = 0.0
     #: Simulator events executed by this run (fault application, traffic,
     #: invariant ticks, quiesce pings) -- the denominator for chaos
-    #: throughput in BENCH_netsim.json.
+    #: throughput.
     events_run: int = 0
     #: Controller path-service counters summed over every controller
     #: agent (primary + standbys) at quiesce.
@@ -272,13 +267,9 @@ class ChaosRunner:
         args = event.args
         if event.resolver is not None:
             args = tuple(event.resolver(self.fabric))
-        self.report.applied.append(event.describe(args))
-        obs = self.fabric.obs
-        if obs is not None:
-            obs.recorder.record(
-                self.fabric.loop.now, "fault-applied", event.kind,
-                event.describe(args),
-            )
+        line = event.describe(args)
+        self.report.applied.append(line)
+        self.fabric.tracer.record(self.fabric.loop.now, "fault-applied", event.kind, line)
         network = self.fabric.network
         kind = event.kind
         if kind == "link-down":
@@ -295,12 +286,7 @@ class ChaosRunner:
             network.restore_switch(args[0])
         elif kind == "switch-join":
             switch, num_ports, links = args
-            tracer = self.fabric.tracer
-
-            def make_switch(name: str, ports: int, net: Network) -> DumbSwitch:
-                return DumbSwitch(name, ports, net.loop, tracer=tracer)
-
-            network.hotplug_switch(switch, num_ports, tuple(links), make_switch)
+            network.hotplug_switch(switch, num_ports, tuple(links))
         elif kind == "host-partition":
             network.host_channel(args[0]).fail()
         elif kind == "host-rejoin":

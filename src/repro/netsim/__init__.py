@@ -4,10 +4,9 @@ from .events import EventHandle, EventLoop, SimulationError
 from .channel import Channel, ChannelEnd, DEFAULT_DETECTION_DELAY
 from .device import Device
 from .network import HOST_NIC_PORT, LinkSpec, Network
-from .trace import PerfCounters, TraceEvent, Tracer
+from .trace import TraceEvent, Tracer
 
 __all__ = [
-    "PerfCounters",
     "EventLoop",
     "EventHandle",
     "SimulationError",

@@ -15,9 +15,10 @@ loss, no jitter, no duplication, no extra delay -- the overwhelmingly
 common case in discovery and throughput sweeps) that touches no rng and
 takes no fault branches, and a slow path for perturbed channels.  The
 ``_fast`` flag is maintained by property setters on the four fault
-knobs, so fault injectors can keep mutating them directly.  Optional
-per-channel counters (see :class:`~repro.netsim.trace.PerfCounters`)
-cost one ``is not None`` check per frame when disabled.
+knobs, so fault injectors can keep mutating them directly.  The one
+per-channel instrument, an obs queue-wait histogram wired by the
+:class:`~repro.netsim.network.Network`, costs one ``is not None`` check
+per frame when absent.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from heapq import heappush
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .events import EventLoop
-from .trace import PerfCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .device import Device
@@ -114,9 +114,8 @@ class Channel:
         self.frames_delivered = 0
         self.frames_dropped = 0
         self.frames_duplicated = 0
-        self._stats: Optional[PerfCounters] = None
-        # Obs-layer queueing-delay histogram (anything with observe());
-        # gated exactly like _stats: one check per frame when disabled.
+        # Obs-layer queueing-delay histogram (anything with observe()),
+        # set by Network when a hub is attached: one check per frame.
         self._obs_wait: Optional[Any] = None
         # Pre-bound delivery callback: binding a method allocates, and
         # the transmit fast path schedules one delivery per frame.
@@ -170,16 +169,6 @@ class Channel:
         self._refresh_fast()
 
     # ------------------------------------------------------------------
-    # profiling counters (Tracer-gated; None costs one check per frame)
-
-    def enable_counters(self, stats: PerfCounters) -> None:
-        self._stats = stats
-
-    def enable_obs(self, wait_histogram: Any) -> None:
-        """Record per-frame queueing delay into an obs histogram."""
-        self._obs_wait = wait_histogram
-
-    # ------------------------------------------------------------------
 
     def transmit(self, sender: ChannelEnd, packet: Any, size_bits: float) -> bool:
         if not self.up:
@@ -203,11 +192,6 @@ class Channel:
                 arrival = sender.last_arrival
             else:
                 sender.last_arrival = arrival
-            stats = self._stats
-            if stats is not None:
-                stats.frames += 1
-                stats.bits += size_bits
-                stats.wait_s += start - now
             obs = self._obs_wait
             if obs is not None:
                 obs.observe(start - now)
@@ -253,11 +237,6 @@ class Channel:
             arrival = sender.last_arrival
         else:
             sender.last_arrival = arrival
-        stats = self._stats
-        if stats is not None:
-            stats.frames += 1
-            stats.bits += size_bits
-            stats.wait_s += start - now
         obs = self._obs_wait
         if obs is not None:
             obs.observe(start - now)
@@ -286,15 +265,10 @@ class Channel:
         # the same single _serve event, so interleavings are unchanged.
         device.packets_received += 1
         device._busy = True
-        delay = device._pd
-        stats = device._stats
-        if stats is not None:
-            stats.frames += 1
-            stats.service_s += delay
         loop = self.loop
         seq = loop._seq
         loop._seq = seq + 1
-        heappush(loop._heap, (loop.now + delay, seq, device._serve_cb, ("pkt", receiver.port, packet)))
+        heappush(loop._heap, (loop.now + device._pd, seq, device._serve_cb, ("pkt", receiver.port, packet)))
         loop._live += 1
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Any, Deque, Dict, Optional, Tuple
 
 from .channel import ChannelEnd
 from .events import EventLoop
-from .trace import PerfCounters
 
 __all__ = ["Device"]
 
@@ -36,14 +35,9 @@ class Device:
         self._busy = False
         self.packets_received = 0
         self.packets_sent = 0
-        self._stats: Optional[PerfCounters] = None
         # Pre-bound service callback: one _serve event fires per frame,
         # and binding a method allocates.
         self._serve_cb = self._serve
-
-    def enable_counters(self, stats: PerfCounters) -> None:
-        """Attach a Tracer-gated profiling bucket (see netsim.trace)."""
-        self._stats = stats
 
     @property
     def proc_delay(self) -> float:
@@ -81,26 +75,17 @@ class Device:
             return
         self.packets_received += 1
         if self._busy or self._queue:
-            queue = self._queue
-            queue.append(("pkt", port, packet))
-            stats = self._stats
-            if stats is not None and len(queue) > stats.depth_max:
-                stats.depth_max = len(queue)
+            self._queue.append(("pkt", port, packet))
             return
         # Idle server: start service directly, skipping the queue
         # round-trip.  Same single _serve event as the queued path, so
         # event interleavings are unchanged.
         self._busy = True
-        delay = self._pd
-        stats = self._stats
-        if stats is not None:
-            stats.frames += 1
-            stats.service_s += delay
         # Inlined EventLoop.call_after -- fires once per frame.
         loop = self.loop
         seq = loop._seq
         loop._seq = seq + 1
-        heappush(loop._heap, (loop.now + delay, seq, self._serve_cb, ("pkt", port, packet)))
+        heappush(loop._heap, (loop.now + self._pd, seq, self._serve_cb, ("pkt", port, packet)))
         loop._live += 1
 
     def port_state_changed(self, port: int, up: bool) -> None:
@@ -115,12 +100,7 @@ class Device:
             return
         self._busy = True
         kind, port, item = self._queue.popleft()
-        delay = self._pd
-        stats = self._stats
-        if stats is not None:
-            stats.frames += 1
-            stats.service_s += delay
-        self.loop.call_after(delay, self._serve_cb, kind, port, item)
+        self.loop.call_after(self._pd, self._serve_cb, kind, port, item)
 
     def _serve(self, kind: str, port: int, item: Any) -> None:
         self._busy = False

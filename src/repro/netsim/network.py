@@ -12,7 +12,7 @@ Hosts have a single NIC, always port 1 on the host device.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..topology.graph import Link, PortRef, Topology, TopologyError
 from .channel import Channel
@@ -69,6 +69,13 @@ class Network:
         self.hosts: Dict[str, Device] = {}
         self._link_channels: Dict[frozenset, Channel] = {}
         self._host_channels: Dict[str, Channel] = {}
+        # Kept for hot-plug: a newcomer is built exactly like the rest.
+        self._switch_factory = switch_factory
+        self._host_factory = host_factory
+        #: Observability hub (duck-typed ``repro.obs.FabricObs``), set by
+        #: :meth:`attach_obs`.  Every channel wired while it is set --
+        #: hot-plugged ones included -- records its queueing delay there.
+        self.obs: Optional[Any] = None
 
         for sw in topology.switches:
             self.switches[sw] = switch_factory(sw, topology.num_ports(sw), self)
@@ -78,9 +85,6 @@ class Network:
             self._wire_link(link)
         for host in topology.hosts:
             self._wire_host(host)
-        if self.tracer.counters_enabled:
-            for name, device in {**self.switches, **self.hosts}.items():
-                device.enable_counters(self.tracer.counters_for(f"device:{name}"))
 
     # ------------------------------------------------------------------
 
@@ -99,10 +103,8 @@ class Network:
         self.switches[link.a.switch].attach(link.a.port, channel.ends[0])
         self.switches[link.b.switch].attach(link.b.port, channel.ends[1])
         self._link_channels[link.key()] = channel
-        if self.tracer.counters_enabled:
-            label = (f"link:{link.a.switch}.{link.a.port}-"
-                     f"{link.b.switch}.{link.b.port}")
-            channel.enable_counters(self.tracer.counters_for(label))
+        if self.obs is not None:
+            channel._obs_wait = self.obs.link_queue_wait
 
     def _wire_host(self, host: str) -> None:
         ref = self.topology.host_port(host)
@@ -110,8 +112,18 @@ class Network:
         self.switches[ref.switch].attach(ref.port, channel.ends[0])
         self.hosts[host].attach(HOST_NIC_PORT, channel.ends[1])
         self._host_channels[host] = channel
-        if self.tracer.counters_enabled:
-            channel.enable_counters(self.tracer.counters_for(f"nic:{host}"))
+        if self.obs is not None:
+            channel._obs_wait = self.obs.nic_queue_wait
+
+    def attach_obs(self, hub: Any) -> None:
+        """Record per-frame queueing delay into ``hub``'s link / NIC
+        histograms: the channels wired so far now, later ones as they
+        are wired."""
+        self.obs = hub
+        for channel in self._link_channels.values():
+            channel._obs_wait = hub.link_queue_wait
+        for channel in self._host_channels.values():
+            channel._obs_wait = hub.nic_queue_wait
 
     # ------------------------------------------------------------------
     # lookups
@@ -137,10 +149,8 @@ class Network:
     # ------------------------------------------------------------------
     # hot-plug
 
-    def hotplug_host(
-        self, host: str, switch: str, port: int, host_factory: HostFactory
-    ) -> Device:
-        """Attach a new host to a live network.
+    def hotplug_host(self, host: str, switch: str, port: int) -> Device:
+        """Attach a new host, built by the network's host factory.
 
         Wires the NIC channel, registers the host in the topology, and
         raises the PHY on both ends -- the switch sees a port-up event
@@ -148,11 +158,9 @@ class Network:
         the DumbNet controller discover the newcomer by reprobing.
         """
         self.topology.add_host(host, switch, port)
-        device = host_factory(host, self)
+        device = self._host_factory(host, self)
         self.hosts[host] = device
         self._wire_host(host)
-        if self.tracer.counters_enabled:
-            device.enable_counters(self.tracer.counters_for(f"device:{host}"))
         # Announce the PHY coming up on the switch side.
         self.loop.schedule(
             self._host_channels[host].detection_delay_s,
@@ -167,9 +175,8 @@ class Network:
         switch: str,
         num_ports: int,
         links: Tuple[Tuple[int, str, int], ...],
-        switch_factory: SwitchFactory,
     ) -> Device:
-        """Rack a new switch into a live network.
+        """Rack a new switch, built by the network's switch factory.
 
         ``links`` lists the cables as ``(new switch port, existing
         switch, existing port)``.  Each cable raises the PHY on *both*
@@ -179,10 +186,8 @@ class Network:
         newcomer (it appears as an unknown switch ID).
         """
         self.topology.add_switch(switch, num_ports)
-        device = switch_factory(switch, num_ports, self)
+        device = self._switch_factory(switch, num_ports, self)
         self.switches[switch] = device
-        if self.tracer.counters_enabled:
-            device.enable_counters(self.tracer.counters_for(f"device:{switch}"))
         for new_port, peer_switch, peer_port in links:
             link = self.topology.add_link(switch, new_port, peer_switch, peer_port)
             self._wire_link(link)

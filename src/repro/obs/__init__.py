@@ -1,12 +1,11 @@
 """Unified observability for the DumbNet reproduction.
 
-One subsystem, four layers:
+One subsystem, three layers, over the one event record every fabric
+already keeps (:class:`repro.netsim.trace.Tracer`):
 
 * :mod:`repro.obs.metrics` -- counters, gauges, log-bucketed
   histograms (p50/p95/p99) and :class:`Span` timing contexts, all
   clocked by the *simulated* clock;
-* :mod:`repro.obs.recorder` -- a bounded flight recorder (last-N
-  events per category) fed by the tracer;
 * :mod:`repro.obs.export` -- JSON, Prometheus text exposition, and
   CLI-table renderers (plus a strict exposition validator for CI);
 * :mod:`repro.obs.report` -- the common ``as_dict/to_json/summary``
@@ -14,9 +13,10 @@ One subsystem, four layers:
 
 Entry point: build a fabric with ``DumbNetFabric(..., obs=True)`` and
 call ``fabric.observe()`` for an :class:`Observation` snapshot.  A
-fabric built without ``obs`` pays zero overhead beyond the pre-existing
+fabric built without ``obs`` pays zero overhead beyond dormant
 ``is not None`` gates, and ``observe()`` still works there (it returns
-the sampled counters, just without live histograms).
+the sampled counters and the event record, just without live
+histograms).
 
 ``python -m repro.obs.smoke`` is the CI gate.
 """
@@ -24,8 +24,7 @@ the sampled counters, just without live histograms).
 from .export import parse_prometheus, to_prometheus
 from .fabric import FabricObs, Observation, observe_fabric
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Span
-from .recorder import FlightRecorder
-from .report import PerfReport, ReportBase
+from .report import ReportBase
 
 __all__ = [
     "Counter",
@@ -33,11 +32,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "FlightRecorder",
     "FabricObs",
     "Observation",
     "observe_fabric",
-    "PerfReport",
     "ReportBase",
     "parse_prometheus",
     "to_prometheus",

@@ -2,20 +2,21 @@
 
 :class:`FabricObs` is the live hub a fabric carries when observability
 is enabled: one :class:`~repro.obs.metrics.MetricsRegistry` clocked by
-the simulator, one :class:`~repro.obs.recorder.FlightRecorder` fed by
-the tracer, and the pre-created histograms hot paths record into
+the simulator and the pre-created histograms hot paths record into
 (channel queueing delay, controller-query latency, reprobe latency,
-installed path lengths).  Attaching the hub flips exactly the same
-kind of ``is not None`` gates the Tracer-gated :class:`PerfCounters`
-use, so a fabric built without it pays nothing.
+installed path lengths).  The fabric hands it to every host agent it
+builds and to its :class:`~repro.netsim.network.Network`, which points
+each channel's queue-wait gate at it; without a hub those ``is not
+None`` gates stay dormant and the fabric pays nothing.
 
 :func:`observe_fabric` takes a *snapshot*: it walks the fabric's
 existing counters (event loop, switches, channels, host agents, the
-controller's path service) plus the hub's live metrics and wraps them
-in an :class:`Observation` -- a :class:`~repro.obs.report.ReportBase`
-report that also renders Prometheus exposition text.  Snapshotting is
-read-only: it schedules nothing, sends nothing, and draws no
-randomness, so it can run mid-simulation without perturbing anything.
+controller's path service), its tracer's event record and the hub's
+live metrics and wraps them in an :class:`Observation` -- a
+:class:`~repro.obs.report.ReportBase` report that also renders
+Prometheus exposition text.  Snapshotting is read-only: it schedules
+nothing, sends nothing, and draws no randomness, so it can run
+mid-simulation without perturbing anything.
 
 Everything here is duck-typed against the fabric (``network``,
 ``agents``, ``controller``, ``obs`` attributes) -- this module never
@@ -28,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .export import Labels, Sample, metric_name, to_prometheus, to_table
 from .metrics import Histogram, MetricsRegistry
-from .recorder import FlightRecorder
 from .report import ReportBase
 
 __all__ = ["FabricObs", "Observation", "observe_fabric"]
@@ -71,14 +71,12 @@ _CONTROLLER_COUNTERS = (
 class FabricObs:
     """Live instrumentation attached to one fabric.
 
-    Construct with ``DumbNetFabric(..., obs=True)`` (or pass an
-    instance for custom capacity) and read back through
+    Built by ``DumbNetFabric(..., obs=True)`` and read back through
     ``fabric.observe()``.
     """
 
-    def __init__(self, clock=None, flight_capacity: int = 256) -> None:
+    def __init__(self, clock=None) -> None:
         self.registry = MetricsRegistry(clock=clock)
-        self.recorder = FlightRecorder(flight_capacity)
         # Pre-created histograms: hot-path call sites hold the direct
         # reference and pay one observe() per recorded sample.
         self.link_queue_wait = self.registry.histogram("netsim.link.queue_wait_s")
@@ -96,29 +94,6 @@ class FabricObs:
         self.rediscovery_frontier_depth = self.registry.histogram(
             "controller.rediscovery.frontier_depth", least=1.0, growth=2.0
         )
-
-    # ------------------------------------------------------------------
-    # wiring
-
-    def attach(self, fabric: Any) -> None:
-        """Hook the hub into a built fabric: channel histograms, the
-        tracer's flight-recorder sink, and per-agent obs references."""
-        network = fabric.network
-        self.registry.set_clock(lambda: network.loop.now)
-        tracer = getattr(fabric, "tracer", None)
-        if tracer is not None:
-            tracer.obs_sink = self.recorder
-        for channel in network._link_channels.values():
-            channel.enable_obs(self.link_queue_wait)
-        for channel in network._host_channels.values():
-            channel.enable_obs(self.nic_queue_wait)
-        for agent in fabric.agents.values():
-            agent.obs = self
-
-    def attach_hotplug(self, agent: Any, channel: Any) -> None:
-        """Wire one hot-plugged host (new agent + new NIC channel)."""
-        channel.enable_obs(self.nic_queue_wait)
-        agent.obs = self
 
 
 class Observation(ReportBase):
@@ -174,21 +149,19 @@ class Observation(ReportBase):
                 name, hist.count,
                 f"{hist.p50:.3g}", f"{hist.p95:.3g}", f"{hist.p99:.3g}",
             ))
-        recorder = data.get("flight_recorder") or {}
-        recorder_rows = [
-            (category, body["seen"], body["held"])
-            for category, body in recorder.get("categories", {}).items()
+        event_rows = [
+            (category, body["seen"]) for category, body in data["events"].items()
         ]
         return to_table(
             {
                 "fabric": fabric_rows,
                 "histograms": hist_rows,
-                "flight recorder": recorder_rows,
+                "events": event_rows,
             },
             {
                 "fabric": ("metric", "value"),
                 "histograms": ("histogram", "count", "p50", "p95", "p99"),
-                "flight recorder": ("category", "seen", "held"),
+                "events": ("category", "seen"),
             },
             title=f"observation @ {data['now']:.6f}s",
         )
@@ -260,8 +233,7 @@ def observe_fabric(fabric: Any) -> Observation:
         switches[name] = row
     data["switches"] = switches
 
-    # Channels (aggregated per class; per-cable data lives in the
-    # tracer's PerfCounters when those are enabled).
+    # Channels (aggregated per class).
     data["channels"] = {
         "link": _channel_totals(network._link_channels.values()),
         "nic": _channel_totals(network._host_channels.values()),
@@ -395,12 +367,14 @@ def observe_fabric(fabric: Any) -> Observation:
     else:
         data["dataplane"] = None
 
+    # The event record every fabric keeps.
+    data["events"] = fabric.tracer.as_dict()
+
     # Live hub metrics (only present when the fabric was built with
     # observability enabled).
     hub: Optional[FabricObs] = getattr(fabric, "obs", None)
     if hub is not None:
         data["metrics"] = hub.registry.as_dict()
-        data["flight_recorder"] = hub.recorder.as_dict()
         for name, metric in hub.registry:
             prom = metric_name("dumbnet", name)
             if isinstance(metric, Histogram):
@@ -410,6 +384,5 @@ def observe_fabric(fabric: Any) -> Observation:
                        "counter" if metric.kind == "counter" else "gauge")
     else:
         data["metrics"] = None
-        data["flight_recorder"] = None
 
     return Observation(data, samples, histograms)

@@ -224,9 +224,6 @@ class MetricsRegistry:
     def now(self) -> float:
         return self._clock()
 
-    def set_clock(self, clock: Clock) -> None:
-        self._clock = clock
-
     # ------------------------------------------------------------------
     # metric accessors (get-or-create)
 

@@ -1,15 +1,14 @@
 """The one report protocol every fabric-facing snapshot speaks.
 
-Before this module the repo had five disjoint report shapes: the
-tracer's profiling dict, the telemetry :class:`FabricReport`, the chaos
-:class:`ChaosReport`, the path-service stats dict, and ad-hoc per-agent
-counters.  :class:`ReportBase` gives them a single surface --
+Before this module the repo had disjoint report shapes: the telemetry
+:class:`FabricReport`, the chaos :class:`ChaosReport`, the path-service
+stats dict, and ad-hoc per-agent counters.  :class:`ReportBase` gives them a single surface --
 ``as_dict()`` (plain JSON-able data, ``kind`` key first),
 ``to_json()``, and ``summary()`` (human-oriented text) -- so callers
 can treat any snapshot uniformly and exporters need one code path.
 
 This module is a dependency leaf on purpose: ``repro.core.telemetry``
-and ``repro.netsim.trace`` import from it, so it must not import them
+and the flow-level engines import from it, so it must not import them
 back.  The convenience re-exports of the concrete report classes
 (``FabricReport``, ``ChaosReport``...) therefore resolve lazily via
 module ``__getattr__``.
@@ -22,7 +21,6 @@ from typing import Any, Dict
 
 __all__ = [
     "ReportBase",
-    "PerfReport",
     "report_to_json",
     "FabricReport",
     "ChaosReport",
@@ -67,28 +65,6 @@ class ReportBase:
             else:
                 lines.append(f"{key}: {value}")
         return "\n".join(lines)
-
-
-class PerfReport(ReportBase):
-    """The tracer's profiling buckets behind the report protocol.
-
-    ``counters`` maps label -> plain counter dict.
-    """
-
-    __slots__ = ("counters",)
-
-    def __init__(self, counters: Dict[str, Dict[str, float]]) -> None:
-        self.counters = counters
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": "perf-report", "counters": self.counters}
-
-    def summary(self) -> str:
-        total_frames = sum(c.get("frames", 0) for c in self.counters.values())
-        return (
-            f"perf buckets: {len(self.counters)}, "
-            f"total frames: {total_frames}"
-        )
 
 
 # Lazy re-exports of the concrete report classes.  Resolved on first

@@ -6,12 +6,12 @@ API, and a scripted mini chaos timeline, then checks that:
 
 * ``fabric.observe().to_json()`` round-trips through ``json.loads``,
 * the Prometheus exposition output passes the strict validator,
-* the live histograms, flight recorder, and sampled counters are
+* the live histograms, the event record, and sampled counters are
   actually populated (a wiring regression would leave them empty),
 * taking a snapshot is side-effect free (no events scheduled, clock
   unmoved),
-* the report protocol holds across FabricReport, ChaosReport, the
-  tracer's PerfReport, and the Observation itself.
+* the report protocol holds across FabricReport, ChaosReport, and the
+  Observation itself.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def run(seed: int = 23, verbose: bool = True) -> int:
     )
 
     # A link flap through the Edge-accepting overload, plus a scripted
-    # chaos burst so the flight recorder sees applied faults.
+    # chaos burst so the event record sees applied faults.
     link = sorted(topology.links, key=lambda l: str(l.key()))[0]
     fabric.fail_link(link)
     fabric.run_until_idle()
@@ -93,8 +93,8 @@ def run(seed: int = 23, verbose: bool = True) -> int:
     check(hub.nic_queue_wait.count > 0, "NIC queueing histogram populated")
     check(hub.query_latency.count > 0, "path-query latency histogram populated")
     check(hub.path_tags.count > 0, "path-length histogram populated")
-    check(hub.recorder.seen("fault-applied") == len(chaos.applied) == 2,
-          "flight recorder saw the applied faults")
+    check(fabric.tracer.seen("fault-applied") == len(chaos.applied) == 2,
+          "event record saw the applied faults")
     check(decoded["switches"] and all(
         row["forwarded"] > 0 for row in decoded["switches"].values()
     ), "switch counters sampled")
@@ -106,7 +106,7 @@ def run(seed: int = 23, verbose: bool = True) -> int:
 
     # The one report protocol: every report speaks it.
     telemetry = TelemetryCollector(fabric.controller, fabric.network).collect()
-    for report in (observation, telemetry, chaos, fabric.tracer.report()):
+    for report in (observation, telemetry, chaos):
         name = type(report).__name__
         check(isinstance(report, ReportBase), f"{name} is a ReportBase")
         check(bool(json.loads(report.to_json())), f"{name}.to_json() round-trips")

@@ -30,7 +30,7 @@ def build_stp_network(topo, hello=0.01, max_age=0.1, forward_delay=0.05):
         )
 
     def make_host(name, network):
-        return L2Host(name, network.loop, tracer=tracer)
+        return L2Host(name, network.loop)
 
     net = Network(topo, make_bridge, make_host, tracer=tracer)
     for bridge in net.switches.values():
@@ -118,7 +118,7 @@ class TestStpConvergence:
         net.fail_link("R0", 2, "R1", 1)
         net.run(until=t0 + 2.0)
         rec = [
-            ev for ev in net.tracer.by_category("stp-port-forwarding") if ev.time > t0
+            ev for ev in net.tracer.last("stp-port-forwarding") if ev.time > t0
         ]
         assert rec, "no port ever moved to forwarding after the cut"
         recovery = max(ev.time for ev in rec) - t0

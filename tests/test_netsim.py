@@ -345,21 +345,36 @@ class TestNetworkBuilder:
 
 
 class TestTracer:
+    """The one event record: global record order and its query set."""
+
     def test_record_and_query(self):
         tracer = Tracer()
         tracer.record(1.0, "x", "n1", "d1")
         tracer.record(2.0, "x", "n1", "d2")
         tracer.record(3.0, "y", "n2")
-        assert len(tracer) == 3
-        assert tracer.times("x") == [1.0, 2.0]
-        assert tracer.first("x").detail == "d1"
-        assert tracer.first("x", node="n2") is None
+        assert [ev.category for ev in tracer] == ["x", "x", "y"]
+        assert list(tracer)[2] == (3.0, "y", "n2", None)
+        assert list(tracer)[0].detail == "d1"
         assert tracer.first_time_per_node("x") == {"n1": 1.0}
+        tracer.clear()
+        assert list(tracer) == [] and tracer.seen("x") == 0
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "x", "n")
-        assert len(tracer) == 0
+    def test_seen_and_last_slice_a_category(self):
+        tracer = Tracer()
+        for i in range(10):
+            tracer.record(float(i), "cat", "node", i)
+            tracer.record(float(i), "other", "node")
+        assert tracer.seen("cat") == 10
+        assert [ev.detail for ev in tracer.last("cat")] == list(range(10))
+        assert [ev.detail for ev in tracer.last("cat", 2)] == [8, 9]
+        assert tracer.last("cat", 0) == []
+        assert tracer.last("missing") == [] and tracer.seen("missing") == 0
+        summary = tracer.as_dict()
+        assert list(summary) == ["cat", "other"]
+        assert summary["cat"]["seen"] == summary["other"]["seen"] == 10
+        assert [row["detail"] for row in summary["cat"]["last"]] == [
+            str(i) for i in range(2, 10)
+        ]
 
 
 class TestQuiesceGuard:
@@ -596,59 +611,3 @@ class TestFailRandomLink:
         third = net.fail_random_link()
         assert third.key() == first.key()
         assert second.key() != third.key()
-
-
-class TestPerfCounters:
-    def test_channel_counters_gated_off_by_default(self):
-        loop = EventLoop()
-        a, b, ch = wire_pair(loop)
-        a.send(1, FakeFrame())
-        loop.run()
-        assert ch._stats is None  # nothing allocated when disabled
-
-    def test_channel_counters_accumulate(self):
-        from repro.netsim import PerfCounters
-
-        loop = EventLoop()
-        a, b, ch = wire_pair(loop, bandwidth=8e6, latency=0.0)
-        stats = PerfCounters()
-        ch.enable_counters(stats)
-        a.send(1, FakeFrame(1000))
-        a.send(1, FakeFrame(1000))  # queues behind frame 1 for 1 ms
-        loop.run()
-        assert stats.frames == 2
-        assert stats.bits == pytest.approx(16000)
-        assert stats.wait_s == pytest.approx(1e-3)
-
-    def test_device_counters_track_service_and_depth(self):
-        from repro.netsim import PerfCounters
-
-        loop = EventLoop()
-        a, b, _ch = wire_pair(loop, latency=0.0)
-        b.proc_delay = 1e-3
-        stats = PerfCounters()
-        b.enable_counters(stats)
-        for _ in range(3):
-            a.send(1, FakeFrame())
-        loop.run()
-        assert stats.frames == 3
-        assert stats.service_s == pytest.approx(3e-3)
-        assert stats.depth_max == 2  # two frames queued behind the first
-
-    def test_tracer_wires_counters_into_network(self):
-        tracer = Tracer(counters_enabled=True)
-
-        def sw(name, ports, network):
-            return Recorder(name, network.loop)
-
-        def host(name, network):
-            return Recorder(name, network.loop)
-
-        net = Network(line(2, hosts_per_switch=1), sw, host, tracer=tracer)
-        net.hosts["hL0_0"].send(1, FakeFrame())
-        net.run_until_idle()
-        report = tracer.report().counters
-        assert any(label.startswith("device:") for label in report)
-        assert any(label.startswith("link:") for label in report)
-        assert any(label.startswith("nic:") for label in report)
-        assert sum(c["frames"] for c in report.values()) > 0

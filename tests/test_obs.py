@@ -14,18 +14,16 @@ from hypothesis import strategies as st
 
 from repro.core.fabric import DumbNetFabric
 from repro.core.telemetry import FabricReport, StatsSwitch, TelemetryCollector
-from repro.netsim.trace import Tracer
+from repro.faultinject import ChaosFabric, ChaosRunner, FaultSchedule
 from repro.obs import (
     FabricObs,
-    FlightRecorder,
     Histogram,
     MetricsRegistry,
-    PerfReport,
-    ReportBase,
     parse_prometheus,
     to_prometheus,
 )
 from repro.topology import leaf_spine, paper_testbed
+from repro.workloads.iperf import measure_rtts
 
 
 # ----------------------------------------------------------------------
@@ -140,29 +138,6 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
-# flight recorder
-
-
-class TestFlightRecorder:
-    def test_ring_is_bounded_but_counts_everything(self):
-        rec = FlightRecorder(capacity=4)
-        for i in range(10):
-            rec.record(float(i), "cat", "node", i)
-        assert rec.seen("cat") == 10
-        assert [e[2] for e in rec.last("cat")] == [6, 7, 8, 9]
-        assert [e[2] for e in rec.last("cat", 2)] == [8, 9]
-        assert rec.last("missing") == []
-        assert rec.as_dict()["categories"]["cat"]["held"] == 4
-
-    def test_acts_as_tracer_sink(self):
-        tracer = Tracer()
-        tracer.obs_sink = FlightRecorder(capacity=8)
-        tracer.record(0.5, "news", "h1", "detail")
-        assert tracer.obs_sink.seen("news") == 1
-        assert tracer.obs_sink.last("news")[0] == (0.5, "h1", "detail")
-
-
-# ----------------------------------------------------------------------
 # exporters
 
 
@@ -206,16 +181,6 @@ class TestExport:
 
 
 class TestReportProtocol:
-    def test_perf_report_speaks_protocol(self):
-        tracer = Tracer(counters_enabled=True)
-        tracer.counters_for("device:x").frames = 7
-        report = tracer.report()
-        assert isinstance(report, (PerfReport, ReportBase))
-        data = json.loads(report.to_json())
-        assert data["kind"] == "perf-report"
-        assert data["counters"]["device:x"]["frames"] == 7
-        assert "7" in report.summary()
-
     def test_fabric_report_speaks_protocol(self):
         report = FabricReport(path_service={"hits": 3})
         assert json.loads(report.to_json())["path_service"] == {"hits": 3}
@@ -281,9 +246,8 @@ class TestFabricConstructionAPI:
 # obs never changes behavior
 
 
-def _traced_digest(obs: bool, seed: int) -> str:
-    """Bootstrap + traffic + a link flap, with or without obs; digest
-    every traced event byte for byte."""
+def _traced_fabric(obs: bool, seed: int) -> DumbNetFabric:
+    """Bootstrap + traffic + a link flap, with or without obs."""
     topo = leaf_spine(2, 2, 2, num_ports=16)
     fabric = DumbNetFabric(
         topo, controller_host="h0_0", seed=seed,
@@ -299,6 +263,11 @@ def _traced_digest(obs: bool, seed: int) -> str:
     if obs:
         # Snapshots mid-run must be invisible too.
         fabric.observe()
+    return fabric
+
+
+def _traced_digest(fabric: DumbNetFabric) -> str:
+    """Digest every traced event byte for byte."""
     blob = "\n".join(
         f"{ev.time!r}|{ev.category}|{ev.node}|{ev.detail!r}"
         for ev in fabric.tracer
@@ -311,7 +280,9 @@ class TestObsNeutrality:
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_obs_on_off_digests_identical(self, seed):
-        assert _traced_digest(False, seed) == _traced_digest(True, seed)
+        off, on = _traced_fabric(False, seed), _traced_fabric(True, seed)
+        assert _traced_digest(off) == _traced_digest(on)
+        assert list(off.tracer) == list(on.tracer)
 
     def test_pinned_golden_digest_survives_obs(self):
         """The exact digest TestGoldenTrace pins, with obs enabled."""
@@ -341,7 +312,8 @@ class TestObsNeutrality:
         )
         observation = fabric.observe()
         data = observation.as_dict()
-        assert data["metrics"] is None and data["flight_recorder"] is None
+        assert data["metrics"] is None
+        assert data["events"]["announced"]["seen"] > 0  # every fabric traces
         assert data["switches"]
         parse_prometheus(observation.to_prometheus())
 
@@ -362,24 +334,24 @@ class TestFabricObsWiring:
         )
         hub = fabric.obs
         assert isinstance(hub, FabricObs)
-        assert fabric.tracer.obs_sink is hub.recorder
+        assert fabric.network.obs is hub
         assert hub.link_queue_wait.count > 0 or hub.nic_queue_wait.count > 0
         assert hub.query_latency.count > 0
         assert hub.path_tags.count > 0
         observation = fabric.observe()
-        hists = json.loads(observation.to_json())["metrics"]
-        assert hists["host.path_query.latency_s"]["count"] > 0
+        decoded = json.loads(observation.to_json())
+        assert decoded["metrics"]["host.path_query.latency_s"]["count"] > 0
+        assert decoded["events"] == fabric.tracer.as_dict()
 
     def test_custom_hub_and_simulated_clock(self):
-        hub = FabricObs(flight_capacity=16)
         fabric = DumbNetFabric.from_topology(
             leaf_spine(2, 2, 2, num_ports=16),
             bootstrap="blueprint",
             controller_host="h0_0",
             seed=5,
-            obs=hub,
+            obs=True,
         )
-        assert fabric.obs is hub
+        hub = fabric.obs
         assert hub.registry.now() == fabric.now  # clocked by loop.now
         with hub.registry.span("settle"):
             fabric.run(until=fabric.now + 0.25)
@@ -399,3 +371,50 @@ class TestFabricObsWiring:
         fabric.run_until_idle()
         assert agent.obs is fabric.obs
         assert fabric.network.host_channel("h_new")._obs_wait is not None
+
+    def test_chaos_switch_join_is_wired(self):
+        """A scheduled switch-join is the fabric's own hot-plug: the
+        newcomer has the fabric's switch class and its cables feed the
+        hub's queue-wait histogram."""
+        fabric = DumbNetFabric.from_topology(
+            leaf_spine(2, 2, 2, num_ports=16),
+            bootstrap="blueprint",
+            controller_host="h0_0",
+            seed=5,
+            switch_cls=StatsSwitch,
+            obs=True,
+        )
+        links = [(1, "leaf0", 9), (2, "leaf1", 9), (3, "spine0", 9)]
+        schedule = FaultSchedule().switch_join(0.01, "racked0", 8, links)
+        ChaosRunner(ChaosFabric.wrap(fabric), schedule).install()
+        fabric.run_until_idle()
+        assert isinstance(fabric.network.switches["racked0"], StatsSwitch)
+        for new_port, peer, peer_port in links:
+            channel = fabric.network.link_channel("racked0", new_port, peer, peer_port)
+            assert channel._obs_wait is fabric.obs.link_queue_wait
+            assert channel.frames_delivered > 0
+        assert [ev.node for ev in fabric.tracer.last("fault-applied")] == ["switch-join"]
+
+
+# ----------------------------------------------------------------------
+# the event record
+
+
+class TestEventRecord:
+    def test_trace_does_not_grow_with_traffic(self):
+        """Delivered packets are kept once, in ``HostAgent.delivered``:
+        five pings per pair leave the same trace as one."""
+        lengths, delivered = [], []
+        for packets in (1, 5):
+            fabric = DumbNetFabric.from_topology(
+                leaf_spine(2, 2, 2, num_ports=16),
+                bootstrap="blueprint",
+                warm=True,
+                controller_host="h0_0",
+                seed=5,
+            )
+            measure_rtts(fabric, packets_per_pair=packets)
+            lengths.append(len(list(fabric.tracer)))
+            delivered.append(sum(len(a.delivered) for a in fabric.agents.values()))
+        assert lengths[0] == lengths[1]
+        assert delivered[1] > delivered[0]

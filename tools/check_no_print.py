@@ -1,7 +1,7 @@
 """Reject bare ``print(`` calls in library code.
 
 Library modules under ``src/repro/`` must report through the obs layer
-(metrics, flight recorder, report ``summary()``) or raise -- a stray
+(metrics, the tracer's event record, report ``summary()``) or raise -- a stray
 debug print bypasses all of it and pollutes stdout for every embedder.
 Entry points that legitimately talk to a terminal are allowlisted:
 ``cli.py``, the ``*/smoke.py`` CI gates, and -- when pointed at the
