@@ -13,6 +13,9 @@ from typing import Any, Dict, Optional
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Where ``--smoke`` runs put their JSON (git-ignored): a smoke run never
+#: overwrites the committed full-mode repo-root ``BENCH_*.json``.
+SMOKE_DIR = os.path.join(RESULTS_DIR, "smoke")
 
 
 def publish(name: str, text: str) -> None:
@@ -33,8 +36,8 @@ def publish_json(name: str, payload: Dict[str, Any],
     that CI checks for regressions).
     """
     if path is None:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{name}.json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -38,7 +38,8 @@ Correctness gates run in every mode:
 * fluid engine == hybrid engine with an **empty** ROI, exactly
   (per-flow finish times compared bit-for-bit).
 
-Results land in ``BENCH_hybrid.json`` at the repo root.
+Results land in ``BENCH_hybrid.json`` at the repo root (``--smoke``:
+under the git-ignored ``benchmarks/results/smoke/``).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.hybrid import RegionOfInterest, build_engine
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads import HiBenchWorkload, replay_program
 
-from _util import REPO_ROOT, publish_json
+from _util import REPO_ROOT, SMOKE_DIR, publish_json
 
 #: fig9-class headline tolerance (relative): aggregate Gbps across
 #: engines.
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     }
     publish_json(
         "bench_hybrid", payload,
-        path=os.path.join(REPO_ROOT, "BENCH_hybrid.json"),
+        path=os.path.join(SMOKE_DIR if opts.smoke else REPO_ROOT, "BENCH_hybrid.json"),
     )
 
     for failure in failures:

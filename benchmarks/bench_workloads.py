@@ -22,7 +22,9 @@ Gates run in every mode:
 
 ``--smoke`` shrinks the grid (fluid everywhere, the incast family on
 all three engines) for CI; full mode runs all engines on every family.
-Results land in ``BENCH_workloads.json`` at the repo root.
+Results land in ``BENCH_workloads.json`` at the repo root (``--smoke``:
+under the git-ignored ``benchmarks/results/smoke/``; ``meta.mode``
+records which).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.workloads import (
     run_scenario,
 )
 
-from _util import REPO_ROOT, publish_json
+from _util import REPO_ROOT, SMOKE_DIR, publish_json
 
 SEED = 3
 
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
     print(report.summary())
     publish_json(
         "bench_workloads", payload,
-        path=os.path.join(REPO_ROOT, "BENCH_workloads.json"),
+        path=os.path.join(SMOKE_DIR if opts.smoke else REPO_ROOT, "BENCH_workloads.json"),
     )
 
     for failure in failures:

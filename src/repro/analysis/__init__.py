@@ -2,12 +2,6 @@
 
 from .cdf import DistSummary, empirical_cdf, fraction_above, percentile, summarize
 from .tables import render_cdf_deciles, render_series, render_table
-from .loadbalance import (
-    hotspot_ratio,
-    jain_index,
-    link_loads_from_flows,
-    utilization_table,
-)
 
 __all__ = [
     "empirical_cdf",
@@ -18,8 +12,4 @@ __all__ = [
     "render_table",
     "render_series",
     "render_cdf_deciles",
-    "jain_index",
-    "hotspot_ratio",
-    "link_loads_from_flows",
-    "utilization_table",
 ]

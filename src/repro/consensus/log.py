@@ -67,7 +67,9 @@ class ReplicaNode:
     # ------------------------------------------------------------------
     # RPC handlers (invoked by the cluster transport)
 
-    def request_vote(self, term: int, candidate: str, log_len: int) -> bool:
+    def request_vote(
+        self, term: int, candidate: str, log_len: int, last_term: int = 0
+    ) -> bool:
         if not self.alive:
             return False
         if term < self.term:
@@ -75,7 +77,7 @@ class ReplicaNode:
         if term > self.term:
             self.term = term
             self.is_leader = False
-        if log_len < len(self.log):
+        if (last_term, log_len) < (self._last_term(), len(self.log)):
             return False  # candidate's log is behind ours
         if self.voted_for is not None and self.voted_for[0] == term:
             return self.voted_for[1] == candidate
@@ -89,6 +91,7 @@ class ReplicaNode:
         prev_len: int,
         entries: Sequence[LogEntry],
         leader_commit: int,
+        prev_term: int = 0,
     ) -> bool:
         if not self.alive:
             return False
@@ -99,12 +102,17 @@ class ReplicaNode:
             self.is_leader = False
         if prev_len > len(self.log):
             return False  # gap: leader must back up
+        if prev_len and self.log[prev_len - 1].term != prev_term:
+            return False  # same length, different history: back up
         # Truncate any divergent suffix, then append.
         if prev_len < len(self.log):
             del self.log[prev_len:]
         self.log.extend(entries)
         self._advance_commit(min(leader_commit, len(self.log)))
         return True
+
+    def _last_term(self) -> int:
+        return self.log[-1].term if self.log else 0
 
     def _advance_commit(self, new_commit: int) -> None:
         while self.commit_index < new_commit:
@@ -184,7 +192,9 @@ class Cluster:
         for name, peer in self.nodes.items():
             if name == candidate or not self._reachable(candidate, name):
                 continue
-            if peer.request_vote(node.term, candidate, len(node.log)):
+            if peer.request_vote(
+                node.term, candidate, len(node.log), node._last_term()
+            ):
                 votes += 1
         if votes >= self.majority:
             node.is_leader = True
@@ -273,12 +283,14 @@ class Cluster:
                 continue
             if not self._reachable(leader_name, name):
                 continue
+            prev_len = min(len(peer.log), len(leader.log))
             ok = peer.append_entries(
                 term=leader.term,
                 leader=leader_name,
-                prev_len=min(len(peer.log), len(leader.log)),
-                entries=leader.log[min(len(peer.log), len(leader.log)):],
+                prev_len=prev_len,
+                entries=leader.log[prev_len:],
                 leader_commit=leader.commit_index,
+                prev_term=leader.log[prev_len - 1].term if prev_len else 0,
             )
             if not ok and peer.alive and peer.term <= leader.term:
                 # Divergent follower: resend the whole log (small logs;

@@ -102,7 +102,8 @@ class HostAgent(Device):
         super().__init__(name, loop, proc_delay=config.proc_delay_s)
         self.config = config
         self.tracer = tracer
-        self.rng = rng or random.Random(hash(name) & 0xFFFF)
+        # A string seed is digested the same way in every process.
+        self.rng = rng or random.Random(f"host-agent:{name}")
 
         # Identity learned at bootstrap.
         self.attachment: Optional[Tuple[str, int]] = None

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import HostAttachment, PortRef, Topology, TopologyError
+from ..topology.graph import SSSPTree, Topology, TopologyError
+from .maxmin import CapacityTable
 
 if TYPE_CHECKING:
     from .simulator import Flow
@@ -38,7 +39,6 @@ class FlowNet:
         switch_overrides: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.topology = topology
-        self.capacities: Dict[LinkId, float] = {}
         #: Ports whose cable is down (both endpoints of a failed link).
         self._down_ports: Set[Tuple[str, int]] = set()
         #: Bumped whenever a cable actually changes state.
@@ -46,34 +46,40 @@ class FlowNet:
         #: Yen-enumeration cache (the wiring never changes, only state):
         #: (src switch, dst switch, paths asked for) -> switch paths.
         self._path_cache: Dict[Tuple[str, str, int], List[List[str]]] = {}
+        #: (src switch, topo_version) -> the SSSP tree Yen's first path
+        #: is walked back through: one BFS per source switch, not one
+        #: Dijkstra per pair.
+        self._trees: Dict[Tuple[str, int], SSSPTree] = {}
         #: (src host, dst host, k) -> the first k alive candidates, each
         #: with its links; valid for one ``link_epoch`` (emptied when it
         #: moves).
         self._alive_cache: Dict[Tuple[str, str, int], Tuple[Candidate, ...]] = {}
         #: Tag-walk cache: (src, path, dst) -> static link id tuple.
         self._route_cache: Dict[Tuple, Optional[Tuple[LinkId, ...]]] = {}
-        #: link id -> the equal key object of ``capacities``, filled on
-        #: the first walk: every route then shares one tuple per link.
-        self._link_ids: Dict[LinkId, LinkId] = {}
         port_overrides = port_overrides or {}
         switch_overrides = switch_overrides or {}
 
+        capacities: Dict[LinkId, float] = {}
         for link in topology.links:
             for end in link.endpoints:
                 bps = port_overrides.get(
                     (end.switch, end.port),
                     switch_overrides.get(end.switch, link_bps),
                 )
-                self.capacities[("tx", end.switch, end.port)] = bps
+                capacities[("tx", end.switch, end.port)] = bps
         for host in topology.hosts:
             ref = topology.host_port(host)
-            self.capacities[("htx", host)] = host_bps
+            capacities[("htx", host)] = host_bps
             # The switch's host-facing port is the host's downlink.
             bps = port_overrides.get(
                 (ref.switch, ref.port),
                 switch_overrides.get(ref.switch, host_bps),
             )
-            self.capacities[("tx", ref.switch, ref.port)] = bps
+            capacities[("tx", ref.switch, ref.port)] = bps
+        #: Validated here, once (a capacity <= 0 or NaN raises
+        #: :class:`~repro.flowsim.maxmin.FairnessError`); its key objects
+        #: are the link ids every route hands out.
+        self.capacities = CapacityTable(capacities)
 
     # ------------------------------------------------------------------
     # failures
@@ -128,24 +134,19 @@ class FlowNet:
     def _walk(
         self, src_host: str, switch_path: Sequence[str], dst_host: str
     ) -> Optional[Tuple[LinkId, ...]]:
-        topo = self.topology
         try:
-            tags = topo.encode_path(src_host, switch_path, dst_host)
+            tags = self.topology.encode_path(src_host, switch_path, dst_host)
         except TopologyError:
             return None
-        ids = self._link_ids
-        if not ids:
-            ids.update(zip(self.capacities, self.capacities))
-        link: LinkId = ("htx", src_host)
-        links = [ids.get(link, link)]
-        current = topo.host_port(src_host).switch
-        for tag in tags:
-            link = ("tx", current, tag)
-            links.append(ids.get(link, link))
-            peer = topo.peer(current, tag)
-            if isinstance(peer, PortRef):
-                current = peer.switch
-        return tuple(links)
+        # Tag i leaves switch_path[i] (the last one towards dst_host).
+        # Each id is the table's key object: every route then shares
+        # one tuple per link.
+        rank, ids = self.capacities.rank, self.capacities.links
+        links = [("htx", src_host)]
+        links.extend(("tx", here, tag) for here, tag in zip(switch_path, tags))
+        return tuple(
+            link if (slot := rank.get(link)) is None else ids[slot] for link in links
+        )
 
     def path_is_alive(self, src_host: str, switch_path: Sequence[str], dst_host: str) -> bool:
         return self.route_links(src_host, switch_path, dst_host) is not None
@@ -174,6 +175,8 @@ class FlowNet:
         so its first k paths are the same whether k or 2k were asked
         for: k suffice while every one of them is alive, and the 2k
         margin is enumerated once a cable is down or a walk fails.
+        Yen's first path is walked back through the source switch's
+        memoised SSSP tree, which gives the per-pair Dijkstra's path.
         """
         memo = (src_host, dst_host, k)
         found = self._alive_cache.get(memo)
@@ -184,7 +187,9 @@ class FlowNet:
                 key = (src_sw, dst_sw, want)
                 paths = self._path_cache.get(key)
                 if paths is None:
-                    paths = self.topology.k_shortest_switch_paths(src_sw, dst_sw, want)
+                    paths = self.topology.k_shortest_switch_paths(
+                        src_sw, dst_sw, want, self._tree(src_sw)
+                    )
                     self._path_cache[key] = paths
                 alive = [
                     (path, links)
@@ -195,6 +200,15 @@ class FlowNet:
                     break  # nothing filtered: a longer list adds nothing to [:k]
             found = self._alive_cache[memo] = tuple(alive[:k])
         return found
+
+    def _tree(self, src_sw: str) -> SSSPTree:
+        """The memoised :meth:`~repro.topology.Topology.sssp_tree` of a
+        source switch, rebuilt if the wiring ever changed under it."""
+        key = (src_sw, self.topology.topo_version)
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = self.topology.sssp_tree(src_sw)
+        return tree
 
     def k_paths(self, src_host: str, dst_host: str, k: int) -> List[List[str]]:
         """k shortest alive switch paths between two hosts (a fresh

@@ -158,18 +158,6 @@ class HashedKPathPolicy(PathPolicy):
         return found[hash((self.seed, flow.fid)) % len(found)][0]
 
 
-def _bottleneck(level: Mapping[Tuple, float], links: Sequence[Tuple]) -> float:
-    """``max(level.get(link, 0) for link in links)`` as a plain loop
-    (same first-item start, same ``>`` replacement, half the cost)."""
-    get = level.get
-    worst = get(links[0], 0)
-    for link in links:
-        value = get(link, 0)
-        if value > worst:
-            worst = value
-    return worst
-
-
 def least_loaded(
     net: FlowNet,
     flow: Flow,
@@ -181,11 +169,23 @@ def least_loaded(
     bottleneck ``level`` (per-link load or utilisation), as ``(path,
     links, bottleneck)``; None when no candidate is alive.  ``current``
     is the already-known bottleneck of ``flow.switch_path``, reused when
-    that path is one of the candidates."""
+    that path is one of the candidates.
+
+    A bottleneck is ``max(level.get(link, 0) for link in links)`` as an
+    inline loop: the first link's level, replaced only by a strictly
+    greater one."""
     known = flow.switch_path if current is not None else None
+    get = level.get
     best = None
     for path, links in net.candidates(flow.src, flow.dst, k):
-        value = current if path is known else _bottleneck(level, links)
+        if path is known:
+            value = current
+        else:
+            value = get(links[0], 0)
+            for link in links:
+                other = get(link, 0)
+                if other > value:
+                    value = other
         if best is None or value < best[2]:
             best = (path, links, value)
     return best
@@ -209,7 +209,15 @@ def better_path(
     oscillation.  Every bottleneck is looked up once.
     """
     old_links = net.flow_links(flow)
-    current = math.inf if old_links is None else _bottleneck(level, old_links)
+    if old_links is None:
+        current = math.inf
+    else:  # the bottleneck loop of least_loaded
+        get = level.get
+        current = get(old_links[0], 0)
+        for link in old_links:
+            other = get(link, 0)
+            if other > current:
+                current = other
     if current < mark:
         return None
     best = least_loaded(net, flow, k, level, current)

@@ -657,13 +657,15 @@ class Topology:
                 f"path must end at {dst_ref.switch!r} (host {dst_host!r}), got {switch_path!r}"
             )
         tags: List[int] = []
+        adj = self._adj
         for here, there in zip(switch_path, switch_path[1:]):
-            parallel = self.links_between(here, there)
-            if not parallel:
+            # The first cable in wiring order, as links_between(...)[0].
+            for nbr, link in adj.get(here, ()):
+                if nbr == there:
+                    tags.append((link.a if link.a.switch == here else link.b).port)
+                    break
+            else:
                 raise TopologyError(f"no link between {here!r} and {there!r}")
-            link = parallel[0]
-            out = link.a if link.a.switch == here else link.b
-            tags.append(out.port)
         tags.append(dst_ref.port)
         return tags
 

@@ -83,15 +83,15 @@ def _shuffle_flows(
 
 
 def legacy_task_rng(seed: int, name: str) -> random.Random:
-    """The generator :func:`hibench_task` has always seeded from.
+    """The generator :func:`hibench_task` seeds from.
 
-    Kept as a named helper because the derivation hashes a *string*
-    (process-salted unless ``PYTHONHASHSEED`` is pinned): migrated
-    callers that must reproduce a legacy task byte-for-byte in the same
-    process pass ``rng=legacy_task_rng(seed, name)`` to the Workload
-    path.  New code should seed a plain ``random.Random(int)`` instead.
+    Seeded from the string ``"<seed>:<name>"``, which ``random.Random``
+    digests the same way in every process (a ``hash()`` of it would be
+    salted per process unless ``PYTHONHASHSEED`` is pinned).  Migrated
+    callers that must reproduce a :func:`hibench_task` DAG byte for byte
+    pass ``rng=legacy_task_rng(seed, name)`` to the Workload path.
     """
-    return random.Random((seed, name).__hash__())
+    return random.Random(f"{seed}:{name}")
 
 
 def hibench_task(

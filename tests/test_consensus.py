@@ -110,6 +110,28 @@ class TestAppend:
         cluster.append("z")  # replication brings c up to date
         assert cluster.nodes["c"].committed == ["x", "y", "z"]
 
+    def test_stale_tail_of_equal_length_is_overwritten(self):
+        # e holds a rolled-back "v1" at index 0 and a higher term than
+        # the next leader b, so it rejects b's first rounds.  When b's
+        # log reaches the same length, e must not keep "v1" as if it
+        # were b's committed "v2".
+        cluster = Cluster(["a", "b", "c", "d", "e"])
+        cluster.elect("a")
+        for peer in ("b", "c", "d"):
+            cluster.partition("a", peer)
+        with pytest.raises(QuorumLostError):
+            cluster.append("v1")
+        assert cluster.nodes["e"].log[0].payload == "v1"
+        cluster.elect("a")
+        cluster.elect("a")
+        assert cluster.elect("b")
+        cluster.append("v2")
+        assert cluster.elect("b")
+        assert all(
+            node.committed == ["v2"]
+            for name, node in cluster.nodes.items() if name != "a"
+        )
+
     def test_single_node_cluster(self):
         cluster = Cluster(["solo"])
         cluster.elect("solo")

@@ -16,7 +16,7 @@ from repro.flowsim import (
     ThroughputSeries,
     max_min_rates,
 )
-from repro.topology import TopologyError, leaf_spine, line
+from repro.topology import Topology, TopologyError, fat_tree, leaf_spine, line
 
 
 def reversed_cable(cable):
@@ -240,6 +240,55 @@ class TestFlowNet:
         topo = leaf_spine(2, 2, 2, num_ports=16)
         net = FlowNet(topo, switch_overrides={"spine0": 1e9})
         assert net.capacities[("tx", "spine0", 1)] == 1e9
+
+    @pytest.mark.parametrize("bad", [0.0, -1e9, math.nan])
+    def test_bad_capacity_refused_at_construction(self, bad):
+        """Capacities are validated once, when the net is built -- not
+        at the first solve, and whether or not a flow ever crosses them.
+        A plain mapping handed to the solver is still validated whole."""
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        with pytest.raises(FairnessError):
+            FlowNet(topo, port_overrides={("spine1", 2): bad})
+        with pytest.raises(FairnessError):
+            FlowNet(topo, switch_overrides={"leaf1": bad})
+        with pytest.raises(FairnessError):
+            FlowNet(topo, host_bps=bad)
+        net = FlowNet(topo)
+        links = net.route_links("h0_0", ["leaf0", "spine0", "leaf1"], "h1_0")
+        assert max_min_rates({"f": links}, dict(net.capacities)) == {"f": 10e9}
+        with pytest.raises(FairnessError):
+            max_min_rates({"f": links}, {**net.capacities, ("tx", "idle", 99): bad})
+
+    def test_yen_first_paths_come_from_one_tree_per_source_switch(self, monkeypatch):
+        topo = fat_tree(4)
+        built = []
+        tree = Topology.sssp_tree
+        monkeypatch.setattr(
+            Topology, "sssp_tree", lambda self, src, **kw: built.append(src) or tree(self, src, **kw)
+        )
+        net = FlowNet(topo)
+        hosts = sorted(topo.hosts)
+        for src in hosts:
+            for dst in hosts:
+                if src != dst:
+                    want = topo.k_shortest_switch_paths(
+                        topo.host_port(src).switch, topo.host_port(dst).switch, 4
+                    )
+                    assert net.k_paths(src, dst, 4) == want  # per-pair Dijkstra's answer
+        assert sorted(built) == sorted({topo.host_port(h).switch for h in hosts})
+
+    def test_capacity_table_reads_like_the_mapping_it_was_built_from(self):
+        topo = leaf_spine(2, 2, 2, num_ports=16)
+        net = FlowNet(topo, link_bps=10e9, port_overrides={("spine0", 1): 5e8})
+        table = net.capacities
+        plain = dict(table)
+        assert list(table) == list(plain) and len(table) == len(plain)
+        assert list(table.items()) == list(plain.items())
+        assert table.get(("tx", "nowhere", 1)) is None and ("htx", "h0_0") in table
+        # Ranks follow that order; every walked link id is the table's key.
+        assert [table.rank[link] for link in table] == list(range(len(table)))
+        links = net.route_links("h0_0", ["leaf0", "spine0", "leaf1"], "h1_0")
+        assert all(table.links[table.rank[link]] is link for link in links)
 
 
 class TestFluidSimulator:

@@ -24,7 +24,7 @@ from repro.flowsim import (
     max_min_rates,
 )
 from repro.flowsim.simulator import Flow
-from repro.topology import fat_tree, leaf_spine
+from repro.topology import fat_tree, jellyfish, leaf_spine
 
 # ---------------------------------------------------------------------------
 # solver
@@ -64,8 +64,61 @@ def solver_inputs(draw):
     return routes, capacities, demands
 
 
+#: Link sets of the capacity tables ``FlowNet`` builds for the solver.
+SOLVER_NETS = {
+    "fat_tree": lambda: fat_tree(4),
+    "leaf_spine": lambda: leaf_spine(2, 3, 3, num_ports=16),
+}
+
+
+@st.composite
+def flownet_solver_inputs(draw):
+    """(routes, capacities, demands) as the simulator hands them over:
+    ``capacities`` is a ``FlowNet``'s validated table (some ports or
+    switches overridden), routes are its walks in shuffled order --
+    shortest paths, longer candidates and hairpins that cross one
+    directed link twice -- plus external rows and demand caps."""
+    topology = SOLVER_NETS[draw(st.sampled_from(sorted(SOLVER_NETS)))]()
+    switches = sorted(topology.switches)
+    ports = sorted({(end.switch, end.port) for l in topology.links for end in l.endpoints})
+    speed = st.sampled_from([1e8, 5e8, 1e9, 2.5e9, 1e10])
+    net = FlowNet(
+        topology,
+        link_bps=draw(speed),
+        host_bps=draw(speed),
+        port_overrides={p: draw(speed) for p in draw(st.lists(st.sampled_from(ports), max_size=4))},
+        switch_overrides={
+            sw: draw(speed) for sw in draw(st.lists(st.sampled_from(switches), max_size=2))
+        },
+    )
+    hosts = sorted(topology.hosts)
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        src, dst = draw(st.permutations(hosts))[:2]
+        found = net.candidates(src, dst, 4)
+        path = list(found[draw(st.integers(0, len(found) - 1))][0])
+        if len(path) > 1 and draw(st.integers(0, 4)) == 0:
+            path[1:1] = [path[1], path[0]]  # out, back, out again: a hairpin
+        rows.append(net.route_links(src, path, dst))
+    routes = {}
+    for fid, links in enumerate(draw(st.permutations(rows))):
+        key = ("zoom", fid) if draw(st.integers(0, 4)) == 0 else fid
+        routes[key] = links
+    demands = {}
+    for key, route in routes.items():
+        kind = draw(st.sampled_from(["none", "none", "none", "zero", "tight", "free"]))
+        if kind == "zero":
+            demands[key] = 0.0
+        elif kind == "tight":
+            sharers = sum(1 for other in routes.values() if route[1] in other)
+            demands[key] = net.capacities[route[1]] / sharers
+        elif kind == "free":
+            demands[key] = draw(st.floats(0.0, 2e9, allow_nan=False))
+    return routes, net.capacities, demands
+
+
 @settings(max_examples=400, deadline=None)
-@given(solver_inputs())
+@given(st.one_of(solver_inputs(), flownet_solver_inputs()))
 def test_solver_equals_the_seed_solver_float_for_float(inputs):
     routes, capacities, demands = inputs
     want = ref.max_min_rates(routes, capacities, demands)
@@ -98,6 +151,10 @@ def test_solver_refuses_what_the_seed_solver_refused(inputs, defect):
 TOPOLOGIES = {
     "leaf_spine": lambda: leaf_spine(3, 4, 3, num_ports=16),
     "fat_tree": lambda: fat_tree(4),
+    # Two cables per leaf-spine pair: walks take the first of a bundle.
+    "leaf_spine_bundled": lambda: leaf_spine(2, 3, 2, num_ports=16, uplinks_per_pair=2),
+    # Irregular: equal-cost ties the tree walk must break like Dijkstra.
+    "jellyfish": lambda: jellyfish(10, 3, hosts_per_switch=1, seed=3),
 }
 POLICIES = {
     "flowlet": (RebalancingKPathPolicy, ref.RebalancingKPathPolicy, "_load"),

@@ -361,3 +361,17 @@ class TestEncoding:
         tags = topo.encode_path("hL0_0", ["L0", "L1", "L2", "L3"], "hL3_0")
         assert tags == [2, 2, 2, 3]
         assert topo.decode_tags("hL0_0", tags) == ["L0", "L1", "L2", "L3"]
+
+    def test_parallel_cables_encode_the_first_in_wiring_order(self):
+        """A bundle is crossed on its first cable, links_between(...)[0],
+        whichever end of it the path leaves from."""
+        topo = Topology()
+        for sw in ("S", "T"):
+            topo.add_switch(sw, 8)
+        topo.add_link("S", 5, "T", 2)
+        topo.add_link("T", 3, "S", 1)
+        topo.add_host("hS", "S", 8)
+        topo.add_host("hT", "T", 8)
+        assert topo.encode_path("hS", ["S", "T"], "hT") == [5, 8]
+        assert topo.encode_path("hT", ["T", "S"], "hS") == [2, 8]
+        assert topo.encode_path("hS", ["S", "T", "S", "T"], "hT") == [5, 2, 5, 8]

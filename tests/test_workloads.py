@@ -1,6 +1,10 @@
 """Workload generator tests: traffic matrices, HiBench DAGs, iperf."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,27 @@ class TestHiBench:
         t1 = hibench_task("Join", hosts, seed=9)
         t2 = hibench_task("Join", hosts, seed=9)
         assert t1 == t2
+
+    def test_same_dag_under_any_hash_seed(self):
+        """The task rng is not derived from a salted ``hash()``: two
+        interpreters with different hash seeds build the same DAG (the
+        committed Figure 13 table depends on it)."""
+        script = (
+            "from repro.workloads import HIBENCH_TASKS, hibench_task\n"
+            "hosts = [f'h{i}' for i in range(6)]\n"
+            "print(repr([hibench_task(n, hosts, seed=11) for n in HIBENCH_TASKS]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert "Terasort" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_run_task_stage_barrier(self):
         topo = leaf_spine(2, 2, 2, num_ports=16)
