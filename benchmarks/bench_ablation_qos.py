@@ -7,9 +7,14 @@ congestion, stage-1 failure notifications on plain FIFO switches queue
 behind data frames, while on priority-queueing switches they overtake
 everything.
 
-Setup: the testbed at 200 Mbps links, every leaf0 host blasting
-cross-fabric traffic, then a far-side link fails.  Metric: worst-case
-stage-1 notification delay across hosts.
+Setup: the testbed at 100 Mbps links, five hosts on four other leaves
+blasting into one victim host on leaf0, then a far-side link fails.
+Metric: worst-case stage-1 notification delay across hosts.
+
+The victim's downlink is the congested egress, and it is the one hop
+the news cannot route around: a congested leaf *uplink* would not do,
+because the flood reaches every leaf over both spines and a host keeps
+the first copy it hears, which takes the uncongested direction.
 """
 
 import pytest
@@ -34,10 +39,11 @@ def stage1_delay(switch_cls):
         link_spec=spec, host_link_spec=spec, switch_cls=switch_cls,
     )
     fabric.adopt_blueprint()
-    # Incast onto two victim downlinks: the switch egress ports toward
-    # h1_0 and h2_0 build deep queues (a host NIC alone cannot congest
-    # a switch port -- it feeds at line rate).
-    pairs = [(f"h0_{i}", f"h{1 + (i % 2)}_0") for i in range(5)]
+    # Incast onto one victim downlink: senders on four different leaves
+    # reach leaf0 over both spines, so the egress toward h0_1 is fed
+    # faster than it drains (a host NIC alone cannot congest a switch
+    # port -- it feeds at line rate).
+    pairs = [(f"h{1 + i % 4}_{i // 4}", "h0_1") for i in range(5)]
     fabric.warm_paths(pairs)
     # Saturate the fabric: everyone blasts at once, then the cut lands
     # while queues are deep.
@@ -48,8 +54,8 @@ def stage1_delay(switch_cls):
                 ("blast", src, i), 1450, (src, dst),
             )
     fabric.tracer.clear()
-    # Cut once the victim downlink queues are deep (the 5-into-1 incast
-    # feeds ~5x faster than the port drains).
+    # Cut once the victim downlink queue is deep (the two spines feed
+    # it faster than it drains).
     fail_delay = 0.02
     fail_at = fabric.now + fail_delay
     fabric.loop.schedule(fail_delay, fabric.fail_link, "leaf4", 1, "spine0", 5)
@@ -86,4 +92,7 @@ def test_ablation_qos_notification_priority(benchmark):
     fifo = results["FIFO (DumbSwitch)"]
     qos = results["Priority (QosSwitch)"]
     assert qos < fifo  # priority strictly helps under load
+    # The FIFO copy waits out the victim downlink's backlog (~12 ms);
+    # the priority copy overtakes it (propagation only, ~0.2 ms).
+    assert fifo > 10 * qos
     assert fifo != float("inf") and qos != float("inf")

@@ -18,20 +18,14 @@ The controller is an ordinary host that additionally:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..netsim.events import EventLoop
 from ..netsim.network import Network
-from ..topology.graph import HostAttachment, PortRef, Topology
-from .discovery import (
-    AsyncProbeDriver,
-    DiscoveryResult,
-    ProbeSpec,
-    RediscoveryEngine,
-    discover,
-    route_tags,
-)
+from ..topology.graph import PortRef, Topology
+from .discovery import AsyncProbeDriver, DiscoveryResult, RediscoveryEngine, discover
 from .host_agent import AgentConfig, EmulatedProbeTransport, HostAgent
 from .messages import (
     ControllerAnnounce,
@@ -41,16 +35,22 @@ from .messages import (
     TopologyChange,
     TopologyPatch,
 )
-from .packet import ID_QUERY
 from .pathgraph import backup_path
 from .pathservice import PathService
 from .pathshard import PodMap, ShardedPathService
 
 __all__ = ["Controller", "ControllerConfig"]
 
-#: How long a link-up reprobe waits for its probe replies before it
-#: finalizes, seconds.
+#: How long one round of a probe run waits for its replies, seconds.
 REPROBE_SETTLE_S = 0.02
+
+#: Outstanding-probe window of a probe run: one that meets an unknown
+#: switch sends at most this many probes per settle period (clamped up
+#: so one full port scan always fits).
+PROBE_RUN_WINDOW = 128
+
+#: Per-host gossip neighbours, each with its tag routes.
+Overlay = Dict[str, Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]]
 
 
 @dataclass
@@ -71,16 +71,12 @@ class ControllerConfig(AgentConfig):
     #: deferred flap alarm arriving); 0 disables retries.
     announce_retries: int = 8
     announce_retry_s: float = 0.25
-    #: A reprobe session whose probes all vanish (lossy fabric, route
-    #: to the probed switch broken mid-session) is retried this many
-    #: times with exponential backoff before the port is given up on.
+    #: A probe run that leaves its port unknown (every probe lost, no
+    #: route to the port yet) is retried this many times with
+    #: exponential backoff before the port is given up on.
     reprobe_retries: int = 2
     #: Bound on the path service's path-graph LRU cache (entries).
     path_cache_capacity: int = 512
-    #: Outstanding-probe window for incremental rediscovery rounds: an
-    #: unknown-switch escalation sends at most this many probes per
-    #: settle period (clamped up so one full port scan always fits).
-    rediscovery_window: int = 128
 
 
 class Controller(HostAgent):
@@ -115,15 +111,16 @@ class Controller(HostAgent):
         #: Optional control-plane scale-out: per-pod shards routed to by
         #: :meth:`handle_path_request`; built by :meth:`enable_sharding`.
         self.shard_service: Optional[ShardedPathService] = None
-        #: Pending link-up reprobe sessions.
-        self._reprobes: Dict[Tuple[str, int], "_ReprobeSession"] = {}
-        #: In-flight incremental rediscovery drivers (unknown-switch
-        #: escalations); drained by the event loop, tracked for tests.
-        self._rediscoveries: Set[AsyncProbeDriver] = set()
+        #: In-flight probe runs by the dirty port that seeded them; the
+        #: value is set when fresh link-up news for the port lands
+        #: mid-run (one fresh run follows).
+        self._probe_runs: Dict[Tuple[str, int], bool] = {}
         #: Bumped by every announce_all so a stale retry chain from an
         #: earlier announcement round cannot race a newer one.
         self._announce_epoch = 0
-        # Statistics.
+        # Statistics.  Every probe run after bootstrap counts in
+        # reprobes_run and the rediscovery_probes_sent / _rounds totals;
+        # rediscoveries_run counts the runs that added a switch.
         self.path_requests_served = 0
         self.patches_flooded = 0
         self.reprobes_run = 0
@@ -213,26 +210,15 @@ class Controller(HostAgent):
         for host in self.view.hosts:
             if host == self.name:
                 continue
-            tags_out = self._tags_between(self.name, host)
-            tags_back = self._tags_between(host, self.name)
-            if tags_out is None or tags_back is None:
+            if self._announce_to(host, overlay):
+                count += 1
+            else:
                 # The view has no route to this host right now (e.g. a
                 # failover adopted a replica view that still misses
-                # links a dead reprobe never confirmed).  Retry: the
+                # links a dead probe run never confirmed).  Retry: the
                 # host would otherwise keep querying a dead controller
                 # forever.
                 missing.append(host)
-                continue
-            ref = self.view.host_port(host)
-            announce = ControllerAnnounce(
-                controller=self.name,
-                tags_to_controller=tags_back,
-                your_attachment=(ref.switch, ref.port),
-                gossip_neighbors=overlay.get(host, ()),
-                pod=self._pod_of_host(host),
-            )
-            self.send_tagged(tags_out, announce, dst=host)
-            count += 1
         if missing and self.config.announce_retries > 0:
             self.loop.schedule(
                 self.config.announce_retry_s,
@@ -258,21 +244,10 @@ class Controller(HostAgent):
         for host in missing:
             if not self.view.has_host(host):
                 continue
-            tags_out = self._tags_between(self.name, host)
-            tags_back = self._tags_between(host, self.name)
-            if tags_out is None or tags_back is None:
+            if self._announce_to(host, overlay):
+                self.announces_retried += 1
+            else:
                 still_missing.append(host)
-                continue
-            ref = self.view.host_port(host)
-            announce = ControllerAnnounce(
-                controller=self.name,
-                tags_to_controller=tags_back,
-                your_attachment=(ref.switch, ref.port),
-                gossip_neighbors=overlay.get(host, ()),
-                pod=self._pod_of_host(host),
-            )
-            self.send_tagged(tags_out, announce, dst=host)
-            self.announces_retried += 1
         if still_missing and attempt < self.config.announce_retries:
             self.loop.schedule(
                 self.config.announce_retry_s,
@@ -289,9 +264,7 @@ class Controller(HostAgent):
         network.run_until_idle()
         return result
 
-    def compute_gossip_overlay(
-        self,
-    ) -> Dict[str, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
+    def compute_gossip_overlay(self) -> Overlay:
         """Per-host gossip neighbor lists (Section 4.2 stage 1).
 
         Every host floods to all hosts on its own switch plus one host
@@ -312,7 +285,7 @@ class Controller(HostAgent):
         # Hoisted out of the per-pair loop: whether backup routes are
         # wanted at all, decided once per rebuild.
         want_backup = getattr(self.config, "gossip_route_redundancy", 2) >= 2
-        overlay: Dict[str, Tuple[Tuple[str, Tuple[int, ...]], ...]] = {}
+        overlay: Overlay = {}
         for host in view.hosts:
             my_switch = view.host_port(host).switch
             candidates: List[str] = []
@@ -515,185 +488,39 @@ class Controller(HostAgent):
     # verify the newly added links and switches")
 
     def _start_reprobe(self, switch: str, port: int, attempt: int = 0) -> None:
-        if self.view is None or not self.view.has_switch(switch):
+        """Start one probe run seeded with a dirty port: the engine's
+        scan, verification and, behind an unknown switch, its frontier
+        recursion, one settle period per round."""
+        if self.view is None:
             return
-        active = self._reprobes.get((switch, port))
-        if active is not None:
-            # A link-up landed while a session for this port is already
-            # in flight.  The active session's probes race the state
-            # change, so whatever it concludes may be stale; dropping
-            # the notification here would leave the view stale forever
-            # (no further news will arrive for a port that stays up).
-            # Re-arm one follow-up reprobe to run after it finalizes.
-            active.rearm = True
+        key = (switch, port)
+        if key in self._probe_runs:
+            # A link-up landed while a run for this port is already in
+            # flight.  Its probes race the state change, so whatever it
+            # concludes may be stale; dropping the notification here
+            # would leave the view stale forever (no further news will
+            # arrive for a port that stays up).  Re-arm one fresh run
+            # to start when this one ends.
+            self._probe_runs[key] = True
             return
-        if self.view.peer(switch, port) is not None:
-            return  # view already has something there
-        try:
-            to_tags, from_tags = route_tags(self.view, self.name, switch)
-        except Exception:
-            # No route to the probed switch right now; the view may
-            # heal (another reprobe, a deferred flap alarm), so retry.
-            self._maybe_retry_reprobe(switch, port, attempt)
-            return
-        session = _ReprobeSession(
-            switch=switch, port=port, attempt=attempt, started_at=self.loop.now
-        )
-        self._reprobes[(switch, port)] = session
-        self.reprobes_run += 1
-        max_ports = self.view.num_ports(switch)
-        # Host probe plus bounce probes for every candidate return port.
-        session.host_nonce = self.send_probe(
-            ProbeSpec(tags=to_tags + (port,), reply_tags=from_tags)
-        )
-        for r in range(1, max_ports + 1):
-            nonce = self.send_probe(
-                ProbeSpec(tags=to_tags + (port, ID_QUERY, r) + from_tags)
-            )
-            session.bounce_nonces[nonce] = r
-        self.loop.schedule(REPROBE_SETTLE_S, self._finish_reprobe_stage1, switch, port)
-
-    def _finish_reprobe_stage1(self, switch: str, port: int) -> None:
-        session = self._reprobes.get((switch, port))
-        if session is None or self.view is None:
-            return
-        host_outcome = self.collect_probe(session.host_nonce)
-        if host_outcome is not None and host_outcome.kind == "host":
-            self._finalize_reprobe(switch, port, host=host_outcome.host)
-            return
-        candidates: List[Tuple[int, str]] = []
-        for nonce, r in session.bounce_nonces.items():
-            outcome = self.collect_probe(nonce)
-            if outcome is not None and outcome.kind == "id" and outcome.switch_id:
-                candidates.append((r, outcome.switch_id))
-        if not candidates:
-            self._finalize_reprobe(switch, port, host=None)
-            return
-        # Verification probes distinguish real back-ports from
-        # coincidental multi-hop returns, exactly as in full discovery.
-        try:
-            to_tags, from_tags = route_tags(self.view, self.name, switch)
-        except Exception:
-            self._finalize_reprobe(switch, port, host=None)
-            return
-        for r, neighbor in candidates:
-            nonce = self.send_probe(
-                ProbeSpec(tags=to_tags + (port, r, ID_QUERY) + from_tags)
-            )
-            session.verify_nonces[nonce] = (r, neighbor)
-        self.loop.schedule(REPROBE_SETTLE_S, self._finish_reprobe_stage2, switch, port)
-
-    def _finish_reprobe_stage2(self, switch: str, port: int) -> None:
-        session = self._reprobes.get((switch, port))
-        if session is None or self.view is None:
-            return
-        confirmed: Optional[Tuple[int, str]] = None
-        for nonce, (r, neighbor) in session.verify_nonces.items():
-            outcome = self.collect_probe(nonce)
-            if (
-                confirmed is None
-                and outcome is not None
-                and outcome.kind == "id"
-                and outcome.switch_id == switch
-            ):
-                confirmed = (r, neighbor)
-        if confirmed is None:
-            self._finalize_reprobe(switch, port, host=None)
-            return
-        r, neighbor = confirmed
-        if not self.view.has_switch(neighbor):
-            # A brand-new switch appeared behind the port.  One
-            # confirmed cable is not a usable view of it -- its other
-            # ports may lead to more unknown hardware (a whole pod
-            # joining) -- so escalate into incremental rediscovery:
-            # BFS-expand from the newcomer's open ports, one bounded
-            # probe window per settle period, instead of waiting for
-            # link-up news that will never come for already-up ports.
-            self._escalate_rediscovery(switch, port, r, neighbor)
-            self._finalize_reprobe(switch, port, host=None, keep_link=True)
-            return
-        if self.view.peer(switch, port) is None and self.view.peer(neighbor, r) is None:
-            self.view.add_link(switch, port, neighbor, r)
-            self.view_version += 1
-            change = TopologyChange(op="link-up", args=(switch, port, neighbor, r))
-            # Undoes the cable's own outage, else flushes the path cache.
-            self.path_service.note_topology_change(self.view, change.op, change.args)
-            self._log_change(change)
-            self._flood_patch((change,), self.view_version)
-        self._finalize_reprobe(switch, port, host=None, keep_link=True)
-
-    def _finalize_reprobe(
-        self, switch: str, port: int, host: Optional[str], keep_link: bool = False
-    ) -> None:
-        session = self._reprobes.pop((switch, port), None)
-        if session is not None and self.obs is not None:
-            # Simulated duration of one reprobe session (stage 1 + the
-            # optional verification stage), retries excluded.
-            self.obs.reprobe_latency.observe(self.loop.now - session.started_at)
-        if session is not None and session.rearm:
-            # A flap arrived mid-session: whatever this session saw may
-            # already be stale.  Run one fresh session (attempt 0: this
-            # is a new notification, not a retry of the old one) and
-            # skip the empty-port retry chain below -- the fresh session
-            # supersedes it.
-            self.loop.schedule(0.0, self._start_reprobe, switch, port)
-            if host is None:
-                return
-        if host is None and not keep_link:
-            # Nothing confirmed behind the port.  Either it is really
-            # empty, or every probe of this session was lost (lossy
-            # fabric, view route broken mid-session): silence cannot
-            # distinguish the two (Section 3.3), so retry a bounded
-            # number of times before accepting "empty".
-            attempt = session.attempt if session is not None else 0
-            self._maybe_retry_reprobe(switch, port, attempt)
-        if host is not None and self.view is not None:
-            if not self.view.has_host(host) and self.view.peer(switch, port) is None:
-                self.view.add_host(host, switch, port)
-                self.view_version += 1
-                self._log_change(
-                    TopologyChange(op="host-up", args=(host, switch, port))
-                )
-                self._welcome_host(host)
-
-    # ------------------------------------------------------------------
-    # incremental rediscovery (unknown-switch escalation)
-
-    def _escalate_rediscovery(
-        self, switch: str, port: int, r: int, neighbor: str
-    ) -> None:
-        """A reprobe confirmed a cable to a switch the view has never
-        seen: expand the view from the newcomer's ports with the
-        incremental engine, emitting every confirmed element as a
-        :class:`TopologyChange` (replicas converge on deltas) and
-        flooding one patch per probe round."""
-        assert self.view is not None
-        max_ports = max(
-            self.view.num_ports(sw) for sw in self.view.switches
-        )
         engine = RediscoveryEngine(
             view=self.view,
             origin=self.name,
-            max_ports=max_ports,
-            window=self.config.rediscovery_window,  # type: ignore[attr-defined]
+            max_ports=max(self.view.num_ports(sw) for sw in self.view.switches),
+            window=PROBE_RUN_WINDOW,
             on_change=self._on_rediscovery_change,
         )
-        self.rediscoveries_run += 1
-        # Seed with the externally verified cable; the engine emits its
-        # switch-up/link-up changes and queues the newcomer's remaining
-        # ports as frontier.
-        engine.seed_confirmed_link(switch, port, r, neighbor)
-        if engine.changes:
-            self._flood_patch(tuple(engine.changes), self.view_version)
-        driver = AsyncProbeDriver(
+        if not engine.add_frontier(switch, port):
+            return  # unknown switch, or the view already has something there
+        self._probe_runs[key] = False
+        self.reprobes_run += 1
+        AsyncProbeDriver(
             self,
             engine,
             settle_s=REPROBE_SETTLE_S,
             on_round=self._on_rediscovery_round,
-            on_done=self._on_rediscovery_done,
-        )
-        self._rediscoveries.add(driver)
-        driver.start()
+            on_done=partial(self._on_rediscovery_done, switch, port, attempt),
+        ).start()
 
     def _on_rediscovery_change(self, change: TopologyChange) -> None:
         """One element confirmed (view already mutated by the engine):
@@ -711,18 +538,29 @@ class Controller(HostAgent):
             if change.op == "host-up":
                 self._welcome_host(change.args[0])
 
-    def _on_rediscovery_done(self, driver: AsyncProbeDriver) -> None:
-        self._rediscoveries.discard(driver)
-        stats = driver.engine.stats
-        self.rediscovery_probes_sent += stats.probes_sent
-        self.rediscovery_rounds += stats.rounds
+    def _on_rediscovery_done(
+        self, switch: str, port: int, attempt: int, driver: AsyncProbeDriver
+    ) -> None:
+        rearm = self._probe_runs.pop((switch, port))
+        engine = driver.engine
+        self.rediscovery_probes_sent += engine.stats.probes_sent
+        self.rediscovery_rounds += engine.stats.rounds
+        if engine.switches_added:
+            self.rediscoveries_run += 1
         if self.obs is not None:
-            self.obs.rediscovery_latency.observe(
-                self.loop.now - driver.started_at
-            )
-            self.obs.rediscovery_frontier_depth.observe(
-                float(driver.engine.max_frontier_depth)
-            )
+            self.obs.reprobe_latency.observe(self.loop.now - driver.started_at)
+        if rearm:
+            # News arrived mid-run: whatever this run saw may already be
+            # stale.  Run one fresh attempt (a new notification, not a
+            # retry of the old one); it supersedes the retry chain.
+            self.loop.schedule(0.0, self._start_reprobe, switch, port)
+        elif engine.view.peer(switch, port) is None:
+            # Nothing confirmed behind the port.  Either it is really
+            # empty, or every probe of this run was lost (lossy fabric,
+            # no route to the port yet): silence cannot distinguish the
+            # two (Section 3.3), so retry a bounded number of times
+            # before accepting "empty".
+            self._maybe_retry_reprobe(switch, port, attempt)
 
     def _maybe_retry_reprobe(self, switch: str, port: int, attempt: int) -> None:
         if attempt >= self.config.reprobe_retries:
@@ -739,8 +577,8 @@ class Controller(HostAgent):
     def reprobe_unknown_ports(self) -> int:
         """Schedule a reprobe of every port the view knows nothing
         about.  A freshly promoted primary calls this: the replica view
-        it adopted may miss links whose reprobe sessions died with the
-        old primary, and no further link-up news will ever arrive for
+        it adopted may miss links whose probe runs died with the old
+        primary, and no further link-up news will ever arrive for
         them."""
         if self.view is None:
             return 0
@@ -755,12 +593,21 @@ class Controller(HostAgent):
     def _welcome_host(self, host: str) -> None:
         """Announce ourselves to a newly discovered host so it can
         query paths and participate in the gossip overlay."""
+        self._announce_to(host, None)
+
+    def _announce_to(self, host: str, overlay: Optional[Overlay]) -> bool:
+        """Send ``host`` one :class:`ControllerAnnounce`: the tags both
+        ways, its attachment, its gossip neighbours and its pod.
+        Returns False, sending nothing, when the view has no route to
+        it right now.  ``overlay`` None builds the gossip overlay only
+        once a route exists."""
         assert self.view is not None
         tags_out = self._tags_between(self.name, host)
         tags_back = self._tags_between(host, self.name)
         if tags_out is None or tags_back is None:
-            return
-        overlay = self.compute_gossip_overlay()
+            return False
+        if overlay is None:
+            overlay = self.compute_gossip_overlay()
         ref = self.view.host_port(host)
         announce = ControllerAnnounce(
             controller=self.name,
@@ -770,17 +617,5 @@ class Controller(HostAgent):
             pod=self._pod_of_host(host),
         )
         self.send_tagged(tags_out, announce, dst=host)
+        return True
 
-
-@dataclass
-class _ReprobeSession:
-    switch: str
-    port: int
-    attempt: int = 0
-    started_at: float = 0.0
-    host_nonce: int = -1
-    bounce_nonces: Dict[int, int] = field(default_factory=dict)
-    verify_nonces: Dict[int, Tuple[int, str]] = field(default_factory=dict)
-    #: Set when a link-up notification for this port arrives while the
-    #: session is in flight: finalize re-runs the reprobe once.
-    rearm: bool = False

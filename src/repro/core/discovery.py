@@ -15,7 +15,7 @@ expands a view from *frontier ports*, and it has two seeds.  At boot
 (:func:`discover`) the view is empty and the only frontier is the
 origin's own switch, found by a phase-0 port search.  Afterwards
 (:func:`incremental_discover`, blueprint repair, the controller's
-link-up escalation) the frontiers are the ports the caller knows to be
+link-up probe runs) the frontiers are the ports the caller knows to be
 dirty: Section 4.2's "probe the ports to discover and verify the newly
 added links and switches" -- the *ports*, not the fabric -- so a
 one-switch delta costs O(dirty ports * P) probes instead of the
@@ -35,7 +35,7 @@ their outcomes (:meth:`RediscoveryEngine.feed`).  Two drivers wrap it:
   a blocking :class:`ProbeTransport`;
 * :class:`AsyncProbeDriver` pipelines rounds over a live host agent on
   the event loop, one bounded outstanding-probe window per settle
-  period -- what the controller's mid-run escalation uses.
+  period -- what every controller probe run after bootstrap uses.
 
 Every confirmed element is reported as a
 :class:`~repro.core.messages.TopologyChange` through the caller's
@@ -458,34 +458,6 @@ class RediscoveryEngine:
                 count += 1
         return count
 
-    def seed_confirmed_link(
-        self, switch: str, port: int, r: int, neighbor: str
-    ) -> None:
-        """Seed with a cable the caller already verified out-of-band
-        (the controller's reprobe session): apply the switch/link,
-        emit their changes, and queue the newcomer's remaining ports
-        as frontier."""
-        if not self.view.has_switch(neighbor):
-            self.view.add_switch(neighbor, self.max_ports)
-            self.switches_added.append(neighbor)
-            routes = self._routes_for(switch)
-            if routes is not None:
-                self._to_tags[neighbor] = routes[0] + (port,)
-                self._from_tags[neighbor] = (r,) + routes[1]
-            self._emit(
-                TopologyChange(op="switch-up", args=(neighbor, self.max_ports))
-            )
-        if (
-            self.view.peer(switch, port) is None
-            and self.view.peer(neighbor, r) is None
-        ):
-            self.view.add_link(switch, port, neighbor, r)
-            self.links_added.append((switch, port, neighbor, r))
-            self._emit(
-                TopologyChange(op="link-up", args=(switch, port, neighbor, r))
-            )
-        self.add_switch_frontier(neighbor, depth=1)
-
     def _routes_for(self, switch: str) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         cached = self._to_tags.get(switch)
         if cached is not None:
@@ -850,7 +822,7 @@ def repair_from_verification(
 
 
 # ----------------------------------------------------------------------
-# Event-loop driver (the controller's mid-run escalation)
+# Event-loop driver (the controller's probe runs)
 
 
 class AsyncProbeDriver:

@@ -316,9 +316,10 @@ class DumbNetFabric:
 
         ``links`` lists the cables as ``(new switch port, existing
         switch, existing port)``.  Every existing switch raises
-        port-up, the controller reprobes, meets an unknown switch ID,
-        and escalates into incremental rediscovery -- mapping all of
-        the newcomer's links and hosts without a full re-discovery.
+        port-up, and the controller's probe run on that port meets an
+        unknown switch ID and recurses into the newcomer's ports --
+        mapping all of its links and hosts without a full
+        re-discovery.
         Run the loop (``run_until_idle``) to let all of that happen.
         """
         return self.network.hotplug_switch(switch, num_ports, tuple(links))

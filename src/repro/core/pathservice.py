@@ -370,15 +370,15 @@ class PathService:
         """Apply the right invalidation for one already-applied
         :class:`~repro.core.messages.TopologyChange`.
 
-        Callers that mutate the view (the controller's reprobe and
-        incremental rediscovery, replicas replaying the quorum log,
-        shards) route every change through here instead of choosing
-        between :meth:`invalidate_link` and :meth:`flush` themselves:
-        link removals get precise eviction, the link-up that returns the
-        last downed cable as the very next mutation restores the
-        pre-outage graphs and trees, host attachment changes cost
-        nothing (they never touch switch reachability), and anything
-        else (another link-up, switch-up, adopt-view) flushes.
+        Callers that mutate the view (the controller's probe runs,
+        replicas replaying the quorum log, shards) route every change
+        through here instead of choosing between :meth:`invalidate_link`
+        and :meth:`flush` themselves: link removals get precise
+        eviction, the link-up that returns the last downed cable as the
+        very next mutation restores the pre-outage graphs and trees,
+        host attachment changes cost nothing (they never touch switch
+        reachability), and anything else (another link-up, switch-up,
+        adopt-view) flushes.
         """
         if op == "link-down":
             sw_a, port_a, sw_b, port_b = args

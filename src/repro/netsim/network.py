@@ -181,9 +181,9 @@ class Network:
         ``links`` lists the cables as ``(new switch port, existing
         switch, existing port)``.  Each cable raises the PHY on *both*
         ends after its detection delay: the existing switches originate
-        the link-up notifications that trigger the controller's reprobe,
-        which then escalates into incremental rediscovery of the
-        newcomer (it appears as an unknown switch ID).
+        the link-up notifications that trigger the controller's probe
+        runs, which meet the newcomer as an unknown switch ID and map
+        it by frontier recursion.
         """
         self.topology.add_switch(switch, num_ports)
         device = self._switch_factory(switch, num_ports, self)

@@ -85,14 +85,10 @@ class FabricObs:
         self.path_tags = self.registry.histogram(
             "host.path.tags", least=1.0, growth=2.0
         )
+        #: Simulated duration of one controller probe run (scan,
+        #: verification and any frontier recursion), retries excluded.
         self.reprobe_latency = self.registry.histogram(
             "controller.reprobe.latency_s"
-        )
-        self.rediscovery_latency = self.registry.histogram(
-            "controller.rediscovery.latency_s"
-        )
-        self.rediscovery_frontier_depth = self.registry.histogram(
-            "controller.rediscovery.frontier_depth", least=1.0, growth=2.0
         )
 
 

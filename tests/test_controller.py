@@ -1,10 +1,12 @@
 """Controller tests: path service, gossip overlay, patches, reprobes."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.fabric import DumbNetFabric
 from repro.core.messages import TopologyChange
-from repro.topology import figure1, leaf_spine, paper_testbed
+from repro.topology import Topology, figure1, leaf_spine, paper_testbed
 
 
 @pytest.fixture
@@ -145,6 +147,93 @@ class TestReprobe:
         fabric.run_until_idle()
         assert "revived" in [d[2] for d in fabric.agents["H5"].delivered]
 
+    def test_restored_cable_of_a_bundle_relearned(self):
+        # A:2's scan bounces home over both cables of the bundle, and
+        # B:1 is the first candidate: the run must pass over it (its far
+        # port is already held by A:1) and wire the free B:2.
+        fab = DumbNetFabric(bundle_pair(), controller_host="ha", seed=1)
+        fab.bootstrap()
+        ctl = fab.controller
+        fab.fail_link("A", 2, "B", 2)
+        fab.run_until_idle()
+        assert not ctl.view.has_link("A", 2, "B", 2)
+        fab.restore_link("A", 2, "B", 2)
+        fab.run_until_idle()
+        assert ctl.view.same_wiring(fab.topology)
+
+
+def bundle_pair():
+    """Two switches joined by a two-cable bundle, one host on each."""
+    topo = Topology()
+    topo.add_switch("A", 4)
+    topo.add_switch("B", 4)
+    topo.add_link("A", 1, "B", 1)
+    topo.add_link("A", 2, "B", 2)
+    topo.add_host("ha", "A", 3)
+    topo.add_host("hb", "B", 3)
+    return topo
+
+
+def lowest_free_port(topo, switch):
+    return next(
+        p for p in range(1, topo.num_ports(switch) + 1) if topo.peer(switch, p) is None
+    )
+
+
+@st.composite
+def small_fabrics(draw):
+    """2-4 switches: a random spanning tree plus up to three extra
+    cables that may join a bundle, then one host per switch.  Cables
+    take the lowest free port at both ends, so every bundle pairs its
+    ports in the same order on both switches (a crossed bundle is
+    unobservable: EXPERIMENTS.md, known deviation 5)."""
+    n = draw(st.integers(2, 4))
+    topo = Topology()
+    names = [f"S{i}" for i in range(n)]
+    for name in names:
+        topo.add_switch(name, 8)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=3))
+    for i, j in pairs:
+        a, b = names[i], names[j]
+        topo.add_link(a, lowest_free_port(topo, a), b, lowest_free_port(topo, b))
+    for i, name in enumerate(names):
+        topo.add_host(f"h{i}", name, lowest_free_port(topo, name))
+    return topo
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(truth=small_fabrics(), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+def test_restored_cables_relearned(truth, picks):
+    """Fail a random set of cables, restore them all at once: the view
+    ends up wired like the fabric again.  The set leaves the fabric
+    connected (a switch the view cannot route to is retried only
+    ``reprobe_retries`` times) and takes at most one cable per bundle
+    (two cables of one bundle restored together may be paired crossed,
+    which no probe can tell apart)."""
+    fab = DumbNetFabric(truth, controller_host="h0", seed=3)
+    fab.bootstrap()
+    rest = truth.copy()
+    failed = []
+    for pick in picks:
+        links = sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in rest.links)
+        edge = links[pick % len(links)]
+        if any({e[0], e[2]} == {edge[0], edge[2]} for e in failed):
+            continue
+        rest.remove_link(*edge)
+        if not rest.is_connected():
+            rest.add_link(*edge)
+            continue
+        failed.append(edge)
+    for edge in failed:
+        fab.fail_link(*edge)
+    fab.run_until_idle()
+    for edge in failed:
+        fab.restore_link(*edge)
+    fab.run_until_idle()
+    assert fab.controller.view.same_wiring(truth)
+
 
 class TestBlueprintBootstrap:
     def test_adopt_blueprint_matches_discovery(self):
@@ -189,7 +278,8 @@ class TestReprobeRearm:
         ctl.on_news(PortStateNotification(switch="S2", port=3, up=True, seq=901))
         ctl.on_news(PortStateNotification(switch="S5", port=2, up=True, seq=902))
         fab.run(until=fab.now + 0.005)
-        assert ctl._reprobes  # sessions in flight, probes already lost
+        # Both scans in flight, their probes already lost.
+        assert ctl._probe_runs == {("S2", 3): False, ("S5", 2): False}
         # Fresh link-up news lands while those sessions are still
         # inside their settle window (the cable flapped again).
         ctl.on_news(PortStateNotification(switch="S2", port=3, up=True, seq=903))

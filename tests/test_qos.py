@@ -121,3 +121,47 @@ class TestQueueLimits:
             switch.receive(2, frame([1, 9], label=i))
         loop.run()
         assert all(p.tags.remaining == (9,) for _t, p in sink.packets)
+
+
+class TestNotificationUnderIncast:
+    """Stage-1 news must cross a congested egress to show what priority
+    buys: the victim host's own downlink, which no flood copy can route
+    around (the ``bench_ablation_qos`` scenario)."""
+
+    @staticmethod
+    def worst_news(switch_cls):
+        from repro.core.fabric import DumbNetFabric
+        from repro.netsim import LinkSpec
+        from repro.topology import paper_testbed
+
+        spec = LinkSpec(bandwidth_bps=100e6, latency_s=5e-6)
+        fabric = DumbNetFabric(
+            paper_testbed(), controller_host="h0_0", seed=6,
+            link_spec=spec, host_link_spec=spec, switch_cls=switch_cls,
+        )
+        fabric.adopt_blueprint()
+        pairs = [(f"h{1 + i % 4}_{i // 4}", "h0_1") for i in range(5)]
+        fabric.warm_paths(pairs)
+        for src, dst in pairs:
+            for i in range(100):
+                fabric.loop.schedule(
+                    0.0, fabric.agents[src].send_app, dst, i, 1450, (src, dst)
+                )
+        fabric.tracer.clear()
+        fail_at = fabric.now + 0.02
+        fabric.loop.schedule(0.02, fabric.fail_link, "leaf4", 1, "spine0", 5)
+        fabric.run_until_idle()
+        news = fabric.tracer.first_time_per_node("news-received")
+        worst = max(news, key=news.get)
+        return worst, news[worst] - fail_at
+
+    def test_fifo_news_waits_behind_the_victim_downlink(self):
+        from repro.core.switch import DumbSwitch
+
+        host, delay = self.worst_news(DumbSwitch)
+        assert host == "h0_1"
+        assert delay > 5e-3
+
+    def test_priority_news_overtakes_it(self):
+        _host, delay = self.worst_news(QosSwitch)
+        assert delay < 1e-3

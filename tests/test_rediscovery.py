@@ -1,5 +1,5 @@
 """Incremental rediscovery: the frontier-BFS engine, blueprint repair,
-live controller escalation, and the chaos-schedule switch-join op."""
+live controller probe runs, and the chaos-schedule switch-join op."""
 
 import pytest
 
@@ -240,7 +240,8 @@ class TestRepairFromVerification:
 
 
 class TestLiveEscalation:
-    """A racked-in switch: reprobe meets an unknown ID and escalates."""
+    """A racked-in switch: a link-up probe run meets an unknown ID and
+    recurses into the newcomer's ports."""
 
     JOIN_LINKS = [(1, "leaf0", 9), (2, "leaf1", 9), (3, "spine0", 9)]
 
