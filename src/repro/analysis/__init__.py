@@ -1,15 +1,8 @@
 """Result analysis: CDFs, percentiles, table rendering."""
 
-from .cdf import DistSummary, empirical_cdf, fraction_above, percentile, summarize
-from .tables import render_cdf_deciles, render_series, render_table
+from .. import _lazy_namespace
 
-__all__ = [
-    "empirical_cdf",
-    "percentile",
-    "fraction_above",
-    "summarize",
-    "DistSummary",
-    "render_table",
-    "render_series",
-    "render_cdf_deciles",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".cdf": ("empirical_cdf", "percentile", "fraction_above", "summarize", "DistSummary"),
+    ".tables": ("render_table", "render_series", "render_cdf_deciles"),
+})

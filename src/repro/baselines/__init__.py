@@ -1,18 +1,9 @@
 """Baselines the paper compares against: Ethernet/STP, ECMP, OpenFlow."""
 
-from .stp import Bpdu, L2Frame, L2Host, STP_DEFAULTS, StpBridge
-from .ecmp import EcmpRouter, equal_cost_paths
-from .openflow import FlowRule, FlowTableSwitch, SdnController
+from .. import _lazy_namespace
 
-__all__ = [
-    "StpBridge",
-    "L2Host",
-    "L2Frame",
-    "Bpdu",
-    "STP_DEFAULTS",
-    "EcmpRouter",
-    "equal_cost_paths",
-    "FlowTableSwitch",
-    "SdnController",
-    "FlowRule",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".stp": ("StpBridge", "L2Host", "L2Frame", "Bpdu", "STP_DEFAULTS"),
+    ".ecmp": ("EcmpRouter", "equal_cost_paths"),
+    ".openflow": ("FlowTableSwitch", "SdnController", "FlowRule"),
+})

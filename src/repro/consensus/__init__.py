@@ -1,14 +1,8 @@
 """Quorum replication substrate (the paper's ZooKeeper role)."""
 
-from .log import Cluster, LogEntry, NotLeaderError, QuorumLostError, ReplicaNode
-from .store import ReplicatedTopologyStore, apply_change
+from .. import _lazy_namespace
 
-__all__ = [
-    "Cluster",
-    "ReplicaNode",
-    "LogEntry",
-    "NotLeaderError",
-    "QuorumLostError",
-    "ReplicatedTopologyStore",
-    "apply_change",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".log": ("Cluster", "ReplicaNode", "LogEntry", "NotLeaderError", "QuorumLostError"),
+    ".store": ("ReplicatedTopologyStore", "apply_change"),
+})

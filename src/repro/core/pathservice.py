@@ -22,9 +22,9 @@ byte-identical to a fresh computation:
   epoch and drops everything on the next query, so direct view edits
   (tests, fault injectors) can never serve stale answers.
 
-* **Incremental invalidation on failure** -- a reverse index from link
-  to cache keys evicts exactly the cached path graphs whose edge set
-  contains a failed cable; everything else survives.  This is sound
+* **Incremental invalidation on failure** -- one scan of the cached
+  graphs (at most ``capacity``, in LRU order) evicts exactly those whose
+  edge set contains a failed cable; everything else survives.  This is sound
   because a path graph's induced edge set contains *every* link between
   its nodes, and removing a link outside the graph can only shrink
   shortest-path parent sets elsewhere: with the stable tie-breaker
@@ -187,9 +187,6 @@ class PathService:
         self.seed = seed
         self.stats = PathServiceStats()
         self._graphs: "OrderedDict[GraphKey, Optional[PathGraph]]" = OrderedDict()
-        #: Reverse index: each cached graph's own ``edges`` tuples (every
-        #: cable once, from its ``a`` side) -> the keys holding them.
-        self._by_link: Dict[Tuple[str, int, str, int], Set[GraphKey]] = {}
         self._trees: Dict[str, SSSPTree] = {}
         #: Coherency epoch: (view.uid, view.topo_version) the cached
         #: state was built against; None when empty.
@@ -287,23 +284,9 @@ class PathService:
         self._graphs[key] = graph
         if self._outage is not None:
             self._outage.built.add(key)
-        if graph is not None:
-            for edge in graph.edges:
-                self._by_link.setdefault(edge, set()).add(key)
         while len(self._graphs) > self.capacity:
-            old_key, old = self._graphs.popitem(last=False)
-            self._forget(old_key, old)
+            self._graphs.popitem(last=False)
             self.stats.capacity_evictions += 1
-
-    def _forget(self, key: GraphKey, graph: Optional[PathGraph]) -> None:
-        if graph is None:
-            return
-        for edge in graph.edges:
-            bucket = self._by_link.get(edge)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_link[edge]
 
     # ------------------------------------------------------------------
     # invalidation
@@ -336,16 +319,21 @@ class PathService:
             self._epoch = current
             return 0
         self._epoch = current
-        # The caller may name the cable from either side; the graphs
-        # holding it name it from its ``a`` side.
+        # One scan of at most ``capacity`` graphs, in LRU order (it decides
+        # later capacity evictions).  The caller may name the cable from
+        # either side; the graphs holding it name it from its ``a`` side.
         named = {(sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)}
-        cable = {edge for edge in named if edge in self._by_link} or named
-        doomed = set().union(*(self._by_link.pop(edge, ()) for edge in cable))
-        # LRU order, never set order: it decides later capacity evictions.
-        evicted = [(key, graph) for key, graph in self._graphs.items() if key in doomed]
-        for key, graph in evicted:
+        evicted = [
+            (key, graph)
+            for key, graph in self._graphs.items()
+            if graph is not None
+            and sw_a in graph.nodes
+            and sw_b in graph.nodes
+            and not named.isdisjoint(graph.edges)
+        ]
+        cable = named.intersection(evicted[0][1].edges) if evicted else named
+        for key, _graph in evicted:
             del self._graphs[key]
-            self._forget(key, graph)
         self.stats.link_evictions += len(evicted)
         kept: Dict[str, SSSPTree] = {}
         trees: Dict[str, SSSPTree] = {}
@@ -400,13 +388,11 @@ class PathService:
             return False
         self._outage = None
         for key in outage.built:
-            self._forget(key, self._graphs.pop(key, None))
+            self._graphs.pop(key, None)
         # Never touched since before the outage: the LRU's oldest end.
         for key, graph in reversed(outage.evicted):
             self._graphs[key] = graph
             self._graphs.move_to_end(key, last=False)
-            for edge in graph.edges:
-                self._by_link.setdefault(edge, set()).add(key)
         self._trees = outage.trees
         self._epoch = (view.uid, view.topo_version)
         self.stats.restores += 1
@@ -421,7 +407,6 @@ class PathService:
 
     def _drop_all(self) -> None:
         self._graphs.clear()
-        self._by_link.clear()
         self._trees.clear()
         self._epoch = None
         self._outage = None

@@ -31,7 +31,7 @@ single   first primary, always          :class:`SingleShortestPolicy`
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..flowsim.policies import EcnAwareKPathPolicy, SprayKPathPolicy
 from ..flowsim.simulator import (
@@ -40,10 +40,10 @@ from ..flowsim.simulator import (
     RebalancingKPathPolicy,
     SingleShortestPolicy,
 )
-from .ecn import install_ecn_rerouting
-from .flowlet import install_flowlet_routing
-from .host_agent import HostAgent
-from .pathcache import CachedPath
+
+if TYPE_CHECKING:  # the packet half's types; importing them loads the emulator
+    from .host_agent import HostAgent
+    from .pathcache import CachedPath
 
 __all__ = [
     "TE_MECHANISMS",
@@ -134,6 +134,10 @@ def install_packet_te(fabric, te: str, **kwargs) -> Dict[str, object]:
     -- hash the flow key onto one of the k cached paths -- so it clears
     any previously installed routing function.
     """
+    # Here, not at module level: the fluid half must not load the emulator.
+    from .ecn import install_ecn_rerouting
+    from .flowlet import install_flowlet_routing
+
     routers: Dict[str, object] = {}
     for host, agent in fabric.agents.items():
         if te == "flowlet":

@@ -22,31 +22,18 @@ first-class subsystem:
   (used by CI) that also asserts run-to-run determinism.
 """
 
-from .invariants import (
-    Violation,
-    check_cache_coherence,
-    check_loop_free,
-    check_structural,
-    continuous_invariants,
-    down_ports,
-    residual_topology,
-)
-from .runner import ChaosFabric, ChaosReport, ChaosRunner, build_chaos_fabric
-from .schedule import FaultEvent, FaultSchedule, ScheduleError
+from .. import _lazy_namespace
 
-__all__ = [
-    "FaultEvent",
-    "FaultSchedule",
-    "ScheduleError",
-    "ChaosFabric",
-    "ChaosReport",
-    "ChaosRunner",
-    "build_chaos_fabric",
-    "Violation",
-    "check_loop_free",
-    "check_cache_coherence",
-    "check_structural",
-    "continuous_invariants",
-    "down_ports",
-    "residual_topology",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".schedule": ("FaultEvent", "FaultSchedule", "ScheduleError"),
+    ".runner": ("ChaosFabric", "ChaosReport", "ChaosRunner", "build_chaos_fabric"),
+    ".invariants": (
+        "Violation",
+        "check_loop_free",
+        "check_cache_coherence",
+        "check_structural",
+        "continuous_invariants",
+        "down_ports",
+        "residual_topology",
+    ),
+})

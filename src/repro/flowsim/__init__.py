@@ -1,31 +1,19 @@
 """Fluid flow-level bandwidth simulation (max-min fair sharing)."""
 
-from .maxmin import FairnessError, max_min_rates
-from .network import FlowNet
-from .policies import EcnAwareKPathPolicy, SprayKPathPolicy
-from .simulator import (
-    Flow,
-    FluidReport,
-    FluidSimulator,
-    HashedKPathPolicy,
-    PathPolicy,
-    RebalancingKPathPolicy,
-    SingleShortestPolicy,
-    ThroughputSeries,
-)
+from .. import _lazy_namespace
 
-__all__ = [
-    "max_min_rates",
-    "FairnessError",
-    "FlowNet",
-    "Flow",
-    "FluidReport",
-    "FluidSimulator",
-    "PathPolicy",
-    "SingleShortestPolicy",
-    "HashedKPathPolicy",
-    "RebalancingKPathPolicy",
-    "SprayKPathPolicy",
-    "EcnAwareKPathPolicy",
-    "ThroughputSeries",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".maxmin": ("max_min_rates", "FairnessError"),
+    ".network": ("FlowNet",),
+    ".simulator": (
+        "Flow",
+        "FluidReport",
+        "FluidSimulator",
+        "PathPolicy",
+        "SingleShortestPolicy",
+        "HashedKPathPolicy",
+        "RebalancingKPathPolicy",
+        "ThroughputSeries",
+    ),
+    ".policies": ("SprayKPathPolicy", "EcnAwareKPathPolicy"),
+})

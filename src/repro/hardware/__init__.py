@@ -1,35 +1,23 @@
 """Calibrated hardware models: FPGA area and host stack costs."""
 
-from .resources import (
-    DUMBNET_VERILOG_LINES,
-    HardwareResources,
-    dumbnet_switch_resources,
-    openflow_switch_resources,
-    reduction_factor,
-)
-from .hostmodel import (
-    ALL_STACKS,
-    DUMBNET,
-    DUMBNET_MTU_BYTES,
-    MPLS_ONLY,
-    NATIVE,
-    NOOP_DPDK,
-    StackModel,
-    throughput_bps,
-)
+from .. import _lazy_namespace
 
-__all__ = [
-    "HardwareResources",
-    "dumbnet_switch_resources",
-    "openflow_switch_resources",
-    "reduction_factor",
-    "DUMBNET_VERILOG_LINES",
-    "StackModel",
-    "NATIVE",
-    "NOOP_DPDK",
-    "MPLS_ONLY",
-    "DUMBNET",
-    "ALL_STACKS",
-    "DUMBNET_MTU_BYTES",
-    "throughput_bps",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".resources": (
+        "HardwareResources",
+        "dumbnet_switch_resources",
+        "openflow_switch_resources",
+        "reduction_factor",
+        "DUMBNET_VERILOG_LINES",
+    ),
+    ".hostmodel": (
+        "StackModel",
+        "NATIVE",
+        "NOOP_DPDK",
+        "MPLS_ONLY",
+        "DUMBNET",
+        "ALL_STACKS",
+        "DUMBNET_MTU_BYTES",
+        "throughput_bps",
+    ),
+})

@@ -2,14 +2,10 @@
 zoom on a region of interest (see DESIGN.md, "Hybrid-fidelity
 dataplane")."""
 
-from .engine import HybridEngine, build_engine
-from .packet_region import PacketRegion, ZoomFlow
-from .roi import RegionOfInterest
+from .. import _lazy_namespace
 
-__all__ = [
-    "HybridEngine",
-    "build_engine",
-    "PacketRegion",
-    "ZoomFlow",
-    "RegionOfInterest",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".engine": ("HybridEngine", "build_engine"),
+    ".packet_region": ("PacketRegion", "ZoomFlow"),
+    ".roi": ("RegionOfInterest",),
+})

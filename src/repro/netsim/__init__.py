@@ -1,22 +1,11 @@
 """Discrete-event network emulator (the paper's Mininet-style substrate)."""
 
-from .events import EventHandle, EventLoop, SimulationError
-from .channel import Channel, ChannelEnd, DEFAULT_DETECTION_DELAY
-from .device import Device
-from .network import HOST_NIC_PORT, LinkSpec, Network
-from .trace import TraceEvent, Tracer
+from .. import _lazy_namespace
 
-__all__ = [
-    "EventLoop",
-    "EventHandle",
-    "SimulationError",
-    "Channel",
-    "ChannelEnd",
-    "DEFAULT_DETECTION_DELAY",
-    "Device",
-    "Network",
-    "LinkSpec",
-    "HOST_NIC_PORT",
-    "Tracer",
-    "TraceEvent",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".events": ("EventLoop", "EventHandle", "SimulationError"),
+    ".channel": ("Channel", "ChannelEnd", "DEFAULT_DETECTION_DELAY"),
+    ".device": ("Device",),
+    ".network": ("Network", "LinkSpec", "HOST_NIC_PORT"),
+    ".trace": ("Tracer", "TraceEvent"),
+})

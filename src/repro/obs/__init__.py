@@ -21,21 +21,11 @@ histograms).
 ``python -m repro.obs.smoke`` is the CI gate.
 """
 
-from .export import parse_prometheus, to_prometheus
-from .fabric import FabricObs, Observation, observe_fabric
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Span
-from .report import ReportBase
+from .. import _lazy_namespace
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "FabricObs",
-    "Observation",
-    "observe_fabric",
-    "ReportBase",
-    "parse_prometheus",
-    "to_prometheus",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Span"),
+    ".fabric": ("FabricObs", "Observation", "observe_fabric"),
+    ".report": ("ReportBase",),
+    ".export": ("parse_prometheus", "to_prometheus"),
+})

@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-__all__ = [
-    "ReportBase",
-    "report_to_json",
-    "FabricReport",
-    "ChaosReport",
-    "Observation",
-]
+from .. import _lazy_namespace
+
+__getattr__, __dir__, _reexports = _lazy_namespace(__name__, {
+    "..core.telemetry": ("FabricReport",),
+    "..faultinject.runner": ("ChaosReport",),
+    ".fabric": ("Observation",),
+})
+__all__ = ["ReportBase", "report_to_json", *_reexports]
 
 
 def report_to_json(data: Any, indent: int = 2) -> str:
@@ -66,21 +67,3 @@ class ReportBase:
                 lines.append(f"{key}: {value}")
         return "\n".join(lines)
 
-
-# Lazy re-exports of the concrete report classes.  Resolved on first
-# attribute access so importing this module never pulls in repro.core
-# (which imports back from here).
-_LAZY = {
-    "FabricReport": ("repro.core.telemetry", "FabricReport"),
-    "ChaosReport": ("repro.faultinject.runner", "ChaosReport"),
-    "Observation": ("repro.obs.fabric", "Observation"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target[0]), target[1])

@@ -1,34 +1,13 @@
 """Topology model and generators for DumbNet fabrics."""
 
-from .graph import HostAttachment, Link, PortRef, Topology, TopologyError
-from .fattree import fat_tree, fat_tree_for_switch_count
-from .leafspine import leaf_spine, paper_testbed
-from .cube import cube, center_switch, corner_switch, cube_switch_name
-from .random_topo import jellyfish, random_connected
-from .samples import figure1, line, ring
-from .serialization import dumps, loads, topology_from_dict, topology_to_dict
+from .. import _lazy_namespace
 
-__all__ = [
-    "Topology",
-    "TopologyError",
-    "Link",
-    "PortRef",
-    "HostAttachment",
-    "fat_tree",
-    "fat_tree_for_switch_count",
-    "leaf_spine",
-    "paper_testbed",
-    "cube",
-    "cube_switch_name",
-    "corner_switch",
-    "center_switch",
-    "jellyfish",
-    "random_connected",
-    "figure1",
-    "line",
-    "ring",
-    "topology_to_dict",
-    "topology_from_dict",
-    "dumps",
-    "loads",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    ".graph": ("Topology", "TopologyError", "Link", "PortRef", "HostAttachment"),
+    ".fattree": ("fat_tree", "fat_tree_for_switch_count"),
+    ".leafspine": ("leaf_spine", "paper_testbed"),
+    ".cube": ("cube", "cube_switch_name", "corner_switch", "center_switch"),
+    ".random_topo": ("jellyfish", "random_connected"),
+    ".samples": ("figure1", "line", "ring"),
+    ".serialization": ("topology_to_dict", "topology_from_dict", "dumps", "loads"),
+})

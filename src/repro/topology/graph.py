@@ -571,28 +571,39 @@ class Topology:
         seen = {tuple(first)}
         candidates: List[Tuple[int, int, List[str]]] = []
         counter = itertools.count()
-        while len(paths) < k:
-            prev = paths[-1]
-            # Accepted paths that share prev[:i + 1]; shrinks as i grows.
-            sharing = paths
-            for i in range(len(prev) - 1):
-                spur = prev[i]
-                sharing = [p for p in sharing if len(p) > i + 1 and p[i] == spur]
-                spur_path = self._shortest_avoiding(
-                    spur, dst, prev[:i], {p[i + 1] for p in sharing}
-                )
-                if spur_path is not None:
-                    total = prev[:i] + spur_path
-                    identity = tuple(total)
-                    if identity not in seen:
-                        seen.add(identity)
-                        heapq.heappush(
-                            candidates, (len(total), next(counter), total)
-                        )
+        want = k - 1
+        # Queued candidates as short as ``first``.  Every candidate is at
+        # least that long and a later push loses every tie, so once these
+        # cover the paths still wanted the pops are fixed: no more spurs.
+        short = 0
+        while want:
+            if short < want:
+                prev = paths[-1]
+                # Accepted paths that share prev[:i + 1]; shrinks as i grows.
+                sharing = paths
+                for i in range(len(prev) - 1):
+                    spur = prev[i]
+                    sharing = [p for p in sharing if len(p) > i + 1 and p[i] == spur]
+                    spur_path = self._shortest_avoiding(
+                        spur, dst, prev[:i], {p[i + 1] for p in sharing}
+                    )
+                    if spur_path is not None:
+                        total = prev[:i] + spur_path
+                        identity = tuple(total)
+                        if identity not in seen:
+                            seen.add(identity)
+                            heapq.heappush(
+                                candidates, (len(total), next(counter), total)
+                            )
+                            short += len(total) == len(first)
+                            if short >= want:
+                                break
             if not candidates:
                 break
-            _len, _tie, best = heapq.heappop(candidates)
+            length, _tie, best = heapq.heappop(candidates)
+            short -= length == len(first)
             paths.append(best)
+            want -= 1
         return paths
 
     def _shortest_avoiding(

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..core.te import TE_MECHANISMS, make_flow_policy
 from ..flowsim.network import FlowNet
+from ..hybrid.engine import build_engine
 from ..obs.report import ReportBase
 from .api import FlowProgram, ProgramResult, Workload, quantile, replay_program
 
@@ -162,8 +163,6 @@ def run_scenario(
     ``random.Random(scenario.seed)``) -- the only randomness in a run,
     so a pinned seed pins the scorecard cell bit for bit.
     """
-    from ..hybrid.engine import build_engine
-
     topo = scenario.resolve_topology()
     net = FlowNet(
         topo,

@@ -174,6 +174,35 @@ def test_kernel_equals_seed_algorithms_under_interleaved_mutation(
     assert_kernel_matches_reference(clone, seed, service)
 
 
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    bundles=st.lists(st.integers(0, 10**6), max_size=4),
+    pick=st.integers(0, 10**6),
+)
+def test_yen_equals_seed_for_every_k_up_to_8(kind, a, b, seed, bundles, pick):
+    """Yen stops its spur searches once enough candidates as short as the
+    first path are queued; the list is still seed Yen's for every k,
+    parallel cables included."""
+    topo = make_view(kind, a, b, seed)
+    for x in bundles:
+        mutate(topo, "parallel", x, 0)
+    rng = random.Random(pick)
+    switches = sorted(topo.switches)
+    for _ in range(4):
+        src, dst = rng.choice(switches), rng.choice(switches)
+        for k in range(1, 9):
+            assert topo.k_shortest_switch_paths(src, dst, k) == \
+                ref.k_shortest_switch_paths(topo, src, dst, k)
+
+
 def assert_backup_and_detours_match_reference(topo, primary, pick, service):
     mine, theirs = random.Random(pick), random.Random(pick)
     assert backup_path(topo, primary, mine) == ref.backup_path(topo, primary, theirs)

@@ -220,7 +220,7 @@ class TestLinkEviction:
         service.flush()
         assert len(service) == 0
         assert service.stats.flushes == 1
-        assert not service._by_link
+        assert not service._trees
 
 
 def parallel_cube():
