@@ -127,8 +127,8 @@ def main(argv=None) -> int:
         description="Figure 13 HiBench-analogue task durations"
     )
     parser.add_argument(
-        "--engine", choices=("packet", "fluid", "hybrid"), default="fluid",
-        help="dataplane fidelity (packet = everything promoted)",
+        "--engine", choices=("fluid", "hybrid"), default="fluid",
+        help="dataplane fidelity",
     )
     parser.add_argument(
         "--roi-host", action="append", default=None, metavar="HOST",

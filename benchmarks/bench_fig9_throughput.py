@@ -107,8 +107,8 @@ def main(argv=None) -> int:
         description="Figure 9 aggregate leaf-to-leaf throughput"
     )
     parser.add_argument(
-        "--engine", choices=("packet", "fluid", "hybrid"), default="fluid",
-        help="dataplane fidelity (packet = everything promoted)",
+        "--engine", choices=("fluid", "hybrid"), default="fluid",
+        help="dataplane fidelity",
     )
     parser.add_argument(
         "--roi-host", action="append", default=None, metavar="HOST",

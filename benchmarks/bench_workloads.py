@@ -8,8 +8,12 @@ Every cell is one :func:`repro.workloads.run_scenario` call: a
 canonical workload family (websearch / datamining trace replay, incast
 fan-in sweep, elephant+mice mix, storage write fan-out, tenant churn)
 under one TE mechanism (flowlet, ECMP, pHost-style spraying, ECN-aware
-rerouting) on one dataplane engine (fluid / hybrid / packet), reduced
-to FCT p50/p99, goodput, path-table pressure and reroute counts.
+rerouting) on one dataplane engine, reduced to FCT p50/p99, goodput,
+path-table pressure and reroute counts.  The engine axis is the two
+ends of the fidelity range: ``fluid`` (max-min) and ``hybrid`` with
+every flow promoted (``roi=RegionOfInterest.all()``, frame trains on
+the same paths).  An empty-ROI hybrid cell would only repeat the fluid
+one; ``tests/test_scenarios.py`` pins that equality instead.
 
 Gates run in every mode:
 
@@ -21,7 +25,7 @@ Gates run in every mode:
 * **spray shape** -- spray cells carry k subflows per request.
 
 ``--smoke`` shrinks the grid (fluid everywhere, the incast family on
-all three engines) for CI; full mode runs all engines on every family.
+both engines) for CI; full mode runs both engines on every family.
 Results land in ``BENCH_workloads.json`` at the repo root (``--smoke``:
 under the git-ignored ``benchmarks/results/smoke/``; ``meta.mode``
 records which).
@@ -38,6 +42,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
+from repro.hybrid import RegionOfInterest
 from repro.topology import leaf_spine
 from repro.workloads import (
     ENGINES,
@@ -68,7 +73,8 @@ REQUIRED_CELL_KEYS = (
 
 def grid_topology():
     """20 hosts, 2x2 leaf-spine: enough for the fan-in-16 incast round
-    and the four-slice tenant partition, small enough for packet cells."""
+    and the four-slice tenant partition, small enough for all-promoted
+    cells."""
     return leaf_spine(spines=2, leaves=2, hosts_per_leaf=10, num_ports=64)
 
 
@@ -76,6 +82,7 @@ def run_cell(workload, te: str, engine: str) -> dict:
     scenario = Scenario(
         workload, te=te, engine=engine, topology=grid_topology,
         link_bps=CORE_LINK_BPS, host_bps=10e9, seed=SEED,
+        roi=RegionOfInterest.all() if engine == "hybrid" else None,
     )
     return run_scenario(scenario).cell()
 
@@ -89,6 +96,7 @@ def build_scorecard(smoke: bool) -> ScorecardReport:
             "topology": "leaf_spine(2 spines, 2 leaves, 10 hosts/leaf)",
             "core_link_bps": CORE_LINK_BPS,
             "host_bps": 10e9,
+            "hybrid_roi": "all",
             "scale": 0.5 if smoke else 1.0,
         }
     )

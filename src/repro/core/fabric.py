@@ -146,11 +146,6 @@ class DumbNetFabric:
         if self.obs is not None:
             self.network.attach_obs(self.obs)
 
-        #: Flow-level dataplane (``from_topology(engine="fluid"|"hybrid")``):
-        #: a FluidSimulator/HybridEngine over this topology, or None for
-        #: the native packet-level emulation.
-        self.engine = "packet"
-        self.dataplane = None
         #: TE mechanism name installed via ``from_topology(te=...)``
         #: (None = default routing), and its per-host packet routers.
         self.te: Optional[str] = None
@@ -166,10 +161,6 @@ class DumbNetFabric:
         *,
         bootstrap: Optional[str] = "discover",
         warm: bool = False,
-        engine: str = "packet",
-        roi=None,
-        flow_policy=None,
-        flow_net=None,
         te: Optional[str] = None,
         te_kwargs: Optional[Dict[str, Any]] = None,
         **kwargs,
@@ -182,54 +173,20 @@ class DumbNetFabric:
         (:meth:`adopt_blueprint`), ``None`` leaves the fabric cold.
         ``warm`` additionally pre-populates every pair's path cache.
 
-        ``engine`` selects the dataplane for traffic experiments:
-        ``"packet"`` (default) is the native per-frame emulation and
-        changes nothing; ``"fluid"`` and ``"hybrid"`` attach a
-        flow-level dataplane as ``fabric.dataplane`` (a
-        :class:`~repro.flowsim.FluidSimulator` or
-        :class:`~repro.hybrid.HybridEngine` over the same topology).
-        ``roi`` (a :class:`~repro.hybrid.RegionOfInterest`) names the
-        traffic a hybrid engine promotes to packet fidelity;
-        ``flow_policy``/``flow_net`` override the path policy and
-        capacity graph.  Remaining keyword arguments go to the
-        constructor.
-
         ``te`` selects a traffic-engineering mechanism by name
         (``"flowlet"``, ``"ecmp"``, ``"spray"``, ``"ecn"``,
-        ``"single"`` -- see :mod:`repro.core.te`) at whichever fidelity
-        the fabric runs: on ``engine="packet"`` it installs the
-        mechanism's routing function on every host agent (inspect the
-        routers via ``fabric.te_routers``); on fluid/hybrid it supplies
-        the dataplane's path policy (mutually exclusive with
-        ``flow_policy``).  ``te_kwargs`` tunes the mechanism (``k``,
-        flowlet ``gap_s``, ECN thresholds...).
+        ``"single"`` -- see :mod:`repro.core.te`) and installs its
+        routing function on every host agent (inspect the routers via
+        ``fabric.te_routers``); ``te_kwargs`` tunes the mechanism
+        (``k``, flowlet ``gap_s``, ECN thresholds...).  Remaining
+        keyword arguments go to the constructor.
+
+        Flow-level traffic experiments (fluid / hybrid fidelity) run
+        through :func:`repro.workloads.run_scenario` instead.
         """
-        if engine not in ("packet", "fluid", "hybrid"):
-            raise ValueError(
-                f"engine must be 'packet', 'fluid', or 'hybrid'; got {engine!r}"
-            )
-        if engine == "packet" and (
-            roi is not None or flow_policy is not None or flow_net is not None
-        ):
-            raise ValueError(
-                "roi/flow_policy/flow_net only apply to engine='fluid'|'hybrid'"
-            )
-        if te is not None and flow_policy is not None:
-            raise ValueError("pass either te= or flow_policy=, not both")
         fabric = cls(topology, **kwargs)
-        if engine != "packet":
-            from ..hybrid.engine import build_engine
-
-            if te is not None:
-                from .te import make_flow_policy
-
-                flow_policy = make_flow_policy(te, **(te_kwargs or {}))
-            fabric.dataplane = build_engine(
-                topology, engine, roi=roi, policy=flow_policy, net=flow_net
-            )
-            fabric.engine = engine
         fabric.te = te
-        if engine == "packet" and te is not None:
+        if te is not None:
             from .te import install_packet_te
 
             fabric.te_routers = install_packet_te(fabric, te, **(te_kwargs or {}))

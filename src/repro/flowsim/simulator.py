@@ -391,7 +391,7 @@ class FluidSimulator:
         #: Route/demand set changed since the standing allocation was
         #: computed; cleared by ``_recompute``.
         self._dirty = True
-        # Telemetry (surfaced via report() and the obs layer).
+        # Telemetry (surfaced via report()).
         self.recomputes = 0
         self.recompute_skips = 0
         self.epochs = 0

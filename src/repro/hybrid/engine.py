@@ -34,12 +34,12 @@ replacement path it stalls exactly like a fluid flow.
 
 The divergence between the fluid allocation granted to a promoted row
 and its packet-measured throughput is tracked as the
-``consistency_*_rel_err`` gauges (surfaced via ``report()`` and the obs
-layer): small values mean the two fidelities agree and the hybrid
-numbers are trustworthy; large values mean the packet region is seeing
-microbehaviour (burst collisions, serialization quantisation) the
-fluid model cannot express -- which is precisely when zooming in was
-worth it.
+``consistency_*_rel_err`` gauges (surfaced via ``report()``): small
+values mean the two fidelities agree and the hybrid numbers are
+trustworthy; large values mean the packet region is seeing
+microbehaviour (burst collisions, serialization quantisation) the fluid
+model cannot express -- which is precisely when zooming in was worth
+it.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ DEMAND_SLACK = 1.25
 #: Frozen demands never drop below this fraction of the flow's
 #: bottleneck-link capacity (anti-ratchet floor).
 DEMAND_FLOOR_FRAC = 1e-3
+
+#: Link and NIC rate of the capacity graph :func:`build_engine` builds
+#: when it is not handed one.
+DEFAULT_BPS = 10e9
 
 
 class _Promoted:
@@ -349,8 +353,6 @@ def build_engine(
     roi: Optional[RegionOfInterest] = None,
     policy: Optional[PathPolicy] = None,
     net: Optional[FlowNet] = None,
-    link_bps: float = 10e9,
-    host_bps: float = 10e9,
     rebalance_interval_s: Optional[float] = None,
     **hybrid_kwargs: Any,
 ) -> FluidSimulator:
@@ -359,12 +361,13 @@ def build_engine(
     ``engine`` selects the fidelity:
 
     * ``"fluid"``  -- plain :class:`FluidSimulator` (roi must be empty);
-    * ``"hybrid"`` -- :class:`HybridEngine` promoting ``roi``;
-    * ``"packet"`` -- :class:`HybridEngine` promoting *everything*: the
-      pure packet-fidelity baseline on the same packet region.
+    * ``"hybrid"`` -- :class:`HybridEngine` promoting ``roi``
+      (``RegionOfInterest.all()`` is the all-packet baseline).
+
+    Without ``net``, every link and NIC runs at :data:`DEFAULT_BPS`.
     """
     if net is None:
-        net = FlowNet(topology, link_bps=link_bps, host_bps=host_bps)
+        net = FlowNet(topology, link_bps=DEFAULT_BPS, host_bps=DEFAULT_BPS)
     if policy is None:
         policy = RebalancingKPathPolicy(k=4)
     if engine == "fluid":
@@ -376,11 +379,4 @@ def build_engine(
             net, policy, roi=roi, rebalance_interval_s=rebalance_interval_s,
             **hybrid_kwargs,
         )
-    if engine == "packet":
-        if roi is not None and not (roi.everything or roi.is_empty):
-            raise ValueError("engine='packet' promotes everything; drop the roi")
-        return HybridEngine(
-            net, policy, roi=RegionOfInterest.all(),
-            rebalance_interval_s=rebalance_interval_s, **hybrid_kwargs,
-        )
-    raise ValueError(f"unknown engine {engine!r} (packet|fluid|hybrid)")
+    raise ValueError(f"unknown engine {engine!r} (fluid|hybrid)")

@@ -327,42 +327,6 @@ def observe_fabric(fabric: Any) -> Observation:
                            value, "counter", labels)
         data["controller"] = row
 
-    # Flow-level dataplane (fluid or hybrid engine), when attached via
-    # from_topology(engine="fluid"|"hybrid").  Duck-typed like the rest
-    # of this module: anything with a ReportBase-conforming report().
-    dataplane = getattr(fabric, "dataplane", None)
-    if dataplane is not None:
-        plane = dataplane.report().as_dict()
-        data["dataplane"] = plane
-        flows = plane.get("flows", {})
-        for counter in ("total", "active", "completed", "stalled"):
-            sample(f"dumbnet_fluid_flows_{counter}",
-                   flows.get(counter, 0), "gauge")
-        for counter in ("epochs", "recomputes", "recompute_skips"):
-            sample(f"dumbnet_fluid_{counter}_total",
-                   plane.get(counter, 0), "counter")
-        promoted = plane.get("promoted")
-        if promoted is not None:
-            # Per-region fidelity counters + boundary gauges (hybrid).
-            sample("dumbnet_hybrid_promoted_active",
-                   promoted["active"], "gauge")
-            sample("dumbnet_hybrid_promoted_total",
-                   promoted["total"], "counter")
-            region = plane.get("packet_region", {})
-            sample("dumbnet_hybrid_region_events_total",
-                   region.get("events_run", 0), "counter")
-            sample("dumbnet_hybrid_region_frames_total",
-                   region.get("frames_delivered", 0), "counter")
-            boundary = plane.get("boundary", {})
-            sample("dumbnet_hybrid_couplings_total",
-                   boundary.get("couplings", 0), "counter")
-            sample("dumbnet_hybrid_consistency_rel_err",
-                   boundary.get("consistency_last_rel_err", 0.0), "gauge")
-            sample("dumbnet_hybrid_consistency_max_rel_err",
-                   boundary.get("consistency_max_rel_err", 0.0), "gauge")
-    else:
-        data["dataplane"] = None
-
     # The event record every fabric keeps.
     data["events"] = fabric.tracer.as_dict()
 

@@ -5,10 +5,11 @@ topology+traffic setup every benchmark used to carry: build the
 capacity graph, pick the TE mechanism's path policy by name (through
 :mod:`repro.core.te`, so the fluid and packet levels agree on what a
 name means), build the dataplane engine at the requested fidelity
-(``fluid`` / ``hybrid`` / ``packet`` via
-:func:`repro.hybrid.build_engine`), materialize the workload's
-deterministic :class:`~repro.workloads.api.FlowProgram` from the
-pinned seed, replay it, and reduce the outcome to a scorecard cell:
+(``fluid``, or ``hybrid`` zooming into ``roi`` -- all-packet is
+``roi=RegionOfInterest.all()`` -- via :func:`repro.hybrid.build_engine`),
+materialize the workload's deterministic
+:class:`~repro.workloads.api.FlowProgram` from the pinned seed, replay
+it, and reduce the outcome to a scorecard cell:
 
 * **FCT p50/p99/mean** over logical requests (tag groups -- an incast
   round or a replicated write completes when its last flow does);
@@ -44,7 +45,7 @@ __all__ = [
     "TE_MECHANISMS",
 ]
 
-ENGINES = ("fluid", "hybrid", "packet")
+ENGINES = ("fluid", "hybrid")
 
 
 @dataclass

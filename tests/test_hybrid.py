@@ -1,5 +1,6 @@
 """Hybrid-fidelity dataplane tests: ROI selection, channel shaping,
-boundary consistency, failure handling, fabric/obs integration."""
+boundary consistency, failure handling, and the native fabric's lack
+of an attached flow dataplane."""
 
 from types import SimpleNamespace
 
@@ -161,9 +162,9 @@ class TestPromotion:
 
     def test_promote_all_headline_matches_fluid(self):
         fluid = _fig9ish(FluidSimulator)
-        packet = _fig9ish("packet")
-        assert packet.promoted_total == 6
-        assert packet.completion_time("agg") == pytest.approx(
+        all_promoted = _fig9ish("hybrid", RegionOfInterest.all())
+        assert all_promoted.promoted_total == 6
+        assert all_promoted.completion_time("agg") == pytest.approx(
             fluid.completion_time("agg"), rel=0.05
         )
 
@@ -287,6 +288,7 @@ class TestBoundaryConsistency:
         sim = _fig9ish("hybrid", RegionOfInterest.of_hosts("h1_0"))
         report = sim.report().as_dict()
         assert report["kind"] == "hybrid-report"
+        assert report["flows"]["completed"] == 6
         assert report["promoted"]["total"] == 1
         assert report["promoted"]["finished"] == 1
         assert report["packet_region"]["frames_delivered"] > 0
@@ -313,58 +315,49 @@ class TestBoundaryConsistency:
 
 
 class TestFabricIntegration:
+    """Flow-level fidelity is a ``build_engine`` / ``run_scenario``
+    engine: the fabric is the native emulation, with no attached flow
+    dataplane and no option to ask for one."""
+
     def _topo(self):
         return leaf_spine(2, 2, 2, num_ports=16)
 
     def test_packet_engine_is_default_and_bare(self):
         fabric = DumbNetFabric.from_topology(self._topo(), bootstrap=None)
-        assert fabric.engine == "packet"
-        assert fabric.dataplane is None
-
-    def test_fluid_engine_attaches_dataplane(self):
-        fabric = DumbNetFabric.from_topology(
-            self._topo(), bootstrap=None, engine="fluid"
-        )
-        assert fabric.engine == "fluid"
-        assert isinstance(fabric.dataplane, FluidSimulator)
-        assert not isinstance(fabric.dataplane, HybridEngine)
-
-    def test_hybrid_engine_attaches_dataplane(self):
-        fabric = DumbNetFabric.from_topology(
-            self._topo(), bootstrap=None, engine="hybrid",
-            roi=RegionOfInterest.of_hosts("h1_0"),
-        )
-        assert isinstance(fabric.dataplane, HybridEngine)
-        assert fabric.dataplane.roi.hosts == {"h1_0"}
+        assert not hasattr(fabric, "engine")
+        assert not hasattr(fabric, "dataplane")
 
     def test_invalid_engine_combinations_rejected(self):
+        topo = self._topo()
+        for option in ("engine", "roi", "flow_policy", "flow_net"):
+            with pytest.raises(TypeError):
+                DumbNetFabric.from_topology(
+                    topo, bootstrap=None, **{option: None}
+                )
         with pytest.raises(ValueError):
-            DumbNetFabric.from_topology(
-                self._topo(), bootstrap=None, engine="quantum"
-            )
+            build_engine(topo, "quantum")
         with pytest.raises(ValueError):
-            DumbNetFabric.from_topology(
-                self._topo(), bootstrap=None, engine="packet",
-                roi=RegionOfInterest.of_hosts("h1_0"),
-            )
+            build_engine(topo, "fluid", roi=RegionOfInterest.of_hosts("h1_0"))
 
     def test_observe_covers_the_fluid_engine(self):
-        fabric = DumbNetFabric.from_topology(
-            self._topo(), bootstrap=None, engine="hybrid",
-            roi=RegionOfInterest.of_hosts("h1_0"),
+        # What the fabric's observation used to sample from an attached
+        # dataplane is the engine's own report.
+        sim = build_engine(
+            self._topo(), "hybrid", roi=RegionOfInterest.of_hosts("h1_0")
         )
-        sim = fabric.dataplane
         sim.add_flow("h0_0", "h1_0", 1e8)
         sim.add_flow("h0_1", "h1_1", 1e8)
         sim.run()
-        observation = fabric.observe()
-        plane = observation.as_dict()["dataplane"]
+        plane = sim.report().as_dict()
         assert plane["kind"] == "hybrid-report"
         assert plane["flows"]["completed"] == 2
-        prom = observation.to_prometheus()
-        assert "dumbnet_fluid_flows_completed" in prom
-        assert "dumbnet_hybrid_consistency_rel_err" in prom
+        assert "consistency_last_rel_err" in plane["boundary"]
+        assert "consistency_max_rel_err" in plane["boundary"]
 
     def test_observe_without_dataplane_reports_none(self):
         fabric = DumbNetFabric.from_topology(self._topo(), bootstrap=None)
-        assert fabric.observe().as_dict()["dataplane"] is None
+        observation = fabric.observe()
+        assert "dataplane" not in observation.as_dict()
+        prom = observation.to_prometheus()
+        assert "dumbnet_fluid_" not in prom
+        assert "dumbnet_hybrid_" not in prom

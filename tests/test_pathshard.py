@@ -24,6 +24,7 @@ from repro.core.pathshard import (
 from repro.netsim import Network
 from repro.netsim.trace import Tracer
 from repro.topology.fattree import fat_tree
+from repro.workloads.storm import path_query_storm
 
 S, EPS = 2, 1
 SEED = 5
@@ -225,6 +226,29 @@ class TestTopologyChanges:
         for name in shard.replica_names:
             assert shard.store.view_of(name).has_host("newvm")
         assert not svc.shards["0"].view.has_host("newvm")
+
+    def test_replicas_converge_after_a_query_and_join_storm(self):
+        view = fat_tree(4, hosts_per_edge=1)
+        svc = ShardedPathService(view, seed=SEED)
+        storm = path_query_storm(
+            view, svc.pod_map.pod_of, duration_s=0.2,
+            query_rate_per_s=2000.0, join_rate_per_s=250.0, seed=SEED,
+        )
+        joins = 0
+        for event in storm:
+            if event.kind == "query":
+                assert svc.path_graph(*event.args, S, EPS) is not None
+            else:
+                view.add_host(*event.args)
+                svc.note_topology_change("host-up", event.args)
+                joins += 1
+        assert joins > 0
+        # Every join was a quorum commit on its pod's shard: each
+        # replica ends wired like its primary, with no record dropped.
+        for shard in svc.shards.values():
+            for name in shard.replica_names:
+                assert shard.store.view_of(name).same_wiring(shard.view)
+            assert shard.store.total_drops() == 0
 
 
 def build_sharded_fabric(sharded=True):

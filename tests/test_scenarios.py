@@ -292,11 +292,15 @@ class TestTeKnob:
             make_flow_policy("valiant")
 
     def test_fabric_fluid_te_knob(self):
+        # te= on the fabric installs packet routers; the same name's
+        # fluid policy goes to the flow engine, never to the fabric.
         fabric = DumbNetFabric.from_topology(
-            small_topo(), bootstrap="blueprint", engine="fluid", te="spray"
+            small_topo(), bootstrap="blueprint", te="spray"
         )
         assert fabric.te == "spray"
-        assert isinstance(fabric.dataplane.policy, SprayKPathPolicy)
+        assert not hasattr(fabric, "dataplane")
+        sim = build_engine(small_topo(), "fluid", policy=make_flow_policy("spray"))
+        assert isinstance(sim.policy, SprayKPathPolicy)
 
     def test_fabric_packet_te_knob_installs_routers(self):
         fabric = DumbNetFabric.from_topology(
@@ -308,9 +312,10 @@ class TestTeKnob:
         assert agent.routing_function is fabric.te_routers[agent.name]
 
     def test_te_and_flow_policy_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        # The fabric takes te= only; a flow policy belongs to build_engine.
+        with pytest.raises(TypeError):
             DumbNetFabric.from_topology(
-                small_topo(), bootstrap=None, engine="fluid",
+                small_topo(), bootstrap=None,
                 te="ecmp", flow_policy=SingleShortestPolicy(),
             )
 
@@ -335,6 +340,7 @@ class TestTeKnob:
             seed=0,
         )
         run = run_scenario(scenario)
+        assert isinstance(run.sim.policy, SprayKPathPolicy)
         cell = run.cell()
         assert cell["subflows"] == 4
         assert cell["flows"] == 4  # one request split four ways
@@ -364,18 +370,33 @@ class TestScenario:
         run = run_scenario(scenario)
         assert run.result.duration_s == pytest.approx(0.01, rel=1e-6)
 
+    def test_packet_is_not_an_engine(self):
+        # All-packet fidelity is spelled engine="hybrid",
+        # roi=RegionOfInterest.all(); "packet" names no engine.
+        with pytest.raises(ValueError):
+            Scenario(IncastSweep(fanins=(2,)), engine="packet")
+        with pytest.raises(ValueError):
+            build_engine(small_topo(), "packet")
+
     def test_engines_agree_on_fluid_headline(self):
-        cells = {}
-        for engine in ("fluid", "hybrid"):
-            scenario = Scenario(
-                IncastSweep(fanins=(3,), bits_per_sender=1e6),
-                te="flowlet",
-                engine=engine,
-                topology=small_topo,
-                seed=2,
-            )
-            cells[engine] = run_scenario(scenario).cell()
-        assert cells["fluid"]["fct_p99_s"] == cells["hybrid"]["fct_p99_s"]
+        """An empty-ROI hybrid run is the fluid run: on every canonical
+        family under every TE mechanism (the scorecard's grid), the whole
+        cell matches except its ``engine`` label."""
+        def grid_topology():
+            return leaf_spine(spines=2, leaves=2, hosts_per_leaf=10, num_ports=64)
+
+        for workload in canonical_suite(scale=0.5):
+            for te in TE_MECHANISMS:
+                cells = {}
+                for engine in ("fluid", "hybrid"):
+                    scenario = Scenario(
+                        workload, te=te, engine=engine,
+                        topology=grid_topology,
+                        link_bps=2.5e9, host_bps=10e9, seed=3,
+                    )
+                    cells[engine] = run_scenario(scenario).cell()
+                    del cells[engine]["engine"]
+                assert cells["fluid"] == cells["hybrid"], (workload.name, te)
 
     def test_scorecard_report_protocol(self):
         report = ScorecardReport(meta={"seed": 1})
