@@ -87,8 +87,8 @@ def run_ablation():
     return stats
 
 
-def test_ablation_pathgraph(benchmark):
-    stats = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def render(stats):
+    """The committed ``ablation_pathgraph.txt`` table for ``stats``."""
     rows = []
     for name in ("single", "k-paths", "pathgraph"):
         s = stats[name]
@@ -100,7 +100,7 @@ def test_ablation_pathgraph(benchmark):
                 s["edges"] * 8,
             )
         )
-    text = render_table(
+    return render_table(
         [
             "Cache strategy",
             "1-link failures survived",
@@ -113,7 +113,11 @@ def test_ablation_pathgraph(benchmark):
             "jellyfish fabric (12 switches, degree 3)."
         ),
     )
-    publish("ablation_pathgraph", text)
+
+
+def test_ablation_pathgraph(benchmark):
+    stats = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+    publish("ablation_pathgraph", render(stats))
 
     def rate(name, kind):
         won, total = stats[name][kind]

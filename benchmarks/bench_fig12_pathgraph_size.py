@@ -66,15 +66,15 @@ def run_grid():
     return grid
 
 
-def test_fig12_pathgraph_size(benchmark):
-    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+def render(grid):
+    """The committed ``fig12_pathgraph_size.txt`` table for ``grid``."""
     rows = []
     for length in PATH_LENGTHS:
         rows.append(
             (f"len={length}",)
             + tuple(f"{grid[(length, eps)]:.0f}" for eps in EPSILONS)
         )
-    text = render_table(
+    return render_table(
         ["Primary path"] + [f"eps={e}" for e in EPSILONS],
         rows,
         title=(
@@ -84,7 +84,11 @@ def test_fig12_pathgraph_size(benchmark):
             "modestly for short ones."
         ),
     )
-    publish("fig12_pathgraph_size", text)
+
+
+def test_fig12_pathgraph_size(benchmark):
+    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    publish("fig12_pathgraph_size", render(grid))
 
     # Monotone in epsilon for every length.
     for length in PATH_LENGTHS:

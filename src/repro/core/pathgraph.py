@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import SSSPTree, Topology
 
@@ -61,44 +61,43 @@ def detour_vertices(
     primary: Sequence[str],
     s: int,
     epsilon: int,
-    distances: Optional[Callable[[str], Mapping[str, float]]] = None,
+    level_masks: Optional[Callable[[str], Sequence[int]]] = None,
 ) -> Set[str]:
     """Algorithm 1: vertices of all "s-step, ε-good" local detours.
 
     Walks the primary path in strides of ``s/2``; for each window
     ``(a, b) = (p_i, p_{i+s})`` it collects every switch ``x`` with
-    ``dist(a, x) + dist(x, b) <= s + ε``.
+    ``dist(a, x) + dist(x, b) <= s + ε``: in switch bits, the union over
+    ``r`` of ``a``'s level ``r`` and ``b``'s ball of radius ``s + ε - r``.
 
-    ``distances`` substitutes a memoized source -> distance-map provider
-    (e.g. the controller path service's shared SSSP trees) for the
-    per-window BFS; it must agree with ``topology.switch_distances``.
-    Every map must list switches in nondecreasing distance (level
-    order), as ``switch_distances`` and ``SSSPTree.dist`` do: the scan
-    of a window stops at the first switch beyond the budget.
+    ``level_masks`` substitutes a memoized source -> level-mask provider
+    (e.g. the path service's shared ``SSSPTree.masks``) for a fresh
+    search per window end.  Mask bits mean something only in the bit
+    table of the ``Topology`` object that made them: the masks must come
+    from ``topology`` itself, not from a copy or a shard view of it.
     """
     if s < 1:
         raise ValueError(f"detour window s must be >= 1, got {s}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    dist_of = distances if distances is not None else topology.switch_distances
-    detours: Set[str] = set()
+    budget = s + epsilon
+    levels_of = level_masks or (lambda source: topology.sssp_tree(source).masks)
+    found = 0
     length = len(primary)
     step = max(1, s // 2)
-    budget = s + epsilon
     i = 0
     while i < length - 1:
-        a = primary[i]
-        b = primary[min(i + s, length - 1)]
-        dist_a = dist_of(a)
-        dist_b = dist_of(b)
-        for x, da in dist_a.items():
-            if da > budget:
-                break
-            db = dist_b.get(x)
-            if db is not None and da + db <= budget:
-                detours.add(x)
+        rings_a = levels_of(primary[i])
+        rings_b = levels_of(primary[min(i + s, length - 1)])
+        ball, balls = 0, []
+        for ring in rings_b[: budget + 1]:
+            ball |= ring
+            balls.append(ball)
+        last = len(balls) - 1
+        for r, ring in enumerate(rings_a[: budget + 1]):
+            found |= ring & balls[min(budget - r, last)]
         i += step
-    return detours
+    return topology.switches_in(found)
 
 
 def backup_path(
@@ -113,10 +112,10 @@ def backup_path(
     it cannot differ.
 
     When ``dst`` is D < penalty hops away without a primary cable, that
-    penalised Dijkstra is a level-order BFS over the graph minus those
-    cables, up to D's level.  A switch at depth d < penalty only has
-    unpenalised parents, at depth d - 1: a penalised relaxation only
-    sets a tentative >= penalty, which the first cheap one resets
+    penalised Dijkstra is a level-order BFS over the graph with every
+    primary hop cut, up to D's level.  A switch at depth d < penalty
+    only has unpenalised parents, at depth d - 1: a penalised relaxation
+    only sets a tentative >= penalty, which the first cheap one resets
     (parents included) and never ties.  Pushing such tentatives uses up
     counter values but never reorders the cheap pushes, and none pops
     before ``dst``.  So the pop order, every parent list's contents and
@@ -127,14 +126,15 @@ def backup_path(
     if len(primary) < 2:
         return None
     src, dst = primary[0], primary[-1]
-    costs = {
-        link.key(): BACKUP_LINK_PENALTY
-        for here, there in zip(primary, primary[1:])
-        for link in topology.links_between(here, there)
-    }
-    tree = topology.sssp_tree(src, avoid=costs, stop=dst)
+    hops = list(zip(primary, primary[1:]))
+    tree = topology.sssp_tree(src, avoid=hops, stop=dst)
     if tree.dist.get(dst, BACKUP_LINK_PENALTY) < BACKUP_LINK_PENALTY:
         return tree.path_to(dst, rng=rng)
+    costs = {
+        link.key(): BACKUP_LINK_PENALTY
+        for here, there in hops
+        for link in topology.links_between(here, there)
+    }
     backup = topology.shortest_switch_path(src, dst, rng=rng, link_costs=costs)
     return None if backup == list(primary) else backup
 
@@ -165,14 +165,14 @@ def build_path_graph(
     epsilon: int = 1,
     rng: Optional[random.Random] = None,
     tree: Optional[SSSPTree] = None,
-    distances: Optional[Callable[[str], Mapping[str, float]]] = None,
+    level_masks: Optional[Callable[[str], Sequence[int]]] = None,
 ) -> Optional[PathGraph]:
     """Build the path graph for a switch pair; None when unreachable.
 
     ``tree`` (an :class:`~repro.topology.graph.SSSPTree` rooted at
-    ``src_switch``) and ``distances`` (a memoized source -> distance-map
+    ``src_switch``) and ``level_masks`` (a memoized source -> level-mask
     provider) let the controller's path service share shortest-path work
-    across queries; both must describe ``topology`` exactly.  The backup
+    across queries; both must come from ``topology`` itself.  The backup
     path always runs a fresh search because the cables it avoids are
     this primary's.
     """
@@ -187,7 +187,7 @@ def build_path_graph(
         nodes.update(backup)
     if len(primary) > 1:
         nodes.update(
-            detour_vertices(topology, primary, s, epsilon, distances=distances)
+            detour_vertices(topology, primary, s, epsilon, level_masks=level_masks)
         )
 
     return PathGraph(

@@ -9,7 +9,7 @@ byte-identical to a fresh computation:
 * **Shared SSSP trees** -- one full BFS per (current topology, source
   switch), memoized and reused across ``_tags_between``,
   ``_routes_between``, gossip-overlay rebuilds, and every path-graph
-  build (primary walk-back and Algorithm-1 detour distance maps).  A
+  build (primary walk-back and Algorithm-1 detour level masks).  A
   full tree reproduces the early-terminating per-pair run exactly: the
   equal-cost parent lists of every switch a walk-back can visit have
   the same content in the same relaxation order.
@@ -33,8 +33,9 @@ byte-identical to a fresh computation:
   surviving entry bit for bit.  SSSP trees survive too, except where
   the cable's lower end ``u`` is the *first* parent of its other end
   ``v``: otherwise BFS discovers every switch from the same parent at
-  the same slot, and the tree minus ``u`` in ``parents[v]`` (unless a
-  parallel cable remains) is the patched view's BFS.
+  the same slot, so the tree's levels are the patched view's BFS, and
+  the parents it derives from the live wiring lose ``u`` exactly when
+  no parallel cable remains.
 
 * **A link flap is an undo** -- the link-up of the last downed cable,
   as the next mutation, drops what the outage cached and restores the
@@ -225,7 +226,7 @@ class PathService:
         return tree
 
     def distances(self, view: Topology, source: str) -> Mapping[str, float]:
-        """Level-ordered hop-distance map from ``source`` (memoized tree)."""
+        """Hop-distance map from ``source`` (memoized tree)."""
         return self.tree(view, source).dist
 
     def shortest_path(
@@ -277,7 +278,7 @@ class PathService:
             epsilon=epsilon,
             rng=self.rng_for(src, dst, s, epsilon),
             tree=self.tree(view, src),
-            distances=lambda source: self.distances(view, source),
+            level_masks=lambda source: self.tree(view, source).masks,
         )
 
     def _insert(self, key: GraphKey, graph: Optional[PathGraph]) -> None:
@@ -336,22 +337,19 @@ class PathService:
             del self._graphs[key]
         self.stats.link_evictions += len(evicted)
         kept: Dict[str, SSSPTree] = {}
-        trees: Dict[str, SSSPTree] = {}
-        parallel = view.links_between(sw_a, sw_b)
         for source, tree in self._trees.items():
             dist = tree.dist
             if sw_a in dist and dist[sw_a] != dist[sw_b]:
                 u, v = (sw_a, sw_b) if dist[sw_a] < dist[sw_b] else (sw_b, sw_a)
-                if tree.parents[v][0] == u:
-                    continue  # v's discovery slot may move: rebuild
-                if not parallel:
-                    parents = dict(tree.parents)
-                    parents[v] = [p for p in parents[v] if p != u]
-                    trees[source] = SSSPTree(source, dist, parents)
-            trees.setdefault(source, tree)
+                # Was u first, in u's level, of v's neighbours before the
+                # down?  Then v's discovery slot may move: rebuild.
+                others = tree.parents_of(v)
+                first = others[0] if others else u
+                if next(p for p in tree.levels[int(dist[u])] if p in (u, first)) == u:
+                    continue
             kept[source] = tree
-        self._trees = trees
-        self._outage = _Outage(cable, current, evicted, kept)
+        self._trees = kept
+        self._outage = _Outage(cable, current, evicted, dict(kept))
         return len(evicted)
 
     def note_topology_change(self, view: Topology, op: str, args: Tuple) -> None:

@@ -23,7 +23,9 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 __all__ = [
     "PortRef",
@@ -99,27 +101,45 @@ class HostAttachment:
     attachment: PortRef
 
 
-@dataclass
 class SSSPTree:
-    """A full single-source shortest-path DAG rooted at ``source``.
+    """A unit-cost shortest-path DAG rooted at ``source``: ``levels[d]``
+    lists the switches ``d`` hops away in discovery order, ``masks[d]``
+    ORs their bits, ``dist`` maps each to its float distance in level
+    order.  A switch's equal-cost parents, in the relaxation order of
+    :meth:`Topology.shortest_switch_path`, are the level before its own
+    filtered by its neighbour mask.
 
-    ``dist`` maps every reachable switch to its cost from the source;
-    ``parents`` lists, for every reached switch, its equal-cost
-    predecessors *in relaxation order* -- the same content and order the
-    early-terminating :meth:`Topology.shortest_switch_path` run would
-    have accumulated for any destination, so walking back through a
-    shared tree reproduces per-destination runs byte for byte.
-
-    Trees are snapshots: they are only valid for the exact topology
-    they were computed on.  The controller's
-    :class:`~repro.core.pathservice.PathService` memoizes them per
-    source and keeps or restores one across a link flap only where the
-    flap provably leaves its BFS order alone (see that module).
+    A tree is no snapshot: it reads the topology's live bit tables, so
+    it is valid only under the ``(uid, topo_version)`` it was built for,
+    or while a :class:`~repro.core.pathservice.PathService` keeps it (the
+    service flushes it on any other mutation).  After any other mutation
+    it may give wrong parents or raise ``KeyError``.
     """
 
-    source: str
-    dist: Dict[str, float] = field(default_factory=dict)
-    parents: Dict[str, List[str]] = field(default_factory=dict)
+    __slots__ = ("source", "dist", "levels", "masks", "_nmask", "_bit", "_names")
+
+    def __init__(
+        self,
+        source: str,
+        dist: Dict[str, float],
+        levels: List[List[str]],
+        masks: List[int],
+        nmask: Dict[str, int],
+        topology: "Topology",
+    ) -> None:
+        self.source, self.dist, self.levels, self.masks = source, dist, levels, masks
+        # The topology's live bit tables; ``nmask`` is a filtered copy
+        # when the search cut cables.
+        self._nmask, self._bit, self._names = nmask, topology._bit, topology._names
+
+    def parents_of(self, switch: str) -> List[str]:
+        """``switch``'s equal-cost predecessors, in relaxation order."""
+        depth = int(self.dist[switch])
+        if not depth:
+            return []
+        tied = self._nmask[switch] & self.masks[depth - 1]
+        bit = self._bit
+        return [sw for sw in self.levels[depth - 1] if bit[sw] & tied]
 
     def path_to(
         self, dst: str, rng: Optional[random.Random] = None
@@ -128,14 +148,24 @@ class SSSPTree:
         unreachable.  With ``rng`` the choice among equal-cost parents
         is randomized exactly like :meth:`Topology.shortest_switch_path`.
         """
-        if dst not in self.dist:
+        depth = self.dist.get(dst)
+        if depth is None:
             return None
+        nmask, masks, levels, bit = self._nmask, self.masks, self.levels, self._bit
         path = [dst]
-        cur = dst
-        while cur != self.source:
-            choices = self.parents[cur]
-            cur = rng.choice(choices) if rng is not None else choices[0]
-            path.append(cur)
+        for level in range(int(depth) - 1, -1, -1):
+            tied = nmask[path[-1]] & masks[level]
+            if tied & (tied - 1):  # scan the level for the parents (rng) or the first
+                choices = []
+                for sw in levels[level]:
+                    if bit[sw] & tied:
+                        choices.append(sw)
+                        tied ^= bit[sw]
+                        if not tied or rng is None:
+                            break
+            else:
+                choices = [self._names[tied.bit_length() - 1]]
+            path.append(rng.choice(choices) if rng is not None else choices[0])
         path.reverse()
         return path
 
@@ -145,8 +175,8 @@ class Topology:
 
     The class also carries the graph algorithms the DumbNet controller
     needs: shortest paths with randomized tie-breaking (Section 4.3),
-    k-shortest paths for the PathTable (Section 5.2), and distance maps
-    used by the path-graph detour search (Algorithm 1).
+    k-shortest paths for the PathTable (Section 5.2), and the level masks
+    the path-graph detour search uses (Algorithm 1).
     """
 
     _uids = itertools.count(1)
@@ -161,12 +191,21 @@ class Topology:
         # Occupancy of every wired port: PortRef -> Link | HostAttachment
         self._port_use: Dict[PortRef, object] = {}
         self._links: Dict[FrozenSet[PortRef], Link] = {}
-        # Adjacency: switch -> list[(neighbor switch, Link)], in wiring
-        # order -- which is the order the path searches relax edges in.
-        self._adj: Dict[str, List[Tuple[str, Link]]] = {}
-        # Sorted distinct neighbors per switch, filled on demand and
-        # dropped for exactly the switches a mutation touches.
+        # Adjacency: switch -> list[(neighbor switch, Link, neighbor's
+        # bit)], in wiring order -- the order the path searches relax
+        # edges in.
+        self._adj: Dict[str, List[Tuple[str, Link, int]]] = {}
+        # Sorted distinct neighbors per switch, and the cables a switch
+        # is the ``a`` side of as edge tuples (shared by every cached path
+        # graph): filled on demand, dropped for the switches a mutation
+        # touches.
         self._nbrs: Dict[str, Tuple[str, ...]] = {}
+        self._aside: Dict[str, List[Tuple[str, int, str, int]]] = {}
+        # One bit per switch, never reused: ``1 << i`` is ``_names[i]``;
+        # ``_nmask`` is the union of a switch's neighbours' bits.
+        self._bit: Dict[str, int] = {}
+        self._names: List[str] = []
+        self._nmask: Dict[str, int] = {}
         self._hosts_on_switch: Dict[str, List[str]] = {}
         #: Bumped by every switch-graph mutation (switches and cables,
         #: not host attachments).  Consumers that memoize shortest-path
@@ -185,6 +224,9 @@ class Topology:
             raise TopologyError(f"switch {switch!r} needs at least one port")
         self._switch_ports[switch] = num_ports
         self._adj[switch] = []
+        self._bit[switch] = 1 << len(self._names)
+        self._names.append(switch)
+        self._nmask[switch] = 0
         self._hosts_on_switch[switch] = []
         self.topo_version += 1
 
@@ -209,10 +251,14 @@ class Topology:
         self._claim_port(ref_a, link)
         self._claim_port(ref_b, link)
         self._links[link.key()] = link
-        self._adj[sw_a].append((sw_b, link))
-        self._adj[sw_b].append((sw_a, link))
+        bit_a, bit_b = self._bit[sw_a], self._bit[sw_b]
+        self._adj[sw_a].append((sw_b, link, bit_b))
+        self._adj[sw_b].append((sw_a, link, bit_a))
+        self._nmask[sw_a] |= bit_b
+        self._nmask[sw_b] |= bit_a
         self._nbrs.pop(sw_a, None)
         self._nbrs.pop(sw_b, None)
+        self._aside.pop(sw_a, None)
         self.topo_version += 1
         return link
 
@@ -224,14 +270,11 @@ class Topology:
             raise TopologyError(f"no link {sw_a}-{port_a} <-> {sw_b}-{port_b}")
         del self._port_use[link.a]
         del self._port_use[link.b]
-        self._adj[link.a.switch] = [
-            (nbr, lnk) for nbr, lnk in self._adj[link.a.switch] if lnk is not link
-        ]
-        self._adj[link.b.switch] = [
-            (nbr, lnk) for nbr, lnk in self._adj[link.b.switch] if lnk is not link
-        ]
-        self._nbrs.pop(link.a.switch, None)
-        self._nbrs.pop(link.b.switch, None)
+        for sw in (link.a.switch, link.b.switch):
+            adj = self._adj[sw] = [edge for edge in self._adj[sw] if edge[1] is not link]
+            self._nmask[sw] = sum({bit for _nbr, _lnk, bit in adj})  # distinct bits
+            self._nbrs.pop(sw, None)
+        self._aside.pop(link.a.switch, None)
         self.topo_version += 1
 
     def remove_switch(self, switch: str) -> None:
@@ -245,7 +288,10 @@ class Topology:
         del self._switch_ports[switch]
         del self._adj[switch]
         del self._hosts_on_switch[switch]
+        del self._bit[switch]
+        del self._nmask[switch]
         self._nbrs.pop(switch, None)
+        self._aside.pop(switch, None)
         self.topo_version += 1
 
     def remove_host(self, host: str) -> None:
@@ -325,7 +371,7 @@ class Topology:
 
     def links_of(self, switch: str) -> Iterator[Link]:
         """Every cable on ``switch``, once (a cable cannot loop back)."""
-        for _nbr, link in self._adj.get(switch, ()):
+        for _nbr, link, _bit in self._adj.get(switch, ()):
             yield link
 
     def neighbors(self, switch: str) -> List[str]:
@@ -340,22 +386,25 @@ class Topology:
         nbrs = self._nbrs.get(switch)
         if nbrs is None:
             nbrs = self._nbrs[switch] = tuple(
-                sorted({nbr for nbr, _link in self._adj[switch]})
+                sorted({nbr for nbr, _link, _bit in self._adj[switch]})
             )
         return nbrs
 
     def links_between(self, sw_a: str, sw_b: str) -> List[Link]:
-        return [link for nbr, link in self._adj.get(sw_a, ()) if nbr == sw_b]
+        return [link for nbr, link, _bit in self._adj.get(sw_a, ()) if nbr == sw_b]
 
     def links_within(self, switches: Collection[str]) -> List[Tuple[str, int, str, int]]:
         """Every cable with both ends in ``switches``, once, as ``(a
         switch, a port, b switch, b port)``: emitted from its ``a`` side."""
-        return [
-            (sw, link.a.port, nbr, link.b.port)
-            for sw in switches
-            for nbr, link in self._adj[sw]
-            if nbr in switches and link.a.switch == sw
-        ]
+        aside = self._aside
+        for sw in switches:
+            if sw not in aside:
+                aside[sw] = [
+                    (sw, link.a.port, nbr, link.b.port)
+                    for nbr, link, _bit in self._adj[sw]
+                    if link.a.switch == sw
+                ]
+        return [edge for sw in switches for edge in aside[sw] if edge[2] in switches]
 
     def degree(self, switch: str) -> int:
         return len(self._adj.get(switch, ()))
@@ -364,13 +413,15 @@ class Topology:
     # comparisons and copies
 
     def copy(self) -> "Topology":
+        """A twin with its own uid: same wiring, adjacency order and bits."""
         clone = Topology()
-        for switch, ports in self._switch_ports.items():
-            clone.add_switch(switch, ports)
-        for link in self._links.values():
-            clone.add_link(link.a.switch, link.a.port, link.b.switch, link.b.port)
-        for host, ref in self._hosts.items():
-            clone.add_host(host, ref.switch, ref.port)
+        clone._switch_ports, clone._hosts = dict(self._switch_ports), dict(self._hosts)
+        clone._port_use, clone._links = dict(self._port_use), dict(self._links)
+        clone._adj = {sw: list(adj) for sw, adj in self._adj.items()}
+        clone._bit, clone._nmask = dict(self._bit), dict(self._nmask)
+        clone._names = list(self._names)
+        clone._hosts_on_switch = {sw: list(on) for sw, on in self._hosts_on_switch.items()}
+        clone.topo_version = self.topo_version
         return clone
 
     def same_wiring(self, other: "Topology") -> bool:
@@ -386,15 +437,7 @@ class Topology:
         if not self._switch_ports:
             return True
         start = next(iter(self._switch_ports))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            sw = frontier.pop()
-            for nbr in self._sorted_neighbors(sw):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        return len(seen) == len(self._switch_ports)
+        return len(self.sssp_tree(start).dist) == len(self._switch_ports)
 
     # ------------------------------------------------------------------
     # graph algorithms used by the controller
@@ -421,68 +464,76 @@ class Topology:
         self,
         source: str,
         *,
-        avoid: Collection[FrozenSet[PortRef]] = (),
+        avoid: Collection[Tuple[str, str]] = (),
         stop: Optional[str] = None,
     ) -> SSSPTree:
         """The unit-cost shortest-path DAG from ``source``.
 
-        A level-order BFS over the adjacency lists in wiring order.
-        That is exactly what a ``(distance, push counter)`` Dijkstra
-        does when every cable costs 1: a switch is pushed once, when
-        first reached, so the heap pops in FIFO order and relaxes the
-        same edges in the same sequence.  One tree therefore answers
-        every destination the per-pair :meth:`shortest_switch_path`
-        would, with identical parent lists for every switch a walk-back
-        can visit, so callers that serve many destinations from one
-        source (the controller's path service) compute it once.
+        A level-order BFS through adjacency lists in wiring order, which
+        with unit costs relaxes the edges a ``(distance, push counter)``
+        Dijkstra does in the same sequence: one tree answers every
+        destination :meth:`shortest_switch_path` would, with the same
+        parent lists.  A frontier switch whose neighbour mask has no
+        unseen bit is skipped; otherwise its adjacency is walked only
+        until each unseen neighbour is appended (discovery order).
 
-        ``avoid`` (cable keys) searches the graph without those cables.
-        ``stop`` ends the search at the level that reaches that switch:
-        the tree then holds the levels before it, whose parent lists are
-        complete, and ``stop`` with all of its parents -- exactly what
-        ``path_to(stop)`` walks.  ``dist`` is in level order either way.
+        ``avoid`` (switch pairs) searches the graph without any cable
+        between those pairs.  ``stop`` ends the search at the level that
+        reaches that switch: the tree then holds the levels before it
+        and ``stop`` alone in its own, exactly what ``path_to(stop)``
+        walks.
         """
-        if source not in self._switch_ports:
+        bit = self._bit.get(source)
+        if bit is None:
             raise TopologyError(f"unknown switch {source!r}")
-        adj = self._adj
+        nmask, adj = self._nmask, self._adj
         if avoid:
-            # Only the avoided cables' own switches get a filtered list.
-            adj = dict(adj)
-            for sw in {end.switch for key in avoid for end in key}:
-                adj[sw] = [(nbr, link) for nbr, link in adj[sw] if link._key not in avoid]
-        into_stop = {nbr for nbr, _link in adj.get(stop, ())}
+            # Only the avoided pairs' own switches lose mask bits.
+            nmask = dict(nmask)
+            for here, there in avoid:
+                nmask[here] &= ~self._bit[there]
+                nmask[there] &= ~self._bit[here]
+        into_stop = nmask.get(stop, 0)
         dist: Dict[str, float] = {source: 0.0}
-        parents: Dict[str, List[str]] = {}
-        frontier = [source]
+        levels, masks = [[source]], [bit]
+        seen = bit
         d = 0.0
-        while frontier and stop not in dist:
+        while stop not in dist:
             d += 1.0
-            if into_stop:
-                # ``stop`` is in this level iff the frontier cables to it,
-                # and those switches, in frontier order, are its parents.
-                tied = [sw for sw in frontier if sw in into_stop]
-                if tied:
-                    parents[stop] = tied
-                    dist[stop] = d
-                    break
-            # A switch gets its distance when its level is complete, so
-            # "has parents but no distance yet" means "first reached in
-            # this level": another edge into it is an equal-cost tie.
+            if into_stop & masks[-1]:
+                levels.append([stop])
+                masks.append(self._bit[stop])
+                dist[stop] = d
+                break
             nxt: List[str] = []
-            for sw in frontier:
-                for nbr, _link in adj[sw]:
-                    if nbr in dist:
-                        continue
-                    tied = parents.get(nbr)
-                    if tied is None:
-                        parents[nbr] = [sw]
-                        nxt.append(nbr)
-                    elif sw not in tied:  # parallel cables
-                        tied.append(sw)
+            before = seen
+            for sw in levels[-1]:
+                new = nmask[sw] & ~seen
+                if new:
+                    seen |= new
+                    for nbr, _link, nbit in adj[sw]:
+                        if new & nbit:
+                            nxt.append(nbr)
+                            new ^= nbit
+                            if not new:
+                                break
+            if not nxt:
+                break
             for sw in nxt:
                 dist[sw] = d
-            frontier = nxt
-        return SSSPTree(source=source, dist=dist, parents=parents)
+            levels.append(nxt)
+            masks.append(seen ^ before)
+        return SSSPTree(source, dist, levels, masks, nmask, self)
+
+    def switches_in(self, mask: int) -> Set[str]:
+        """The switches whose bits are set in ``mask`` (an
+        :attr:`SSSPTree.masks` entry, or a union of them)."""
+        names, found = self._names, set()
+        while mask:
+            low = mask & -mask
+            found.add(names[low.bit_length() - 1])
+            mask ^= low
+        return found
 
     def shortest_switch_path(
         self,
@@ -529,7 +580,7 @@ class Topology:
                 break
             lookup = sw in repriced
             nd = d + 1.0
-            for nbr, link in adj[sw]:
+            for nbr, link, _bit in adj[sw]:
                 if lookup:
                     nd = d + cost_of(link._key, 1.0)
                 old = dist.get(nbr, _INF)
@@ -671,7 +722,7 @@ class Topology:
         adj = self._adj
         for here, there in zip(switch_path, switch_path[1:]):
             # The first cable in wiring order, as links_between(...)[0].
-            for nbr, link in adj.get(here, ()):
+            for nbr, link, _bit in adj.get(here, ()):
                 if nbr == there:
                     tags.append((link.a if link.a.switch == here else link.b).port)
                     break

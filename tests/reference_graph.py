@@ -6,19 +6,84 @@ b8eb70d), copied as plain functions over a :class:`Topology`: a fresh
 sorted set per ``neighbors`` call, a heap Dijkstra for ``sssp_tree`` and
 for the penalised backup search, a ``frozenset`` built per relaxed edge,
 Yen's with linear-scan dedup, a detour scan over whole distance maps,
-and the double-walk edge induction.  They read only ``_adj`` and
-``_switch_ports`` and share no code with the kernel, so
+and the double-walk edge induction.  ``bfs_tree`` and :class:`DictTree`
+are the dict-based level-order BFS and parent-list tree that replaced
+that Dijkstra before the switch-bit kernel did.  They read only
+``_adj`` and ``_switch_ports`` and share no code with the kernel, so
 ``test_graph_differential.py`` can demand kernel == reference.  Nothing
 under ``src/`` may import this module.
 """
 
 import heapq
 import itertools
+from dataclasses import dataclass, field
 
 from repro.core.pathgraph import PathGraph
-from repro.topology.graph import SSSPTree, TopologyError
+from repro.topology.graph import TopologyError
 
 BACKUP_LINK_PENALTY = 1000.0
+
+
+@dataclass
+class DictTree:
+    """A shortest-path DAG as dicts: ``dist`` in level order, and each
+    reached switch's equal-cost parents in relaxation order."""
+
+    source: str
+    dist: dict = field(default_factory=dict)
+    parents: dict = field(default_factory=dict)
+
+    def path_to(self, dst, rng=None):
+        if dst not in self.dist:
+            return None
+        path = [dst]
+        cur = dst
+        while cur != self.source:
+            choices = self.parents[cur]
+            cur = rng.choice(choices) if rng is not None else choices[0]
+            path.append(cur)
+        path.reverse()
+        return path
+
+
+def bfs_tree(topo, source, avoid=(), stop=None):
+    """The dict BFS: ``avoid`` holds cable keys, ``stop`` ends the search
+    at the level that reaches it (that level is not expanded)."""
+    if source not in topo._switch_ports:
+        raise TopologyError(f"unknown switch {source!r}")
+    adj = topo._adj
+    if avoid:
+        adj = dict(adj)
+        for sw in {end.switch for key in avoid for end in key}:
+            adj[sw] = [edge for edge in adj[sw] if link_key(edge[1]) not in avoid]
+    into_stop = {edge[0] for edge in adj.get(stop, ())}
+    dist = {source: 0.0}
+    parents = {}
+    frontier = [source]
+    d = 0.0
+    while frontier and stop not in dist:
+        d += 1.0
+        if into_stop:
+            tied = [sw for sw in frontier if sw in into_stop]
+            if tied:
+                parents[stop] = tied
+                dist[stop] = d
+                break
+        nxt = []
+        for sw in frontier:
+            for nbr, _link, _bit in adj[sw]:
+                if nbr in dist:
+                    continue
+                tied = parents.get(nbr)
+                if tied is None:
+                    parents[nbr] = [sw]
+                    nxt.append(nbr)
+                elif sw not in tied:
+                    tied.append(sw)
+        for sw in nxt:
+            dist[sw] = d
+        frontier = nxt
+    return DictTree(source=source, dist=dist, parents=parents)
 
 
 def link_key(link):
@@ -26,12 +91,12 @@ def link_key(link):
 
 
 def neighbors(topo, switch):
-    return sorted({nbr for nbr, _link in topo._adj.get(switch, ())})
+    return sorted({nbr for nbr, _link, _bit in topo._adj.get(switch, ())})
 
 
 def links_of(topo, switch):
     seen = set()
-    for _nbr, link in topo._adj.get(switch, ()):
+    for _nbr, link, _bit in topo._adj.get(switch, ()):
         if link_key(link) not in seen:
             seen.add(link_key(link))
             yield link
@@ -65,7 +130,7 @@ def _dijkstra(topo, src, dst, link_costs):
             continue
         if sw == dst:
             break
-        for nbr, link in topo._adj[sw]:
+        for nbr, link, _bit in topo._adj[sw]:
             cost = 1.0
             if link_costs is not None:
                 cost = link_costs.get(link_key(link), 1.0)
@@ -84,7 +149,7 @@ def sssp_tree(topo, source, link_costs=None):
     if source not in topo._switch_ports:
         raise TopologyError(f"unknown switch {source!r}")
     dist, parents = _dijkstra(topo, source, None, link_costs)
-    return SSSPTree(source=source, dist=dist, parents=parents)
+    return DictTree(source=source, dist=dist, parents=parents)
 
 
 def shortest_switch_path(topo, src, dst, rng=None, link_costs=None):
@@ -196,7 +261,7 @@ def backup_path(topo, primary, rng=None):
     switches (parallel ones included) costs ``BACKUP_LINK_PENALTY``."""
     costs = {}
     for here, there in zip(primary, primary[1:]):
-        for nbr, link in topo._adj.get(here, ()):
+        for nbr, link, _bit in topo._adj.get(here, ()):
             if nbr == there:
                 costs[link_key(link)] = BACKUP_LINK_PENALTY
     backup = shortest_switch_path(

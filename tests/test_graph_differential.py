@@ -7,10 +7,12 @@ wires random views (parallel cables included), interleaves queries with
 filled and then invalidated, and demands equal answers: same distances,
 same parent lists *in the same order*, same paths for the same seeded
 rng (and the rng left in the same state), same Yen lists, same
-``PathGraph``.  Two more properties pin the pieces that stopped being
-the seed's searches: the backup BFS against the penalised Dijkstra, and
-a host agent's installs against seed Yen + the seed builder on its
-fragment over time.
+``PathGraph``.  The switch-bit ``sssp_tree`` is held to the dict BFS it
+replaced (``ref.bfs_tree``) on full, ``stop`` and ``avoid`` searches.  More properties pin the pieces that stopped being the seed's
+searches: the backup BFS against the penalised Dijkstra, a host agent's
+installs against seed Yen + the seed builder on its fragment over time,
+and the path service's keep / rebuild decision for its trees across
+link-down / link-up sequences.
 """
 
 import random
@@ -70,6 +72,50 @@ def mutate(topo, op, x, y):
             topo.add_link(sw_a, port_a, sw_b, port_b)
 
 
+def assert_tree_equals_oracle(topo, tree, want, pick):
+    """A kernel tree is the oracle's: ``dist`` in level order, parent
+    lists materialised in order, levels and masks that agree with
+    ``dist``, and every walk-back with every rng kind, rng end state
+    included."""
+    assert tree.source == want.source
+    assert list(tree.dist.items()) == list(want.dist.items())
+    assert all(type(d) is float for d in tree.dist.values())
+    assert [(sw, tree.parents_of(sw)) for sw in tree.dist if sw != tree.source] == \
+        list(want.parents.items())
+    assert [sw for level in tree.levels for sw in level] == list(tree.dist)
+    for depth, (level, mask) in enumerate(zip(tree.levels, tree.masks)):
+        assert {tree.dist[sw] for sw in level} == {float(depth)}
+        assert topo.switches_in(mask) == set(level)
+    mine, theirs = random.Random(pick), random.Random(pick)
+    stable = StablePathRng(f"{pick}:{tree.source}")
+    for dst in tree.dist:
+        assert tree.path_to(dst) == want.path_to(dst)
+        assert tree.path_to(dst, rng=mine) == want.path_to(dst, rng=theirs)
+        assert tree.path_to(dst, rng=stable) == want.path_to(dst, rng=stable)
+    assert mine.getstate() == theirs.getstate()
+    assert tree.path_to("no-such-switch") is None
+
+
+def assert_searches_match_oracle(topo, src, dst, hops, pick):
+    """Full, ``stop`` and ``avoid`` (every cable of each hop) searches
+    from ``src`` against the dict BFS."""
+    keys = {link.key() for x, y in hops for link in topo.links_between(x, y)}
+    assert_tree_equals_oracle(topo, topo.sssp_tree(src), ref.bfs_tree(topo, src), pick)
+    for stop in (dst, src):
+        assert_tree_equals_oracle(
+            topo, topo.sssp_tree(src, stop=stop), ref.bfs_tree(topo, src, stop=stop), pick
+        )
+        assert_tree_equals_oracle(
+            topo,
+            topo.sssp_tree(src, avoid=hops, stop=stop),
+            ref.bfs_tree(topo, src, avoid=keys, stop=stop),
+            pick,
+        )
+    assert_tree_equals_oracle(
+        topo, topo.sssp_tree(src, avoid=hops), ref.bfs_tree(topo, src, avoid=keys), pick
+    )
+
+
 def assert_kernel_matches_reference(topo, pick, service):
     switches = sorted(topo.switches)
     for sw in switches:
@@ -83,10 +129,15 @@ def assert_kernel_matches_reference(topo, pick, service):
 
         assert topo.switch_distances(src) == ref.switch_distances(topo, src)
 
-        tree, want = topo.sssp_tree(src), ref.sssp_tree(topo, src)
-        assert list(tree.dist.items()) == list(want.dist.items())
-        assert all(type(d) is float for d in tree.dist.values())
-        assert list(tree.parents.items()) == list(want.parents.items())
+        tree = topo.sssp_tree(src)
+        assert_tree_equals_oracle(topo, tree, ref.sssp_tree(topo, src), pick)
+        # A primary's hops plus a random cable's, as backup_path cuts them.
+        cut = ref.shortest_switch_path(topo, src, dst, rng=random.Random(pick)) or [src]
+        hops = list(zip(cut, cut[1:]))
+        if topo.links:
+            link = rng.choice(topo.links)
+            hops.append((link.b.switch, link.a.switch))
+        assert_searches_match_oracle(topo, src, dst, hops, pick)
 
         assert topo.shortest_switch_path(src, dst) == \
             ref.shortest_switch_path(topo, src, dst)
@@ -217,7 +268,7 @@ def assert_backup_and_detours_match_reference(topo, primary, pick, service):
         assert detour_vertices(topo, primary, s, eps) == want
         assert detour_vertices(
             topo, primary, s, eps,
-            distances=lambda source: service.distances(topo, source),
+            level_masks=lambda source: service.tree(topo, source).masks,
         ) == want
 
 
@@ -237,9 +288,9 @@ def assert_backup_and_detours_match_reference(topo, primary, pick, service):
 def test_backup_bfs_equals_the_penalised_dijkstra(kind, a, b, seed, parallel, tail):
     """``backup_path`` is a BFS over the view minus the primary's cables,
     with the penalised Dijkstra left only as its fallback: the answer and
-    every draw of the walk-back must be the seed search's, and the detour
-    scan that stops at the budget must find the seed's detours with
-    either distance provider.  Extra parallel cables, plus one doubled
+    every draw of the walk-back must be the seed search's, and the mask
+    detour scan must find the seed's detours with either level-mask
+    provider.  Extra parallel cables, plus one doubled
     hop per primary, check that every cable of a primary hop is avoided;
     a pendant tail, hung off the fabric by a bridge, makes every primary
     into it separate its ends, so the fallback runs."""
@@ -406,3 +457,135 @@ def test_install_paths_draws_from_the_agent_rng_like_the_seed_builder(
                     want[dst] = seed_install(agent, dst, twin) or entry
         assert {d: installed(agent, d) for d in agent.path_table.destinations()} == want
         assert agent.rng.getstate() == twin.getstate()
+
+
+def seed_keeps(trees, sw_a, sw_b):
+    """The seed rule on pre-down dict trees: a tree survives a link-down
+    unless the cable's nearer end was the first parent of the other."""
+    kept = set()
+    for source, tree in trees.items():
+        dist = tree.dist
+        if sw_a in dist and dist[sw_a] != dist[sw_b]:
+            u, v = (sw_a, sw_b) if dist[sw_a] < dist[sw_b] else (sw_b, sw_a)
+            if tree.parents[v][0] == u:
+                continue
+        kept.add(source)
+    return kept
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    parallel=st.lists(st.integers(0, 10**6), max_size=4),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["down", "up", "up-flipped", "query", "query"]),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_service_keeps_the_trees_the_seed_rule_keeps(kind, a, b, seed, parallel, steps):
+    """Across link-down / link-up sequences (a link-up of the last downed
+    cable as the next mutation is an undo; from the other side it may
+    flush), the path service keeps exactly the trees the seed rule on
+    the dict oracle keeps, an undo brings back exactly those, and after
+    every step each memoised tree is the dict BFS of the current view."""
+    topo = make_view(kind, a, b, seed)
+    for x in parallel:
+        mutate(topo, "parallel", x, 0)
+    service = PathService(seed=seed)
+    switches = sorted(topo.switches)
+    downed = []
+    kept_at_down = None
+    for op, x in steps:
+        if op == "down":
+            cables = sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links)
+            if not cables:
+                continue
+            cable = cables[x % len(cables)]
+            before = {src: ref.bfs_tree(topo, src) for src in service._trees}
+            undoable = service._epoch == (topo.uid, topo.topo_version)
+            topo.remove_link(*cable)
+            service.note_topology_change(topo, "link-down", cable)
+            kept_at_down = seed_keeps(before, cable[0], cable[2]) if undoable else set()
+            assert set(service._trees) == kept_at_down
+            downed.append(cable)
+        elif op.startswith("up") and downed:
+            sw_a, port_a, sw_b, port_b = cable = downed.pop()
+            if op == "up-flipped":
+                cable = (sw_b, port_b, sw_a, port_a)
+            restores = service.stats.restores
+            undo = service._outage is not None and service._outage.epoch == (
+                topo.uid, topo.topo_version
+            )
+            topo.add_link(*cable)
+            service.note_topology_change(topo, "link-up", cable)
+            undone = service.stats.restores == restores + 1
+            assert undone >= (undo and op == "up")
+            assert set(service._trees) == (kept_at_down if undone else set())
+        else:
+            for src in (switches[x % len(switches)], switches[(x // 7) % len(switches)]):
+                service.tree(topo, src)
+        for src, tree in service._trees.items():
+            assert_tree_equals_oracle(topo, tree, ref.bfs_tree(topo, src), x)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    x=st.integers(0, 10**6),
+    y=st.integers(0, 10**6),
+    told=st.booleans(),
+)
+def test_service_flushes_kept_trees_before_a_fresh_link_up(kind, a, b, seed, x, y, told):
+    """A kept tree reads the live wiring, so it is only sound under the
+    (uid, topo_version) the service vouches for.  After a link-down keeps
+    some trees, a link-up of a *different* cable is no undo: whether the
+    service is told (``note_topology_change``) or not (a direct edit),
+    every tree it serves next is a fresh build equal to the dict BFS of
+    the new wiring, never a kept tree walked against it."""
+    topo = make_view(kind, a, b, seed)
+    service = PathService(seed=seed)
+    switches = sorted(topo.switches)
+    for src in switches:
+        service.tree(topo, src)
+    cables = sorted((l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links)
+    downed = cables[x % len(cables)]
+    topo.remove_link(*downed)
+    service.note_topology_change(topo, "link-down", downed)
+    kept = dict(service._trees)
+    # Any spare ports but the downed cable's own: a new cable, no undo.
+    spare = [
+        (sw, port)
+        for sw in switches
+        for port in range(1, topo.num_ports(sw) + 1)
+        if topo.peer(sw, port) is None and (sw, port) not in (downed[:2], downed[2:])
+    ]
+    end_a = spare[y % len(spare)]
+    end_b = next(end for end in spare[y % len(spare):] + spare if end[0] != end_a[0])
+    fresh = end_a + end_b
+    topo.add_link(*fresh)
+    if told:
+        service.note_topology_change(topo, "link-up", fresh)
+        assert service._trees == {} and service.stats.restores == 0
+    for src in switches:
+        tree = service.tree(topo, src)
+        assert tree is not kept.get(src)
+        assert_tree_equals_oracle(topo, tree, ref.bfs_tree(topo, src), y)
+    assert service.stats.tree_builds == 2 * len(switches)

@@ -251,7 +251,9 @@ def assert_trees_exact(service, topo):
     for source, tree in service._trees.items():
         want = topo.sssp_tree(source)
         assert list(tree.dist.items()) == list(want.dist.items())
-        assert list(tree.parents.items()) == list(want.parents.items())
+        assert (tree.levels, tree.masks) == (want.levels, want.masks)
+        assert [tree.parents_of(sw) for sw in tree.dist] == \
+            [want.parents_of(sw) for sw in want.dist]
 
 
 @settings(
