@@ -68,10 +68,8 @@ def aggregate_leaf_throughput(engine="fluid", roi=None):
     return run_scenario(scenario).result.goodput_bps
 
 
-def test_fig9_throughput(benchmark):
-    aggregate_bps = benchmark.pedantic(
-        aggregate_leaf_throughput, rounds=1, iterations=1
-    )
+def render(aggregate_bps):
+    """The committed ``fig9_throughput.txt`` text for ``aggregate_bps``."""
     rows = [
         (name, f"{paper:.2f}", f"{ours:.2f}")
         for name, paper, ours in single_host_rows()
@@ -81,11 +79,17 @@ def test_fig9_throughput(benchmark):
         rows,
         title="Figure 9: single-host throughput",
     )
-    text += (
+    return text + (
         "\n\nAggregate leaf-to-leaf throughput (14 hosts/leaf, 2x10GE "
         f"uplinks):\n  paper 18.5 / 20 Gbps, measured {aggregate_bps / 1e9:.1f} Gbps"
     )
-    publish("fig9_throughput", text)
+
+
+def test_fig9_throughput(benchmark):
+    aggregate_bps = benchmark.pedantic(
+        aggregate_leaf_throughput, rounds=1, iterations=1
+    )
+    publish("fig9_throughput", render(aggregate_bps))
 
     ours = {name: measured for name, _p, measured in single_host_rows()}
     # Exact calibration on the anchor; structural equalities elsewhere.

@@ -1,24 +1,15 @@
-"""Empirical distribution helpers for the evaluation figures.
+"""Distribution statistics for the evaluation figures.
 
-Figures 10 and 11(a) are CDFs; these helpers compute them and the
-summary statistics (percentiles, tail fractions) EXPERIMENTS.md quotes.
+Figures 10 and 11(a) are CDFs; these helpers compute the summary
+statistics (percentiles, tail fractions) EXPERIMENTS.md quotes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["empirical_cdf", "percentile", "fraction_above", "summarize", "DistSummary"]
-
-
-def empirical_cdf(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Sorted (value, cumulative fraction) points."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
+__all__ = ["percentile", "fraction_above"]
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -46,38 +37,3 @@ def fraction_above(values: Sequence[float], threshold: float) -> float:
     if not values:
         return 0.0
     return sum(1 for v in values if v > threshold) / len(values)
-
-
-class DistSummary:
-    """Printable summary of one distribution."""
-
-    def __init__(self, values: Sequence[float], unit: str = "") -> None:
-        if not values:
-            raise ValueError("cannot summarize empty data")
-        self.n = len(values)
-        self.unit = unit
-        self.mean = sum(values) / self.n
-        self.p50 = percentile(values, 50)
-        self.p90 = percentile(values, 90)
-        self.p99 = percentile(values, 99)
-        self.max = max(values)
-        self.min = min(values)
-
-    def row(self) -> List[str]:
-        return [
-            f"{self.p50:.4g}",
-            f"{self.p90:.4g}",
-            f"{self.p99:.4g}",
-            f"{self.max:.4g}",
-        ]
-
-    def __str__(self) -> str:
-        u = f" {self.unit}" if self.unit else ""
-        return (
-            f"n={self.n} p50={self.p50:.4g}{u} p90={self.p90:.4g}{u} "
-            f"p99={self.p99:.4g}{u} max={self.max:.4g}{u}"
-        )
-
-
-def summarize(values: Sequence[float], unit: str = "") -> DistSummary:
-    return DistSummary(values, unit=unit)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["render_table", "render_series", "render_cdf_deciles"]
+__all__ = ["render_table", "render_series"]
 
 
 def render_table(
@@ -46,16 +46,4 @@ def render_series(
     lines = [f"{name}  ({x_label} -> {y_label})"]
     for x, y in points:
         lines.append(f"  {fmt.format(x):>12}  {fmt.format(y):>12}")
-    return "\n".join(lines)
-
-
-def render_cdf_deciles(name: str, values: Sequence[float], unit: str = "") -> str:
-    """A CDF reported at the deciles plus p99 -- compact figure form."""
-    from .cdf import percentile
-
-    if not values:
-        return f"{name}: (no data)"
-    lines = [f"{name} CDF ({len(values)} samples{', ' + unit if unit else ''})"]
-    for p in (10, 25, 50, 75, 90, 99, 100):
-        lines.append(f"  p{p:<3} {percentile(values, p):.6g}")
     return "\n".join(lines)

@@ -1,9 +1,7 @@
-"""Baselines the paper compares against: Ethernet/STP, ECMP, OpenFlow."""
+"""The baseline the paper compares against: Ethernet with STP."""
 
 from .. import _lazy_namespace
 
 __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
     ".stp": ("StpBridge", "L2Host", "L2Frame", "Bpdu", "STP_DEFAULTS"),
-    ".ecmp": ("EcmpRouter", "equal_cost_paths"),
-    ".openflow": ("FlowTableSwitch", "SdnController", "FlowRule"),
 })

@@ -37,7 +37,6 @@ from .messages import (
 )
 from .pathgraph import backup_path
 from .pathservice import PathService
-from .pathshard import PodMap, ShardedPathService
 
 __all__ = ["Controller", "ControllerConfig"]
 
@@ -108,9 +107,6 @@ class Controller(HostAgent):
         )
         #: Optional replication hook: an object with append(entry).
         self.replicator = None
-        #: Optional control-plane scale-out: per-pod shards routed to by
-        #: :meth:`handle_path_request`; built by :meth:`enable_sharding`.
-        self.shard_service: Optional[ShardedPathService] = None
         #: In-flight probe runs by the dirty port that seeded them; the
         #: value is set when fresh link-up news for the port lands
         #: mid-run (one fresh run follows).
@@ -159,40 +155,7 @@ class Controller(HostAgent):
         self.controller = self.name
         self.tags_to_controller = ()
         self.topo_cache.record_attachment(self.name, attachment[0], attachment[1])
-        if self.shard_service is not None:
-            # A bulk view swap invalidates every shard's subview.
-            self.shard_service.rebuild(view)
         self._log_change(TopologyChange(op="adopt-view", args=(self.view_version,)))
-
-    def enable_sharding(
-        self,
-        pod_map: Optional[PodMap] = None,
-        n_replicas: int = 3,
-    ) -> ShardedPathService:
-        """Turn on control-plane scale-out: build one replicated path
-        shard per pod and route intra-pod queries to it.
-
-        The shards share this controller's path-service seed (so every
-        answer stays byte-identical to the unsharded serving path) and
-        its existing :class:`PathService` as the global tier.  Call
-        :meth:`announce_all` afterwards so hosts learn their pod.
-        """
-        if self.view is None:
-            raise RuntimeError("enable_sharding before discovery")
-        self.shard_service = ShardedPathService(
-            self.view,
-            pod_map=pod_map,
-            seed=self.path_service.seed,
-            capacity=self.config.path_cache_capacity,  # type: ignore[attr-defined]
-            n_replicas=n_replicas,
-            global_service=self.path_service,
-        )
-        return self.shard_service
-
-    def _pod_of_host(self, host: str) -> Optional[str]:
-        if self.shard_service is None:
-            return None
-        return self.shard_service.pod_of_host(host)
 
     def announce_all(self) -> int:
         """Send a :class:`ControllerAnnounce` to every known host.
@@ -401,22 +364,13 @@ class Controller(HostAgent):
             dst_ref = view.host_port(request.dst)
             src_att = (src_ref.switch, src_ref.port)
             dst_att = (dst_ref.switch, dst_ref.port)
-            if self.shard_service is not None:
-                graph = self.shard_service.path_graph(
-                    src_ref.switch,
-                    dst_ref.switch,
-                    s=self.config.path_graph_s,
-                    epsilon=self.config.path_graph_epsilon,
-                    pod_hint=request.pod,
-                )
-            else:
-                graph = self.path_service.path_graph(
-                    view,
-                    src_ref.switch,
-                    dst_ref.switch,
-                    s=self.config.path_graph_s,
-                    epsilon=self.config.path_graph_epsilon,
-                )
+            graph = self.path_service.path_graph(
+                view,
+                src_ref.switch,
+                dst_ref.switch,
+                s=self.config.path_graph_s,
+                epsilon=self.config.path_graph_epsilon,
+            )
             if graph is None:
                 found = False
             else:
@@ -477,10 +431,6 @@ class Controller(HostAgent):
     def _log_change(self, change: TopologyChange) -> None:
         if self.replicator is not None:
             self.replicator.append(change)
-        if self.shard_service is not None and change.op != "adopt-view":
-            # Deltas stream into the owning pod shard(s); adopt-view is
-            # handled by the rebuild in adopt_view.
-            self.shard_service.note_topology_change(change.op, change.args)
 
     # ------------------------------------------------------------------
     # link-up reprobing (Section 4.2: "upon receiving link-up
@@ -597,7 +547,7 @@ class Controller(HostAgent):
 
     def _announce_to(self, host: str, overlay: Optional[Overlay]) -> bool:
         """Send ``host`` one :class:`ControllerAnnounce`: the tags both
-        ways, its attachment, its gossip neighbours and its pod.
+        ways, its attachment and its gossip neighbours.
         Returns False, sending nothing, when the view has no route to
         it right now.  ``overlay`` None builds the gossip overlay only
         once a route exists."""
@@ -614,7 +564,6 @@ class Controller(HostAgent):
             tags_to_controller=tags_back,
             your_attachment=(ref.switch, ref.port),
             gossip_neighbors=overlay.get(host, ()),
-            pod=self._pod_of_host(host),
         )
         self.send_tagged(tags_out, announce, dst=host)
         return True

@@ -13,12 +13,11 @@ and the tag-0 ID query.  One probe grammar does all the work:
 :class:`RediscoveryEngine` is the one frontier BFS that speaks it.  It
 expands a view from *frontier ports*, and it has two seeds.  At boot
 (:func:`discover`) the view is empty and the only frontier is the
-origin's own switch, found by a phase-0 port search.  Afterwards
-(:func:`incremental_discover`, blueprint repair, the controller's
-link-up probe runs) the frontiers are the ports the caller knows to be
-dirty: Section 4.2's "probe the ports to discover and verify the newly
-added links and switches" -- the *ports*, not the fabric -- so a
-one-switch delta costs O(dirty ports * P) probes instead of the
+origin's own switch, found by a phase-0 port search.  Afterwards (the
+controller's link-up probe runs) the frontiers are the ports that
+raised link-up: Section 4.2's "probe the ports to discover and verify
+the newly added links and switches" -- the *ports*, not the fabric --
+so a one-switch delta costs O(dirty ports * P) probes instead of the
 bootstrap's O(N * P^2).
 
 When a bounce names a switch the view has never seen, the engine adds
@@ -31,16 +30,21 @@ The engine is sans-IO: it hands out bounded batches of
 :class:`ProbeSpec` (:meth:`RediscoveryEngine.next_round`) and consumes
 their outcomes (:meth:`RediscoveryEngine.feed`).  Two drivers wrap it:
 
-* :func:`discover` and :func:`incremental_discover` pull rounds through
-  a blocking :class:`ProbeTransport`;
+* :func:`discover` pulls bootstrap's rounds through a blocking
+  :class:`ProbeTransport`;
 * :class:`AsyncProbeDriver` pipelines rounds over a live host agent on
   the event loop, one bounded outstanding-probe window per settle
   period -- what every controller probe run after bootstrap uses.
 
-Every confirmed element is reported as a
+A probe run reports every confirmed element as a
 :class:`~repro.core.messages.TopologyChange` through the caller's
-``on_change`` hook *as it lands*, so controller replicas converge
-through the quorum log on deltas, never a bulk view swap.
+``on_change`` hook *as it lands*, and the controller logs each one, so
+replicas follow a probe run delta by delta.  Bootstrap is still a bulk
+view swap: :func:`discover` returns a whole view and the controller
+installs it with ``adopt_view``, which logs one ``adopt-view`` marker;
+standbys on promotion, the chaos harness and the blueprint fabric take
+a whole view through ``adopt_view`` too.  ROADMAP item 2 removes that
+swap by running bootstrap through the log.
 
 Transports come in two kinds:
 
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import HostAttachment, PortRef, Topology
 from .messages import TopologyChange
@@ -81,10 +85,7 @@ __all__ = [
     "VerificationReport",
     "route_tags",
     "RediscoveryEngine",
-    "RediscoveryResult",
     "AsyncProbeDriver",
-    "incremental_discover",
-    "repair_from_verification",
     "DEFAULT_PROBE_WINDOW",
 ]
 
@@ -337,25 +338,6 @@ ChangeHook = Callable[[TopologyChange], None]
 
 
 @dataclass
-class RediscoveryResult:
-    """What one incremental expansion found (the view is mutated in
-    place; ``changes`` is the replayable delta log)."""
-
-    view: Topology
-    origin: str
-    changes: List[TopologyChange]
-    stats: DiscoveryStats
-    switches_added: List[str]
-    links_added: List[Tuple[str, int, str, int]]
-    #: Deepest frontier reached, in switch hops from the seeded ports
-    #: (0 = only the seeds themselves were probed).
-    max_frontier_depth: int = 0
-    #: Seeded frontiers that never became reachable from the origin
-    #: (their switch had no route even after expansion finished).
-    unreachable_frontiers: List[Tuple[str, int]] = field(default_factory=list)
-
-
-@dataclass
 class _PortProbe:
     """One frontier port mid-flight: scan outcomes arrive first, then
     (if bounces survived) a verification round."""
@@ -417,8 +399,8 @@ class RediscoveryEngine:
         #: ends of one new cable) are scanned at most once.
         self._enqueued: Set[Tuple[str, int]] = set()
         #: Frontiers whose switch has no route from the origin *yet*
-        #: (a repair can prune every link of a switch before its
-        #: replacements are confirmed).  Retried after each round that
+        #: (link-downs can cut every route to a switch before a probe
+        #: run confirms a replacement).  Retried after each round that
         #: grows the view; whatever is still parked at the end was
         #: genuinely unreachable.
         self._parked: List[Tuple[str, int, int]] = []
@@ -653,32 +635,8 @@ class RediscoveryEngine:
             # one switch hop deeper than the port that found it.
             self.add_switch_frontier(neighbor, depth=probe.depth + 1)
 
-    def result(self) -> RediscoveryResult:
-        return RediscoveryResult(
-            view=self.view,
-            origin=self.origin,
-            changes=self.changes,
-            stats=self.stats,
-            switches_added=self.switches_added,
-            links_added=self.links_added,
-            max_frontier_depth=self.max_frontier_depth,
-            unreachable_frontiers=[(s, p) for s, p, _d in self._parked],
-        )
-
-
 # ----------------------------------------------------------------------
-# Blocking drivers: bootstrap, incremental expansion, blueprint repair
-
-
-def _drain(
-    engine: RediscoveryEngine, transport: ProbeTransport, probe_retries: int
-) -> None:
-    """Pull the engine's rounds through ``transport`` until it is done."""
-    while True:
-        specs = engine.next_round()
-        if not specs:
-            return
-        engine.feed(_retrying_round(transport, engine.stats, specs, probe_retries))
+# Blocking driver: bootstrap
 
 
 @dataclass
@@ -730,7 +688,11 @@ def discover(
     engine = RediscoveryEngine(view=view, origin=origin, max_ports=max_ports)
     engine.stats = stats  # phase 0's round belongs to the same run
     engine.add_switch_frontier(root)
-    _drain(engine, transport, probe_retries)
+    while True:
+        specs = engine.next_round()
+        if not specs:
+            break
+        engine.feed(_retrying_round(transport, stats, specs, probe_retries))
 
     stats.probes_sent = transport.probes_sent
     stats.replies_received = transport.replies_received
@@ -740,84 +702,6 @@ def discover(
         origin=origin,
         origin_attachment=(root, own_port),
         stats=stats,
-    )
-
-
-def incremental_discover(
-    transport: ProbeTransport,
-    origin: str,
-    view: Topology,
-    frontiers: Iterable[Tuple[str, int]],
-    probe_retries: int = 0,
-    window: int = DEFAULT_PROBE_WINDOW,
-    on_change: Optional[ChangeHook] = None,
-) -> RediscoveryResult:
-    """Expand ``view`` from ``frontiers`` through a blocking transport.
-
-    ``frontiers`` are the (switch, port) pairs known to be dirty: the
-    ports that raised link-up, or the endpoints a blueprint
-    verification flagged.  ``view`` is mutated in place; the result
-    carries the delta log and probe accounting (probe counts are the
-    transport's delta over this call, so a transport can be shared with
-    an earlier full discovery)."""
-    engine = RediscoveryEngine(
-        view=view,
-        origin=origin,
-        max_ports=transport.max_ports,
-        window=window,
-        on_change=on_change,
-    )
-    for switch, port in frontiers:
-        engine.add_frontier(switch, port)
-    sent_before = transport.probes_sent
-    received_before = transport.replies_received
-    elapsed_before = transport.elapsed()
-    _drain(engine, transport, probe_retries)
-    engine.stats.probes_sent = transport.probes_sent - sent_before
-    engine.stats.replies_received = transport.replies_received - received_before
-    engine.stats.elapsed_s = transport.elapsed() - elapsed_before
-    return engine.result()
-
-
-def repair_from_verification(
-    transport: ProbeTransport,
-    origin: str,
-    expected: Topology,
-    report: VerificationReport,
-    probe_retries: int = 0,
-    window: int = DEFAULT_PROBE_WINDOW,
-    on_change: Optional[ChangeHook] = None,
-) -> RediscoveryResult:
-    """The follow-up a dirty blueprint verification calls for.
-
-    Starts from ``expected`` minus everything the report flagged, then
-    rediscovers *exactly those frontiers*: the four endpoints of every
-    missing link and the expected attachment port of every missing
-    host.  O(dirty elements * P) probes instead of a full O(N * P^2)
-    re-discovery; whatever is really cabled at those ports (the
-    blueprint's element, something else, or nothing) ends up in the
-    returned view."""
-    view = expected.copy()
-    frontiers: List[Tuple[str, int]] = []
-    for sw_a, port_a, sw_b, port_b in report.missing_links:
-        if view.has_link(sw_a, port_a, sw_b, port_b):
-            view.remove_link(sw_a, port_a, sw_b, port_b)
-        frontiers.append((sw_a, port_a))
-        frontiers.append((sw_b, port_b))
-    for host in report.missing_hosts:
-        if expected.has_host(host):
-            ref = expected.host_port(host)
-            if view.has_host(host):
-                view.remove_host(host)
-            frontiers.append((ref.switch, ref.port))
-    return incremental_discover(
-        transport,
-        origin,
-        view,
-        frontiers,
-        probe_retries=probe_retries,
-        window=window,
-        on_change=on_change,
     )
 
 
@@ -912,9 +796,7 @@ def verify_expected_topology(
     forward bounce confirms only that ``a.port`` leads to ``b.switch``,
     so a mis-wire where ``b.port`` is actually cabled to some other
     switch that happens to route the probe home would verify clean.
-    Mis-wired elements come back in the ``missing_*`` lists; feed the
-    report to :func:`repair_from_verification`, which re-probes exactly
-    those frontiers instead of re-running full discovery.
+    Mis-wired elements come back in the ``missing_*`` lists.
     """
     stats = DiscoveryStats()
     specs: List[ProbeSpec] = []

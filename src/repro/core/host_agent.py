@@ -109,8 +109,6 @@ class HostAgent(Device):
         self.attachment: Optional[Tuple[str, int]] = None
         self.controller: Optional[str] = None
         self.tags_to_controller: Optional[Tuple[int, ...]] = None
-        #: Control-plane pod (shard), announced by a sharded controller.
-        self.pod: Optional[str] = None
 
         # The two-level path cache (Section 5.2).
         self.topo_cache = TopoCache(name)
@@ -246,9 +244,7 @@ class HostAgent(Device):
         return timeout
 
     def _send_path_request(self, dst: str, nonce: int, tries: int = 0) -> None:
-        request = PathRequest(
-            nonce=nonce, src=self.name, dst=dst, reply_tags=(), pod=self.pod
-        )
+        request = PathRequest(nonce=nonce, src=self.name, dst=dst, reply_tags=())
         assert self.tags_to_controller is not None
         self.send_tagged(self.tags_to_controller, request, dst=self.controller or "")
         self.path_queries_sent += 1
@@ -470,7 +466,6 @@ class HostAgent(Device):
 
     def _on_announce(self, announce: ControllerAnnounce) -> None:
         self.controller = announce.controller
-        self.pod = announce.pod
         self.tags_to_controller = announce.tags_to_controller
         self.attachment = announce.your_attachment
         self.gossip_neighbors = dict(announce.gossip_neighbors)

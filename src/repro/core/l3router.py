@@ -38,9 +38,6 @@ class AddressMap:
     def resolve(self, address: str) -> Optional[Tuple[str, str]]:
         return self._hosts.get(address)
 
-    def addresses(self) -> List[str]:
-        return list(self._hosts)
-
 
 @dataclass(frozen=True)
 class RouteEntry:

@@ -139,10 +139,6 @@ class ControllerAnnounce:
     your_attachment: Tuple[str, int]
     gossip_neighbors: Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]
     wire_size: int = 96
-    #: The receiving host's pod (control-plane shard), when the
-    #: controller runs the sharded path service; hosts echo it in
-    #: :class:`PathRequest` so queries route to their pod's shard.
-    pod: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,6 @@ class PathRequest:
     dst: str
     reply_tags: Tuple[int, ...]
     wire_size: int = 32
-    #: The requester's pod, learned from the controller's announce;
-    #: ``None`` when the control plane is unsharded (or the host
-    #: predates the shard rollout -- the router re-derives the owning
-    #: shard from the switches either way).
-    pod: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,6 @@ class PathTags:
         """The full tag list as sent -- used by probe-reply bookkeeping."""
         return self._tags
 
-    @property
-    def consumed(self) -> int:
-        return self._cursor
-
     def peek(self) -> int:
         cursor = self._cursor
         if cursor >= len(self._tags):

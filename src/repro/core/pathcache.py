@@ -221,13 +221,6 @@ class PathTable:
             self.failovers += 1
         return entry.backup
 
-    def pin(self, dst: str, flow_key: object, index: int) -> None:
-        """Explicitly bind a flow to primary path ``index`` (used by TE)."""
-        entry = self._entries.get(dst)
-        if entry is None or not 0 <= index < len(entry.primaries):
-            raise KeyError(f"no primary #{index} cached for {dst!r}")
-        entry.flow_bindings[flow_key] = index
-
     # ------------------------------------------------------------------
     # failure invalidation
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import SSSPTree, Topology
 from .pathgraph import PathGraph, build_path_graph
@@ -148,12 +148,6 @@ class PathServiceStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over lookups; 0.0 before the first lookup."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
@@ -197,9 +191,6 @@ class PathService:
     def __len__(self) -> int:
         return len(self._graphs)
 
-    def cached_keys(self) -> List[GraphKey]:
-        return list(self._graphs)
-
     def _sync(self, view: Topology) -> None:
         """Drop everything if the view's switch graph moved without the
         controller telling us (a direct test/fault-injector edit)."""
@@ -224,10 +215,6 @@ class PathService:
         else:
             self.stats.tree_hits += 1
         return tree
-
-    def distances(self, view: Topology, source: str) -> Mapping[str, float]:
-        """Hop-distance map from ``source`` (memoized tree)."""
-        return self.tree(view, source).dist
 
     def shortest_path(
         self, view: Topology, src: str, dst: str, rng=None

@@ -25,31 +25,22 @@ central tier**.
   LRU cache cover only the subview.
 
 * :class:`ShardedPathService` is the router + thin global tier: it
-  sends intra-pod queries to the owning shard, serves cross-pod and
-  degraded-shard queries from the (shared) global PathService, and
-  *composes* cross-pod routes by meeting per-pod SSSP segments at the
-  core tier (pod-graph stitching) -- validated against the full view
-  before use, with a global-service fallback when stitching cannot
-  apply (direct pod-to-pod cables, stale shard).
-
-Per-shard queries/sec, hit ratio and p99 latency are emitted through a
-:class:`~repro.obs.metrics.MetricsRegistry` and surfaced by
-``observe_fabric``.
+  sends intra-pod queries to the owning shard and serves cross-pod and
+  degraded-shard queries from its global PathService over the full
+  view.
 """
 
 from __future__ import annotations
 
 import re
-import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..consensus.log import NotLeaderError, QuorumLostError
 from ..consensus.store import ReplicatedTopologyStore
-from ..obs.metrics import Histogram, MetricsRegistry
 from ..topology.graph import Topology
 from .messages import TopologyChange
 from .pathgraph import PathGraph
-from .pathservice import PathService, StablePathRng
+from .pathservice import PathService
 
 __all__ = [
     "PodMap",
@@ -111,12 +102,6 @@ class PodMap:
     def pods(self) -> List[str]:
         return sorted({p for p in self._pod_of.values() if p is not None})
 
-    def core_switches(self) -> List[str]:
-        return [sw for sw, pod in self._pod_of.items() if pod is None]
-
-    def members(self, pod: str) -> List[str]:
-        return [sw for sw, p in self._pod_of.items() if p == pod]
-
     def subview(self, view: Topology, pod: str) -> Topology:
         """The pod's local topology: pod switches + every core switch,
         the links among them, and the pod's hosts -- added in the full
@@ -139,18 +124,6 @@ class PodMap:
                 sub.add_host(host, ref.switch, ref.port)
         return sub
 
-    def boundary_links(self, view: Topology) -> List[Tuple[str, int, str, int]]:
-        """Links whose endpoints live in different pods (including
-        pod <-> core) -- the inter-pod edges the global tier stitches
-        across."""
-        out = []
-        for link in view.links:
-            if self.pod_of(link.a.switch) != self.pod_of(link.b.switch):
-                out.append(
-                    (link.a.switch, link.a.port, link.b.switch, link.b.port)
-                )
-        return out
-
 
 class PathShard:
     """One pod's controller shard: replicated local state + path cache."""
@@ -172,18 +145,15 @@ class PathShard:
         #: byte-identity contract (the other half is the subview
         #: preserving distances -- see the module docstring).
         self.service = PathService(capacity=capacity, seed=seed)
-        self.queries = 0
-        self.joins = 0
         self.changes_applied = 0
-        self.failovers = 0
         #: Set when a quorum append failed: the serving view may lag the
         #: authoritative one, so the router falls back to the global
-        #: tier until the shard is resynced.
+        #: tier until the next :meth:`ShardedPathService.rebuild`.
         self.stale = False
         #: Hot-path cache of the primary's view.  Leadership changes
-        #: only through :meth:`failover` / :meth:`fail_primary` (which
-        #: clear it); in-place commits keep the same view object, and
-        #: the path service's epoch check catches those mutations.
+        #: only through :meth:`fail_primary` (which clears it); in-place
+        #: commits keep the same view object, and the path service's
+        #: epoch check catches those mutations.
         self._serving: Optional[Topology] = None
 
     @property
@@ -207,7 +177,6 @@ class PathShard:
     def path_graph(
         self, src_sw: str, dst_sw: str, s: int, epsilon: int
     ) -> Optional[PathGraph]:
-        self.queries += 1
         view = self._serving
         if view is None:
             view = self.view
@@ -220,41 +189,20 @@ class PathShard:
         eviction)."""
         self.store.append(change)
         self.changes_applied += 1
-        if change.op == "host-up":
-            self.joins += 1
         self.service.note_topology_change(self.view, change.op, change.args)
-
-    def failover(self) -> Optional[str]:
-        """Planned primary hand-off within the shard (non-crashing
-        step-down: the quorum keeps all its nodes)."""
-        new_leader = self.store.step_down()
-        self.failovers += 1
-        self._serving = None
-        # The serving view object changed; the service notices the
-        # epoch move on the next query and flushes itself.
-        return new_leader
 
     def fail_primary(self) -> Optional[str]:
         """Crash the shard's primary replica and elect a successor."""
         new_leader = self.store.fail_primary()
-        self.failovers += 1
         self._serving = None
         return new_leader
-
-    def alive_replicas(self) -> int:
-        return sum(
-            1 for node in self.store.cluster.nodes.values() if node.alive
-        )
 
 
 class ShardedPathService:
     """Router over per-pod shards plus the thin global tier.
 
-    Holds a *reference* to the controller's full view (never copies or
-    mutates it); the global service is shared with the controller's
-    existing flat :class:`PathService` when wired in via
-    ``Controller.enable_sharding`` so cross-pod PathReplies stay
-    byte-identical with or without sharding.
+    Holds a *reference* to the full view (never copies or mutates it);
+    the global service answers every query no shard owns.
     """
 
     def __init__(
@@ -265,8 +213,6 @@ class ShardedPathService:
         seed: int = 0,
         capacity: int = 512,
         n_replicas: int = 3,
-        global_service: Optional[PathService] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.view = view
         self.seed = seed
@@ -274,26 +220,11 @@ class ShardedPathService:
         self.n_replicas = n_replicas
         self.pod_map = pod_map or PodMap.from_view(view)
         self._pod_fn = self.pod_map._fn
-        #: When the global service came from the controller we must not
-        #: invalidate it here -- the controller's own mutation hooks
-        #: already did, and double invalidation would wreck the precise
-        #: link-down eviction (epoch would move twice).
-        self._owns_global = global_service is None
-        self.global_service = global_service or PathService(
-            capacity=capacity, seed=seed
-        )
-        self.registry = registry or MetricsRegistry(clock=time.perf_counter)
+        self.global_service = PathService(capacity=capacity, seed=seed)
         self.shards: Dict[str, PathShard] = {}
-        self._latency: Dict[str, Histogram] = {}
         for pod in self.pod_map.pods:
             self._make_shard(pod)
         self.global_queries = 0
-        self.stitched_routes = 0
-        self.stitch_fallbacks = 0
-        self.hint_hits = 0
-        self.hint_misses = 0
-        self._stitch_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        self._built_at = time.perf_counter()
 
     # ------------------------------------------------------------------
     # construction / topology ownership
@@ -307,10 +238,6 @@ class ShardedPathService:
             n_replicas=self.n_replicas,
         )
         self.shards[pod] = shard
-        # Histograms are registry-idempotent: a rebuild reuses them.
-        self._latency[pod] = self.registry.histogram(
-            f"pathshard.{pod}.query_latency_s"
-        )
         return shard
 
     def rebuild(self, view: Topology) -> None:
@@ -320,27 +247,12 @@ class ShardedPathService:
         self.view = view
         self.pod_map = PodMap.from_view(view, self._pod_fn)
         self.shards = {}
-        self._stitch_cache.clear()
         for pod in self.pod_map.pods:
             self._make_shard(pod)
-        if self._owns_global:
-            self.global_service.flush()
-
-    def resync_shard(self, pod: str) -> None:
-        """Rebuild one stale shard's subview from the full view."""
-        self._make_shard(pod)
-        self._stitch_cache.clear()
+        self.global_service.flush()
 
     # ------------------------------------------------------------------
-    # pod lookups
-
-    def pod_of_switch(self, switch: str) -> Optional[str]:
-        return self.pod_map.pod_of(switch)
-
-    def pod_of_host(self, host: str) -> Optional[str]:
-        if not self.view.has_host(host):
-            return None
-        return self.pod_map.pod_of(self.view.host_port(host).switch)
+    # queries
 
     def shard_for(self, src_sw: str, dst_sw: str) -> Optional[PathShard]:
         """The shard owning this query, or ``None`` for the global tier."""
@@ -352,137 +264,27 @@ class ShardedPathService:
             return None
         return shard
 
-    # ------------------------------------------------------------------
-    # queries
-
     def path_graph(
-        self,
-        src_sw: str,
-        dst_sw: str,
-        s: int,
-        epsilon: int,
-        pod_hint: Optional[str] = None,
+        self, src_sw: str, dst_sw: str, s: int, epsilon: int
     ) -> Optional[PathGraph]:
         """Serve one path query: the owning pod shard for intra-pod
         pairs, the global tier otherwise (cross-pod, unknown switches,
         shard mid-election or stale)."""
         shard = self.shard_for(src_sw, dst_sw)
         if shard is not None:
-            if pod_hint is not None:
-                if pod_hint == shard.pod:
-                    self.hint_hits += 1
-                else:
-                    self.hint_misses += 1
-            t0 = time.perf_counter()
-            graph = shard.path_graph(src_sw, dst_sw, s, epsilon)
-            self._latency[shard.pod].observe(time.perf_counter() - t0)
-            return graph
+            return shard.path_graph(src_sw, dst_sw, s, epsilon)
         self.global_queries += 1
         return self.global_service.path_graph(
             self.view, src_sw, dst_sw, s, epsilon
         )
 
     # ------------------------------------------------------------------
-    # cross-pod composition (the "lazily involved" central tier)
-
-    def cross_pod_route(self, src_sw: str, dst_sw: str) -> Optional[List[str]]:
-        """A shortest cross-pod switch route composed from per-pod SSSP
-        segments: shard A's tree reaches the core tier, shard B's tree
-        reaches it from the other side, and the global tier only picks
-        the cheapest meeting core (pod-graph stitching).  Falls back to
-        a full-view shortest path when stitching cannot apply (no core
-        meeting point -- e.g. a direct pod-to-pod cable -- or a stale
-        segment that no longer exists in the full view)."""
-        cached = self._stitch_cache.get((src_sw, dst_sw))
-        if cached is not None:
-            return list(cached)
-        route = self._stitch(src_sw, dst_sw)
-        if route is None:
-            self.stitch_fallbacks += 1
-            route = self.global_service.shortest_path(
-                self.view, src_sw, dst_sw
-            )
-            if route is None:
-                return None
-        else:
-            self.stitched_routes += 1
-        self._stitch_cache[(src_sw, dst_sw)] = tuple(route)
-        return route
-
-    def _stitch(self, src_sw: str, dst_sw: str) -> Optional[List[str]]:
-        pod_a = self.pod_map.pod_of(src_sw)
-        pod_b = self.pod_map.pod_of(dst_sw)
-        if pod_a is None or pod_b is None or pod_a == pod_b:
-            return None
-        shard_a = self.shards.get(pod_a)
-        shard_b = self.shards.get(pod_b)
-        if (
-            shard_a is None
-            or shard_b is None
-            or not shard_a.available
-            or not shard_b.available
-        ):
-            return None
-        view_a, view_b = shard_a.view, shard_b.view
-        if not (view_a.has_switch(src_sw) and view_b.has_switch(dst_sw)):
-            return None
-        dist_a = shard_a.service.distances(view_a, src_sw)
-        dist_b = shard_b.service.distances(view_b, dst_sw)
-        # Meeting points: the switches both subviews share are exactly
-        # the core tier.  min over cores of d_A(src, x) + d_B(x, dst)
-        # is the pod-graph SSSP solution for two-tier fabrics.
-        best: Optional[Tuple[float, str]] = None
-        for core in sorted(self.pod_map.core_switches()):
-            da = dist_a.get(core)
-            db = dist_b.get(core)
-            if da is None or db is None:
-                continue
-            cost = da + db
-            if best is None or cost < best[0]:
-                best = (cost, core)
-        if best is None:
-            return None
-        meet = best[1]
-        rng_a = StablePathRng(f"{self.seed}:stitch:{src_sw}:{dst_sw}:a")
-        rng_b = StablePathRng(f"{self.seed}:stitch:{src_sw}:{dst_sw}:b")
-        seg_a = shard_a.service.tree(view_a, src_sw).path_to(meet, rng=rng_a)
-        seg_b = shard_b.service.tree(view_b, dst_sw).path_to(meet, rng=rng_b)
-        if seg_a is None or seg_b is None:
-            return None
-        route = seg_a + list(reversed(seg_b))[1:]
-        if len(set(route)) != len(route):
-            return None  # segments overlapped beyond the meeting core
-        # Validate against the authoritative full view: shard subviews
-        # can briefly lag it (a stale shard between append and resync).
-        for here, there in zip(route, route[1:]):
-            if not self.view.links_between(here, there):
-                return None
-        return route
-
-    def cross_pod_tags(self, src_host: str, dst_host: str) -> Optional[List[int]]:
-        """Tag-encode a stitched cross-pod route between two hosts."""
-        view = self.view
-        if not (view.has_host(src_host) and view.has_host(dst_host)):
-            return None
-        src_sw = view.host_port(src_host).switch
-        dst_sw = view.host_port(dst_host).switch
-        route = self.cross_pod_route(src_sw, dst_sw)
-        if route is None:
-            return None
-        return view.encode_path(src_host, route, dst_host)
-
-    # ------------------------------------------------------------------
     # topology change routing
 
     def note_topology_change(self, op: str, args: Tuple) -> None:
-        """Route one already-committed controller change to the shards
-        whose subviews contain the touched element.  The shared global
-        service is the controller's own and was already invalidated at
-        the mutation site; a standalone (owned) global service is
-        invalidated here."""
-        self._stitch_cache.clear()
-        if self._owns_global:
-            self.global_service.note_topology_change(self.view, op, args)
+        """Route one already-committed change to the global service and
+        to the shards whose subviews contain the touched element."""
+        self.global_service.note_topology_change(self.view, op, args)
         for pod in self._pods_touched(op, args):
             shard = self.shards.get(pod)
             if shard is None:
@@ -511,8 +313,7 @@ class ShardedPathService:
             if pod_a is None or pod_b is None:
                 # pod <-> core boundary link: in that pod's subview.
                 return [p for p in (pod_a, pod_b) if p is not None]
-            # Direct pod <-> pod cable: in neither subview; only the
-            # (already flushed) stitch cache cared.
+            # Direct pod <-> pod cable: in neither subview.
             return []
         if op in ("switch-up", "switch-down"):
             pod = self.pod_map.pod_of(args[0])
@@ -529,39 +330,3 @@ class ShardedPathService:
                 if shard.available and shard.view.has_host(host)
             ]
         return []  # adopt-view and unknown ops: handled by rebuild()
-
-    # ------------------------------------------------------------------
-    # observability
-
-    def report(self) -> Dict[str, Any]:
-        """Per-shard serving metrics (queries/sec since construction,
-        hit ratio, latency percentiles) plus global-tier counters."""
-        elapsed = max(time.perf_counter() - self._built_at, 1e-9)
-        rows: Dict[str, Any] = {}
-        for pod in sorted(self.shards):
-            shard = self.shards[pod]
-            hist = self._latency[pod]
-            stats = shard.service.stats
-            rows[pod] = {
-                "primary": shard.primary,
-                "alive_replicas": shard.alive_replicas(),
-                "stale": shard.stale,
-                "queries": shard.queries,
-                "queries_per_s": round(shard.queries / elapsed, 1),
-                "joins": shard.joins,
-                "changes_applied": shard.changes_applied,
-                "failovers": shard.failovers,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "hit_ratio": round(stats.hit_ratio, 4),
-                "p50_latency_s": hist.p50 if hist.count else 0.0,
-                "p99_latency_s": hist.p99 if hist.count else 0.0,
-            }
-        return {
-            "shards": rows,
-            "global_queries": self.global_queries,
-            "stitched_routes": self.stitched_routes,
-            "stitch_fallbacks": self.stitch_fallbacks,
-            "hint_hits": self.hint_hits,
-            "hint_misses": self.hint_misses,
-        }

@@ -9,13 +9,13 @@ fabric: the primary :class:`~repro.core.controller.Controller` logs
 every topology change into a :class:`~repro.consensus.store.
 ReplicatedTopologyStore`; standby controllers (ordinary hosts promoted
 on demand) hold consistent view replicas.  When the primary dies,
-:meth:`failover` promotes a standby: it adopts the replicated view,
+:meth:`fail_primary` promotes a standby: it adopts the replicated view,
 re-announces itself, and hosts transparently re-target their queries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..consensus.store import ReplicatedTopologyStore
 from ..netsim.network import Network
@@ -73,55 +73,20 @@ class ReplicatedControlPlane:
             raise ReplicationError("no replica could win the election")
         return self._promote(promoted_name)
 
-    def failover(self, prefer: Optional[str] = None) -> Controller:
-        """Promote a standby without killing the old primary's host
-        (e.g. planned maintenance).
-
-        Uses the store's non-crashing step-down: the demoted primary's
-        quorum node stays alive as a follower and is immediately
-        re-synced, so repeated planned failovers never shrink the
-        quorum (and a real ``fail_primary`` afterwards still finds a
-        majority)."""
-        promoted_name = self.store.step_down(prefer=prefer)
-        if promoted_name is None:
-            raise ReplicationError("no replica could win the election")
-        return self._promote(promoted_name)
-
-    def _host_alive(self, name: str) -> bool:
-        """Whether a controller's *host* is powered.  The network's host
-        device is the source of truth -- ``fail_primary`` powers off
-        ``network.hosts[name]``, which may not be the same object as the
-        Controller (a power-cycled or stubbed host); reading both and
-        trusting the device keeps the view edit and the standby-pool
-        decision coherent."""
-        device = self.network.hosts.get(name)
-        if device is not None:
-            return bool(device.powered)
-        controller = next(
-            (c for c in [self.primary] + self.standbys if c.name == name), None
-        )
-        return bool(controller.powered) if controller is not None else False
-
     def _promote(self, name: str) -> Controller:
         candidates = [s for s in self.standbys if s.name == name]
         if not candidates:
             raise ReplicationError(f"promoted replica {name!r} is not a standby")
         new_primary = candidates[0]
-        # Adopt the replicated, quorum-committed view...
+        # Adopt the replicated, quorum-committed view minus the dead
+        # primary's host entry.
         view = self.store.view_of(name).copy()
-        # ... minus the old primary's host entry if its NIC is dark.
-        # One aliveness read drives both this edit and the standby-pool
-        # decision below, so the two can never disagree.
         old = self.primary
-        old_alive = self._host_alive(old.name)
-        if not old_alive and view.has_host(old.name):
+        if view.has_host(old.name):
             view.remove_host(old.name)
         new_primary.adopt_view(view)
         new_primary.replicator = self.store
         self.standbys = [s for s in self.standbys if s.name != name]
-        if old_alive:
-            # An ex-primary whose host still runs becomes a standby.
-            self.standbys.append(old)
         old.replicator = None
         self.primary = new_primary
         # Tell every host where the controller now lives.
@@ -131,22 +96,3 @@ class ReplicatedControlPlane:
         # port now rather than waiting for news that will never come.
         new_primary.reprobe_unknown_ports()
         return new_primary
-
-    def reinstate(self, controller: Controller) -> None:
-        """Return a recovered ex-primary (or dropped standby) to the
-        standby pool: power its host back on, recover its quorum node
-        (the current primary's next replication round catches it up)
-        and make it promotable again."""
-        name = controller.name
-        if name == self.primary.name or any(
-            s.name == name for s in self.standbys
-        ):
-            raise ReplicationError(f"{name!r} is already in the control plane")
-        if name not in self.store.views:
-            raise ReplicationError(f"{name!r} was never a replica of this plane")
-        device = self.network.hosts.get(name)
-        if device is not None and not device.powered:
-            device.power_on()
-        self.store.recover(name)
-        controller.replicator = None
-        self.standbys.append(controller)

@@ -168,31 +168,6 @@ class FaultSchedule:
             self.add(FaultEvent(t + restart_after, "switch-restart", (switch,)))
         return self
 
-    def switch_join(
-        self,
-        t: float,
-        switch: str,
-        num_ports: int,
-        links: Sequence[Tuple[int, str, int]],
-    ) -> "FaultSchedule":
-        """Hot-add a brand-new switch at ``t``, cabled per ``links``
-        (``(new switch port, existing switch, existing port)``).  The
-        controller must map it through incremental rediscovery -- the
-        expansion scenario of Section 4.2."""
-        if not links:
-            raise ScheduleError(f"switch-join {switch!r} needs at least one cable")
-        return self.add(
-            FaultEvent(t, "switch-join", (switch, num_ports, tuple(links)))
-        )
-
-    def host_partition(
-        self, t: float, host: str, rejoin_after: Optional[float] = None
-    ) -> "FaultSchedule":
-        self.add(FaultEvent(t, "host-partition", (host,)))
-        if rejoin_after is not None:
-            self.add(FaultEvent(t + rejoin_after, "host-rejoin", (host,)))
-        return self
-
     def controller_failover(self, t: float) -> "FaultSchedule":
         """Kill the current primary controller and promote a standby
         (requires a fabric with a ReplicatedControlPlane)."""

@@ -300,33 +300,9 @@ class ThroughputSeries:
         if t1 > t0:
             self.segments.append((t0, t1, bps))
 
-    def rate_at(self, t: float) -> float:
-        for t0, t1, bps in self.segments:
-            if t0 <= t < t1:
-                return bps
-        return 0.0
-
     def delivered_bits(self) -> float:
         """Integral of the series: total bits moved."""
         return sum((t1 - t0) * bps for t0, t1, bps in self.segments)
-
-    def binned(self, bin_s: float, until: Optional[float] = None) -> List[Tuple[float, float]]:
-        """(bin start, mean bps) rows -- the Figure 11(b) time series."""
-        if not self.segments:
-            return []
-        end = until if until is not None else max(t1 for _t0, t1, _ in self.segments)
-        bins: List[Tuple[float, float]] = []
-        t = 0.0
-        while t < end:
-            hi = min(t + bin_s, end)
-            moved = 0.0
-            for t0, t1, bps in self.segments:
-                overlap = min(t1, hi) - max(t0, t)
-                if overlap > 0:
-                    moved += bps * overlap
-            bins.append((t, moved / (hi - t)))
-            t = hi
-        return bins
 
 
 class FluidReport(ReportBase):

@@ -122,7 +122,6 @@ class HybridEngine(FluidSimulator):
             net, latency_s=region_latency_s, mtu_bytes=mtu_bytes, window=window
         )
         self._promoted: Dict[int, _Promoted] = {}
-        self._link_loads: Dict[Tuple, float] = {}
         self.promoted_total = 0
         self.promoted_finished = 0
         self.couplings = 0
@@ -227,14 +226,6 @@ class HybridEngine(FluidSimulator):
         ]
 
     def _post_recompute(self, routes, rates) -> None:
-        loads: Dict[Tuple, float] = {}
-        for key, links in routes.items():
-            rate = rates.get(key, 0.0)
-            if rate <= 0:
-                continue
-            for link in links:
-                loads[link] = loads.get(link, 0.0) + rate
-        self._link_loads = loads
         if not self._promoted:
             return
         background: Dict[Tuple, float] = {}
@@ -316,12 +307,6 @@ class HybridEngine(FluidSimulator):
         ]
 
     # ------------------------------------------------------------------
-
-    def link_utilisation(self) -> Dict[Tuple, float]:
-        """Per-link allocated-load / capacity from the last max-min
-        solve -- feed into :meth:`RegionOfInterest.hot_queues`."""
-        caps = self.net.capacities
-        return {link: load / caps[link] for link, load in self._link_loads.items()}
 
     def report(self) -> FluidReport:
         rep = super().report()

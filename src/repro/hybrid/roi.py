@@ -10,11 +10,7 @@ known to be least trustworthy:
   cable;
 * **flow tags** -- one HiBench stage, one incast fan-in;
 * **hosts** -- incast victims: promote every flow that starts or ends
-  at the receiver;
-* **hot queues** -- ECN-style: build an ROI from the links whose fluid
-  allocation is above a utilisation threshold
-  (:meth:`RegionOfInterest.hot_queues` +
-  :meth:`~repro.hybrid.engine.HybridEngine.link_utilisation`).
+  at the receiver.
 
 Selectors compose with ``|`` (union).  The empty region promotes
 nothing: a hybrid engine with an empty ROI is *exactly* the fluid
@@ -23,11 +19,9 @@ simulator (the test suite pins that equivalence).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 __all__ = ["RegionOfInterest"]
-
-LinkId = Tuple
 
 
 def _norm_link(link: Any) -> Tuple:
@@ -75,33 +69,9 @@ class RegionOfInterest:
         return cls(everything=True)
 
     @classmethod
-    def of_links(cls, *links: Any) -> "RegionOfInterest":
-        return cls(links=links)
-
-    @classmethod
-    def of_switches(cls, *switches: str) -> "RegionOfInterest":
-        """Failure epicenters: any flow whose route crosses a switch."""
-        return cls(switches=switches)
-
-    @classmethod
-    def of_tags(cls, *tags: Hashable) -> "RegionOfInterest":
-        return cls(tags=tags)
-
-    @classmethod
     def of_hosts(cls, *hosts: str) -> "RegionOfInterest":
         """Incast victims: any flow starting or ending at a host."""
         return cls(hosts=hosts)
-
-    @classmethod
-    def hot_queues(
-        cls, utilisation: Mapping[LinkId, float], threshold: float = 0.9
-    ) -> "RegionOfInterest":
-        """ECN-style: links whose (fluid) utilisation is >= threshold.
-
-        Pair with ``HybridEngine.link_utilisation()`` to re-zoom a
-        running experiment onto its emergent hot spots.
-        """
-        return cls(links=[l for l, u in utilisation.items() if u >= threshold])
 
     def __or__(self, other: "RegionOfInterest") -> "RegionOfInterest":
         return RegionOfInterest(

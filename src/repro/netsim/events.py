@@ -11,8 +11,8 @@ Two scheduling flavours share one heap and one sequence counter, so
 their relative ordering at equal timestamps is exactly scheduling
 order:
 
-* :meth:`EventLoop.schedule` / :meth:`EventLoop.schedule_at` return an
-  :class:`EventHandle` that supports :meth:`EventHandle.cancel`.
+* :meth:`EventLoop.schedule` returns an :class:`EventHandle` that
+  supports :meth:`EventHandle.cancel`.
 * :meth:`EventLoop.call_after` / :meth:`EventLoop.call_at` are the
   fire-and-forget fast path used by the per-frame hot code (channels,
   device service queues): no handle object is allocated, the heap entry
@@ -78,10 +78,6 @@ class EventHandle:
         if loop._dead >= COMPACT_MIN_DEAD and loop._dead * 2 > len(loop._heap):
             loop._compact()
 
-    @property
-    def cancelled(self) -> bool:
-        return self.callback is None
-
 
 class EventLoop:
     """A virtual-time event scheduler.
@@ -114,25 +110,6 @@ class EventLoop:
         self._live += 1
         return handle
 
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` at an absolute simulated time.
-
-        The stored deadline is exactly ``time``: delegating to
-        :meth:`schedule` with ``time - now`` would store
-        ``now + (time - now)``, which under floating point need not
-        equal ``time`` (e.g. ``now=0.1, time=0.3`` rounds up by one
-        ulp), so an event aimed at the same instant through
-        :meth:`call_at` could fire first despite being scheduled later.
-        """
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past (time={time})")
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
-        heappush(self._heap, (time, seq, handle, None))
-        self._live += 1
-        return handle
-
     def call_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, no cancellation.
 
@@ -149,7 +126,14 @@ class EventLoop:
         self._live += 1
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`call_after`)."""
+        """Fire-and-forget: run ``callback(*args)`` at an absolute
+        simulated time (see :meth:`call_after`).
+
+        The stored deadline is exactly ``time``: ``now + (time - now)``
+        need not equal ``time`` under floating point (``now=0.1,
+        time=0.3`` rounds up by one ulp), so going through a delay could
+        reorder events aimed at the same instant.
+        """
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past (time={time})")
         seq = self._seq

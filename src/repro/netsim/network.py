@@ -221,27 +221,6 @@ class Network:
     def restore_switch(self, switch: str) -> None:
         self.switches[switch].power_on()
 
-    def fail_random_link(self, rng: Optional[random.Random] = None) -> Link:
-        """Cut a uniformly random *live* switch-switch link; returns which.
-
-        Already-down links are excluded from the draw (cutting one
-        would be a silent no-op, making seeded fault schedules inject
-        fewer faults than they report).  Raises
-        :class:`~repro.topology.graph.TopologyError` when every link is
-        already down.
-        """
-        rng = rng or self.rng
-        candidates = [
-            link
-            for link in self.topology.links
-            if self._link_channels[link.key()].up
-        ]
-        if not candidates:
-            raise TopologyError("no live switch-switch links left to fail")
-        link = rng.choice(candidates)
-        self.fail_link(link.a.switch, link.a.port, link.b.switch, link.b.port)
-        return link
-
     # ------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

@@ -3,9 +3,9 @@
 One subsystem, three layers, over the one event record every fabric
 already keeps (:class:`repro.netsim.trace.Tracer`):
 
-* :mod:`repro.obs.metrics` -- counters, gauges, log-bucketed
-  histograms (p50/p95/p99) and :class:`Span` timing contexts, all
-  clocked by the *simulated* clock;
+* :mod:`repro.obs.metrics` -- log-bucketed histograms (p50/p95/p99)
+  and :class:`Span` timing contexts, all clocked by the *simulated*
+  clock;
 * :mod:`repro.obs.export` -- JSON, Prometheus text exposition, and
   CLI-table renderers (plus a strict exposition validator for CI);
 * :mod:`repro.obs.report` -- the common ``as_dict/to_json/summary``
@@ -24,7 +24,7 @@ histograms).
 from .. import _lazy_namespace
 
 __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry", "Span"),
+    ".metrics": ("Histogram", "MetricsRegistry", "Span"),
     ".fabric": ("FabricObs", "Observation", "observe_fabric"),
     ".report": ("ReportBase",),
     ".export": ("parse_prometheus", "to_prometheus"),

@@ -289,28 +289,6 @@ def observe_fabric(fabric: Any) -> Observation:
         for counter, value in row["path_service"].items():
             sample(metric_name("dumbnet_path_service", counter, "total"),
                    value, "counter")
-        # Control-plane shards (when enable_sharding is on): per-pod
-        # queries/sec, hit ratio and latency percentiles.
-        shard_service = getattr(controller, "shard_service", None)
-        if shard_service is not None:
-            shard_report = shard_service.report()
-            row["shards"] = shard_report
-            for counter in ("global_queries", "stitched_routes",
-                            "stitch_fallbacks"):
-                sample(metric_name("dumbnet_pathshard", counter, "total"),
-                       shard_report[counter], "counter")
-            for pod, srow in sorted(shard_report["shards"].items()):
-                labels = (("pod", str(pod)),)
-                sample("dumbnet_pathshard_queries_total",
-                       srow["queries"], "counter", labels)
-                sample("dumbnet_pathshard_queries_per_second",
-                       srow["queries_per_s"], "gauge", labels)
-                sample("dumbnet_pathshard_hit_ratio",
-                       srow["hit_ratio"], "gauge", labels)
-                sample("dumbnet_pathshard_p99_latency_seconds",
-                       srow["p99_latency_s"], "gauge", labels)
-                sample("dumbnet_pathshard_alive_replicas",
-                       srow["alive_replicas"], "gauge", labels)
         # Replica apply outcomes (dropped > 0 flags divergence).
         replicator = getattr(controller, "replicator", None)
         apply_stats = getattr(replicator, "apply_stats", None)
@@ -336,12 +314,7 @@ def observe_fabric(fabric: Any) -> Observation:
     if hub is not None:
         data["metrics"] = hub.registry.as_dict()
         for name, metric in hub.registry:
-            prom = metric_name("dumbnet", name)
-            if isinstance(metric, Histogram):
-                histograms.append((prom, (), metric))
-            else:
-                sample(prom, metric.value,
-                       "counter" if metric.kind == "counter" else "gauge")
+            histograms.append((metric_name("dumbnet", name), (), metric))
     else:
         data["metrics"] = None
 

@@ -1,8 +1,7 @@
 """Simulated-clock-aware metrics primitives.
 
-Counters, gauges, log-bucketed histograms and span timing contexts,
-collected under a hierarchical :class:`MetricsRegistry` with
-dot-separated names.  Everything time-related reads the registry's
+Log-bucketed histograms and span timing contexts, collected under a
+hierarchical :class:`MetricsRegistry` with dot-separated names.  Everything time-related reads the registry's
 ``clock`` callable -- in a fabric that is ``loop.now``, the simulator's
 virtual clock, never the wall clock -- so recorded latencies are the
 *modeled* latencies the paper's figures plot.
@@ -17,47 +16,9 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Span", "MetricsRegistry"]
+__all__ = ["Histogram", "Span", "MetricsRegistry"]
 
 Clock = Callable[[], float]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A point-in-time value, settable up or down."""
-
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -77,8 +38,6 @@ class Histogram:
 
     __slots__ = ("name", "least", "growth", "count", "total",
                  "min", "max", "_log_growth", "_underflow", "_buckets")
-
-    kind = "histogram"
 
     def __init__(self, name: str, least: float = 1e-9, growth: float = 4.0) -> None:
         if least <= 0 or growth <= 1:
@@ -227,31 +186,14 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # metric accessors (get-or-create)
 
-    def _get(self, name: str, factory: Callable[..., Any], **kwargs: Any) -> Any:
+    def histogram(self, name: str, least: float = 1e-9, growth: float = 4.0) -> Histogram:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = factory(name, **kwargs)
-        elif not isinstance(metric, factory):  # type: ignore[arg-type]
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {factory.__name__}"
-            )
+            metric = self._metrics[name] = Histogram(name, least=least, growth=growth)
         return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str, least: float = 1e-9, growth: float = 4.0) -> Histogram:
-        return self._get(name, Histogram, least=least, growth=growth)
 
     def span(self, name: str) -> Span:
         return Span(self, name)
-
-    def scoped(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self, prefix)
 
     # ------------------------------------------------------------------
     # introspection / export
@@ -268,32 +210,3 @@ class MetricsRegistry:
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         return {name: metric.as_dict() for name, metric in self}
-
-
-class ScopedRegistry:
-    """A prefixed view onto a registry: ``scoped("host").counter("tx")``
-    is the parent's ``host.tx``.  Scopes nest."""
-
-    __slots__ = ("_parent", "_prefix")
-
-    def __init__(self, parent: MetricsRegistry, prefix: str) -> None:
-        self._parent = parent
-        self._prefix = prefix
-
-    def _name(self, name: str) -> str:
-        return f"{self._prefix}.{name}"
-
-    def counter(self, name: str) -> Counter:
-        return self._parent.counter(self._name(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._parent.gauge(self._name(name))
-
-    def histogram(self, name: str, least: float = 1e-9, growth: float = 4.0) -> Histogram:
-        return self._parent.histogram(self._name(name), least=least, growth=growth)
-
-    def span(self, name: str) -> Span:
-        return self._parent.span(name)
-
-    def scoped(self, prefix: str) -> "ScopedRegistry":
-        return ScopedRegistry(self._parent, self._name(prefix))

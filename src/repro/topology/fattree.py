@@ -11,7 +11,7 @@ from typing import Optional
 
 from .graph import Topology
 
-__all__ = ["fat_tree", "fat_tree_for_switch_count"]
+__all__ = ["fat_tree"]
 
 
 def fat_tree(k: int, hosts_per_edge: Optional[int] = None, num_ports: Optional[int] = None) -> Topology:
@@ -64,15 +64,3 @@ def fat_tree(k: int, hosts_per_edge: Optional[int] = None, num_ports: Optional[i
             for h in range(hosts_per_edge):
                 topo.add_host(f"h{pod}_{i}_{h}", edge, half + h + 1)
     return topo
-
-
-def fat_tree_for_switch_count(target_switches: int, num_ports: int = 64) -> Topology:
-    """Smallest fat-tree with at least ``target_switches`` switches.
-
-    Figure 8(a) sweeps the number of switches; fat-trees only come in
-    sizes 5k^2/4, so benchmarks pick the closest not-smaller instance.
-    """
-    k = 2
-    while 5 * k * k // 4 < target_switches:
-        k += 2
-    return fat_tree(k, hosts_per_edge=1, num_ports=max(num_ports, k))

@@ -731,34 +731,6 @@ class Topology:
         tags.append(dst_ref.port)
         return tags
 
-    def decode_tags(self, src_host: str, tags: Sequence[int]) -> List[str]:
-        """Follow ``tags`` hop by hop from ``src_host``; return switch sequence.
-
-        Raises :class:`TopologyError` if any tag points at an empty port
-        or the final tag does not land on a host.  Used by the path
-        verifier (Section 6.1) and by tests as ground truth.
-        """
-        ref = self.host_port(src_host)
-        current = ref.switch
-        visited = [current]
-        for i, tag in enumerate(tags):
-            peer = self.peer(current, tag)
-            last = i == len(tags) - 1
-            if isinstance(peer, HostAttachment):
-                if not last:
-                    raise TopologyError(
-                        f"tag {tag} at {current!r} hits host {peer.host!r} before path end"
-                    )
-                return visited
-            if peer is None:
-                raise TopologyError(f"tag {tag} at {current!r} points at an empty port")
-            assert isinstance(peer, PortRef)
-            current = peer.switch
-            visited.append(current)
-        raise TopologyError("tag list ends on a switch, not a host")
-
-    # ------------------------------------------------------------------
-
     def summary(self) -> str:
         return (
             f"Topology(switches={len(self._switch_ports)}, "

@@ -1,9 +1,9 @@
-"""Random regular (jellyfish-style) and Erdos-Renyi-ish topologies.
+"""Random regular (jellyfish-style) topologies.
 
 The paper stresses that DumbNet's host-based control plane tolerates
 irregular topologies (Section 4.1: "can tolerate mis-configurations in
-the underlying physical network").  Property tests therefore run
-discovery and path-graph generation over random connected graphs.
+the underlying physical network"), so the benches and tests run
+discovery and path-graph generation over random graphs too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from .graph import Topology, TopologyError
 
-__all__ = ["jellyfish", "random_connected"]
+__all__ = ["jellyfish"]
 
 
 def jellyfish(
@@ -143,47 +143,3 @@ def _any_free(comp, free):
         if free[sw]:
             return (sw, free[sw][0])
     return None
-
-
-def random_connected(
-    num_switches: int,
-    extra_links: int = 0,
-    hosts_per_switch: int = 1,
-    num_ports: int = 64,
-    seed: int = 0,
-) -> Topology:
-    """Random spanning tree plus ``extra_links`` random chords.
-
-    Guaranteed connected; used by hypothesis-driven discovery tests.
-    """
-    if num_switches < 1:
-        raise ValueError("need at least one switch")
-    rng = random.Random(seed)
-    topo = Topology()
-    names = [f"r{i}" for i in range(num_switches)]
-    for name in names:
-        topo.add_switch(name, num_ports)
-    free = {name: list(range(1, num_ports - hosts_per_switch + 1)) for name in names}
-    # Random spanning tree: attach each new node to a random earlier one.
-    for i in range(1, num_switches):
-        parent = names[rng.randrange(i)]
-        child = names[i]
-        if not free[parent]:
-            parent = next(n for n in names[:i] if free[n])
-        topo.add_link(parent, free[parent].pop(0), child, free[child].pop(0))
-    added = 0
-    attempts = 0
-    if num_switches < 2:
-        extra_links = 0  # nothing to chord in a one-switch fabric
-    while added < extra_links and attempts < 100 * (extra_links + 1):
-        attempts += 1
-        a, b = rng.sample(names, 2)
-        if not free[a] or not free[b] or topo.links_between(a, b):
-            continue
-        topo.add_link(a, free[a].pop(0), b, free[b].pop(0))
-        added += 1
-    for name in names:
-        for h in range(hosts_per_switch):
-            port = num_ports - hosts_per_switch + h + 1
-            topo.add_host(f"h_{name}_{h}", name, port)
-    return topo

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.packet import DUMBNET_MTU, MAX_PORT_TAG
 from .graph import Topology
@@ -21,8 +21,6 @@ __all__ = [
     "ValidationReport",
     "validate_for_dumbnet",
     "diameter",
-    "bisection_links",
-    "redundancy_level",
 ]
 
 
@@ -104,37 +102,6 @@ def diameter(topology: Topology) -> int:
             raise ValueError("diameter of a disconnected topology")
         best = max(best, max(dist.values()))
     return best
-
-
-def bisection_links(topology: Topology, part_a: Set[str]) -> int:
-    """Links crossing the cut (part_a vs the rest) -- the numerator of
-    bisection bandwidth for uniform link speeds."""
-    crossing = 0
-    for link in topology.links:
-        in_a = link.a.switch in part_a
-        in_b = link.b.switch in part_a
-        if in_a != in_b:
-            crossing += 1
-    return crossing
-
-
-def redundancy_level(topology: Topology, src: str, dst: str) -> int:
-    """Number of link-disjoint shortest-ish paths between two switches,
-    greedily extracted (a lower bound on the max-flow)."""
-    if src == dst:
-        return 0
-    scratch = topology.copy()
-    count = 0
-    while True:
-        path = scratch.shortest_switch_path(src, dst)
-        if path is None:
-            return count
-        count += 1
-        for here, there in zip(path, path[1:]):
-            link = scratch.links_between(here, there)[0]
-            scratch.remove_link(
-                link.a.switch, link.a.port, link.b.switch, link.b.port
-            )
 
 
 def _bridge_links(topology: Topology) -> List[str]:

@@ -38,12 +38,10 @@ __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
         "StorageReplication",
         "TenantChurn",
         "FixedPairs",
-        "CbrPairs",
         "canonical_suite",
     ),
     ".hibench": (
         "HiBenchWorkload",
-        "hibench_task",
         "task_program",
         "legacy_task_rng",
         "TaskSpec",
@@ -51,17 +49,9 @@ __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
         "HIBENCH_TASKS",
     ),
     # matrices / distributions
-    ".traffic": (
-        "permutation_pairs",
-        "all_to_all_pairs",
-        "stride_pairs",
-        "hotspot_pairs",
-        "pareto_flow_bits",
-        "poisson_arrivals",
-    ),
+    ".traffic": ("pareto_flow_bits", "poisson_arrivals"),
     # packet-level drivers
     ".iperf": ("CbrStream", "measure_rtts", "RttSample"),
     ".storm": ("StormEvent", "path_query_storm"),
-    ".incast": ("IncastSpec", "incast_flows", "drive_incast_packets"),
     ".traces": ("WEB_SEARCH_CDF", "DATA_MINING_CDF", "sample_flow_bits", "mean_flow_bits"),
 })

@@ -97,10 +97,6 @@ class FlowProgram:
     def total_bits(self) -> float:
         return sum(f.size_bits for p in self.phases for f in p.flows)
 
-    @property
-    def flow_count(self) -> int:
-        return sum(len(p.flows) for p in self.phases)
-
     def tags(self) -> List[Hashable]:
         """Distinct tags in first-appearance order."""
         seen: Dict[Hashable, None] = {}

@@ -33,7 +33,6 @@ __all__ = [
     "Stage",
     "TaskSpec",
     "HiBenchWorkload",
-    "hibench_task",
     "legacy_task_rng",
     "task_program",
     "HIBENCH_TASKS",
@@ -83,25 +82,15 @@ def _shuffle_flows(
 
 
 def legacy_task_rng(seed: int, name: str) -> random.Random:
-    """The generator :func:`hibench_task` seeds from.
+    """The task rng the committed Figure 13 DAGs were drawn from.
 
     Seeded from the string ``"<seed>:<name>"``, which ``random.Random``
     digests the same way in every process (a ``hash()`` of it would be
-    salted per process unless ``PYTHONHASHSEED`` is pinned).  Migrated
-    callers that must reproduce a :func:`hibench_task` DAG byte for byte
-    pass ``rng=legacy_task_rng(seed, name)`` to the Workload path.
+    salted per process unless ``PYTHONHASHSEED`` is pinned).  Callers
+    that must reproduce those DAGs byte for byte pass
+    ``rng=legacy_task_rng(seed, name)`` to the Workload path.
     """
     return random.Random(f"{seed}:{name}")
-
-
-def hibench_task(
-    name: str,
-    hosts: Sequence[str],
-    seed: int = 0,
-    scale: float = 1.0,
-) -> TaskSpec:
-    """Build one of the five task DAGs over the given worker hosts."""
-    return _build_task(name, hosts, legacy_task_rng(seed, name), scale)
 
 
 def _build_task(

@@ -11,10 +11,6 @@ This module drives the emulated fabric the same way:
 
 Both drivers are inherently packet-level (they schedule frames on the
 emulator's event loop), so they sit outside the flow-program pipeline.
-The unified fluid-level counterpart of a CBR stream is
-:class:`repro.workloads.CbrPairs`, which models the same offered load
-as rate-capped flows and runs under :func:`repro.workloads.run_scenario`
-on any engine.
 """
 
 from __future__ import annotations

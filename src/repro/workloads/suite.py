@@ -19,9 +19,8 @@ canonical DC traffic shapes the TE-bake-off scorecard compares:
   :class:`~repro.core.virtualization.VirtualNetworkManager`: tenant
   sessions arrive and depart, each generating intra-slice traffic
   while alive;
-* :class:`FixedPairs` / :class:`CbrPairs` -- the explicit-matrix and
-  constant-bit-rate building blocks (the unified forms of the old
-  bare pair-generator and iperf conventions).
+* :class:`FixedPairs` -- an explicit traffic matrix (the unified form
+  of the old bare pair-generator convention).
 
 :func:`canonical_suite` returns the scorecard's default instances.
 """
@@ -42,7 +41,6 @@ __all__ = [
     "StorageReplication",
     "TenantChurn",
     "FixedPairs",
-    "CbrPairs",
     "canonical_suite",
 ]
 
@@ -359,16 +357,6 @@ class TenantChurn(Workload):
         flows.sort(key=lambda f: (f.start_s, f.tag))
         return FlowProgram.open_loop(flows, name=self.name)
 
-    @staticmethod
-    def accounting(program: FlowProgram) -> Dict[int, int]:
-        """Per-tenant-slice flow arrival counts from a program's tags."""
-        counts: Dict[int, int] = {}
-        for phase in program.phases:
-            for flow in phase.flows:
-                if isinstance(flow.tag, tuple) and flow.tag[:1] == ("tenant",):
-                    counts[flow.tag[1]] = counts.get(flow.tag[1], 0) + 1
-        return counts
-
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -381,11 +369,9 @@ class TenantChurn(Workload):
 class FixedPairs(Workload):
     """An explicit traffic matrix: one flow per (src, dst) pair.
 
-    The unified form of the bare pair-generator convention -- feed it
-    :func:`~repro.workloads.traffic.permutation_pairs`,
-    :func:`~repro.workloads.traffic.stride_pairs` or any hand-written
-    matrix.  ``tag`` groups all flows into one request (a shuffle, an
-    all-reduce); ``tag=None`` gives each pair its own tag.
+    The unified form of the bare pair-generator convention.  ``tag``
+    groups all flows into one request (a shuffle, an all-reduce);
+    ``tag=None`` gives each pair its own tag.
     """
 
     name = "fixed-pairs"
@@ -418,48 +404,6 @@ class FixedPairs(Workload):
             "name": self.name,
             "pairs": len(self.pairs),
             "size_bits": self.size_bits,
-        }
-
-
-class CbrPairs(Workload):
-    """Constant-bit-rate streams (the fluid form of the iperf driver).
-
-    Each pair carries one rate-capped flow for ``duration_s`` --
-    ``size = rate x duration`` with ``demand_bps = rate`` -- so a
-    healthy fabric finishes every stream in exactly ``duration_s`` and
-    congestion shows up as stretch beyond it.
-    """
-
-    name = "cbr"
-
-    def __init__(
-        self,
-        pairs: Sequence[Tuple[str, str]],
-        *,
-        rate_bps: float,
-        duration_s: float,
-    ) -> None:
-        if rate_bps <= 0 or duration_s <= 0:
-            raise ValueError("rate and duration must be positive")
-        self.pairs = list(pairs)
-        self.rate_bps = rate_bps
-        self.duration_s = duration_s
-
-    def program(self, topology, *, rng: random.Random) -> FlowProgram:
-        flows = tuple(
-            FlowSpec(
-                0.0, src, dst, self.rate_bps * self.duration_s,
-                tag=("cbr", src, dst), demand_bps=self.rate_bps,
-            )
-            for src, dst in self.pairs
-        )
-        return FlowProgram.open_loop(flows, name=self.name)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "pairs": len(self.pairs),
-            "rate_bps": self.rate_bps,
         }
 
 

@@ -10,8 +10,9 @@ and the double-walk edge induction.  ``bfs_tree`` and :class:`DictTree`
 are the dict-based level-order BFS and parent-list tree that replaced
 that Dijkstra before the switch-bit kernel did.  They read only
 ``_adj`` and ``_switch_ports`` and share no code with the kernel, so
-``test_graph_differential.py`` can demand kernel == reference.  Nothing
-under ``src/`` may import this module.
+``test_graph_differential.py`` can demand kernel == reference.
+:func:`decode_tags` is the tag-walk oracle the tests check encoded
+paths against.  Nothing under ``src/`` may import this module.
 """
 
 import heapq
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.core.pathgraph import PathGraph
-from repro.topology.graph import TopologyError
+from repro.topology.graph import HostAttachment, TopologyError
 
 BACKUP_LINK_PENALTY = 1000.0
 
@@ -309,3 +310,25 @@ def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
         s=s,
         epsilon=epsilon,
     )
+
+
+def decode_tags(topo, src_host, tags):
+    """Follow ``tags`` hop by hop from ``src_host``; return the switch
+    sequence.  Raises :class:`TopologyError` if a tag points at an empty
+    port or the final tag does not land on a host."""
+    current = topo.host_port(src_host).switch
+    visited = [current]
+    for i, tag in enumerate(tags):
+        peer = topo.peer(current, tag)
+        last = i == len(tags) - 1
+        if isinstance(peer, HostAttachment):
+            if not last:
+                raise TopologyError(
+                    f"tag {tag} at {current!r} hits host {peer.host!r} before path end"
+                )
+            return visited
+        if peer is None:
+            raise TopologyError(f"tag {tag} at {current!r} points at an empty port")
+        current = peer.switch
+        visited.append(current)
+    raise TopologyError("tag list ends on a switch, not a host")

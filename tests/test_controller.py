@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_graph as ref
 from repro.core.fabric import DumbNetFabric
 from repro.core.messages import TopologyChange
 from repro.topology import Topology, figure1, leaf_spine, paper_testbed
@@ -26,7 +27,7 @@ class TestPathService:
         # Every cached path must decode to a real route ending at H2.
         topo = fabric.topology
         for path in entry.primaries:
-            assert topo.decode_tags("H1", list(path.tags))[-1] == "S4"
+            assert ref.decode_tags(topo, "H1", list(path.tags))[-1] == "S4"
 
     def test_backup_path_cached(self, fabric):
         h4 = fabric.agents["H4"]

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_connected
 from repro.core.discovery import OracleProbeTransport, ProbeSpec
 from repro.core.fabric import DumbNetFabric
-from repro.topology import random_connected
 
 
 def oracle_outcome(topo, origin, tags):

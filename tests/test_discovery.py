@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_connected, repair
 from repro.core.discovery import (
     DiscoveryError,
     DiscoveryStats,
@@ -11,7 +12,6 @@ from repro.core.discovery import (
     ProbeSpec,
     _retrying_round,
     discover,
-    repair_from_verification,
     route_tags,
     verify_expected_topology,
 )
@@ -25,7 +25,6 @@ from repro.topology import (
     leaf_spine,
     line,
     paper_testbed,
-    random_connected,
     ring,
 )
 
@@ -298,7 +297,7 @@ class TestVerificationMisWire:
         truth, blueprint = self._scenario()
         transport = OracleProbeTransport(truth, "H")
         report = verify_expected_topology(transport, "H", blueprint)
-        repaired = repair_from_verification(transport, "H", blueprint, report)
+        repaired = repair(transport, "H", blueprint, report)
         assert repaired.view.same_wiring(truth)
 
 

@@ -12,22 +12,18 @@ the same order on both switches: a crossed bundle is unobservable to tag
 probing (EXPERIMENTS.md, known deviation 5).
 
 Dirty ports: cables of a blueprint are moved, the blueprint is verified
-and repaired, then each moved-to port raises its link-up and is reprobed
-with whatever the repair could not reach.  Flagged links can strand a
-switch, so this exercises the parked-frontier retry bootstrap never needs.
+and repaired (the blocking drivers in ``helpers``), then each moved-to
+port raises its link-up and is reprobed with whatever the repair could
+not reach.  Flagged links can strand a switch, so this exercises the
+parked-frontier retry bootstrap never needs.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_discovery as ref
-from repro.core.discovery import (
-    OracleProbeTransport,
-    discover,
-    incremental_discover,
-    repair_from_verification,
-    verify_expected_topology,
-)
+from helpers import expand, repair
+from repro.core.discovery import OracleProbeTransport, discover, verify_expected_topology
 from repro.topology import cube, fat_tree, jellyfish, leaf_spine
 from test_discovery import _DropFirstAttempt
 
@@ -125,9 +121,9 @@ def test_blueprint_repair_lands_on_the_moved_wiring(blueprint, moves, pick):
 
     transport = OracleProbeTransport(truth, origin)
     report = verify_expected_topology(transport, origin, blueprint)
-    repaired = repair_from_verification(transport, origin, blueprint, report)
+    repaired = repair(transport, origin, blueprint, report)
     frontiers = link_ups + repaired.unreachable_frontiers
-    reprobed = incremental_discover(transport, origin, repaired.view, frontiers)
+    reprobed = expand(transport, origin, repaired.view, frontiers)
 
     assert reprobed.view.same_wiring(truth)
     assert reprobed.unreachable_frontiers == []

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    empirical_cdf,
-    fraction_above,
-    render_cdf_deciles,
-    render_series,
-    render_table,
-    summarize,
-)
+from helpers import random_connected
+from repro.analysis import fraction_above, render_series, render_table
 from repro.core.fabric import DumbNetFabric
 from repro.core.messages import PathReply
 from repro.netsim import Channel, EventLoop
@@ -23,7 +17,6 @@ from repro.topology import (
     figure1,
     leaf_spine,
     loads,
-    random_connected,
 )
 
 
@@ -99,27 +92,9 @@ class TestAnalysisRendering:
         text = render_series("s", [(1.0, 2.0), (3.0, 4.0)])
         assert "s" in text and "4" in text
 
-    def test_render_cdf_deciles(self):
-        text = render_cdf_deciles("lat", [1.0, 2.0, 3.0], unit="ms")
-        assert "p50" in text and "p99" in text
-        assert render_cdf_deciles("none", []) == "none: (no data)"
-
-    def test_empirical_cdf(self):
-        points = empirical_cdf([3.0, 1.0, 2.0])
-        assert points[0] == (1.0, pytest.approx(1 / 3))
-        assert points[-1] == (3.0, pytest.approx(1.0))
-        assert empirical_cdf([]) == []
-
     def test_fraction_above(self):
         assert fraction_above([1, 2, 3, 4], 2.5) == 0.5
         assert fraction_above([], 1) == 0.0
-
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0], unit="s")
-        assert s.n == 3 and s.p50 == 2.0
-        assert "p50" in str(s)
-        with pytest.raises(ValueError):
-            summarize([])
 
 
 class TestSerializationProperties:
@@ -135,10 +110,10 @@ class TestSerializationProperties:
 
 
 class TestNetsimExtras:
-    def test_schedule_at_absolute(self):
+    def test_call_at_absolute(self):
         loop = EventLoop()
         fired = []
-        loop.schedule(1.0, lambda: loop.schedule_at(5.0, fired.append, "x"))
+        loop.schedule(1.0, lambda: loop.call_at(5.0, fired.append, "x"))
         loop.run()
         assert fired == ["x"] and loop.now == 5.0
 

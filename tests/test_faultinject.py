@@ -132,7 +132,8 @@ class TestChaosRunner:
             .link_flap(0.05, ("leaf2", 1, "spine0", 3), down_for=0.05)
             .loss_burst(0.10, 0.05, rate=0.4, link=("leaf3", 2, "spine1", 4))
             .switch_crash(0.20, "spine1", restart_after=0.08)
-            .host_partition(0.35, "h4_0", rejoin_after=0.05)
+            .add(FaultEvent(0.35, "host-partition", ("h4_0",)))
+            .add(FaultEvent(0.35 + 0.05, "host-rejoin", ("h4_0",)))
         )
         runner = ChaosRunner(fabric, sched, traffic_seed=seed)
         return runner.run()

@@ -111,7 +111,7 @@ def test_hybrid_tag_roi_finish_times_are_pinned_under_an_outage():
     sim, flows, _duration = run_cell(
         "flowlet",
         engine="hybrid",
-        roi=RegionOfInterest.of_tags(*PROMOTED_TAGS),
+        roi=RegionOfInterest(tags=PROMOTED_TAGS),
         outage=(0.3 * duration, 0.6 * duration),
     )
     assert sim.promoted_total == len(PROMOTED_TAGS)
@@ -155,7 +155,7 @@ def test_hybrid_cell_with_shaped_core_links_is_pinned(monkeypatch):
 
     monkeypatch.setattr(PacketRegion, "set_backgrounds", spy)
     sim, flows, _duration = run_cell(
-        "flowlet", engine="hybrid", roi=RegionOfInterest.of_tags(*PROMOTED_TAGS)
+        "flowlet", engine="hybrid", roi=RegionOfInterest(tags=PROMOTED_TAGS)
     )
     assert sum(1 for link in shaped if link[1].startswith("core")) >= 10
     stats = sim.region.stats()

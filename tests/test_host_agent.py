@@ -2,6 +2,7 @@
 
 import pytest
 
+import reference_graph as ref
 from repro.core.discovery import ProbeSpec
 from repro.core.fabric import DumbNetFabric
 from repro.core.host_agent import AgentConfig, HostAgent
@@ -179,6 +180,6 @@ class TestAnnounce:
                 assert routes, f"{host} -> {neighbor} has no routes"
                 for tags in routes:
                     assert (
-                        topo.decode_tags(host, list(tags))[-1]
+                        ref.decode_tags(topo, host, list(tags))[-1]
                         == topo.host_port(neighbor).switch
                     )

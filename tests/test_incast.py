@@ -1,35 +1,14 @@
 """Incast workload tests: fluid math, packet drive, ECN fabric."""
 
-import random
-
 import pytest
 
+from helpers import IncastSpec, drive_incast_packets
 from repro.core.ecn import EcnSwitch
 from repro.core.fabric import DumbNetFabric
 from repro.flowsim import FlowNet, FluidSimulator, SingleShortestPolicy
 from repro.netsim import LinkSpec
 from repro.topology import leaf_spine
-from repro.workloads import (
-    IncastSpec,
-    drive_incast_packets,
-    incast_flows,
-    replay_program,
-)
-
-
-class TestIncastSpec:
-    def test_sampling(self):
-        hosts = [f"h{i}" for i in range(10)]
-        spec = incast_flows(hosts, fanin=4, bits_per_sender=1e6,
-                            rng=random.Random(1))
-        assert len(spec.senders) == 4
-        assert spec.sink not in spec.senders
-        assert set(spec.senders) <= set(hosts)
-
-    def test_too_few_hosts(self):
-        with pytest.raises(ValueError):
-            incast_flows(["a", "b"], fanin=4, bits_per_sender=1e6,
-                         rng=random.Random(0))
+from repro.workloads import replay_program
 
 
 class TestFluidIncast:

@@ -9,10 +9,11 @@ recorded at commit 30d9219, when each timer was its own heap entry.
 
 import hashlib
 
+from helpers import IncastSpec, drive_incast_packets
 from repro.core.fabric import DumbNetFabric
 from repro.netsim import LinkSpec
 from repro.topology import fat_tree
-from repro.workloads import IncastSpec, drive_incast_packets, measure_rtts
+from repro.workloads import measure_rtts
 
 CONTROLLER = "h0_0_0"
 

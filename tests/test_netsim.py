@@ -91,25 +91,6 @@ class TestEventLoop:
         loop.run()
         assert fired == list(range(10))
 
-    def test_schedule_at_exact_deadline_no_float_drift(self):
-        """Regression: schedule_at used to delegate to schedule(time -
-        now), storing ``now + (time - now)`` -- which at now=0.3,
-        time=0.9 is one ulp above 0.9, so a schedule_at aimed at the
-        same instant as a call_at fired *after* it despite being
-        scheduled first (and at now=0.2 one ulp *below*)."""
-        loop = EventLoop()
-        order = []
-        loop.schedule(0.3, lambda: None)
-        loop.run()  # advance the clock to exactly 0.3
-        assert loop.now == 0.3
-        handle = loop.schedule_at(0.9, order.append, "schedule_at")
-        loop.call_at(0.9, order.append, "call_at")
-        assert handle.time == 0.9  # exact, not 0.3 + (0.9 - 0.3)
-        loop.run()
-        assert loop.now == 0.9
-        # Equal deadlines fire in scheduling order.
-        assert order == ["schedule_at", "call_at"]
-
     def test_call_batch_fires_in_time_then_scheduling_order(self):
         loop = EventLoop()
         order = []
@@ -130,15 +111,15 @@ class TestEventLoop:
         loop.call_batch([])
         assert loop.pending == 0
 
-    def test_schedule_at_past_time_rejected(self):
+    def test_call_at_past_time_rejected(self):
         loop = EventLoop()
         loop.schedule(1.0, lambda: None)
         loop.run()
         with pytest.raises(SimulationError):
-            loop.schedule_at(0.5, lambda: None)
+            loop.call_at(0.5, lambda: None)
         # At exactly now is still legal (zero-delay event).
         fired = []
-        loop.schedule_at(1.0, fired.append, 1)
+        loop.call_at(1.0, fired.append, 1)
         loop.run()
         assert fired == [1]
 
@@ -327,14 +308,6 @@ class TestNetworkBuilder:
         with pytest.raises(Exception):
             net.fail_link("L0", 5, "L1", 5)
 
-    def test_fail_random_link_returns_it(self):
-        sw, host = self._factories()
-        net = Network(line(3), sw, host)
-        link = net.fail_random_link()
-        assert not net.link_channel(
-            link.a.switch, link.a.port, link.b.switch, link.b.port
-        ).up
-
     def test_device_lookup(self):
         sw, host = self._factories()
         net = Network(line(2), sw, host)
@@ -463,8 +436,8 @@ class TestLazyDeletion:
         assert loop.dead_entries < 200  # a sweep actually happened
         loop.run()
         assert fired == [1, 2, 3, 4, 5]
-        assert all(h.cancelled for h in doomed)
-        assert keep[0].cancelled  # fired handles read as spent
+        assert all(h.callback is None for h in doomed)
+        assert keep[0].callback is None  # fired handles read as spent
 
 
 class TestChannelFifo:
@@ -568,46 +541,3 @@ def test_fifo_property_under_jitter_and_bandwidth(seed, jitter, bandwidth, sizes
     assert delivered == frames
     times = [t for t, _p, _f in b.packets]
     assert times == sorted(times)
-
-
-class TestFailRandomLink:
-    def _net(self, n):
-        def sw(name, ports, network):
-            return Recorder(name, network.loop)
-
-        def host(name, network):
-            return Recorder(name, network.loop)
-
-        return Network(line(n), sw, host)
-
-    def test_skips_links_that_are_already_down(self):
-        import random as _random
-
-        net = self._net(4)  # 3 switch-switch links
-        downed = set()
-        for _ in range(3):
-            link = net.fail_random_link(rng=_random.Random(0))
-            key = link.key()
-            assert key not in downed  # rng is constant: only skipping works
-            downed.add(key)
-        assert len(downed) == 3
-
-    def test_raises_when_every_link_is_down(self):
-        from repro.topology.graph import TopologyError
-
-        net = self._net(3)
-        net.fail_random_link()
-        net.fail_random_link()
-        with pytest.raises(TopologyError, match="no live"):
-            net.fail_random_link()
-
-    def test_restored_links_are_candidates_again(self):
-        net = self._net(3)
-        first = net.fail_random_link()
-        second = net.fail_random_link()
-        net.restore_link(
-            first.a.switch, first.a.port, first.b.switch, first.b.port
-        )
-        third = net.fail_random_link()
-        assert third.key() == first.key()
-        assert second.key() != third.key()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.fabric import DumbNetFabric
 from repro.core.telemetry import FabricReport, StatsSwitch, TelemetryCollector
-from repro.faultinject import ChaosFabric, ChaosRunner, FaultSchedule
+from repro.faultinject import ChaosFabric, ChaosRunner, FaultEvent, FaultSchedule
 from repro.obs import (
     FabricObs,
     Histogram,
@@ -125,16 +125,6 @@ class TestSpans:
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
             reg.span("a/b")
-
-    def test_registry_type_conflicts_and_scoping(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-        scoped = reg.scoped("host").scoped("h1")
-        scoped.counter("tx").inc(3)
-        assert reg.counter("host.h1.tx").value == 3
-        assert "host.h1.tx" in reg.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +375,8 @@ class TestFabricObsWiring:
             obs=True,
         )
         links = [(1, "leaf0", 9), (2, "leaf1", 9), (3, "spine0", 9)]
-        schedule = FaultSchedule().switch_join(0.01, "racked0", 8, links)
+        join = FaultEvent(0.01, "switch-join", ("racked0", 8, tuple(links)))
+        schedule = FaultSchedule().add(join)
         ChaosRunner(ChaosFabric.wrap(fabric), schedule).install()
         fabric.run_until_idle()
         assert isinstance(fabric.network.switches["racked0"], StatsSwitch)

@@ -68,7 +68,6 @@ class TestPathTags:
         tags.pop()
         assert tags.remaining == (5, 6)
         assert tags.original == (4, 5, 6)
-        assert tags.consumed == 1
 
     def test_wire_bytes_shrink_per_hop(self):
         tags = PathTags([1, 2, 3])

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.messages import PathReply
 from repro.core.pathcache import CachedPath, PathTable, TopoCache
 from repro.topology import figure1
@@ -112,15 +110,6 @@ class TestPathTable:
         chosen = {table.lookup("dst", flow_key=f"f{i}").tags for i in range(40)}
         assert len(chosen) > 1
 
-    def test_pin(self):
-        table = PathTable(rng=random.Random(0))
-        paths = [cached(["A"], [i]) for i in range(1, 4)]
-        table.install("dst", paths)
-        table.pin("dst", "flow", 2)
-        assert table.lookup("dst", flow_key="flow") == paths[2]
-        with pytest.raises(KeyError):
-            table.pin("dst", "flow", 9)
-
     def test_invalidate_port_drops_paths(self):
         table = PathTable(rng=random.Random(0))
         good = cached(["S1", "S2"], [1, 5])
@@ -203,6 +192,11 @@ class TestHostMigration:
         assert cache.attachment("H5") is None
 
 
+def pin(table, flow_key, index):
+    """Bind ``flow_key`` to primary path ``index`` of ``dst``."""
+    table.entry("dst").flow_bindings[flow_key] = index
+
+
 class TestBindingRemap:
     def three_paths(self):
         table = PathTable(rng=random.Random(0))
@@ -214,9 +208,9 @@ class TestBindingRemap:
 
     def test_surviving_bindings_keep_their_paths(self):
         table, a, b, c = self.three_paths()
-        table.pin("dst", "fa", 0)
-        table.pin("dst", "fb", 1)
-        table.pin("dst", "fc", 2)
+        pin(table, "fa", 0)
+        pin(table, "fb", 1)
+        pin(table, "fc", 2)
         table.invalidate_port("S1", 2)  # kills b only
         # Flows bound to survivors stay exactly where they were even
         # though the survivors' indices shifted.
@@ -227,8 +221,8 @@ class TestBindingRemap:
 
     def test_failover_counted_only_for_dead_flows(self):
         table, a, b, c = self.three_paths()
-        table.pin("dst", "fa", 0)
-        table.pin("dst", "fb", 1)
+        pin(table, "fa", 0)
+        pin(table, "fb", 1)
         table.invalidate_port("S1", 2)  # kills b only
         table.lookup("dst", flow_key="fa")
         assert table.failovers == 0  # fa's path survived
@@ -237,7 +231,7 @@ class TestBindingRemap:
 
     def test_failover_counted_per_flow_not_per_packet(self):
         table, a, b, c = self.three_paths()
-        table.pin("dst", "fb", 1)
+        pin(table, "fb", 1)
         table.invalidate_port("S1", 2)
         for _ in range(20):
             table.lookup("dst", flow_key="fb")
@@ -245,7 +239,7 @@ class TestBindingRemap:
 
     def test_rebound_flow_is_sticky(self):
         table, a, b, c = self.three_paths()
-        table.pin("dst", "fb", 1)
+        pin(table, "fb", 1)
         table.invalidate_port("S1", 2)
         rebound = table.lookup("dst", flow_key="fb")
         for _ in range(20):

@@ -92,7 +92,7 @@ class TestCacheBasics:
             service.path_graph(topo, src, dst, S_PARAM, EPSILON)
         assert len(service) == 4
         assert service.stats.capacity_evictions == 2
-        keys = service.cached_keys()
+        keys = list(service._graphs)
         assert (pairs[0][0], pairs[0][1], S_PARAM, EPSILON) in keys
         assert (pairs[1][0], pairs[1][1], S_PARAM, EPSILON) not in keys
         assert (pairs[2][0], pairs[2][1], S_PARAM, EPSILON) not in keys
@@ -132,15 +132,15 @@ class TestLinkEviction:
         sw_a, port_a, sw_b, port_b = link
         orientations = {link, (sw_b, port_b, sw_a, port_a)}
         affected = {
-            key for key in service.cached_keys()
+            key for key in list(service._graphs)
             if orientations & set(service.path_graph(topo, *key).edges)
         }
-        survivors = set(service.cached_keys()) - affected
+        survivors = set(list(service._graphs)) - affected
         assert affected and survivors  # the test must exercise both sides
         topo.remove_link(*link)
         evicted = service.invalidate_link(topo, *link)
         assert evicted == len(affected)
-        assert set(service.cached_keys()) == survivors
+        assert set(list(service._graphs)) == survivors
         assert service.stats.link_evictions == evicted
 
     def test_survivors_match_fresh_builds_on_patched_view(self):
@@ -328,7 +328,7 @@ class TestFlapUndo:
         pairs = switch_pairs(topo, 40, seed=3)
         for src, dst in pairs:
             service.path_graph(topo, src, dst, S_PARAM, EPSILON)
-        before = service.cached_keys()
+        before = list(service._graphs)
         trees = dict(service._trees)
         link = cables(topo)[7]
         topo.remove_link(*link)
@@ -341,7 +341,7 @@ class TestFlapUndo:
         service.note_topology_change(topo, "link-up", link)
         assert service.stats.restores == 1
         assert service.stats.flushes == 0
-        assert set(service.cached_keys()) == set(before)
+        assert set(list(service._graphs)) == set(before)
         assert service._trees == {
             source: tree for source, tree in trees.items()
             if source in service._trees
@@ -388,7 +388,7 @@ for step in range(12):
         service.path_graph(topo, src, dst, 2, 1)
     topo.add_link(*link)
     service.note_topology_change(topo, "link-up", link)
-print(json.dumps([service.stats.as_dict(), service.cached_keys()]))
+print(json.dumps([service.stats.as_dict(), list(service._graphs)]))
 """
 
 

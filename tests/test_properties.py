@@ -11,12 +11,13 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_graph as ref
+from helpers import random_connected
 from repro.analysis import percentile
 from repro.core.discovery import OracleProbeTransport, discover
 from repro.core.packet import MAX_PORT_TAG, PathTags, decode_tags, encode_tags
 from repro.core.pathgraph import build_path_graph
 from repro.flowsim import max_min_rates
-from repro.topology import random_connected
 
 # Shared strategy: a seed-driven random connected topology.
 topo_params = st.tuples(
@@ -63,7 +64,7 @@ class TestTagForwarding:
         path = topo.shortest_switch_path(src_sw, dst_sw)
         assert path is not None  # connected by construction
         tags = topo.encode_path(src, path, dst)
-        assert topo.decode_tags(src, tags) == path
+        assert ref.decode_tags(topo, src, tags) == path
 
 
 class TestDiscoveryCompleteness:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_connected
 from repro.core.fabric import DumbNetFabric
 from repro.core.switch import NOTIFY_HOP_LIMIT
-from repro.topology import line, random_connected
+from repro.topology import line
 
 
 class TestHopLimitedBroadcast:

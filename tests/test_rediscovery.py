@@ -1,24 +1,19 @@
-"""Incremental rediscovery: the frontier-BFS engine, blueprint repair,
-live controller probe runs, and the chaos-schedule switch-join op."""
+"""Incremental rediscovery: the frontier-BFS engine (driven through the
+blocking drivers in ``helpers``), blueprint repair, live controller
+probe runs, and the chaos-schedule switch-join op."""
 
 import pytest
 
+from helpers import expand, repair
 from repro.consensus.store import ReplicatedTopologyStore, apply_change
 from repro.core.discovery import (
     OracleProbeTransport,
     RediscoveryEngine,
     discover,
-    incremental_discover,
-    repair_from_verification,
     verify_expected_topology,
 )
 from repro.core.fabric import DumbNetFabric
-from repro.faultinject import (
-    ChaosRunner,
-    FaultSchedule,
-    ScheduleError,
-    build_chaos_fabric,
-)
+from repro.faultinject import ChaosRunner, FaultEvent, FaultSchedule, build_chaos_fabric
 from repro.topology import Topology, TopologyError, fat_tree, leaf_spine
 
 
@@ -57,7 +52,7 @@ class TestEngineOracle:
         boot = discover(OracleProbeTransport(truth, origin=origin), origin)
         joined, frontiers = _join_one_switch(truth, cables=cables)
         full = discover(OracleProbeTransport(joined, origin=origin), origin)
-        inc = incremental_discover(
+        inc = expand(
             OracleProbeTransport(joined, origin=origin),
             origin,
             boot.view.copy(),
@@ -87,7 +82,7 @@ class TestEngineOracle:
         boot = discover(OracleProbeTransport(truth, origin=origin), origin)
         joined, frontiers = _join_one_switch(truth)
         replica = boot.view.copy()
-        inc = incremental_discover(
+        inc = expand(
             OracleProbeTransport(joined, origin=origin),
             origin,
             boot.view.copy(),
@@ -103,7 +98,7 @@ class TestEngineOracle:
         boot = discover(OracleProbeTransport(truth, origin=origin), origin)
         joined, frontiers = _join_one_switch(truth)
         seen = []
-        inc = incremental_discover(
+        inc = expand(
             OracleProbeTransport(joined, origin=origin),
             origin,
             boot.view.copy(),
@@ -164,7 +159,7 @@ class TestEngineOracle:
         origin = truth.hosts[0]
         view = discover(OracleProbeTransport(truth, origin=origin), origin).view
         view.add_switch("island", 6)  # known but not cabled: no route
-        inc = incremental_discover(
+        inc = expand(
             OracleProbeTransport(truth, origin=origin),
             origin,
             view,
@@ -178,7 +173,7 @@ class TestEngineOracle:
         origin = truth.hosts[0]
         view = discover(OracleProbeTransport(truth, origin=origin), origin).view
         with pytest.raises(TopologyError):
-            incremental_discover(
+            expand(
                 OracleProbeTransport(truth, origin=origin),
                 "ghost",
                 view,
@@ -209,7 +204,7 @@ class TestRepairFromVerification:
         transport = OracleProbeTransport(truth, origin=origin)
         report = verify_expected_topology(transport, origin, blueprint)
         assert not report.clean
-        repaired = repair_from_verification(transport, origin, blueprint, report)
+        repaired = repair(transport, origin, blueprint, report)
         assert repaired.view.same_wiring(truth)
         assert repaired.unreachable_frontiers == []
 
@@ -218,7 +213,7 @@ class TestRepairFromVerification:
         origin = truth.hosts[0]
         transport = OracleProbeTransport(truth, origin=origin)
         report = verify_expected_topology(transport, origin, blueprint)
-        repaired = repair_from_verification(transport, origin, blueprint, report)
+        repaired = repair(transport, origin, blueprint, report)
         full = discover(OracleProbeTransport(truth, origin=origin), origin)
         # A moved cable breaks routes for every link verified through
         # it, so the collateral frontier is wide -- but still well
@@ -234,7 +229,7 @@ class TestRepairFromVerification:
         transport = OracleProbeTransport(truth, origin=origin)
         report = verify_expected_topology(transport, origin, blueprint)
         assert gone in report.missing_hosts
-        repaired = repair_from_verification(transport, origin, blueprint, report)
+        repaired = repair(transport, origin, blueprint, report)
         assert repaired.view.same_wiring(truth)
         assert not repaired.view.has_host(gone)
 
@@ -298,28 +293,14 @@ class TestLiveEscalation:
 class TestSwitchJoinSchedule:
     """The fault-injection DSL's hot-add op."""
 
-    def test_builder_emits_event(self):
-        sched = FaultSchedule().switch_join(
-            0.5, "racked0", 8, [(1, "leaf0", 9)]
-        )
-        (event,) = sched.events()
-        assert event.kind == "switch-join"
-        assert event.args[0] == "racked0"
-        assert "switch-join" in sched.describe()
-
-    def test_builder_rejects_unplugged_join(self):
-        with pytest.raises(ScheduleError):
-            FaultSchedule().switch_join(0.5, "racked0", 8, [])
-
     def test_runner_applies_join_and_controller_maps_it(self):
         fabric = build_chaos_fabric(
             leaf_spine(2, 2, 2, num_ports=16),
             seed=7,
             controller_hosts=["h0_0"],
         )
-        sched = FaultSchedule().switch_join(
-            0.01, "racked0", 8, [(1, "leaf0", 9), (2, "spine1", 9)]
-        )
+        links = ((1, "leaf0", 9), (2, "spine1", 9))
+        sched = FaultSchedule().add(FaultEvent(0.01, "switch-join", ("racked0", 8, links)))
         runner = ChaosRunner(fabric, sched)
         runner.install()
         fabric.network.run_until_idle()

@@ -84,14 +84,6 @@ class TestReplicatedControlPlane:
         network.run_until_idle()
         assert not new_primary.view.has_link("leaf4", 2, "spine1", 5)
 
-    def test_planned_failover_keeps_old_primary_as_standby(self):
-        network, agents, plane, _tracer = build_plane()
-        old = plane.current_primary
-        plane.failover()
-        network.run_until_idle()
-        assert old in plane.standbys
-        assert plane.current_primary is not old
-
     def test_standbys_must_be_controllers(self):
         network, agents, plane, _tracer = build_plane()
         with pytest.raises(ReplicationError):
@@ -133,74 +125,6 @@ class TestSerializationRoundTrip:
         result = fab.bootstrap()
         clone = loads(dumps(result.view))
         assert clone.same_wiring(result.view)
-
-
-class TestFailoverBugfixes:
-    def test_planned_failover_then_crash_succeeds(self):
-        """Regression: failover() used to crash the ex-primary's quorum
-        node, so a real fail_primary() right after found 2 of 3 nodes
-        dead and no electable majority."""
-        network, agents, plane, _tracer = build_plane()
-        plane.failover()
-        network.run_until_idle()
-        alive = sum(
-            1 for node in plane.store.cluster.nodes.values() if node.alive
-        )
-        assert alive == 3, "planned failover shrank the quorum"
-        new_primary = plane.fail_primary()
-        network.run_until_idle()
-        assert plane.current_primary is new_primary
-        network.fail_link("leaf3", 1, "spine0", 4)
-        network.run_until_idle()
-        assert not new_primary.view.has_link("leaf3", 1, "spine0", 4)
-
-    def test_promote_trusts_host_device_power_state(self):
-        """Regression: _promote read the Controller object's .powered
-        while fail_primary powers off network.hosts[name]; when those
-        are different objects the view edit and the standby-pool
-        decision disagreed (a dark host kept serving as a standby)."""
-        network, agents, plane, _tracer = build_plane()
-        old = plane.current_primary
-
-        class DarkHost:
-            powered = False
-
-        original = network.hosts[old.name]
-        network.hosts[old.name] = DarkHost()
-        try:
-            new_primary = plane.failover()
-        finally:
-            network.hosts[old.name] = original
-        assert old.powered  # the controller object still says "up" ...
-        # ... but the device is the source of truth: BOTH decisions
-        # must treat the old primary as dead.
-        assert old not in plane.standbys
-        assert not new_primary.view.has_host(old.name)
-
-    def test_reinstated_ex_primary_promoted_a_second_time(self):
-        """An ex-primary that crashed, recovered and was reinstated must
-        be promotable again with a caught-up replica view."""
-        network, agents, plane, _tracer = build_plane()
-        old = plane.current_primary
-        plane.fail_primary()
-        network.run_until_idle()
-        plane.reinstate(old)
-        assert old in plane.standbys
-        promoted = plane.failover(prefer=old.name)
-        network.run_until_idle()
-        assert promoted is old
-        assert plane.current_primary is old
-        network.fail_link("leaf4", 2, "spine1", 5)
-        network.run_until_idle()
-        assert not old.view.has_link("leaf4", 2, "spine1", 5)
-
-    def test_reinstate_rejects_strangers_and_members(self):
-        network, agents, plane, _tracer = build_plane()
-        with pytest.raises(ReplicationError):
-            plane.reinstate(plane.current_primary)
-        stranger = Controller("ghost", network.loop)
-        with pytest.raises(ReplicationError):
-            plane.reinstate(stranger)
 
 
 class TestApplyReconciliation:

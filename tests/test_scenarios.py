@@ -2,7 +2,7 @@
 
 Covers the Workload -> FlowProgram -> run_scenario pipeline: pinned-seed
 determinism (hypothesis), trace CDF moments, incast fan-in shape,
-tenant-churn accounting, the TE knob at both fidelity levels, and
+tenant-churn slicing, the TE knob at both fidelity levels, and
 same-process byte-identity of the migrated fig9/fig13 benchmarks
 against the legacy conventions they replaced.
 """
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hibench_task
 from repro.core.fabric import DumbNetFabric
 from repro.core.te import install_packet_te, make_flow_policy
 from repro.flowsim import (
@@ -30,7 +31,6 @@ from repro.hardware import DUMBNET
 from repro.hybrid import build_engine
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads import (
-    CbrPairs,
     ElephantMice,
     FixedPairs,
     FlowProgram,
@@ -46,7 +46,6 @@ from repro.workloads import (
     TenantChurn,
     TraceReplay,
     canonical_suite,
-    hibench_task,
     legacy_task_rng,
     mean_flow_bits,
     quantile,
@@ -92,8 +91,8 @@ class TestDeterminism:
         p2 = make().program(topo, rng=random.Random(seed))
         assert p1 == p2  # frozen dataclasses: structural equality is exact
         p3 = make().program(topo, rng=random.Random(seed + 1))
-        if p1.flow_count:  # different seed almost surely shifts something
-            assert p1 != p3 or p1.flow_count == 0
+        if any(p.flows for p in p1.phases):  # a new seed almost surely shifts something
+            assert p1 != p3
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -183,19 +182,10 @@ class TestIncastSweep:
 
 
 # ----------------------------------------------------------------------
-# Tenant churn: accounting matches the tag stream, traffic stays
-# intra-slice.
+# Tenant churn: traffic stays intra-slice.
 
 
 class TestTenantChurn:
-    def test_accounting_matches_tags(self):
-        wl = TenantChurn(slices=3, duration_s=0.2, session_rate_per_s=40)
-        topo = small_topo()
-        program = wl.program(topo, rng=random.Random(23))
-        counts = TenantChurn.accounting(program)
-        assert sum(counts.values()) == program.flow_count > 0
-        assert set(counts) <= {0, 1, 2}
-
     def test_flows_stay_inside_their_slice(self):
         wl = TenantChurn(slices=3, duration_s=0.2, session_rate_per_s=40)
         topo = small_topo()
@@ -360,15 +350,6 @@ class TestScenario:
         scenario = Scenario(IncastSweep(fanins=(2,)))
         with pytest.raises(ValueError):
             scenario.resolve_topology()
-
-    def test_cbr_pairs_finish_on_time(self):
-        scenario = Scenario(
-            CbrPairs([("h0_0", "h1_0")], rate_bps=1e8, duration_s=0.01),
-            te="single",
-            topology=small_topo,
-        )
-        run = run_scenario(scenario)
-        assert run.result.duration_s == pytest.approx(0.01, rel=1e-6)
 
     def test_packet_is_not_an_engine(self):
         # All-packet fidelity is spelled engine="hybrid",

@@ -9,12 +9,7 @@ from repro.flowsim import (
     SingleShortestPolicy,
 )
 from repro.topology import Topology, fat_tree, leaf_spine, line, ring
-from repro.topology.validation import (
-    bisection_links,
-    diameter,
-    redundancy_level,
-    validate_for_dumbnet,
-)
+from repro.topology.validation import diameter, validate_for_dumbnet
 
 
 class TestDiameter:
@@ -38,32 +33,6 @@ class TestDiameter:
         topo.add_switch("B", 4)
         with pytest.raises(ValueError):
             diameter(topo)
-
-
-class TestBisection:
-    def test_leaf_spine_cut(self):
-        topo = leaf_spine(2, 4, 1, num_ports=16)
-        # Cut separating the spines from the leaves crosses every link.
-        assert bisection_links(topo, {"spine0", "spine1"}) == 8
-
-    def test_half_leaves(self):
-        topo = leaf_spine(2, 4, 1, num_ports=16)
-        part = {"leaf0", "leaf1"}
-        assert bisection_links(topo, part) == 4
-
-
-class TestRedundancy:
-    def test_ring_has_two(self):
-        assert redundancy_level(ring(6), "R0", "R3") == 2
-
-    def test_line_has_one(self):
-        assert redundancy_level(line(4), "L0", "L3") == 1
-
-    def test_same_switch(self):
-        assert redundancy_level(ring(4), "R0", "R0") == 0
-
-    def test_fat_tree_cross_pod(self):
-        assert redundancy_level(fat_tree(4), "edge0_0", "edge1_0") >= 2
 
 
 class TestValidation:

@@ -8,51 +8,22 @@ from pathlib import Path
 
 import pytest
 
+from helpers import hibench_task
 from repro.core.fabric import DumbNetFabric
 from repro.flowsim import FlowNet, FluidSimulator, RebalancingKPathPolicy, SingleShortestPolicy
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads import (
     CbrStream,
     HIBENCH_TASKS,
-    all_to_all_pairs,
-    hibench_task,
-    hotspot_pairs,
     measure_rtts,
     pareto_flow_bits,
-    permutation_pairs,
     poisson_arrivals,
     replay_program,
-    stride_pairs,
     task_program,
 )
 
 
 class TestTrafficMatrices:
-    def test_permutation_is_derangement(self):
-        hosts = [f"h{i}" for i in range(20)]
-        pairs = permutation_pairs(hosts, random.Random(3))
-        assert len(pairs) == 20
-        assert all(src != dst for src, dst in pairs)
-        dsts = [d for _s, d in pairs]
-        assert sorted(dsts) == sorted(hosts)  # a true permutation
-
-    def test_all_to_all_count(self):
-        hosts = ["a", "b", "c"]
-        assert len(all_to_all_pairs(hosts)) == 6
-
-    def test_stride(self):
-        hosts = ["a", "b", "c", "d"]
-        pairs = stride_pairs(hosts, 2)
-        assert ("a", "c") in pairs and ("c", "a") in pairs
-        assert all(s != d for s, d in stride_pairs(hosts, 4))  # stride 0 -> 1
-
-    def test_hotspot(self):
-        hosts = [f"h{i}" for i in range(10)]
-        pairs = hotspot_pairs(hosts, num_hot=2, rng=random.Random(1))
-        dsts = {d for _s, d in pairs}
-        assert len(dsts) == 2
-        assert all(s != d for s, d in pairs)
-
     def test_pareto_mean_approximate(self):
         rng = random.Random(5)
         samples = [pareto_flow_bits(rng, mean_bits=1e6) for _ in range(30000)]
@@ -118,14 +89,16 @@ class TestHiBench:
         interpreters with different hash seeds build the same DAG (the
         committed Figure 13 table depends on it)."""
         script = (
-            "from repro.workloads import HIBENCH_TASKS, hibench_task\n"
+            "from helpers import hibench_task\n"
+            "from repro.workloads import HIBENCH_TASKS\n"
             "hosts = [f'h{i}' for i in range(6)]\n"
             "print(repr([hibench_task(n, hosts, seed=11) for n in HIBENCH_TASKS]))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here)])
         outputs = []
         for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
             run = subprocess.run(
                 [sys.executable, "-c", script],
                 env=env, capture_output=True, text=True, check=True,

@@ -8,6 +8,10 @@ Entry points that legitimately talk to a terminal are allowlisted:
 ``benchmarks/`` tree -- the ``bench_*.py`` drivers and their ``_util``
 publisher (benchmarks print their results by design).
 
+A call is any ``print(...)`` the parser sees, wherever it sits on its
+line and inside f-string expressions too; strings, comments and
+docstrings that only mention ``print()`` are not calls.
+
 Usage (CI runs this):
 
     python tools/check_no_print.py [root]
@@ -18,13 +22,9 @@ offending call otherwise.
 
 from __future__ import annotations
 
+import ast
 import os
-import re
 import sys
-
-# Word boundary on the left so ``blueprint(`` / ``pprint(`` never match;
-# ``print (`` with space is still caught.
-PRINT_CALL = re.compile(r"(?<![\w.])print\s*\(")
 
 ALLOWED_BASENAMES = {"cli.py", "smoke.py", "_util.py"}
 
@@ -33,31 +33,17 @@ def allowed(filename: str) -> bool:
     return filename in ALLOWED_BASENAMES or filename.startswith("bench_")
 
 
-def strip_noncode(line: str) -> str:
-    """Drop comments and string literals so prints inside either do not
-    trip the check.  A line-based strip is enough for this codebase:
-    docstring prose mentioning print() stays invisible because each
-    physical line inside a triple-quoted block still starts or ends in
-    a quote context we cut at the first quote character."""
-    line = line.split("#", 1)[0]
-    # Cut at the first quote: anything after is (part of) a literal.
-    match = re.search(r"['\"]", line)
-    return line[: match.start()] if match else line
-
-
 def scan_file(path: str) -> list:
-    offenders = []
-    in_string = False
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if line.count('"""') % 2 == 1 or line.count("'''") % 2 == 1:
-                in_string = not in_string
-                continue
-            if in_string:
-                continue
-            if PRINT_CALL.search(strip_noncode(line)):
-                offenders.append(f"{path}:{lineno}: bare print() in library code")
-    return offenders
+        tree = ast.parse(handle.read(), filename=path)
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    )
+    return [f"{path}:{line}: bare print() in library code" for line in lines]
 
 
 def main(argv=None) -> int:
