@@ -36,7 +36,7 @@ def stage1_delay(switch_cls):
     spec = LinkSpec(bandwidth_bps=LINK_BPS, latency_s=5e-6)
     fabric = DumbNetFabric(
         paper_testbed(), controller_host="h0_0", seed=6,
-        link_spec=spec, host_link_spec=spec, switch_cls=switch_cls,
+        link_spec=spec, switch_cls=switch_cls,
     )
     fabric.adopt_blueprint()
     # Incast onto one victim downlink: senders on four different leaves

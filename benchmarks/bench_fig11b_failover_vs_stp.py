@@ -61,7 +61,7 @@ def run_dumbnet():
     spec = LinkSpec(bandwidth_bps=RATE_BPS, latency_s=5e-6)
     fabric = DumbNetFabric(
         paper_testbed(), controller_host="h0_0", seed=3,
-        link_spec=spec, host_link_spec=spec,
+        link_spec=spec,
         notify_script_delay_s=NOTIFY_SCRIPT_DELAY_S,
     )
     fabric.adopt_blueprint()
@@ -123,7 +123,7 @@ def run_stp():
 
     net = Network(
         paper_testbed(), make_bridge, make_host,
-        link_spec=spec, host_link_spec=spec, tracer=tracer,
+        link_spec=spec, tracer=tracer,
     )
     for bridge in net.switches.values():
         bridge.start()

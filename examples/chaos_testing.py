@@ -41,7 +41,7 @@ def scripted_demo() -> None:
 
 
 def random_demo(seed: int) -> str:
-    fabric = build_chaos_fabric(fat_tree(4), seed=seed, n_controllers=3)
+    fabric = build_chaos_fabric(fat_tree(4), seed=seed)
     schedule = FaultSchedule.random(
         fabric.topology,
         seed=seed,

@@ -28,7 +28,7 @@ def dumbnet_side():
     spec = LinkSpec(bandwidth_bps=RATE, latency_s=5e-6)
     fabric = DumbNetFabric(
         paper_testbed(), controller_host="h0_0", seed=1,
-        link_spec=spec, host_link_spec=spec,
+        link_spec=spec,
     )
     fabric.adopt_blueprint()
     fabric.warm_paths([("h2_0", "h3_0")])
@@ -68,8 +68,7 @@ def stp_side():
     def host(name, network):
         return L2Host(name, network.loop)
 
-    net = Network(paper_testbed(), bridge, host, link_spec=spec,
-                  host_link_spec=spec, tracer=tracer)
+    net = Network(paper_testbed(), bridge, host, link_spec=spec, tracer=tracer)
     for b in net.switches.values():
         b.start()
     net.run(until=2.0)

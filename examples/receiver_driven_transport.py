@@ -31,7 +31,7 @@ def build():
     spec = LinkSpec(bandwidth_bps=LINK_BPS, latency_s=2e-6)
     fabric = DumbNetFabric(
         topo, controller_host="h0_0", seed=12,
-        link_spec=spec, host_link_spec=spec, switch_cls=EcnSwitch,
+        link_spec=spec, switch_cls=EcnSwitch,
     )
     fabric.adopt_blueprint()
     fabric.warm_paths(

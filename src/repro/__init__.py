@@ -85,7 +85,6 @@ __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
         "DumbSwitch",
         "HostAgent",
         "Controller",
-        "AgentConfig",
         "ControllerConfig",
         "PathGraph",
         "build_path_graph",

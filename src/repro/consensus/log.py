@@ -186,6 +186,11 @@ class Cluster:
         node = self.nodes[candidate]
         if not node.alive:
             return False
+        # Standing for a new term ends any lease the candidate held: a
+        # loser must not go on appending in the term it just bumped.
+        node.is_leader = False
+        if self.leader == candidate:
+            self.leader = None
         node.term += 1
         node.voted_for = (node.term, candidate)
         votes = 1
@@ -197,12 +202,9 @@ class Cluster:
             ):
                 votes += 1
         if votes >= self.majority:
+            # The old leader may not even know; its term is stale, so
+            # its future appends will be rejected.
             node.is_leader = True
-            old = self.leader
-            if old is not None and old != candidate:
-                # The old leader may not even know; its term is stale,
-                # so its future appends will be rejected.
-                pass
             self.leader = candidate
             # Bring followers up to date immediately.
             self._replicate(candidate)

@@ -52,7 +52,7 @@ __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
         "ProbeTransport",
         "OracleProbeTransport",
     ),
-    ".host_agent": ("EmulatedProbeTransport", "HostAgent", "AgentConfig"),
+    ".host_agent": ("EmulatedProbeTransport", "HostAgent"),
     ".controller": ("Controller", "ControllerConfig"),
     ".fabric": ("DumbNetFabric",),
     # extensions

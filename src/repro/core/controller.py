@@ -26,7 +26,7 @@ from ..netsim.events import EventLoop
 from ..netsim.network import Network
 from ..topology.graph import PortRef, Topology
 from .discovery import AsyncProbeDriver, DiscoveryResult, RediscoveryEngine, discover
-from .host_agent import AgentConfig, EmulatedProbeTransport, HostAgent
+from .host_agent import HOST_PROC_DELAY_S, EmulatedProbeTransport, HostAgent
 from .messages import (
     ControllerAnnounce,
     PathReply,
@@ -51,31 +51,38 @@ PROBE_RUN_WINDOW = 128
 #: Per-host gossip neighbours, each with its tag routes.
 Overlay = Dict[str, Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]]
 
+#: Path-graph parameters of every path-query reply (Section 4.3).
+PATH_GRAPH_S = 2
+PATH_GRAPH_EPSILON = 1
+#: Per-host cap on gossip fan-out (same-switch hosts come first).
+GOSSIP_FANOUT = 8
+#: Stage-2 processing delay before the patch flood starts: the paper
+#: measures patches arriving a few ms after the failure news.
+PATCH_DELAY_S = 1e-3
+#: Hosts unreachable in the current view at announce time are
+#: retried this often until the view heals (reprobes landing, a
+#: deferred flap alarm arriving).
+ANNOUNCE_RETRIES = 8
+ANNOUNCE_RETRY_S = 0.25
+#: A probe run that leaves its port unknown (every probe lost, no
+#: route to the port yet) is retried this many times with
+#: exponential backoff before the port is given up on.
+REPROBE_RETRIES = 2
+#: Bound on the path service's path-graph LRU cache (entries).
+PATH_CACHE_CAPACITY = 512
+
 
 @dataclass
-class ControllerConfig(AgentConfig):
-    """Controller tunables on top of the agent ones."""
+class ControllerConfig:
+    """The controller's settable values."""
 
-    #: Per-host cap on gossip fan-out (same-switch hosts come first).
-    gossip_fanout: int = 8
+    #: Per-frame processing delay of the controller host; Figure 10
+    #: calibrates it as the path-query service time.
+    proc_delay_s: float = HOST_PROC_DELAY_S
     #: Disjoint routes per gossip edge.  2 keeps the flood connected
     #: under any single link failure (the failure being reported may sit
     #: on a gossip route); 1 is the naive ablation.
     gossip_route_redundancy: int = 2
-    #: Stage-2 processing delay before the patch flood starts: the paper
-    #: measures patches arriving a few ms after the failure news.
-    patch_delay_s: float = 1e-3
-    #: Hosts unreachable in the current view at announce time are
-    #: retried this often until the view heals (reprobes landing, a
-    #: deferred flap alarm arriving); 0 disables retries.
-    announce_retries: int = 8
-    announce_retry_s: float = 0.25
-    #: A probe run that leaves its port unknown (every probe lost, no
-    #: route to the port yet) is retried this many times with
-    #: exponential backoff before the port is given up on.
-    reprobe_retries: int = 2
-    #: Bound on the path service's path-graph LRU cache (entries).
-    path_cache_capacity: int = 512
 
 
 class Controller(HostAgent):
@@ -89,12 +96,9 @@ class Controller(HostAgent):
         config: Optional[ControllerConfig] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
+        self.config = config or ControllerConfig()
         super().__init__(
-            name,
-            loop,
-            tracer=tracer,
-            config=config or ControllerConfig(),
-            rng=rng,
+            name, loop, tracer=tracer, rng=rng, proc_delay_s=self.config.proc_delay_s
         )
         #: The authoritative network view.
         self.view: Optional[Topology] = None
@@ -102,7 +106,7 @@ class Controller(HostAgent):
         #: Shared SSSP trees + path-graph cache; its stable tie-breaker
         #: seed derives from the fabric seed so runs stay reproducible.
         self.path_service = PathService(
-            capacity=self.config.path_cache_capacity,  # type: ignore[attr-defined]
+            capacity=PATH_CACHE_CAPACITY,
             seed=self.rng.randrange(2**63),
         )
         #: Optional replication hook: an object with append(entry).
@@ -135,9 +139,7 @@ class Controller(HostAgent):
         Must be called from outside the event loop (bootstrap time).
         """
         transport = EmulatedProbeTransport(self, network)
-        result = discover(
-            transport, self.name, probe_retries=self.config.probe_retries
-        )
+        result = discover(transport, self.name)
         self.adopt_view(result.view, attachment=result.origin_attachment)
         return result
 
@@ -182,9 +184,9 @@ class Controller(HostAgent):
                 # host would otherwise keep querying a dead controller
                 # forever.
                 missing.append(host)
-        if missing and self.config.announce_retries > 0:
+        if missing:
             self.loop.schedule(
-                self.config.announce_retry_s,
+                ANNOUNCE_RETRY_S,
                 self._retry_announce,
                 tuple(missing),
                 1,
@@ -211,9 +213,9 @@ class Controller(HostAgent):
                 self.announces_retried += 1
             else:
                 still_missing.append(host)
-        if still_missing and attempt < self.config.announce_retries:
+        if still_missing and attempt < ANNOUNCE_RETRIES:
             self.loop.schedule(
-                self.config.announce_retry_s,
+                ANNOUNCE_RETRY_S,
                 self._retry_announce,
                 tuple(still_missing),
                 attempt + 1,
@@ -238,7 +240,7 @@ class Controller(HostAgent):
         leaf-spine fabric), so the search walks outward by BFS until it
         has found enough populated switches; otherwise the overlay would
         disconnect at the spine layer and stage-2 patches could never
-        cross leaves.  Capped at ``gossip_fanout`` entries; the
+        cross leaves.  Capped at ``GOSSIP_FANOUT`` entries; the
         controller is always included.
         """
         assert self.view is not None
@@ -247,7 +249,7 @@ class Controller(HostAgent):
         index_of = {h: i for i, h in enumerate(all_hosts)}
         # Hoisted out of the per-pair loop: whether backup routes are
         # wanted at all, decided once per rebuild.
-        want_backup = getattr(self.config, "gossip_route_redundancy", 2) >= 2
+        want_backup = self.config.gossip_route_redundancy >= 2
         overlay: Overlay = {}
         for host in view.hosts:
             my_switch = view.host_port(host).switch
@@ -272,7 +274,7 @@ class Controller(HostAgent):
             populated_found = 0
             seen_switches = {my_switch}
             frontier = [my_switch]
-            while frontier and populated_found < self.config.gossip_fanout:  # type: ignore[attr-defined]
+            while frontier and populated_found < GOSSIP_FANOUT:
                 nxt: List[str] = []
                 for switch in frontier:
                     for neighbor_switch in view.neighbors(switch):
@@ -300,7 +302,7 @@ class Controller(HostAgent):
                 routes = self._routes_between(host, peer, want_backup=want_backup)
                 if routes:
                     trimmed.append((peer, routes))
-                if len(trimmed) >= self.config.gossip_fanout:  # type: ignore[attr-defined]
+                if len(trimmed) >= GOSSIP_FANOUT:
                     break
             overlay[host] = tuple(trimmed)
         return overlay
@@ -318,7 +320,7 @@ class Controller(HostAgent):
         return tuple(view.encode_path(src_host, path, dst_host))
 
     def _routes_between(
-        self, src_host: str, dst_host: str, want_backup: Optional[bool] = None
+        self, src_host: str, dst_host: str, want_backup: bool
     ) -> Tuple[Tuple[int, ...], ...]:
         """Up to two link-disjoint tag routes between two hosts.
 
@@ -332,8 +334,6 @@ class Controller(HostAgent):
         """
         assert self.view is not None
         view = self.view
-        if want_backup is None:
-            want_backup = getattr(self.config, "gossip_route_redundancy", 2) >= 2
         if not (view.has_host(src_host) and view.has_host(dst_host)):
             return ()
         src_sw = view.host_port(src_host).switch
@@ -368,8 +368,8 @@ class Controller(HostAgent):
                 view,
                 src_ref.switch,
                 dst_ref.switch,
-                s=self.config.path_graph_s,
-                epsilon=self.config.path_graph_epsilon,
+                s=PATH_GRAPH_S,
+                epsilon=PATH_GRAPH_EPSILON,
             )
             if graph is None:
                 found = False
@@ -413,7 +413,7 @@ class Controller(HostAgent):
         )
         self._log_change(change)
         self.loop.schedule(
-            self.config.patch_delay_s, self._flood_patch, (change,), self.view_version  # type: ignore[attr-defined]
+            PATCH_DELAY_S, self._flood_patch, (change,), self.view_version
         )
 
     def _flood_patch(self, changes: Tuple[TopologyChange, ...], version: int) -> None:
@@ -513,7 +513,7 @@ class Controller(HostAgent):
             self._maybe_retry_reprobe(switch, port, attempt)
 
     def _maybe_retry_reprobe(self, switch: str, port: int, attempt: int) -> None:
-        if attempt >= self.config.reprobe_retries:
+        if attempt >= REPROBE_RETRIES:
             return
         self.reprobes_retried += 1
         self.loop.schedule(

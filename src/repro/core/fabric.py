@@ -22,31 +22,27 @@ from ..obs.fabric import FabricObs, Observation, observe_fabric
 from ..topology.graph import Link, Topology
 from .controller import Controller, ControllerConfig
 from .discovery import DiscoveryResult
-from .host_agent import AgentConfig, HostAgent
+from .host_agent import HostAgent
 from .switch import DumbSwitch
 
 __all__ = ["DumbNetFabric"]
 
-#: What fail_link/restore_link accept besides the legacy 4-positional
-#: form: a topology Link, a ((sw, port), (sw, port)) endpoint pair, or
-#: a flat (sw, port, sw, port) tuple.
-EdgeLike = Union[Link, Tuple]
-
-
-def _edge_args(edge: EdgeLike) -> Tuple[str, int, str, int]:
-    """Normalize an edge designator to (sw_a, port_a, sw_b, port_b)."""
-    if isinstance(edge, Link):
+def _edge_args(
+    edge: Union[Link, str],
+    port_a: Optional[int],
+    sw_b: Optional[str],
+    port_b: Optional[int],
+) -> Tuple[str, int, str, int]:
+    """Normalize a cable designator -- a topology Link, or the four
+    coordinates (sw_a, port_a, sw_b, port_b) -- to the coordinates."""
+    rest = (port_a, sw_b, port_b)
+    if isinstance(edge, Link) and rest == (None, None, None):
         return (edge.a.switch, edge.a.port, edge.b.switch, edge.b.port)
-    if isinstance(edge, tuple):
-        if len(edge) == 4:
-            sw_a, port_a, sw_b, port_b = edge
-            return (sw_a, int(port_a), sw_b, int(port_b))
-        if len(edge) == 2:
-            (sw_a, port_a), (sw_b, port_b) = edge
-            return (sw_a, int(port_a), sw_b, int(port_b))
+    if isinstance(edge, str) and None not in rest:
+        return (edge, port_a, sw_b, port_b)  # type: ignore[return-value]
     raise TypeError(
-        f"expected a Link, (sw, port, sw, port), or ((sw, port), (sw, port)); "
-        f"got {edge!r}"
+        f"pass a Link or all four of (sw_a, port_a, sw_b, port_b); "
+        f"got {(edge,) + rest!r}"
     )
 
 
@@ -58,10 +54,8 @@ class DumbNetFabric:
         topology: Topology,
         controller_host: Optional[str] = None,
         *,
-        agent_config: Optional[AgentConfig] = None,
         controller_config: Optional[ControllerConfig] = None,
         link_spec: Optional[LinkSpec] = None,
-        host_link_spec: Optional[LinkSpec] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
         notify_script_delay_s: float = 0.0,
@@ -86,10 +80,7 @@ class DumbNetFabric:
             raise ValueError("a DumbNet fabric needs at least one host")
         self.topology = topology
         self.tracer = tracer if tracer is not None else Tracer()
-        self.agent_config = agent_config or AgentConfig()
-        self.controller_config = controller_config or ControllerConfig(
-            proc_delay_s=self.agent_config.proc_delay_s
-        )
+        self.controller_config = controller_config or ControllerConfig()
         self.controller_host = controller_host or topology.hosts[0]
         if not topology.has_host(self.controller_host):
             raise ValueError(f"controller host {self.controller_host!r} not in topology")
@@ -123,13 +114,7 @@ class DumbNetFabric:
                 )
                 self.controller = agent  # type: ignore[assignment]
             else:
-                agent = HostAgent(
-                    name,
-                    network.loop,
-                    tracer=self.tracer,
-                    config=self.agent_config,
-                    rng=rng,
-                )
+                agent = HostAgent(name, network.loop, tracer=self.tracer, rng=rng)
             agent.obs = self.obs
             self.agents[name] = agent
             return agent
@@ -139,7 +124,6 @@ class DumbNetFabric:
             switch_factory=make_switch,
             host_factory=make_host,
             link_spec=link_spec,
-            host_link_spec=host_link_spec,
             seed=seed,
             tracer=self.tracer,
         )
@@ -303,44 +287,25 @@ class DumbNetFabric:
 
     def fail_link(
         self,
-        edge: Union[EdgeLike, str],
+        edge: Union[Link, str],
         port_a: Optional[int] = None,
         sw_b: Optional[str] = None,
         port_b: Optional[int] = None,
     ) -> None:
-        """Cut a switch-switch cable.
-
-        Takes a topology :class:`~repro.topology.graph.Link`, a
-        ``(sw, port, sw, port)`` tuple, or a pair of ``(sw, port)``
-        endpoints; the legacy 4-positional-argument form still works.
-        """
-        self.network.fail_link(*self._edge(edge, port_a, sw_b, port_b))
+        """Cut a switch-switch cable, named by a topology
+        :class:`~repro.topology.graph.Link` or by its four coordinates
+        ``(sw_a, port_a, sw_b, port_b)``."""
+        self.network.fail_link(*_edge_args(edge, port_a, sw_b, port_b))
 
     def restore_link(
         self,
-        edge: Union[EdgeLike, str],
+        edge: Union[Link, str],
         port_a: Optional[int] = None,
         sw_b: Optional[str] = None,
         port_b: Optional[int] = None,
     ) -> None:
         """Restore a cut cable; accepts the same forms as :meth:`fail_link`."""
-        self.network.restore_link(*self._edge(edge, port_a, sw_b, port_b))
-
-    @staticmethod
-    def _edge(
-        edge: Union[EdgeLike, str],
-        port_a: Optional[int],
-        sw_b: Optional[str],
-        port_b: Optional[int],
-    ) -> Tuple[str, int, str, int]:
-        if port_a is None and sw_b is None and port_b is None:
-            return _edge_args(edge)  # type: ignore[arg-type]
-        if port_a is None or sw_b is None or port_b is None:
-            raise TypeError(
-                "pass a single edge designator or all four of "
-                "(sw_a, port_a, sw_b, port_b)"
-            )
-        return (edge, port_a, sw_b, port_b)  # type: ignore[return-value]
+        self.network.restore_link(*_edge_args(edge, port_a, sw_b, port_b))
 
     def fail_switch(self, switch: str) -> None:
         self.network.fail_switch(switch)

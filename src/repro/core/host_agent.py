@@ -19,7 +19,6 @@ Everything the paper's kernel module + service daemons do lives here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -47,7 +46,6 @@ from .pathcache import CachedPath, PathTable, TopoCache
 from .pathgraph import primary_and_backup
 
 __all__ = [
-    "AgentConfig",
     "HostAgent",
     "EmulatedProbeTransport",
     "RoutingFunction",
@@ -58,33 +56,21 @@ __all__ = [
 #: Figure 6: applications may install customized G: pkt -> tags).
 RoutingFunction = Callable[["HostAgent", str, object], Optional[CachedPath]]
 
-
-@dataclass
-class AgentConfig:
-    """Tunables of one host agent."""
-
-    #: How many shortest paths the agent installs per destination.
-    k_paths: int = 4
-    #: Path-graph parameters the host passes along to the controller.
-    path_graph_s: int = 2
-    path_graph_epsilon: int = 1
-    #: Host software per-frame processing delay (DPDK-class stack).
-    proc_delay_s: float = 5e-6
-    #: Controller query retry timer and budget.  Retries back off
-    #: exponentially (timeout * backoff^tries, capped) with a small
-    #: random jitter so a lossy control path is not hammered in
-    #: lockstep by every waiting host.
-    request_timeout_s: float = 0.05
-    max_request_retries: int = 5
-    request_backoff: float = 2.0
-    request_timeout_cap_s: float = 0.8
-    request_jitter_frac: float = 0.1
-    #: Discovery probes lost to injected noise are re-sent this many
-    #: times.  0 keeps probe counts exact (Figure 8 accounting); chaos
-    #: runs raise it so seeded loss cannot wedge a bootstrap.
-    probe_retries: int = 0
-    #: Default payload size for application sends, bytes.
-    default_payload_bytes: int = 1000
+#: How many shortest paths the agent installs per destination.
+K_PATHS = 4
+#: Host software per-frame processing delay (DPDK-class stack).
+HOST_PROC_DELAY_S = 5e-6
+#: Controller query retry timer and budget.  Retries back off
+#: exponentially (timeout * backoff^tries, capped) with a small
+#: random jitter so a lossy control path is not hammered in
+#: lockstep by every waiting host.
+REQUEST_TIMEOUT_S = 0.05
+MAX_REQUEST_RETRIES = 5
+REQUEST_BACKOFF = 2.0
+REQUEST_TIMEOUT_CAP_S = 0.8
+REQUEST_JITTER_FRAC = 0.1
+#: Default payload size for application sends, bytes.
+DEFAULT_PAYLOAD_BYTES = 1000
 
 
 class HostAgent(Device):
@@ -95,12 +81,12 @@ class HostAgent(Device):
         name: str,
         loop: EventLoop,
         tracer=None,
-        config: Optional[AgentConfig] = None,
         rng: Optional[random.Random] = None,
+        proc_delay_s: float = HOST_PROC_DELAY_S,
     ) -> None:
-        config = config or AgentConfig()
-        super().__init__(name, loop, proc_delay=config.proc_delay_s)
-        self.config = config
+        """``proc_delay_s`` is the per-frame service time; only the
+        controller, whose Figure 10 service time is calibrated, sets it."""
+        super().__init__(name, loop, proc_delay=proc_delay_s)
         self.tracer = tracer
         # A string seed is digested the same way in every process.
         self.rng = rng or random.Random(f"host-agent:{name}")
@@ -194,11 +180,7 @@ class HostAgent(Device):
         immediately; False when the send was queued behind a controller
         path query (the Figure 10 long-tail case).
         """
-        size = (
-            payload_bytes
-            if payload_bytes is not None
-            else self.config.default_payload_bytes
-        )
+        size = payload_bytes if payload_bytes is not None else DEFAULT_PAYLOAD_BYTES
         self.app_sent += 1
         path = self._route(dst, flow_key)
         if path is not None:
@@ -234,14 +216,10 @@ class HostAgent(Device):
 
     def _request_timeout(self, tries: int) -> float:
         """Exponential backoff with jitter for retry ``tries``."""
-        cfg = self.config
         timeout = min(
-            cfg.request_timeout_s * (cfg.request_backoff ** tries),
-            cfg.request_timeout_cap_s,
+            REQUEST_TIMEOUT_S * (REQUEST_BACKOFF ** tries), REQUEST_TIMEOUT_CAP_S
         )
-        if cfg.request_jitter_frac > 0:
-            timeout *= 1.0 + cfg.request_jitter_frac * self.rng.random()
-        return timeout
+        return timeout * (1.0 + REQUEST_JITTER_FRAC * self.rng.random())
 
     def _send_path_request(self, dst: str, nonce: int, tries: int = 0) -> None:
         request = PathRequest(nonce=nonce, src=self.name, dst=dst, reply_tags=())
@@ -257,7 +235,7 @@ class HostAgent(Device):
         if state is None or state[0] != nonce:
             return  # answered (or superseded) in the meantime
         _nonce, tries = state
-        if tries + 1 >= self.config.max_request_retries:
+        if tries + 1 >= MAX_REQUEST_RETRIES:
             # Degrade instead of hanging: abandon the query and the
             # sends queued behind it; a later send_app starts afresh.
             del self._path_requests[dst]
@@ -498,7 +476,7 @@ class HostAgent(Device):
         """Compute and install PathTable entries from the TopoCache."""
         if only_if_degraded:
             entry = self.path_table.entry(dst)
-            if entry is not None and len(entry.primaries) >= self.config.k_paths:
+            if entry is not None and len(entry.primaries) >= K_PATHS:
                 return
         att_src = self.topo_cache.attachment(self.name)
         att_dst = self.topo_cache.attachment(dst)
@@ -508,7 +486,7 @@ class HostAgent(Device):
         src_sw, dst_sw = att_src[0], att_dst[0]
         # One walk-back tree serves Yen's first path and the primary.
         tree = fragment.sssp_tree(src_sw, stop=dst_sw)
-        switch_paths = fragment.k_shortest_switch_paths(src_sw, dst_sw, self.config.k_paths, tree)
+        switch_paths = fragment.k_shortest_switch_paths(src_sw, dst_sw, K_PATHS, tree)
         primaries = []
         for switches in switch_paths:
             try:
@@ -576,7 +554,7 @@ class EmulatedProbeTransport(ProbeTransport):
         # wire is parallel but the prober's CPU is not (Section 7.2.1; it
         # is what makes discovery time track probe count in Figure 8).
         # Probe 0 goes out now, the rest as one timer batch.
-        agent, spacing = self.agent, self.agent.config.proc_delay_s
+        agent, spacing = self.agent, self.agent.proc_delay
         nonces = [agent.send_probe(specs[0])] if specs else []
 
         def later(i: int, spec: ProbeSpec):

@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 from ..consensus.store import ReplicatedTopologyStore
 from ..netsim.network import Network
-from .controller import Controller, ControllerConfig
+from .controller import Controller
 
 __all__ = ["ReplicatedControlPlane", "ReplicationError"]
 

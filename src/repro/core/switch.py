@@ -47,9 +47,9 @@ NOTIFY_HOP_LIMIT = 5
 ALARM_SUPPRESS_SECONDS = 1.0
 
 #: How long a relayed (origin, seq) alarm stays in the seen-cache.  An
-#: alarm survives at most hop_limit * (forward + wire) delays, far under
-#: a second; a flap re-alarm always carries a fresh seq, so expiry only
-#: needs to bound memory, not correctness.
+#: alarm survives at most NOTIFY_HOP_LIMIT * (forward + wire) delays, far
+#: under a second; a flap re-alarm always carries a fresh seq, so expiry
+#: only needs to bound memory, not correctness.
 RELAY_SEEN_SECONDS = 10.0
 
 #: Seen-cache entries pruned once the table grows past this.
@@ -70,15 +70,11 @@ class DumbSwitch(Device):
         num_ports: int,
         loop: EventLoop,
         tracer=None,
-        hop_limit: int = NOTIFY_HOP_LIMIT,
-        alarm_suppress_s: float = ALARM_SUPPRESS_SECONDS,
         notify_script_delay_s: float = 0.0,
     ) -> None:
         super().__init__(name, loop, proc_delay=FORWARD_DELAY_S)
         self.num_ports = num_ports
         self.tracer = tracer
-        self.hop_limit = hop_limit
-        self.alarm_suppress_s = alarm_suppress_s
         #: The paper's testbed generated notifications with "a script on
         #: Arista switch to monitor the port state", which polls far
         #: slower than the PHY ("can be sent even faster if it's done by
@@ -185,7 +181,7 @@ class DumbSwitch(Device):
     def _monitor_port_state(self, port: int, up: bool) -> None:
         now = self.loop.now
         last = self._last_alarm.get(port)
-        if last is not None and now - last < self.alarm_suppress_s:
+        if last is not None and now - last < ALARM_SUPPRESS_SECONDS:
             # Rate-limited: remember the latest state and emit it once
             # the suppression window closes, so a flap that *ends* in a
             # different state is never silently lost.
@@ -193,7 +189,7 @@ class DumbSwitch(Device):
             self._pending_alarm[port] = up
             if first_pending:
                 self.loop.schedule(
-                    last + self.alarm_suppress_s - now, self._emit_pending, port
+                    last + ALARM_SUPPRESS_SECONDS - now, self._emit_pending, port
                 )
             return
         self._emit_alarm(port, up)
@@ -219,7 +215,7 @@ class DumbSwitch(Device):
             ethertype=ETHERTYPE_NOTIFY,
             payload=note,
             payload_bytes=note.wire_size,
-            ttl=self.hop_limit,
+            ttl=NOTIFY_HOP_LIMIT,
         )
         self.notifications_originated += 1
         # Our own alarm is "seen": a copy bouncing back around a cycle

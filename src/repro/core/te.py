@@ -103,14 +103,10 @@ class _FirstPrimaryRouter:
 #: TE name -> fluid PathPolicy factory.  Every factory takes a kw-only
 #: tail; ``k`` is common to all multipath mechanisms.
 _FLOW_POLICIES: Dict[str, Callable[..., PathPolicy]] = {
-    "flowlet": lambda *, k=4, headroom=1.25: RebalancingKPathPolicy(
-        k=k, headroom=headroom
-    ),
+    "flowlet": lambda *, k=4: RebalancingKPathPolicy(k=k),
     "ecmp": lambda *, k=4, seed=0: HashedKPathPolicy(k=k, seed=seed),
     "spray": lambda *, k=4: SprayKPathPolicy(k=k),
-    "ecn": lambda *, k=4, mark_util=0.95, headroom=1.25: EcnAwareKPathPolicy(
-        k=k, mark_util=mark_util, headroom=headroom
-    ),
+    "ecn": lambda *, k=4: EcnAwareKPathPolicy(k=k),
     "single": lambda: SingleShortestPolicy(),
 }
 

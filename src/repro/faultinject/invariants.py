@@ -2,7 +2,7 @@
 
 Two classes of check:
 
-* **Continuous** (every ``check_interval_s`` during the run): facts
+* **Continuous** (every ``ChaosRunner.CHECK_INTERVAL_S`` of the run): facts
   that must hold at *every* instant regardless of propagation delay --
   cached tag routes are loop-free and structurally sound, and no agent
   keeps a cached path crossing a port *it itself* has marked dead

@@ -16,11 +16,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.controller import Controller, ControllerConfig
-from ..core.host_agent import AgentConfig, HostAgent
+from ..core.controller import Controller
+from ..core.host_agent import HostAgent
 from ..core.replication import ReplicatedControlPlane
 from ..core.switch import DumbSwitch
-from ..netsim.network import LinkSpec, Network
+from ..netsim.network import Network
 from ..netsim.trace import Tracer
 from ..obs.report import ReportBase
 from ..topology.graph import Topology
@@ -33,6 +33,9 @@ from .invariants import (
 from .schedule import FaultEvent, FaultSchedule
 
 __all__ = ["ChaosFabric", "ChaosReport", "ChaosRunner", "build_chaos_fabric"]
+
+#: Controller-capable hosts of a chaos fabric when the caller names none.
+N_CONTROLLERS = 3
 
 
 @dataclass
@@ -77,15 +80,10 @@ def build_chaos_fabric(
     topology: Topology,
     seed: int = 0,
     controller_hosts: Optional[Sequence[str]] = None,
-    n_controllers: int = 3,
-    link_spec: Optional[LinkSpec] = None,
-    host_link_spec: Optional[LinkSpec] = None,
-    agent_config: Optional[AgentConfig] = None,
-    controller_config: Optional[ControllerConfig] = None,
 ) -> ChaosFabric:
     """A DumbNet fabric with standby controllers, ready for chaos.
 
-    The first ``n_controllers`` hosts (sorted by name) become
+    The first :data:`N_CONTROLLERS` hosts (sorted by name) become
     controller-capable unless ``controller_hosts`` picks them
     explicitly; the first of those bootstraps as primary and the rest
     join a :class:`~repro.core.replication.ReplicatedControlPlane` so
@@ -93,7 +91,7 @@ def build_chaos_fabric(
     in the fabric derives from ``seed``.
     """
     if controller_hosts is None:
-        controller_hosts = tuple(sorted(topology.hosts)[:n_controllers])
+        controller_hosts = tuple(sorted(topology.hosts)[:N_CONTROLLERS])
     else:
         controller_hosts = tuple(controller_hosts)
     if not controller_hosts:
@@ -109,15 +107,9 @@ def build_chaos_fabric(
     def make_host(name: str, network: Network) -> HostAgent:
         rng = random.Random(master.randrange(2**31))
         if name in controller_set:
-            agent: HostAgent = Controller(
-                name, network.loop, tracer=tracer,
-                config=controller_config, rng=rng,
-            )
+            agent: HostAgent = Controller(name, network.loop, tracer=tracer, rng=rng)
         else:
-            agent = HostAgent(
-                name, network.loop, tracer=tracer,
-                config=agent_config, rng=rng,
-            )
+            agent = HostAgent(name, network.loop, tracer=tracer, rng=rng)
         agents[name] = agent
         return agent
 
@@ -125,8 +117,6 @@ def build_chaos_fabric(
         topology,
         make_switch,
         make_host,
-        link_spec=link_spec,
-        host_link_spec=host_link_spec,
         seed=master.randrange(2**31),
         tracer=tracer,
     )
@@ -231,7 +221,7 @@ class ChaosRunner:
     While the timeline runs, a seeded background workload keeps flows
     bound so failovers actually happen, and
     :func:`~repro.faultinject.invariants.continuous_invariants` runs
-    every ``check_interval_s``.  After the horizon the loop drains and
+    every :attr:`CHECK_INTERVAL_S`.  After the horizon the loop drains and
     the runner asserts quiesce conditions: no cached path crosses a
     physically-down port and every host pair that is still physically
     connected can exchange traffic (retrying with a cache flush to
@@ -241,21 +231,21 @@ class ChaosRunner:
     #: Ping retries at quiesce; from the second attempt the source
     #: forgets its cached entry, forcing a fresh controller query.
     RECONNECT_ATTEMPTS = 4
+    #: Simulated seconds between invariant ticks.
+    CHECK_INTERVAL_S = 0.02
+    #: Simulated seconds the run continues past the schedule's horizon.
+    SETTLE_S = 0.25
+    #: Background sends per invariant tick.
+    TRAFFIC_PAIRS = 4
 
     def __init__(
         self,
         fabric: ChaosFabric,
         schedule: FaultSchedule,
-        check_interval_s: float = 0.02,
-        settle_s: float = 0.25,
-        traffic_pairs: int = 4,
         traffic_seed: int = 7,
     ) -> None:
         self.fabric = fabric
         self.schedule = schedule
-        self.check_interval_s = check_interval_s
-        self.settle_s = settle_s
-        self.traffic_pairs = traffic_pairs
         self.traffic_rng = random.Random(traffic_seed)
         self.report = ChaosReport()
         self._ping_seq = 0
@@ -295,7 +285,7 @@ class ChaosRunner:
             if self.fabric.plane is None:
                 raise RuntimeError(
                     "controller-failover needs a fabric with standbys "
-                    "(build_chaos_fabric with n_controllers >= 2)"
+                    "(build_chaos_fabric with two or more controller hosts)"
                 )
             self.fabric.plane.fail_primary()
         else:  # pragma: no cover - FaultEvent validates kinds
@@ -343,16 +333,16 @@ class ChaosRunner:
         )
         hosts = self._live_hosts()
         if len(hosts) >= 2:
-            for _ in range(self.traffic_pairs):
+            for _ in range(self.TRAFFIC_PAIRS):
                 src, dst = self.traffic_rng.sample(hosts, 2)
                 self.fabric.agents[src].send_app(
                     dst, ("chaos-traffic", self.report.traffic_sent),
                     flow_key=f"chaos-{src}-{dst}",
                 )
                 self.report.traffic_sent += 1
-        next_t = loop.now + self.check_interval_s
+        next_t = loop.now + self.CHECK_INTERVAL_S
         if next_t <= end_time:
-            loop.schedule(self.check_interval_s, self._tick, end_time)
+            loop.schedule(self.CHECK_INTERVAL_S, self._tick, end_time)
 
     # ------------------------------------------------------------------
     # quiesce checks
@@ -435,7 +425,7 @@ class ChaosRunner:
         loop = fabric.loop
         report = self.report
         report.horizon = self.schedule.horizon
-        end_time = loop.now + report.horizon + self.settle_s
+        end_time = loop.now + report.horizon + self.SETTLE_S
 
         self.install()
         loop.schedule(0.0, self._tick, end_time)

@@ -32,6 +32,9 @@ from .simulator import Flow, PathPolicy, better_path, least_loaded
 
 __all__ = ["SprayKPathPolicy", "EcnAwareKPathPolicy"]
 
+#: Utilisation at which a link counts as marked (tight).
+MARK_UTIL = 0.95
+
 
 class SprayKPathPolicy(PathPolicy):
     """Per-packet spraying, fluid approximation.
@@ -61,29 +64,20 @@ class SprayKPathPolicy(PathPolicy):
 class EcnAwareKPathPolicy(PathPolicy):
     """Steer flows away from links whose allocation is at capacity.
 
-    ``mark_util`` is the tight-link threshold (the ECN mark analogue);
-    ``headroom`` damps oscillation: a flow only migrates when the best
-    alternative's bottleneck utilisation times ``headroom`` is still
-    below its current path's.  Utilisation is measured from the flows'
-    standing ``rate_bps`` (the previous max-min solve), which is the
-    fluid equivalent of reacting to *recently observed* marks rather
-    than to an oracle of the next allocation.
+    :data:`MARK_UTIL` is the tight-link threshold (the ECN mark
+    analogue); :data:`~repro.flowsim.simulator.HEADROOM` damps
+    oscillation: a flow only migrates when the best alternative's
+    bottleneck utilisation times it is still below its current path's.
+    Utilisation is measured from the flows' standing ``rate_bps`` (the
+    previous max-min solve), which is the fluid equivalent of reacting
+    to *recently observed* marks rather than to an oracle of the next
+    allocation.
     """
 
-    def __init__(
-        self,
-        k: int = 4,
-        *,
-        mark_util: float = 0.95,
-        headroom: float = 1.25,
-    ) -> None:
+    def __init__(self, k: int = 4) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if not 0.0 < mark_util <= 1.0:
-            raise ValueError(f"mark_util must be in (0, 1], got {mark_util}")
         self.k = k
-        self.mark_util = mark_util
-        self.headroom = headroom
         self.reroutes = 0
         self._util: Dict[Tuple, float] = {}
 
@@ -118,10 +112,8 @@ class EcnAwareKPathPolicy(PathPolicy):
         for flow in flows:
             if flow.done or flow.pinned or flow.switch_path is None:
                 continue
-            # An unmarked path (bottleneck below ``mark_util``) stays put.
-            move = better_path(
-                net, flow, self.k, self._util, self.headroom, self.mark_util
-            )
+            # An unmarked path (bottleneck below MARK_UTIL) stays put.
+            move = better_path(net, flow, self.k, self._util, MARK_UTIL)
             if move is not None:
                 flow.switch_path = move[0]
                 self.reroutes += 1

@@ -191,12 +191,16 @@ def least_loaded(
     return best
 
 
+#: A flow only migrates when the alternative is this much less loaded,
+#: which damps oscillation.
+HEADROOM = 1.25
+
+
 def better_path(
     net: FlowNet,
     flow: Flow,
     k: int,
     level: Mapping[Tuple, float],
-    headroom: float,
     mark: float = -math.inf,
 ) -> Optional[Tuple[List[str], Optional[Tuple], Tuple]]:
     """The one load scan behind every rebalancer: where a routed flow
@@ -205,8 +209,8 @@ def better_path(
 
     The flow stays while its path's bottleneck ``level`` is below
     ``mark``, and otherwise moves only to a different path whose
-    bottleneck times ``headroom`` is still below its own -- which damps
-    oscillation.  Every bottleneck is looked up once.
+    bottleneck times :data:`HEADROOM` is still below its own.  Every
+    bottleneck is looked up once.
     """
     old_links = net.flow_links(flow)
     if old_links is None:
@@ -224,7 +228,7 @@ def better_path(
     if best is None:
         return None
     path, links, value = best
-    if value * headroom < current and path != flow.switch_path:
+    if value * HEADROOM < current and path != flow.switch_path:
         return path, old_links, links
     return None
 
@@ -239,11 +243,8 @@ class RebalancingKPathPolicy(PathPolicy):
     lifetimes, so a flow tracks the currently-best path over time.
     """
 
-    def __init__(self, k: int = 4, headroom: float = 1.25) -> None:
+    def __init__(self, k: int = 4) -> None:
         self.k = k
-        #: A flow only migrates when the alternative is this much less
-        #: loaded, which damps oscillation.
-        self.headroom = headroom
         self.reroutes = 0
         self._load: Dict[Tuple, int] = {}
 
@@ -275,7 +276,7 @@ class RebalancingKPathPolicy(PathPolicy):
         for flow in flows:
             if flow.done or flow.pinned or flow.switch_path is None:
                 continue
-            move = better_path(net, flow, self.k, load, self.headroom)
+            move = better_path(net, flow, self.k, load)
             if move is None:
                 continue
             # Move the flow: update counts incrementally.

@@ -55,7 +55,6 @@ from ..flowsim.simulator import (
     PathPolicy,
     RebalancingKPathPolicy,
 )
-from ..hardware.hostmodel import DUMBNET_MTU_BYTES
 from .packet_region import PacketRegion
 from .roi import RegionOfInterest
 
@@ -70,6 +69,9 @@ DEMAND_SLACK = 1.25
 #: Frozen demands never drop below this fraction of the flow's
 #: bottleneck-link capacity (anti-ratchet floor).
 DEMAND_FLOOR_FRAC = 1e-3
+
+#: Default coupling cadence of the fluid and packet clocks, seconds.
+EPOCH_S = 1e-3
 
 #: Link and NIC rate of the capacity graph :func:`build_engine` builds
 #: when it is not handed one.
@@ -105,11 +107,7 @@ class HybridEngine(FluidSimulator):
         roi: Optional[RegionOfInterest] = None,
         rebalance_interval_s: Optional[float] = None,
         *,
-        epoch_s: float = 1e-3,
-        mtu_bytes: int = DUMBNET_MTU_BYTES,
-        window: int = 32,
-        region_latency_s: float = 1e-6,
-        demand_slack: float = DEMAND_SLACK,
+        epoch_s: float = EPOCH_S,
     ) -> None:
         if not epoch_s > 0:  # also refuses NaN
             # A zero epoch re-arms the coupling bound at ``now`` forever.
@@ -117,10 +115,7 @@ class HybridEngine(FluidSimulator):
         super().__init__(net, policy, rebalance_interval_s)
         self.roi = roi if roi is not None else RegionOfInterest.empty()
         self.epoch_s = epoch_s
-        self.demand_slack = demand_slack
-        self.region = PacketRegion(
-            net, latency_s=region_latency_s, mtu_bytes=mtu_bytes, window=window
-        )
+        self.region = PacketRegion(net)
         self._promoted: Dict[int, _Promoted] = {}
         self.promoted_total = 0
         self.promoted_finished = 0
@@ -210,7 +205,7 @@ class HybridEngine(FluidSimulator):
             if record.measured_bps is not None:
                 demand = min(
                     demand,
-                    max(record.measured_bps * self.demand_slack,
+                    max(record.measured_bps * DEMAND_SLACK,
                         cap * DEMAND_FLOOR_FRAC),
                 )
             if math.isfinite(demand):
@@ -339,7 +334,7 @@ def build_engine(
     policy: Optional[PathPolicy] = None,
     net: Optional[FlowNet] = None,
     rebalance_interval_s: Optional[float] = None,
-    **hybrid_kwargs: Any,
+    epoch_s: float = EPOCH_S,
 ) -> FluidSimulator:
     """Build a flow dataplane over a topology.
 
@@ -347,7 +342,8 @@ def build_engine(
 
     * ``"fluid"``  -- plain :class:`FluidSimulator` (roi must be empty);
     * ``"hybrid"`` -- :class:`HybridEngine` promoting ``roi``
-      (``RegionOfInterest.all()`` is the all-packet baseline).
+      (``RegionOfInterest.all()`` is the all-packet baseline), coupling
+      the two clocks every ``epoch_s``.
 
     Without ``net``, every link and NIC runs at :data:`DEFAULT_BPS`.
     """
@@ -362,6 +358,6 @@ def build_engine(
     if engine == "hybrid":
         return HybridEngine(
             net, policy, roi=roi, rebalance_interval_s=rebalance_interval_s,
-            **hybrid_kwargs,
+            epoch_s=epoch_s,
         )
     raise ValueError(f"unknown engine {engine!r} (fluid|hybrid)")

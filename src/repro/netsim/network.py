@@ -33,16 +33,10 @@ class LinkSpec:
     """Physical parameters applied to channels built by the network."""
 
     def __init__(
-        self,
-        bandwidth_bps: Optional[float] = 10e9,
-        latency_s: float = 1e-6,
-        jitter_s: float = 0.0,
-        detection_delay_s: float = 100e-6,
+        self, bandwidth_bps: Optional[float] = 10e9, latency_s: float = 1e-6
     ) -> None:
         self.bandwidth_bps = bandwidth_bps
         self.latency_s = latency_s
-        self.jitter_s = jitter_s
-        self.detection_delay_s = detection_delay_s
 
 
 class Network:
@@ -54,7 +48,6 @@ class Network:
         switch_factory: SwitchFactory,
         host_factory: HostFactory,
         link_spec: Optional[LinkSpec] = None,
-        host_link_spec: Optional[LinkSpec] = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -62,8 +55,8 @@ class Network:
         self.loop = EventLoop()
         self.rng = random.Random(seed)
         self.tracer = tracer if tracer is not None else Tracer()
+        #: Every cable, switch-switch and host NIC alike, is built to it.
         self.link_spec = link_spec or LinkSpec()
-        self.host_link_spec = host_link_spec or self.link_spec
 
         self.switches: Dict[str, Device] = {}
         self.hosts: Dict[str, Device] = {}
@@ -88,18 +81,17 @@ class Network:
 
     # ------------------------------------------------------------------
 
-    def _make_channel(self, spec: LinkSpec) -> Channel:
+    def _make_channel(self) -> Channel:
+        spec = self.link_spec
         return Channel(
             self.loop,
             bandwidth_bps=spec.bandwidth_bps,
             latency_s=spec.latency_s,
-            jitter_s=spec.jitter_s,
             rng=self.rng,
-            detection_delay_s=spec.detection_delay_s,
         )
 
     def _wire_link(self, link: Link) -> None:
-        channel = self._make_channel(self.link_spec)
+        channel = self._make_channel()
         self.switches[link.a.switch].attach(link.a.port, channel.ends[0])
         self.switches[link.b.switch].attach(link.b.port, channel.ends[1])
         self._link_channels[link.key()] = channel
@@ -108,7 +100,7 @@ class Network:
 
     def _wire_host(self, host: str) -> None:
         ref = self.topology.host_port(host)
-        channel = self._make_channel(self.host_link_spec)
+        channel = self._make_channel()
         self.switches[ref.switch].attach(ref.port, channel.ends[0])
         self.hosts[host].attach(HOST_NIC_PORT, channel.ends[1])
         self._host_channels[host] = channel

@@ -68,10 +68,8 @@ class Scenario:
     link_bps: float = 10e9
     host_bps: float = 10e9
     switch_overrides: Optional[Mapping[str, float]] = None
-    port_overrides: Optional[Mapping[Tuple[str, int], float]] = None
     roi: Any = None
     rebalance_interval_s: Optional[float] = None
-    engine_kwargs: Dict[str, Any] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -169,7 +167,6 @@ def run_scenario(
         topo,
         link_bps=scenario.link_bps,
         host_bps=scenario.host_bps,
-        port_overrides=scenario.port_overrides,
         switch_overrides=scenario.switch_overrides,
     )
     policy = make_flow_policy(scenario.te, **scenario.te_kwargs)
@@ -180,7 +177,6 @@ def run_scenario(
         policy=policy,
         net=net,
         rebalance_interval_s=scenario.rebalance_interval_s,
-        **scenario.engine_kwargs,
     )
     rng = rng if rng is not None else random.Random(scenario.seed)
     program = scenario.workload.program(topo, rng=rng)

@@ -46,6 +46,38 @@ class TestElection:
         assert not cluster.elect("b")
         assert cluster.elect("c")
 
+    def test_lost_election_ends_leadership(self):
+        """A candidate that loses stops leading.  Otherwise ``a`` keeps
+        its lease into the term it has just bumped: two nodes lead term
+        2, ``c`` commits ``X`` through ``a``, and a later append through
+        ``b`` (which also lost, and also kept leading) overwrites it with
+        ``Y``."""
+        cluster = Cluster(["a", "b", "c"])
+        seen = {name: [] for name in cluster.nodes}
+
+        def step(op, *args, **kwargs):
+            try:
+                result = op(*args, **kwargs)
+            except NotLeaderError:
+                result = None
+            for name, node in cluster.nodes.items():
+                # A committed prefix only ever grows.
+                assert node.committed[: len(seen[name])] == seen[name]
+                seen[name] = node.committed
+            terms = [n.term for n in cluster.nodes.values() if n.is_leader]
+            assert len(terms) == len(set(terms)), "two leaders in one term"
+            return result
+
+        step(cluster.elect, "a")
+        cluster.partition("a", "b")
+        assert step(cluster.elect, "b")
+        assert not step(cluster.elect, "a")
+        assert not cluster.nodes["a"].is_leader
+        assert step(cluster.append, "X", via="a") is None
+        step(cluster.elect, "b")
+        step(cluster.append, "Y", via="b")
+        assert cluster.nodes["c"].committed == ["Y"]
+
 
 class TestAppend:
     def test_append_commits_on_majority(self):

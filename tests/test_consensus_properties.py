@@ -36,12 +36,14 @@ class QuorumLogMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # actions
 
-    @rule()
-    def append(self):
+    @rule(via=st.none() | st.sampled_from(NODE_NAMES))
+    def append(self, via):
+        """Write through the leader, or ``via`` a node a client still
+        believes leads."""
         self.counter += 1
         value = f"v{self.counter}"
         try:
-            self.cluster.append(value)
+            self.cluster.append(value, via=via)
         except (NotLeaderError, QuorumLostError):
             return  # rejected writes may not be exposed -- fine
         self.acknowledged.append(value)

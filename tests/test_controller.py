@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_graph as ref
+from repro.core.controller import GOSSIP_FANOUT
 from repro.core.fabric import DumbNetFabric
 from repro.core.messages import TopologyChange
 from repro.topology import Topology, figure1, leaf_spine, paper_testbed
@@ -83,9 +84,8 @@ class TestGossipOverlay:
         fab = DumbNetFabric(topo, controller_host="h0_0", seed=2)
         fab.adopt_blueprint()
         overlay = fab.controller.compute_gossip_overlay()
-        cap = fab.controller.config.gossip_fanout
         for host, neighbors in overlay.items():
-            assert len(neighbors) <= cap
+            assert len(neighbors) <= GOSSIP_FANOUT
 
 
 class TestFailureStage2:
@@ -252,16 +252,12 @@ class TestReprobeRearm:
     not vanish -- otherwise a port whose first session came up empty
     (lossy fabric, no retries) stays unknown forever."""
 
-    def test_link_up_during_inflight_session_survives(self):
-        from repro.core.controller import ControllerConfig
+    def test_link_up_during_inflight_session_survives(self, monkeypatch):
+        from repro.core import controller
         from repro.core.messages import PortStateNotification
 
-        fab = DumbNetFabric(
-            figure1(),
-            controller_host="C3",
-            seed=5,
-            controller_config=ControllerConfig(reprobe_retries=0),
-        )
+        monkeypatch.setattr(controller, "REPROBE_RETRIES", 0)
+        fab = DumbNetFabric(figure1(), controller_host="C3", seed=5)
         fab.bootstrap()
         ctl = fab.controller
         edge = ("S2", 3, "S5", 2)

@@ -127,7 +127,7 @@ class TestEndToEndCongestionAvoidance:
         spec = LinkSpec(bandwidth_bps=8e6, latency_s=1e-6)
 
         fab = DumbNetFabric(topo, controller_host="h0_0", seed=4,
-                            link_spec=spec, host_link_spec=spec)
+                            link_spec=spec)
         # Swap the switches for EcnSwitches by rebuilding devices is
         # invasive; instead verify the marking path on the rig above and
         # exercise the host loop with synthetic feedback here.

@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_graph as ref
-from repro.core.host_agent import HostAgent
+from repro.core.controller import PATH_GRAPH_EPSILON, PATH_GRAPH_S
+from repro.core.host_agent import K_PATHS, HostAgent
 from repro.core.messages import (
     PathReply,
     PortStateNotification,
@@ -347,13 +348,12 @@ def seed_install(agent, dst, rng):
         return None
     src_sw = fragment.host_port(agent.name).switch
     dst_sw = fragment.host_port(dst).switch
-    config = agent.config
     primaries = [
         tuple(fragment.encode_path(agent.name, path, dst))
-        for path in ref.k_shortest_switch_paths(fragment, src_sw, dst_sw, config.k_paths)
+        for path in ref.k_shortest_switch_paths(fragment, src_sw, dst_sw, K_PATHS)
     ]
     graph = ref.build_path_graph(
-        fragment, src_sw, dst_sw, config.path_graph_s, config.path_graph_epsilon, rng=rng
+        fragment, src_sw, dst_sw, PATH_GRAPH_S, PATH_GRAPH_EPSILON, rng=rng
     )
     backup = None
     if graph is not None and graph.backup is not None:
@@ -451,7 +451,7 @@ def test_install_paths_draws_from_the_agent_rng_like_the_seed_builder(
             ))
             want = {}
             for dst, entry in refreshes.pop().items():
-                if entry is not None and len(entry[0]) >= agent.config.k_paths:
+                if entry is not None and len(entry[0]) >= K_PATHS:
                     want[dst] = entry
                 else:
                     want[dst] = seed_install(agent, dst, twin) or entry

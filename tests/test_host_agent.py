@@ -5,7 +5,7 @@ import pytest
 import reference_graph as ref
 from repro.core.discovery import ProbeSpec
 from repro.core.fabric import DumbNetFabric
-from repro.core.host_agent import AgentConfig, HostAgent
+from repro.core.host_agent import HostAgent
 from repro.core.messages import AppData, ProbeMessage, ProbeReply
 from repro.core.packet import ETHERTYPE_DUMBNET, ETHERTYPE_IPV4, Packet, PathTags
 from repro.netsim import EventLoop

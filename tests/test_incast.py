@@ -58,7 +58,7 @@ class TestPacketIncast:
         spec = LinkSpec(bandwidth_bps=100e6, latency_s=1e-6)  # slow fabric
         fabric = DumbNetFabric(
             topo, controller_host="h0_0", seed=2,
-            link_spec=spec, host_link_spec=spec,
+            link_spec=spec,
             switch_cls=EcnSwitch,
         )
         fabric.adopt_blueprint()

@@ -45,7 +45,7 @@ def test_drive_incast_packets_on_a_slow_fat_tree():
     topology = fat_tree(4)
     link = LinkSpec(bandwidth_bps=100e6, latency_s=1e-6)
     fabric = DumbNetFabric(
-        topology, controller_host=CONTROLLER, seed=3, link_spec=link, host_link_spec=link
+        topology, controller_host=CONTROLLER, seed=3, link_spec=link
     )
     fabric.adopt_blueprint()
     sink = "h3_1_1"

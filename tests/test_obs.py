@@ -212,16 +212,10 @@ class TestFabricConstructionAPI:
         link = sorted(topo.links, key=lambda l: str(l.key()))[0]
         flat = (link.a.switch, link.a.port, link.b.switch, link.b.port)
         channel = fabric.network.link_channel(*flat)
-        for designator in (
-            link,                                      # topology Link
-            flat,                                      # flat 4-tuple
-            ((flat[0], flat[1]), (flat[2], flat[3])),  # endpoint pairs
-        ):
-            fabric.fail_link(designator)
-            assert not channel.up
-            fabric.restore_link(designator)
-            assert channel.up
-        # Legacy 4-positional form still works.
+        fabric.fail_link(link)
+        assert not channel.up
+        fabric.restore_link(link)
+        assert channel.up
         fabric.fail_link(*flat)
         assert not channel.up
         fabric.restore_link(*flat)
@@ -230,6 +224,8 @@ class TestFabricConstructionAPI:
             fabric.fail_link(link.a.switch, link.a.port)
         with pytest.raises(TypeError):
             fabric.fail_link(("just", "two", "items"))
+        with pytest.raises(TypeError):
+            fabric.fail_link(flat)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ def build_fabric(link_bps=1e9, switch_cls=None, hosts_per_leaf=6):
     spec = LinkSpec(bandwidth_bps=link_bps, latency_s=2e-6)
     fabric = DumbNetFabric(
         topo, controller_host="h0_0", seed=8,
-        link_spec=spec, host_link_spec=spec, switch_cls=switch_cls,
+        link_spec=spec, switch_cls=switch_cls,
     )
     fabric.adopt_blueprint()
     return fabric

@@ -137,7 +137,7 @@ class TestNotificationUnderIncast:
         spec = LinkSpec(bandwidth_bps=100e6, latency_s=5e-6)
         fabric = DumbNetFabric(
             paper_testbed(), controller_host="h0_0", seed=6,
-            link_spec=spec, host_link_spec=spec, switch_cls=switch_cls,
+            link_spec=spec, switch_cls=switch_cls,
         )
         fabric.adopt_blueprint()
         pairs = [(f"h{1 + i % 4}_{i // 4}", "h0_1") for i in range(5)]
