@@ -13,9 +13,6 @@ from typing import Any, Dict, Optional
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: Where ``--smoke`` runs put their JSON (git-ignored): a smoke run never
-#: overwrites the committed full-mode repo-root ``BENCH_*.json``.
-SMOKE_DIR = os.path.join(RESULTS_DIR, "smoke")
 
 
 def publish(name: str, text: str) -> None:

@@ -3,7 +3,7 @@ fidelities, wall time recorded beside them.
 
 Standalone (not a pytest bench -- CI runs it directly):
 
-    PYTHONPATH=src python benchmarks/bench_hybrid.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_hybrid.py
 
 Two paper-class experiments run three ways, all built by the same
 machinery (``repro.hybrid.build_engine``):
@@ -33,20 +33,20 @@ baseline, so a faster packet path reads as a *lower* number.  Host time
 of the packet path is claimed on the end-to-end benchmark's
 ``packet_incast`` workload instead (``benchmarks/e2e``).
 
-Correctness gates run in every mode:
+Correctness gates:
 
 * headline numbers equal across the three runs within pinned
   tolerances,
 * fluid engine == hybrid engine with an **empty** ROI, exactly
   (per-flow finish times compared bit-for-bit).
 
-Results land in ``BENCH_hybrid.json`` at the repo root (``--smoke``:
-under the git-ignored ``benchmarks/results/smoke/``).
+Results land in ``BENCH_hybrid.json`` at the repo root (~21 s); CI
+regenerates it and diffs it against the committed file with the
+host-time fields (``wall_s``, ``speedup``) masked.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
@@ -61,7 +61,7 @@ from repro.hybrid import RegionOfInterest, build_engine
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads import HiBenchWorkload, replay_program
 
-from _util import REPO_ROOT, SMOKE_DIR, publish_json
+from _util import REPO_ROOT, publish_json
 
 #: fig9-class headline tolerance (relative): aggregate Gbps across
 #: engines.
@@ -70,11 +70,9 @@ FIG9_TOLERANCE = 0.05
 #: engines.
 FIG13_TOLERANCE = 0.06
 
-FIG9_FULL = {"hosts_per_leaf": 28, "flow_bits": 1e9}
-FIG9_SMOKE = {"hosts_per_leaf": 6, "flow_bits": 5e7}
+FIG9 = {"hosts_per_leaf": 28, "flow_bits": 1e9}
 
-FIG13_FULL = {"task": "Terasort", "scale": 0.5, "epoch_s": 5e-3}
-FIG13_SMOKE = {"task": "Terasort", "scale": 0.05, "epoch_s": 5e-3}
+FIG13 = {"task": "Terasort", "scale": 0.5, "epoch_s": 5e-3}
 
 SPINE_PORT_BPS = 500e6
 
@@ -148,26 +146,17 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / b if b else 0.0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: tiny scenarios",
-    )
-    opts = parser.parse_args(argv)
-
-    fig9 = FIG9_SMOKE if opts.smoke else FIG9_FULL
-    fig13 = FIG13_SMOKE if opts.smoke else FIG13_FULL
+def main() -> int:
     failures = []
 
     # fig9-class: fluid / hybrid(1 of N promoted) / hybrid(all promoted)
-    fig9_fluid = fig9_run(fig9, "fluid")
+    fig9_fluid = fig9_run(FIG9, "fluid")
     print(f"[fig9 fluid]   {fig9_fluid['aggregate_gbps']} Gbps "
           f"wall {fig9_fluid['wall_s']}s")
-    fig9_hybrid = fig9_run(fig9, "hybrid", RegionOfInterest.of_hosts("h1_0"))
+    fig9_hybrid = fig9_run(FIG9, "hybrid", RegionOfInterest.of_hosts("h1_0"))
     print(f"[fig9 hybrid]  {fig9_hybrid['aggregate_gbps']} Gbps "
           f"wall {fig9_hybrid['wall_s']}s")
-    fig9_all = fig9_run(fig9, "hybrid", RegionOfInterest.all())
+    fig9_all = fig9_run(FIG9, "hybrid", RegionOfInterest.all())
     print(f"[fig9 all]     {fig9_all['aggregate_gbps']} Gbps "
           f"wall {fig9_all['wall_s']}s")
     fig9_speedup = (
@@ -185,21 +174,21 @@ def main(argv=None) -> int:
             )
 
     # Boundary-exactness gate: empty ROI must equal pure fluid, exactly.
-    empty_roi = fig9_run(fig9, "hybrid", RegionOfInterest.empty())
+    empty_roi = fig9_run(FIG9, "hybrid", RegionOfInterest.empty())
     exact = empty_roi["finish_times"] == fig9_fluid["finish_times"]
     print(f"[fig9] fluid == hybrid(empty ROI): {'exact' if exact else 'DIVERGED'}")
     if not exact:
         failures.append("hybrid with empty ROI diverged from the fluid engine")
 
     # fig13-class: Terasort shuffle
-    fig13_fluid = fig13_run(fig13, "fluid")
+    fig13_fluid = fig13_run(FIG13, "fluid")
     print(f"[fig13 fluid]  {fig13_fluid['duration_s']}s "
           f"wall {fig13_fluid['wall_s']}s")
     roi13 = RegionOfInterest.of_hosts(paper_testbed().hosts[0])
-    fig13_hybrid = fig13_run(fig13, "hybrid", roi13)
+    fig13_hybrid = fig13_run(FIG13, "hybrid", roi13)
     print(f"[fig13 hybrid] {fig13_hybrid['duration_s']}s "
           f"wall {fig13_hybrid['wall_s']}s")
-    fig13_all = fig13_run(fig13, "hybrid", RegionOfInterest.all())
+    fig13_all = fig13_run(FIG13, "hybrid", RegionOfInterest.all())
     print(f"[fig13 all]    {fig13_all['duration_s']}s "
           f"wall {fig13_all['wall_s']}s")
     fig13_speedup = (
@@ -223,9 +212,8 @@ def main(argv=None) -> int:
 
     payload = {
         "schema": "bench-hybrid/1",
-        "mode": "smoke" if opts.smoke else "full",
         "fig9": {
-            "scenario": fig9,
+            "scenario": FIG9,
             "roi": "of_hosts(h1_0)",
             "fluid": strip(fig9_fluid),
             "hybrid": strip(fig9_hybrid),
@@ -235,7 +223,7 @@ def main(argv=None) -> int:
             "empty_roi_exact": exact,
         },
         "fig13": {
-            "scenario": fig13,
+            "scenario": FIG13,
             "roi": f"of_hosts({paper_testbed().hosts[0]})",
             "fluid": strip(fig13_fluid),
             "hybrid": strip(fig13_hybrid),
@@ -246,7 +234,7 @@ def main(argv=None) -> int:
     }
     publish_json(
         "bench_hybrid", payload,
-        path=os.path.join(SMOKE_DIR if opts.smoke else REPO_ROOT, "BENCH_hybrid.json"),
+        path=os.path.join(REPO_ROOT, "BENCH_hybrid.json"),
     )
 
     for failure in failures:

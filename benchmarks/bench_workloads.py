@@ -2,7 +2,7 @@
 
 Standalone (not a pytest bench -- CI runs it directly):
 
-    PYTHONPATH=src python benchmarks/bench_workloads.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_workloads.py
 
 Every cell is one :func:`repro.workloads.run_scenario` call: a
 canonical workload family (websearch / datamining trace replay, incast
@@ -15,7 +15,7 @@ every flow promoted (``roi=RegionOfInterest.all()``, frame trains on
 the same paths).  An empty-ROI hybrid cell would only repeat the fluid
 one; ``tests/test_scenarios.py`` pins that equality instead.
 
-Gates run in every mode:
+Gates:
 
 * **schema** -- every cell carries the full metric set;
 * **coverage** -- >= 5 workload families x >= 4 TE mechanisms;
@@ -24,16 +24,13 @@ Gates run in every mode:
   all randomness flows through one seeded generator);
 * **spray shape** -- spray cells carry k subflows per request.
 
-``--smoke`` shrinks the grid (fluid everywhere, the incast family on
-both engines) for CI; full mode runs both engines on every family.
-Results land in ``BENCH_workloads.json`` at the repo root (``--smoke``:
-under the git-ignored ``benchmarks/results/smoke/``; ``meta.mode``
-records which).
+Both engines run on every family (~3 s).  Results land in
+``BENCH_workloads.json`` at the repo root; CI regenerates it and diffs
+it against the committed file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -53,7 +50,7 @@ from repro.workloads import (
     run_scenario,
 )
 
-from _util import REPO_ROOT, SMOKE_DIR, publish_json
+from _util import REPO_ROOT, publish_json
 
 SEED = 3
 
@@ -87,27 +84,20 @@ def run_cell(workload, te: str, engine: str) -> dict:
     return run_scenario(scenario).cell()
 
 
-def build_scorecard(smoke: bool) -> ScorecardReport:
-    suite = canonical_suite(scale=0.5 if smoke else 1.0)
+def build_scorecard() -> ScorecardReport:
     report = ScorecardReport(
         meta={
             "seed": SEED,
-            "mode": "smoke" if smoke else "full",
             "topology": "leaf_spine(2 spines, 2 leaves, 10 hosts/leaf)",
             "core_link_bps": CORE_LINK_BPS,
             "host_bps": 10e9,
             "hybrid_roi": "all",
-            "scale": 0.5 if smoke else 1.0,
+            "scale": 1.0,
         }
     )
-    for workload in suite:
+    for workload in canonical_suite():
         for te in TE_MECHANISMS:
-            # Smoke keeps CI short: fluid everywhere, the engine
-            # dimension exercised on the incast family only.
-            engines = (
-                ("fluid",) if smoke and workload.name != "incast" else ENGINES
-            )
-            for engine in engines:
+            for engine in ENGINES:
                 t0 = time.perf_counter()
                 cell = run_cell(workload, te, engine)
                 wall = time.perf_counter() - t0
@@ -122,16 +112,10 @@ def build_scorecard(smoke: bool) -> ScorecardReport:
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: reduced grid, gates only",
-    )
-    opts = parser.parse_args(argv)
+def main() -> int:
     failures = []
 
-    report = build_scorecard(opts.smoke)
+    report = build_scorecard()
     payload = report.as_dict()
 
     # Gate: schema -- every cell carries the full metric set.
@@ -167,7 +151,7 @@ def main(argv=None) -> int:
     # Gate: determinism -- the fluid slice must reproduce byte for byte.
     for workload, by_te in payload["cells"].items():
         wl = next(
-            w for w in canonical_suite(scale=0.5 if opts.smoke else 1.0)
+            w for w in canonical_suite()
             if w.name == workload
         )
         for te, by_engine in by_te.items():
@@ -186,7 +170,7 @@ def main(argv=None) -> int:
     print(report.summary())
     publish_json(
         "bench_workloads", payload,
-        path=os.path.join(SMOKE_DIR if opts.smoke else REPO_ROOT, "BENCH_workloads.json"),
+        path=os.path.join(REPO_ROOT, "BENCH_workloads.json"),
     )
 
     for failure in failures:

@@ -11,7 +11,7 @@ slices, exactly the loop a terminal UI or scrape agent would run:
   change it (CI pins this with a golden-trace equivalence test);
 * the fabric's event record answers "what happened recently?" per
   category (``fabric.tracer.last``);
-* the same snapshot exports as a CLI table, JSON, or Prometheus text.
+* the same snapshot renders as a CLI table or as JSON.
 
 Run:  python examples/observability.py
 """
@@ -57,7 +57,7 @@ def dashboard_frame(fabric, step: int) -> None:
 def main() -> None:
     fabric = build_fabric()
 
-    link = sorted(fabric.topology.links, key=lambda l: str(l.key()))[0]
+    link = min(fabric.topology.links, key=str)
     flap = (link.a.switch, link.a.port, link.b.switch, link.b.port)
     schedule = (
         FaultSchedule()
@@ -71,27 +71,21 @@ def main() -> None:
     runner.install()
 
     agents = sorted(fabric.agents)
-    with fabric.obs.registry.span("chaos-window"):
-        for step in range(4):
-            # Some app traffic each slice so counters visibly move.
-            src, dst = agents[step % len(agents)], agents[-1 - step % 3]
-            if src != dst:
-                fabric.agents[src].send_app(dst, f"tick-{step}",
-                                            flow_key=f"flow{step}")
-            fabric.run(until=fabric.now + 0.05)
-            dashboard_frame(fabric, step)
+    start = fabric.now
+    for step in range(4):
+        # Some app traffic each slice so counters visibly move.
+        src, dst = agents[step % len(agents)], agents[-1 - step % 3]
+        if src != dst:
+            fabric.agents[src].send_app(dst, f"tick-{step}",
+                                        flow_key=f"flow{step}")
+        fabric.run(until=fabric.now + 0.05)
+        dashboard_frame(fabric, step)
 
-    window = fabric.obs.registry.get("span.chaos-window.s")
-    print(f"\nchaos window spanned {window.total:.3f} simulated seconds")
+    print(f"\nchaos window spanned {fabric.now - start:.3f} simulated seconds")
 
-    # The same data, machine-readable: JSON for dashboards...
+    # The same data, machine-readable: JSON for dashboards.
     observation = fabric.observe()
     print(f"\nJSON snapshot: {len(observation.to_json())} bytes")
-    # ...and Prometheus exposition for scrapers.
-    exposition = observation.to_prometheus()
-    print("Prometheus exposition (first 6 lines):")
-    for line in exposition.splitlines()[:6]:
-        print(f"  {line}")
 
     # In-band telemetry speaks the same report protocol.
     report = TelemetryCollector(fabric.controller, fabric.network).collect()

@@ -71,10 +71,9 @@ class DumbNetFabric:
         same constructor works, e.g. :class:`~repro.core.ecn.EcnSwitch`.
 
         ``obs=True`` builds a :class:`~repro.obs.fabric.FabricObs` hub
-        (``fabric.obs``), clocked by the simulator and wired into every
-        host agent and channel, hot-plugged ones included.  Off (the
-        default) the fabric pays nothing beyond dormant ``is not None``
-        gates.
+        (``fabric.obs``), wired into every host agent and channel,
+        hot-plugged ones included.  Off (the default) the fabric pays
+        nothing beyond dormant ``is not None`` gates.
         """
         if not topology.hosts:
             raise ValueError("a DumbNet fabric needs at least one host")
@@ -87,9 +86,7 @@ class DumbNetFabric:
         self._rng = random.Random(seed)
         self.agents: Dict[str, HostAgent] = {}
         self.controller: Optional[Controller] = None
-        self.obs: Optional[FabricObs] = (
-            FabricObs(clock=lambda: self.network.loop.now) if obs else None
-        )
+        self.obs: Optional[FabricObs] = FabricObs() if obs else None
 
         switch_type = switch_cls or DumbSwitch
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .host_agent import HostAgent
+from .packet import DUMBNET_MTU
 
 __all__ = ["PHostEndpoint", "TransferStats"]
 
@@ -71,7 +72,7 @@ class TransferStats:
     @property
     def goodput_bps(self) -> float:
         return 0.0 if self.duration_s <= 0 else (
-            self.packets * 8 * 1450 / self.duration_s
+            self.packets * 8 * DUMBNET_MTU / self.duration_s
         )
 
 
@@ -82,7 +83,7 @@ class PHostEndpoint:
         self,
         agent: HostAgent,
         downlink_bps: float = 10e9,
-        packet_bytes: int = 1450,
+        packet_bytes: int = DUMBNET_MTU,
         spray_paths: int = 4,
     ) -> None:
         self.agent = agent

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.controller import Controller
 from ..core.host_agent import HostAgent
@@ -358,25 +358,13 @@ class ChaosRunner:
     def _reachable_pairs(self) -> List[Tuple[str, str]]:
         """Host pairs still physically connected at quiesce."""
         residual = residual_topology(self.fabric.network)
-        component: Dict[str, int] = {}
-        next_id = 0
-        adjacency: Dict[str, Set[str]] = {
-            sw: set() for sw in residual.switches
-        }
-        for link in residual.links:
-            adjacency[link.a.switch].add(link.b.switch)
-            adjacency[link.b.switch].add(link.a.switch)
+        # Each switch is labelled with the first switch, in name order,
+        # of its connected component.
+        component: Dict[str, str] = {}
         for sw in sorted(residual.switches):
-            if sw in component:
-                continue
-            stack = [sw]
-            component[sw] = next_id
-            while stack:
-                for peer in adjacency[stack.pop()]:
-                    if peer not in component:
-                        component[peer] = next_id
-                        stack.append(peer)
-            next_id += 1
+            if sw not in component:
+                for peer in residual.switch_distances(sw):
+                    component[peer] = sw
         host_comp = {
             host: component[residual.host_port(host).switch]
             for host in residual.hosts

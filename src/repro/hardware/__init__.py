@@ -17,7 +17,7 @@ __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
         "MPLS_ONLY",
         "DUMBNET",
         "ALL_STACKS",
-        "DUMBNET_MTU_BYTES",
         "throughput_bps",
     ),
+    "..core.packet": ("DUMBNET_MTU",),
 })

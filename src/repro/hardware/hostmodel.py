@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.packet import DUMBNET_MTU
+
 __all__ = [
     "StackModel",
     "NATIVE",
@@ -36,13 +38,10 @@ __all__ = [
     "ALL_STACKS",
 ]
 
-#: The testbed MTU for DumbNet traffic (Section 5.3).
-DUMBNET_MTU_BYTES = 1450
-
 #: Calibration anchor: no-op DPDK moves a 1450-byte frame in the time
 #: that yields 5.41 Gbps.
 _NOOP_DPDK_GBPS = 5.41
-_BASE_PACKET_COST_S = DUMBNET_MTU_BYTES * 8 / (_NOOP_DPDK_GBPS * 1e9)
+_BASE_PACKET_COST_S = DUMBNET_MTU * 8 / (_NOOP_DPDK_GBPS * 1e9)
 
 #: "about 4% additional overhead" for the MPLS header copy.
 _MPLS_OVERHEAD = 0.04
@@ -70,7 +69,7 @@ class StackModel:
     #: Lognormal sigma of the stack traversal.
     latency_sigma: float
 
-    def throughput_bps(self, frame_bytes: int = DUMBNET_MTU_BYTES) -> float:
+    def throughput_bps(self, frame_bytes: int = DUMBNET_MTU) -> float:
         """Single-core saturation throughput for a given frame size."""
         if frame_bytes <= 0:
             raise ValueError("frame size must be positive")
@@ -93,7 +92,7 @@ class StackModel:
 #: shows it well below the DPDK configurations.
 NATIVE = StackModel(
     name="Native",
-    per_packet_cost_s=DUMBNET_MTU_BYTES * 8 / 9.4e9,  # near line rate
+    per_packet_cost_s=DUMBNET_MTU * 8 / 9.4e9,  # near line rate
     latency_median_s=90e-6,
     latency_sigma=0.35,
 )
@@ -126,6 +125,6 @@ DUMBNET = StackModel(
 ALL_STACKS = (NATIVE, NOOP_DPDK, MPLS_ONLY, DUMBNET)
 
 
-def throughput_bps(stack: StackModel, frame_bytes: int = DUMBNET_MTU_BYTES) -> float:
+def throughput_bps(stack: StackModel, frame_bytes: int = DUMBNET_MTU) -> float:
     """Module-level convenience mirroring :meth:`StackModel.throughput_bps`."""
     return stack.throughput_bps(frame_bytes)

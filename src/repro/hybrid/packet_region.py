@@ -39,6 +39,7 @@ from collections import deque
 from heapq import heappop, heappush, heapreplace
 from typing import Deque, Dict, List, Mapping, Sequence, Tuple
 
+from ..core.packet import DUMBNET_MTU
 from ..flowsim.network import FlowNet
 from ..flowsim.simulator import Flow
 
@@ -109,7 +110,7 @@ class PacketRegion:
         net: FlowNet,
         *,
         latency_s: float = 1e-6,
-        mtu_bytes: int = 1450,
+        mtu_bytes: int = DUMBNET_MTU,
         window: int = 32,
     ) -> None:
         # A zero window loses the flow, a zero MTU never drains it and a

@@ -1,22 +1,21 @@
 """The fabric-facing side of observability.
 
 :class:`FabricObs` is the live hub a fabric carries when observability
-is enabled: one :class:`~repro.obs.metrics.MetricsRegistry` clocked by
-the simulator and the pre-created histograms hot paths record into
-(channel queueing delay, controller-query latency, reprobe latency,
-installed path lengths).  The fabric hands it to every host agent it
-builds and to its :class:`~repro.netsim.network.Network`, which points
-each channel's queue-wait gate at it; without a hub those ``is not
-None`` gates stay dormant and the fabric pays nothing.
+is enabled: the five histograms hot paths record into (link and NIC
+queueing delay, controller-query latency, installed path lengths,
+reprobe latency), all fed simulated durations.  The fabric hands it to
+every host agent it builds and to its
+:class:`~repro.netsim.network.Network`, which points each channel's
+queue-wait gate at it; without a hub those ``is not None`` gates stay
+dormant and the fabric pays nothing.
 
 :func:`observe_fabric` takes a *snapshot*: it walks the fabric's
 existing counters (event loop, switches, channels, host agents, the
 controller's path service), its tracer's event record and the hub's
-live metrics and wraps them in an :class:`Observation` -- a
-:class:`~repro.obs.report.ReportBase` report that also renders
-Prometheus exposition text.  Snapshotting is read-only: it schedules
-nothing, sends nothing, and draws no randomness, so it can run
-mid-simulation without perturbing anything.
+histograms into one dict, wrapped in an :class:`Observation` that
+renders it as JSON or as a summary table.  Snapshotting is read-only:
+it schedules nothing, sends nothing, and draws no randomness, so it
+can run mid-simulation without perturbing anything.
 
 Everything here is duck-typed against the fabric (``network``,
 ``agents``, ``controller``, ``obs`` attributes) -- this module never
@@ -25,10 +24,10 @@ imports ``repro.core``, which imports it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from .export import Labels, Sample, metric_name, to_prometheus, to_table
-from .metrics import Histogram, MetricsRegistry
+from ..analysis.tables import render_table
+from .metrics import Histogram
 from .report import ReportBase
 
 __all__ = ["FabricObs", "Observation", "observe_fabric"]
@@ -72,46 +71,36 @@ class FabricObs:
     """Live instrumentation attached to one fabric.
 
     Built by ``DumbNetFabric(..., obs=True)`` and read back through
-    ``fabric.observe()``.
+    ``fabric.observe()``.  Hot-path call sites hold the direct
+    reference and pay one ``observe()`` per recorded sample.
     """
 
-    def __init__(self, clock=None) -> None:
-        self.registry = MetricsRegistry(clock=clock)
-        # Pre-created histograms: hot-path call sites hold the direct
-        # reference and pay one observe() per recorded sample.
-        self.link_queue_wait = self.registry.histogram("netsim.link.queue_wait_s")
-        self.nic_queue_wait = self.registry.histogram("netsim.nic.queue_wait_s")
-        self.query_latency = self.registry.histogram("host.path_query.latency_s")
-        self.path_tags = self.registry.histogram(
-            "host.path.tags", least=1.0, growth=2.0
-        )
+    def __init__(self) -> None:
+        self.link_queue_wait = Histogram("netsim.link.queue_wait_s")
+        self.nic_queue_wait = Histogram("netsim.nic.queue_wait_s")
+        self.query_latency = Histogram("host.path_query.latency_s")
+        self.path_tags = Histogram("host.path.tags", least=1.0, growth=2.0)
         #: Simulated duration of one controller probe run (scan,
         #: verification and any frontier recursion), retries excluded.
-        self.reprobe_latency = self.registry.histogram(
-            "controller.reprobe.latency_s"
-        )
+        self.reprobe_latency = Histogram("controller.reprobe.latency_s")
+
+    def as_dict(self) -> Dict[str, Dict[str, Any]]:
+        """Every histogram's :meth:`~Histogram.as_dict`, sorted by name."""
+        hists = (self.link_queue_wait, self.nic_queue_wait,
+                 self.query_latency, self.path_tags, self.reprobe_latency)
+        return {h.name: h.as_dict() for h in sorted(hists, key=lambda h: h.name)}
 
 
 class Observation(ReportBase):
     """One point-in-time snapshot of everything observable."""
 
-    __slots__ = ("_data", "_samples", "_histograms")
+    __slots__ = ("_data",)
 
-    def __init__(
-        self,
-        data: Dict[str, Any],
-        samples: List[Sample],
-        histograms: List[Tuple[str, Labels, Histogram]],
-    ) -> None:
+    def __init__(self, data: Dict[str, Any]) -> None:
         self._data = data
-        self._samples = samples
-        self._histograms = histograms
 
     def as_dict(self) -> Dict[str, Any]:
         return self._data
-
-    def to_prometheus(self) -> str:
-        return to_prometheus(self._samples, self._histograms)
 
     def summary(self) -> str:
         data = self._data
@@ -137,30 +126,24 @@ class Observation(ReportBase):
                  f"{controller['path_service'].get('hits', 0)}"
                  f"/{controller['path_service'].get('misses', 0)}"),
             ])
-        hist_rows = []
-        for name, _labels, hist in self._histograms:
-            if hist.count == 0:
-                continue
-            hist_rows.append((
-                name, hist.count,
-                f"{hist.p50:.3g}", f"{hist.p95:.3g}", f"{hist.p99:.3g}",
-            ))
+        hist_rows = [
+            (name, hist["count"],
+             f"{hist['p50']:.3g}", f"{hist['p95']:.3g}", f"{hist['p99']:.3g}")
+            for name, hist in (data["metrics"] or {}).items()
+            if hist["count"]
+        ]
         event_rows = [
             (category, body["seen"]) for category, body in data["events"].items()
         ]
-        return to_table(
-            {
-                "fabric": fabric_rows,
-                "histograms": hist_rows,
-                "events": event_rows,
-            },
-            {
-                "fabric": ("metric", "value"),
-                "histograms": ("histogram", "count", "p50", "p95", "p99"),
-                "events": ("category", "seen"),
-            },
-            title=f"observation @ {data['now']:.6f}s",
-        )
+        blocks = [f"observation @ {data['now']:.6f}s"]
+        for section, headers, rows in (
+            ("fabric", ("metric", "value"), fabric_rows),
+            ("histograms", ("histogram", "count", "p50", "p95", "p99"), hist_rows),
+            ("events", ("category", "seen"), event_rows),
+        ):
+            if rows:
+                blocks.append(render_table(headers, rows, title=f"[{section}]"))
+        return "\n\n".join(blocks)
 
 
 def _channel_totals(channels) -> Dict[str, int]:
@@ -180,15 +163,7 @@ def observe_fabric(fabric: Any) -> Observation:
     """Snapshot a fabric (read-only) into an :class:`Observation`."""
     network = fabric.network
     loop = network.loop
-    samples: List[Sample] = []
-    histograms: List[Tuple[str, Labels, Histogram]] = []
-
-    def sample(name: str, value: float, kind: str = "gauge",
-               labels: Labels = ()) -> None:
-        samples.append((name, labels, float(value), kind))
-
     data: Dict[str, Any] = {"kind": "observation", "now": loop.now}
-    sample("dumbnet_sim_clock_seconds", loop.now)
 
     # Event loop.
     data["loop"] = {
@@ -197,10 +172,6 @@ def observe_fabric(fabric: Any) -> Observation:
         "heap_len": len(loop._heap),
         "dead_entries": loop.dead_entries,
     }
-    sample("dumbnet_loop_events_run_total", loop.events_run, "counter")
-    sample("dumbnet_loop_events_pending", loop.pending)
-    sample("dumbnet_loop_heap_len", len(loop._heap))
-    sample("dumbnet_loop_heap_dead_entries", loop.dead_entries)
 
     # Switches.
     switches: Dict[str, Any] = {}
@@ -211,21 +182,9 @@ def observe_fabric(fabric: Any) -> Observation:
             for counter in _SWITCH_COUNTERS
         }
         row["powered"] = bool(getattr(device, "powered", True))
-        labels: Labels = (("switch", name),)
-        for counter, value in row.items():
-            if counter == "powered":
-                sample("dumbnet_switch_powered", int(value), labels=labels)
-            else:
-                sample(metric_name("dumbnet_switch", counter, "total"),
-                       value, "counter", labels)
         tx_ports = getattr(device, "tx_frames", None)
         if tx_ports:
             row["tx_ports"] = dict(sorted(tx_ports.items()))
-            for port, frames in sorted(tx_ports.items()):
-                sample(
-                    "dumbnet_switch_port_tx_frames_total", frames, "counter",
-                    labels + (("port", str(port)),),
-                )
         switches[name] = row
     data["switches"] = switches
 
@@ -234,13 +193,6 @@ def observe_fabric(fabric: Any) -> Observation:
         "link": _channel_totals(network._link_channels.values()),
         "nic": _channel_totals(network._host_channels.values()),
     }
-    for cls, totals in data["channels"].items():
-        labels = (("class", cls),)
-        sample("dumbnet_channels", totals["count"], labels=labels)
-        sample("dumbnet_channels_down", totals["down"], labels=labels)
-        for counter in ("frames_delivered", "frames_dropped", "frames_duplicated"):
-            sample(metric_name("dumbnet_channel", counter, "total"),
-                   totals[counter], "counter", labels)
 
     # Host agents + their path tables.
     hosts: Dict[str, Any] = {}
@@ -259,14 +211,6 @@ def observe_fabric(fabric: Any) -> Observation:
                 "failovers": table.failovers,
                 "size_paths": table.size_paths,
             }
-        labels = (("host", name),)
-        for counter in _HOST_COUNTERS:
-            sample(metric_name("dumbnet_host", counter, "total"),
-                   row[counter], "counter", labels)
-        for counter, value in row.get("path_table", {}).items():
-            kind = "gauge" if counter == "size_paths" else "counter"
-            sample(metric_name("dumbnet_path_table", counter), value,
-                   kind, labels)
         hosts[name] = row
     data["hosts"] = hosts
 
@@ -279,16 +223,10 @@ def observe_fabric(fabric: Any) -> Observation:
         }
         for counter in _CONTROLLER_COUNTERS:
             row[counter] = getattr(controller, counter, 0)
-            sample(metric_name("dumbnet_controller", counter, "total"),
-                   row[counter], "counter")
-        sample("dumbnet_controller_view_version", controller.view_version)
         service = getattr(controller, "path_service", None)
         row["path_service"] = (
             service.stats.as_dict() if service is not None else {}
         )
-        for counter, value in row["path_service"].items():
-            sample(metric_name("dumbnet_path_service", counter, "total"),
-                   value, "counter")
         # Replica apply outcomes (dropped > 0 flags divergence).
         replicator = getattr(controller, "replicator", None)
         apply_stats = getattr(replicator, "apply_stats", None)
@@ -297,25 +235,14 @@ def observe_fabric(fabric: Any) -> Observation:
                 replica: dict(stats)
                 for replica, stats in sorted(apply_stats.items())
             }
-            for replica, stats in sorted(apply_stats.items()):
-                labels = (("replica", replica),)
-                for counter, value in stats.items():
-                    sample(metric_name("dumbnet_replica_apply", counter,
-                                       "total"),
-                           value, "counter", labels)
         data["controller"] = row
 
     # The event record every fabric keeps.
     data["events"] = fabric.tracer.as_dict()
 
-    # Live hub metrics (only present when the fabric was built with
+    # Live hub histograms (only present when the fabric was built with
     # observability enabled).
     hub: Optional[FabricObs] = getattr(fabric, "obs", None)
-    if hub is not None:
-        data["metrics"] = hub.registry.as_dict()
-        for name, metric in hub.registry:
-            histograms.append((metric_name("dumbnet", name), (), metric))
-    else:
-        data["metrics"] = None
+    data["metrics"] = hub.as_dict() if hub is not None else None
 
-    return Observation(data, samples, histograms)
+    return Observation(data)

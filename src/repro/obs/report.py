@@ -2,16 +2,14 @@
 
 Before this module the repo had disjoint report shapes: the telemetry
 :class:`FabricReport`, the chaos :class:`ChaosReport`, the path-service
-stats dict, and ad-hoc per-agent counters.  :class:`ReportBase` gives them a single surface --
-``as_dict()`` (plain JSON-able data, ``kind`` key first),
-``to_json()``, and ``summary()`` (human-oriented text) -- so callers
-can treat any snapshot uniformly and exporters need one code path.
+stats dict, and ad-hoc per-agent counters.  :class:`ReportBase` gives
+them a single surface -- ``as_dict()`` (plain JSON-able data, ``kind``
+key first), ``to_json()``, and ``summary()`` (human-oriented text) --
+so callers can treat any snapshot uniformly.
 
 This module is a dependency leaf on purpose: ``repro.core.telemetry``
 and the flow-level engines import from it, so it must not import them
-back.  The convenience re-exports of the concrete report classes
-(``FabricReport``, ``ChaosReport``...) therefore resolve lazily via
-module ``__getattr__``.
+back.
 """
 
 from __future__ import annotations
@@ -19,14 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from .. import _lazy_namespace
-
-__getattr__, __dir__, _reexports = _lazy_namespace(__name__, {
-    "..core.telemetry": ("FabricReport",),
-    "..faultinject.runner": ("ChaosReport",),
-    ".fabric": ("Observation",),
-})
-__all__ = ["ReportBase", "report_to_json", *_reexports]
+__all__ = ["ReportBase", "report_to_json"]
 
 
 def report_to_json(data: Any, indent: int = 2) -> str:

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.fabric import DumbNetFabric
 from ..core.host_agent import HostAgent
+from ..core.packet import DUMBNET_MTU
 
 __all__ = ["CbrStream", "measure_rtts", "RttSample"]
 
@@ -40,7 +41,7 @@ class CbrStream:
         src_agent: HostAgent,
         dst_agent: HostAgent,
         rate_bps: float,
-        packet_bytes: int = 1450,
+        packet_bytes: int = DUMBNET_MTU,
         flow_key: object = None,
     ) -> None:
         if rate_bps <= 0:

@@ -6,6 +6,8 @@ heals and elections, checking the safety property ZooKeeper gives the
 paper's controllers: **exposed (committed) entries are never lost and
 never reordered** -- any two live replicas agree on the committed
 prefix, and every value a client was told "committed" stays committed.
+It also checks Raft's Election Safety (one leader per term) and that no
+replica's committed prefix is ever rewritten.
 """
 
 from hypothesis import settings
@@ -32,6 +34,7 @@ class QuorumLogMachine(RuleBasedStateMachine):
         self.cluster.elect_any()
         self.acknowledged = []  # entries a client saw commit, in order
         self.counter = 0
+        self.committed = {}  # node -> its committed (term, payload) prefix
 
     # ------------------------------------------------------------------
     # actions
@@ -92,6 +95,30 @@ class QuorumLogMachine(RuleBasedStateMachine):
                     [e.payload for e in a.log[:shorter]]
                     == [e.payload for e in b.log[:shorter]]
                 ), f"{a.name} and {b.name} diverge in committed prefix"
+
+    @invariant()
+    def one_leader_per_term(self):
+        """Election Safety: at most one live node leads any one term."""
+        leaders = {}
+        for node in self.cluster.nodes.values():
+            if node.alive and node.is_leader:
+                assert node.term not in leaders, (
+                    f"{leaders[node.term]} and {node.name} both lead "
+                    f"term {node.term}"
+                )
+                leaders[node.term] = node.name
+
+    @invariant()
+    def committed_prefixes_only_grow(self):
+        """State Machine Safety: no node's committed prefix ever
+        shrinks or changes between steps."""
+        for node in self.cluster.nodes.values():
+            now = [(e.term, e.payload) for e in node.log[: node.commit_index]]
+            before = self.committed.get(node.name, [])
+            assert now[: len(before)] == before, (
+                f"{node.name} rewrote its committed prefix: {before} -> {now}"
+            )
+            self.committed[node.name] = now
 
     @invariant()
     def acknowledged_entries_survive(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.hardware import (
     ALL_STACKS,
     DUMBNET,
-    DUMBNET_MTU_BYTES,
+    DUMBNET_MTU,
     DUMBNET_VERILOG_LINES,
     MPLS_ONLY,
     NATIVE,
@@ -83,7 +83,7 @@ class TestStackModel:
 
     def test_throughput_scales_with_frame_size(self):
         small = NOOP_DPDK.throughput_bps(frame_bytes=64)
-        large = NOOP_DPDK.throughput_bps(frame_bytes=DUMBNET_MTU_BYTES)
+        large = NOOP_DPDK.throughput_bps(frame_bytes=DUMBNET_MTU)
         assert large > small * 10
 
     def test_invalid_frame_size(self):

@@ -331,6 +331,6 @@ class TestFabricIntegration:
         fabric = DumbNetFabric.from_topology(self._topo(), bootstrap=None)
         observation = fabric.observe()
         assert "dataplane" not in observation.as_dict()
-        prom = observation.to_prometheus()
-        assert "dumbnet_fluid_" not in prom
-        assert "dumbnet_hybrid_" not in prom
+        text = observation.to_json()
+        assert "fluid" not in text
+        assert "hybrid" not in text

@@ -1,12 +1,10 @@
-"""Observability-layer tests: metric primitives, the report protocol,
-deprecation shims, the redesigned fabric construction API, and -- most
-load-bearing -- that enabling observability never changes simulation
-behavior."""
+"""Observability-layer tests: the histogram, the report protocol, the
+fabric construction API, what one ``observe()`` snapshot samples, and
+-- most load-bearing -- that enabling observability or taking a
+snapshot never changes simulation behavior."""
 
 import hashlib
 import json
-import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +13,7 @@ from hypothesis import strategies as st
 from repro.core.fabric import DumbNetFabric
 from repro.core.telemetry import FabricReport, StatsSwitch, TelemetryCollector
 from repro.faultinject import ChaosFabric, ChaosRunner, FaultEvent, FaultSchedule
-from repro.obs import (
-    FabricObs,
-    Histogram,
-    MetricsRegistry,
-    parse_prometheus,
-    to_prometheus,
-)
+from repro.obs import FabricObs, Histogram, ReportBase
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads.iperf import measure_rtts
 
@@ -38,10 +30,8 @@ class TestHistogram:
         h.observe(1.5)   # (1, 2]
         h.observe(2.0)   # (1, 2] -- exact boundary stays in the bucket
         h.observe(2.001) # (2, 4]
-        buckets = dict(h.buckets())
-        assert buckets[1.0] == 3
-        assert buckets[2.0] == 5   # cumulative
-        assert buckets[4.0] == 6
+        assert h._underflow == 3
+        assert h._buckets == {1: 2, 2: 1}
         assert h.count == 6
 
     def test_percentiles_within_bucket_bounds(self):
@@ -64,14 +54,6 @@ class TestHistogram:
         assert h.p50 == pytest.approx(3.0)
         assert h.p99 == pytest.approx(3.0)
 
-    def test_cumulative_buckets_monotone(self):
-        h = Histogram("t")
-        for i in range(200):
-            h.observe(1e-9 * (1.7 ** (i % 37)))
-        counts = [c for _le, c in h.buckets()]
-        assert counts == sorted(counts)
-        assert counts[-1] == h.count
-
     def test_as_dict_shape(self):
         h = Histogram("t")
         h.observe(2e-6)
@@ -87,83 +69,6 @@ class TestHistogram:
             Histogram("t", growth=1.0)
         with pytest.raises(ValueError):
             Histogram("t").percentile(1.5)
-
-
-# ----------------------------------------------------------------------
-# spans + registry
-
-
-class TestSpans:
-    def test_nested_spans_accumulate_per_path(self):
-        clock = [0.0]
-        reg = MetricsRegistry(clock=lambda: clock[0])
-        with reg.span("outer"):
-            clock[0] = 1.0
-            with reg.span("inner"):
-                clock[0] = 3.0
-            clock[0] = 4.0
-        outer = reg.get("span.outer.s")
-        inner = reg.get("span.outer/inner.s")
-        assert outer.count == 1 and outer.total == pytest.approx(4.0)
-        assert inner.count == 1 and inner.total == pytest.approx(2.0)
-        # Stack unwound: a fresh span is top-level again.
-        with reg.span("outer"):
-            clock[0] = 5.0
-        assert reg.get("span.outer.s").count == 2
-
-    def test_span_records_on_exception_and_restores_stack(self):
-        clock = [0.0]
-        reg = MetricsRegistry(clock=lambda: clock[0])
-        with pytest.raises(RuntimeError):
-            with reg.span("boom"):
-                clock[0] = 2.0
-                raise RuntimeError("x")
-        assert reg.get("span.boom.s").count == 1
-        assert reg._span_stack == []
-
-    def test_span_name_may_not_contain_separator(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.span("a/b")
-
-
-# ----------------------------------------------------------------------
-# exporters
-
-
-class TestExport:
-    def test_prometheus_roundtrip(self):
-        h = Histogram("lat", least=1e-9, growth=4.0)
-        for v in (1e-6, 2e-6, 1e-3):
-            h.observe(v)
-        text = to_prometheus(
-            [("up_total", (("host", "h1"),), 3.0, "counter")],
-            [("lat_seconds", (("host", "h1"),), h)],
-        )
-        counts = parse_prometheus(text)
-        assert counts["up_total"] == 1
-        assert counts["lat_seconds_count"] == 1
-        assert counts["lat_seconds_bucket"] >= 2
-        assert "# TYPE lat_seconds histogram" in text
-
-    @pytest.mark.parametrize("bad", [
-        "metric name with spaces 1.0",
-        "ok{unclosed 1.0",
-        "ok not-a-number",
-        "# TYPE x weird",
-        'ok{l="v",} 1.0',
-    ])
-    def test_parse_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_prometheus(bad + "\n")
-
-    def test_parse_checks_histogram_count_consistency(self):
-        text = (
-            'h_bucket{le="+Inf"} 5\n'
-            "h_count 4\n"
-        )
-        with pytest.raises(ValueError):
-            parse_prometheus(text)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +114,7 @@ class TestFabricConstructionAPI:
         fabric = DumbNetFabric.from_topology(
             topo, bootstrap="blueprint", controller_host="h0_0", seed=5
         )
-        link = sorted(topo.links, key=lambda l: str(l.key()))[0]
+        link = min(topo.links, key=str)
         flat = (link.a.switch, link.a.port, link.b.switch, link.b.port)
         channel = fabric.network.link_channel(*flat)
         fabric.fail_link(link)
@@ -241,7 +146,7 @@ def _traced_fabric(obs: bool, seed: int) -> DumbNetFabric:
     )
     fabric.bootstrap()
     fabric.warm_paths([("h0_1", "h1_1"), ("h1_0", "h0_0")])
-    link = sorted(topo.links, key=lambda l: str(l.key()))[0]
+    link = min(topo.links, key=str)
     fabric.fail_link(link)
     fabric.run_until_idle()
     fabric.restore_link(link)
@@ -301,7 +206,7 @@ class TestObsNeutrality:
         assert data["metrics"] is None
         assert data["events"]["announced"]["seen"] > 0  # every fabric traces
         assert data["switches"]
-        parse_prometheus(observation.to_prometheus())
+        assert json.loads(observation.to_json())["metrics"] is None
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +235,9 @@ class TestFabricObsWiring:
         assert decoded["events"] == fabric.tracer.as_dict()
 
     def test_custom_hub_and_simulated_clock(self):
+        """The hub records simulated durations: a cold path query's
+        latency is read off ``loop.now``, so it fits inside the
+        simulated time that passed."""
         fabric = DumbNetFabric.from_topology(
             leaf_spine(2, 2, 2, num_ports=16),
             bootstrap="blueprint",
@@ -338,12 +246,15 @@ class TestFabricObsWiring:
             obs=True,
         )
         hub = fabric.obs
-        assert hub.registry.now() == fabric.now  # clocked by loop.now
-        with hub.registry.span("settle"):
-            fabric.run(until=fabric.now + 0.25)
-        span = hub.registry.get("span.settle.s")
-        assert span.count == 1
-        assert span.total == pytest.approx(0.25)
+        assert hub.query_latency.count == 0
+        start = fabric.now
+        assert not fabric.agents["h0_1"].send_app("h1_1", "cold")
+        fabric.run(until=start + 0.25)
+        assert fabric.now == pytest.approx(start + 0.25)
+        assert hub.query_latency.count == 1
+        assert 0.0 < hub.query_latency.max <= 0.25
+        metrics = fabric.observe().as_dict()["metrics"]
+        assert metrics["host.path_query.latency_s"] == hub.query_latency.as_dict()
 
     def test_hotplug_host_is_wired(self):
         fabric = DumbNetFabric.from_topology(
@@ -381,6 +292,83 @@ class TestFabricObsWiring:
             assert channel._obs_wait is fabric.obs.link_queue_wait
             assert channel.frames_delivered > 0
         assert [ev.node for ev in fabric.tracer.last("fault-applied")] == ["switch-join"]
+
+
+# ----------------------------------------------------------------------
+# one snapshot of a fabric that ran traffic, a link flap and a chaos burst
+
+
+@pytest.fixture(scope="module")
+def chaos_observed():
+    """An obs-enabled leaf-spine fabric after a link flap through the
+    Edge-accepting API and a scripted chaos burst."""
+    topology = leaf_spine(2, 3, 2, num_ports=16)
+    fabric = DumbNetFabric.from_topology(
+        topology,
+        bootstrap="blueprint",
+        warm=True,
+        controller_host=sorted(topology.hosts)[0],
+        seed=23,
+        switch_cls=StatsSwitch,
+        obs=True,
+    )
+    link = min(topology.links, key=str)
+    fabric.fail_link(link)
+    fabric.run_until_idle()
+    fabric.restore_link(link)
+    fabric.run_until_idle()
+    flap = (link.a.switch, link.a.port, link.b.switch, link.b.port)
+    schedule = FaultSchedule().link_flap(0.01, flap, down_for=0.02)
+    chaos = ChaosRunner(ChaosFabric.wrap(fabric), schedule, traffic_seed=23).run()
+    return fabric, chaos
+
+
+class TestSnapshot:
+    def test_observe_schedules_nothing_and_leaves_the_clock(self, chaos_observed):
+        fabric, _chaos = chaos_observed
+        pending, clock, events_run = fabric.loop.pending, fabric.now, fabric.loop.events_run
+        first = fabric.observe().to_json()
+        assert fabric.loop.pending == pending
+        assert fabric.now == clock
+        assert fabric.loop.events_run == events_run
+        assert fabric.observe().to_json() == first
+
+    def test_json_round_trips_with_the_sim_clock(self, chaos_observed):
+        fabric, _chaos = chaos_observed
+        decoded = json.loads(fabric.observe().to_json())
+        assert decoded["kind"] == "observation"
+        assert decoded["now"] == fabric.now
+        assert list(decoded["metrics"]) == sorted(decoded["metrics"])
+        assert decoded["metrics"] == fabric.obs.as_dict()
+
+    def test_every_live_histogram_is_populated(self, chaos_observed):
+        hub = chaos_observed[0].obs
+        assert hub.link_queue_wait.count > 0
+        assert hub.nic_queue_wait.count > 0
+        assert hub.query_latency.count > 0
+        assert hub.path_tags.count > 0
+        assert hub.reprobe_latency.count > 0
+
+    def test_event_record_saw_the_applied_faults(self, chaos_observed):
+        fabric, chaos = chaos_observed
+        assert fabric.tracer.seen("fault-applied") == len(chaos.applied) == 2
+        assert fabric.observe().as_dict()["events"]["fault-applied"]["seen"] == 2
+        assert chaos.ok()  # no violations, every pair reconnects
+
+    def test_switch_and_path_service_counters_are_sampled(self, chaos_observed):
+        data = chaos_observed[0].observe().as_dict()
+        assert data["switches"]
+        assert all(row["forwarded"] > 0 for row in data["switches"].values())
+        assert data["controller"]["path_service"]["misses"] > 0
+
+    def test_every_report_speaks_the_protocol(self, chaos_observed):
+        fabric, chaos = chaos_observed
+        telemetry = TelemetryCollector(fabric.controller, fabric.network).collect()
+        assert telemetry.rows and not telemetry.unreachable
+        for report in (fabric.observe(), telemetry, chaos):
+            assert isinstance(report, ReportBase)
+            assert json.loads(report.to_json())
+            assert isinstance(report.summary(), str)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Reject bare ``print(`` calls in library code.
 
 Library modules under ``src/repro/`` must report through the obs layer
-(metrics, the tracer's event record, report ``summary()``) or raise -- a stray
-debug print bypasses all of it and pollutes stdout for every embedder.
-Entry points that legitimately talk to a terminal are allowlisted:
-``cli.py``, the ``*/smoke.py`` CI gates, and -- when pointed at the
+(histograms, the tracer's event record, report ``summary()``) or raise
+-- a stray debug print bypasses all of it and pollutes stdout for every
+embedder.  Entry points that legitimately talk to a terminal are
+allowlisted: ``cli.py``, the ``*/smoke.py`` CI gate, and -- when pointed at the
 ``benchmarks/`` tree -- the ``bench_*.py`` drivers and their ``_util``
 publisher (benchmarks print their results by design).
 

@@ -3,11 +3,12 @@
 A function, method or class under ``src/repro/`` is *reached* when its
 name is referenced from a root, or from a def that is already reached;
 the scan repeats until nothing changes.  The roots are the programs a
-user or CI runs: ``src/repro/cli.py``, the ``src/repro/*/smoke.py`` CI
-gates, ``examples/``, ``benchmarks/`` (``e2e/`` included) and ``tools/``.
-``examples/`` counts because CI runs every example in a fresh
-interpreter and fails on a non-zero exit.  The top-level statements of every ``src/`` module run on import, so they
-count as a root too.
+user or CI runs: ``src/repro/cli.py``, the one ``src/repro/*/smoke.py``
+CI gate (the seeded chaos smoke), ``examples/``, ``benchmarks/``
+(``e2e/`` included) and ``tools/``.  ``examples/`` counts because CI
+runs every example in a fresh interpreter and fails on a non-zero exit.
+The top-level statements of every ``src/`` module run on import, so
+they count as a root too.
 
 Matching is by name only (``self.run()`` reaches every reached class's
 ``run``), which errs towards calling code reached.  A method is reached
