@@ -15,6 +15,7 @@ module is the demonstration.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -84,8 +85,10 @@ class FlowletRouter:
     def _pick(self, dst: str, flow_key: object, flowlet_id: int, k: int) -> int:
         """Deterministic choice: same flowlet -> same path (Section 6.2:
         "deterministically choose one of the many k paths available...
-        based on the flowlet ID")."""
-        return hash((dst, flow_key, flowlet_id)) % k
+        based on the flowlet ID").  A digest of the flowlet's ``repr``,
+        not ``hash()``: string hashes are salted per process."""
+        key = repr((dst, flow_key, flowlet_id)).encode()
+        return int.from_bytes(hashlib.blake2s(key, digest_size=8).digest(), "big") % k
 
 
 def install_flowlet_routing(agent: HostAgent, gap_s: float = DEFAULT_GAP_S) -> FlowletRouter:

@@ -14,7 +14,7 @@ for serialization (one byte per tag, MPLS-style shim semantics).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -200,11 +200,15 @@ class Packet:
         return size
 
     def fork(self) -> "Packet":
-        """A copy with independent tag state, for broadcast fan-out."""
-        clone = replace(self, uid=next(_packet_ids))
-        if self.tags is not None:
-            clone.tags = self.tags.copy()
-        return clone
+        """A copy with independent tag state and the next uid, for
+        broadcast fan-out.  Built directly: ``dataclasses.replace`` is
+        about twice as slow, and a notification flood forks per port."""
+        tags = self.tags
+        return Packet(
+            self.src, self.dst, self.ethertype, None if tags is None else tags.copy(),
+            self.payload, self.payload_bytes, self.ttl, self.ecn_marked,
+            self.priority, next(_packet_ids),
+        )
 
     def __repr__(self) -> str:
         kind = type(self.payload).__name__ if self.payload is not None else "empty"

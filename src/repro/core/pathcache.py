@@ -5,18 +5,20 @@
   k shortest paths come from, and absorbs failure news and patches.
 * :class:`PathTable` caches fully-encoded tag routes per destination
   host (the k shortest paths plus the backup path), remembers which
-  path each flow is bound to, and invalidates instantly when a cached
-  path crosses a failed link.
+  path each flow is bound to, and drops every cached path that leaves
+  a switch through a failed port (a scan of each path's few hops).
 
 Both structures are plain host memory: the paper measures the whole
-cache at < 10 MB for a 2,000-switch network (Section 7.3).
+cache at < 10 MB for a 2,000-switch network (Section 7.3).  Fragments
+share the interned cables of :meth:`Topology.merge_links
+<repro.topology.graph.Topology.merge_links>`; a path is two tuples.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..topology.graph import Topology, TopologyError
 from .messages import PathReply
@@ -28,22 +30,20 @@ __all__ = ["TopoCache", "PathTable", "CachedPath", "PathTableEntry"]
 FRAGMENT_PORTS = 254
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CachedPath:
-    """One encoded route: the switch sequence plus its ready tag list."""
+    """One encoded route: the switch sequence plus its ready tag list
+    (``tags[i]`` is the out-port at ``switches[i]``)."""
 
     switches: Tuple[str, ...]
     tags: Tuple[int, ...]
-    #: Directed (switch, out-port) hops, for O(1) failure invalidation.
-    hops: FrozenSet[Tuple[str, int]]
 
     @classmethod
     def from_encoding(cls, switches: Sequence[str], tags: Sequence[int]) -> "CachedPath":
-        hops = frozenset(zip(switches, tags))
-        return cls(tuple(switches), tuple(tags), hops)
+        return cls(tuple(switches), tuple(tags))
 
     def uses(self, switch: str, port: int) -> bool:
-        return (switch, port) in self.hops
+        return (switch, port) in zip(self.switches, self.tags)
 
 
 class TopoCache:
@@ -61,12 +61,7 @@ class TopoCache:
 
     def merge_reply(self, reply: PathReply) -> None:
         """Fold a :class:`~repro.core.messages.PathReply` subgraph in."""
-        for sw_a, port_a, sw_b, port_b in reply.edges:
-            self._ensure_switch(sw_a)
-            self._ensure_switch(sw_b)
-            # A cable already cached occupies both of these ports.
-            if self.fragment.peer(sw_a, port_a) is None and self.fragment.peer(sw_b, port_b) is None:
-                self.fragment.add_link(sw_a, port_a, sw_b, port_b)
+        self.fragment.merge_links(reply.edges, FRAGMENT_PORTS)
         for host, attachment in (
             (reply.src, reply.src_attachment),
             (reply.dst, reply.dst_attachment),

@@ -66,9 +66,10 @@ def _transit_hops(path: CachedPath) -> Set[Tuple[str, int]]:
     PathTable handles by failing sends"), so coherence invariants only
     apply to switch-switch transit hops.
     """
-    if not path.switches:
-        return set(path.hops)
-    return set(path.hops) - {(path.switches[-1], path.tags[-1])}
+    hops = set(zip(path.switches, path.tags))
+    if path.switches:
+        hops.discard((path.switches[-1], path.tags[-1]))
+    return hops
 
 
 def check_loop_free(agents: Dict[str, HostAgent], now: float) -> List[Violation]:

@@ -93,6 +93,15 @@ class Link:
         return f"{self.a}<->{self.b}"
 
 
+#: Interned cables for :meth:`Topology.merge_links`, keyed by the
+#: oriented ``(a switch, a port, b switch, b port)`` tuple.  ``Link`` and
+#: ``PortRef`` are frozen values (:meth:`Topology.copy` already shares
+#: them between twins), so every host fragment folding in the same
+#: controller replies holds one value per cable instead of its own copy.
+#: Grows only with the distinct edges that reach a fragment.
+_CABLES: Dict[Tuple[str, int, str, int], Link] = {}
+
+
 @dataclass(frozen=True, slots=True)
 class HostAttachment:
     """A host NIC plugged into a switch port."""
@@ -241,16 +250,49 @@ class Topology:
 
     def add_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> Link:
         """Wire a cable between two switch ports."""
-        if sw_a == sw_b:
-            raise TopologyError(f"switch {sw_a!r} cannot be cabled to itself")
-        ref_a = self._check_port(sw_a, port_a)
-        ref_b = self._check_port(sw_b, port_b)
-        link = Link(ref_a, ref_b)
+        link = Link(*self._check_cable(sw_a, port_a, sw_b, port_b))
         if link.key() in self._links:
             raise TopologyError(f"duplicate link {link}")
-        self._claim_port(ref_a, link)
-        self._claim_port(ref_b, link)
+        self._wire(link)
+        return link
+
+    def merge_links(
+        self, edges: Iterable[Tuple[str, int, str, int]], num_ports: int
+    ) -> None:
+        """Fold ``(a switch, a port, b switch, b port)`` cables in, in
+        order, the way a host fragment absorbs a path graph: each edge's
+        unknown switches are added with ``num_ports`` ports (even when
+        the cable is then skipped), and a cable is wired only when both
+        of its ports are free.  A self-cable or an out-of-range port
+        raises as in :meth:`add_link`.  Wired cables are the interned
+        values of :data:`_CABLES`.
+        """
+        ports, use = self._switch_ports, self._port_use
+        for edge in edges:
+            sw_a, port_a, sw_b, port_b = edge
+            if sw_a not in ports:
+                self.add_switch(sw_a, num_ports)
+            if sw_b not in ports:
+                self.add_switch(sw_b, num_ports)
+            link = _CABLES.get(edge)
+            if link is None:
+                a, b = PortRef(sw_a, port_a), PortRef(sw_b, port_b)
+            else:
+                a, b = link.a, link.b
+            if a in use or b in use:
+                continue  # a cable already here occupies one of the ports
+            self._check_cable(sw_a, port_a, sw_b, port_b)
+            if link is None:
+                link = _CABLES[edge] = Link(a, b)
+            self._wire(link)
+
+    def _wire(self, link: Link) -> None:
+        """Insert a checked cable: occupancy, adjacency, bits, version."""
+        a, b = link.a, link.b
+        self._claim_port(a, link)
+        self._claim_port(b, link)
         self._links[link.key()] = link
+        sw_a, sw_b = a.switch, b.switch
         bit_a, bit_b = self._bit[sw_a], self._bit[sw_b]
         self._adj[sw_a].append((sw_b, link, bit_b))
         self._adj[sw_b].append((sw_a, link, bit_a))
@@ -260,7 +302,6 @@ class Topology:
         self._nbrs.pop(sw_b, None)
         self._aside.pop(sw_a, None)
         self.topo_version += 1
-        return link
 
     def remove_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> None:
         """Unplug a cable (used for failure injection and topology patches)."""
@@ -300,6 +341,13 @@ class Topology:
             raise TopologyError(f"unknown host {host!r}")
         del self._port_use[ref]
         self._hosts_on_switch[ref.switch].remove(host)
+
+    def _check_cable(
+        self, sw_a: str, port_a: int, sw_b: str, port_b: int
+    ) -> Tuple[PortRef, PortRef]:
+        if sw_a == sw_b:
+            raise TopologyError(f"switch {sw_a!r} cannot be cabled to itself")
+        return self._check_port(sw_a, port_a), self._check_port(sw_b, port_b)
 
     def _check_port(self, switch: str, port: int) -> PortRef:
         if switch not in self._switch_ports:

@@ -11,14 +11,18 @@ are the dict-based level-order BFS and parent-list tree that replaced
 that Dijkstra before the switch-bit kernel did.  They read only
 ``_adj`` and ``_switch_ports`` and share no code with the kernel, so
 ``test_graph_differential.py`` can demand kernel == reference.
-:func:`decode_tags` is the tag-walk oracle the tests check encoded
-paths against.  Nothing under ``src/`` may import this module.
+:func:`merge_reply` is the host cache's per-edge merge from before
+``Topology.merge_links`` (it wires through ``add_link``, so it checks
+the loop, not the insertion body).  :func:`decode_tags` is the tag-walk
+oracle the tests check encoded paths against.  Nothing under ``src/``
+may import this module.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass, field
 
+from repro.core.pathcache import FRAGMENT_PORTS
 from repro.core.pathgraph import PathGraph
 from repro.topology.graph import HostAttachment, TopologyError
 
@@ -332,3 +336,25 @@ def decode_tags(topo, src_host, tags):
         current = peer.switch
         visited.append(current)
     raise TopologyError("tag list ends on a switch, not a host")
+
+
+def merge_reply(cache, reply):
+    """``TopoCache.merge_reply`` with the seed's per-edge loop: add both
+    switches, then ``add_link`` (a fresh ``Link``) when ``peer`` finds
+    both ports empty.  Attachments, version and dead ports go through
+    the cache's own methods, as the seed did."""
+    fragment = cache.fragment
+    for sw_a, port_a, sw_b, port_b in reply.edges:
+        for switch in (sw_a, sw_b):
+            if not fragment.has_switch(switch):
+                fragment.add_switch(switch, FRAGMENT_PORTS)
+        if fragment.peer(sw_a, port_a) is None and fragment.peer(sw_b, port_b) is None:
+            fragment.add_link(sw_a, port_a, sw_b, port_b)
+    for host, attachment in (
+        (reply.src, reply.src_attachment),
+        (reply.dst, reply.dst_attachment),
+    ):
+        if attachment is not None:
+            cache.record_attachment(host, attachment[0], attachment[1])
+    cache.version = max(cache.version, reply.version)
+    cache._apply_dead_ports()

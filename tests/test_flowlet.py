@@ -1,5 +1,11 @@
 """Flowlet-based traffic engineering tests (Section 6.2)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.fabric import DumbNetFabric
@@ -75,3 +81,34 @@ class TestFlowletRouter:
         picks = [router._pick("h1_0", "f", fl, k) for fl in range(10)]
         again = [router._pick("h1_0", "f", fl, k) for fl in range(10)]
         assert picks == again
+
+    def test_same_picks_under_any_hash_seed(self):
+        """The pick digests the flowlet, not ``hash()`` (string hashes
+        are salted per process): two interpreters with different hash
+        seeds route the same flowlets over the same paths."""
+        script = (
+            "from repro.core.fabric import DumbNetFabric\n"
+            "from repro.core.flowlet import install_flowlet_routing\n"
+            "from repro.topology import leaf_spine\n"
+            "topo = leaf_spine(spines=4, leaves=2, hosts_per_leaf=2, num_ports=16)\n"
+            "fab = DumbNetFabric(topo, controller_host='h0_0', seed=21)\n"
+            "fab.adopt_blueprint()\n"
+            "fab.warm_paths([('h0_1', 'h1_0')])\n"
+            "agent = fab.agents['h0_1']\n"
+            "router = install_flowlet_routing(agent)\n"
+            "keys = ['flowA', ('tcp', 'h0_1', 80), 7]\n"
+            "print([router._pick('h1_0', key, fl, 4) for key in keys for fl in range(8)])\n"
+            "print([router(agent, 'h1_0', f'flow{i}').tags for i in range(16)])\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        picks = json.loads(outputs[0].splitlines()[0])
+        assert len(set(picks)) > 1
+        assert outputs[0] == outputs[1]

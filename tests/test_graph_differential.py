@@ -11,10 +11,13 @@ rng (and the rng left in the same state), same Yen lists, same
 replaced (``ref.bfs_tree``) on full, ``stop`` and ``avoid`` searches.  More properties pin the pieces that stopped being the seed's
 searches: the backup BFS against the penalised Dijkstra, a host agent's
 installs against seed Yen + the seed builder on its fragment over time,
-and the path service's keep / rebuild decision for its trees across
-link-down / link-up sequences.
+its cache merges (``Topology.merge_links`` over interned cables) against
+the seed's per-edge merge, and the path service's keep / rebuild
+decision for its trees across link-down / link-up sequences.
 """
 
+import functools
+import itertools
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -29,10 +32,12 @@ from repro.core.messages import (
     TopologyChange,
     TopologyPatch,
 )
+from repro.core.pathcache import FRAGMENT_PORTS
 from repro.core.pathgraph import backup_path, build_path_graph, detour_vertices
 from repro.core.pathservice import PathService, StablePathRng
 from repro.netsim.events import EventLoop
 from repro.topology import cube, fat_tree, jellyfish
+from repro.topology.graph import Topology, TopologyError
 
 
 def make_view(kind, a, b, seed):
@@ -457,6 +462,143 @@ def test_install_paths_draws_from_the_agent_rng_like_the_seed_builder(
                     want[dst] = seed_install(agent, dst, twin) or entry
         assert {d: installed(agent, d) for d in agent.path_table.destinations()} == want
         assert agent.rng.getstate() == twin.getstate()
+
+
+MERGE_SWITCHES = [f"S{i}" for i in range(6)]
+
+
+def reply_edge(kind, i, port_a, hop, port_b):
+    """A reply edge over six switches and ports 1..4; for two ``kind``
+    values out of sixty a self-cable or one end out of range."""
+    sw_a, sw_b = MERGE_SWITCHES[i], MERGE_SWITCHES[(i + hop) % 6]
+    if kind == 0:
+        return (sw_a, port_a, sw_a, port_b)
+    if kind == 1:
+        return (sw_a, port_a, sw_b, (0, 255)[port_b % 2])
+    return (sw_a, port_a, sw_b, port_b)
+
+
+@functools.cache
+def intern_half_the_edges():
+    """Put every well-formed edge with an odd port sum in the shared
+    cable table, as another host's fragment would: ``merge_links`` then
+    meets both cables it has interned before and cables it has not."""
+    for i, hop, port_a, port_b in itertools.product(
+        range(6), range(1, 6), range(1, 5), range(1, 5)
+    ):
+        if (port_a + port_b) % 2:
+            edge = reply_edge(2, i, port_a, hop, port_b)
+            Topology().merge_links([edge], FRAGMENT_PORTS)
+
+
+def merge_state(agent):
+    """Everything a merge may touch, dict order included."""
+    cache, topo = agent.topo_cache, agent.topo_cache.fragment
+    return (
+        list(topo._switch_ports.items()),
+        [(sw, list(adj)) for sw, adj in topo._adj.items()],
+        list(topo._bit.items()),
+        list(topo._names),
+        list(topo._nmask.items()),
+        topo.topo_version,
+        list(topo._links.items()),
+        list(topo._port_use.items()),
+        list(topo._hosts.items()),
+        list(topo._hosts_on_switch.items()),
+        cache.version,
+        set(cache.dead_ports),
+        {d: installed(agent, d) for d in agent.path_table.destinations()},
+        agent.rng.getstate(),
+    )
+
+
+def merge_step(agent, index, op, edges, x):
+    """Apply one step; the error text if it raised ``TopologyError``."""
+    switch = MERGE_SWITCHES[x % 6]
+    port = 1 + (x >> 3) % 4
+    try:
+        if op == "reply":
+            dst = f"h{1 + x % 3}"
+            attach = [None, *[(sw, p) for sw in MERGE_SWITCHES for p in (1, 2, 3, 4)]]
+            agent.topo_cache.merge_reply(PathReply(
+                nonce=index, src=agent.name, dst=dst, found=True,
+                src_attachment=attach[(x >> 2) % len(attach)],
+                dst_attachment=attach[(x >> 7) % len(attach)],
+                edges=tuple(edges), version=x % 20,
+            ))
+            agent._install_paths(dst)
+        elif op in ("news-down", "news-up"):
+            agent._on_news(PortStateNotification(
+                switch=switch, port=port, up=op == "news-up", seq=index
+            ))
+        else:
+            if op == "switch-up":
+                args = (switch, 2 + x % 2)  # few ports: later edges overflow
+            elif op == "switch-down":
+                args = (switch,)
+            elif edges:
+                args = edges[0]
+            else:
+                return None
+            agent._on_patch(TopologyPatch(
+                version=index, changes=(TopologyChange(op, args),), origin="ctl"
+            ))
+    except TopologyError as exc:
+        return str(exc)
+    return None
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10**6),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from([
+                "reply", "reply", "reply", "news-down", "news-up",
+                "link-down", "link-up", "switch-down", "switch-up", "switch-up",
+            ]),
+            st.lists(
+                st.builds(
+                    reply_edge,
+                    st.integers(0, 59),
+                    st.integers(0, 5),
+                    st.integers(1, 4),
+                    st.integers(1, 5),
+                    st.integers(1, 4),
+                ),
+                max_size=8,
+            ),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_merge_links_equals_the_per_edge_merge(seed, steps):
+    """``TopoCache.merge_reply`` folds each reply in with one
+    ``merge_links`` loop over interned cables.  Replies here repeat
+    cables, contradict them (a port cabled elsewhere), resend cables
+    that news or a patch took down, move hosts and carry bad edges;
+    patches add small switches whose ports a later edge overflows.
+    After every step the fragment (adjacency order, bits, masks,
+    ``topo_version``, cables, occupancy, hosts), the cache's version
+    and dead ports, the installed routes and the rng must be what the
+    seed's per-edge merge leaves, and a bad edge raises the same
+    ``TopologyError``."""
+    intern_half_the_edges()
+    agent, seed_agent = (
+        HostAgent("h0", EventLoop(), rng=random.Random(seed)) for _ in range(2)
+    )
+    seed_cache = seed_agent.topo_cache
+    seed_cache.merge_reply = lambda reply: ref.merge_reply(seed_cache, reply)
+    for index, (op, edges, x) in enumerate(steps, start=1):
+        error = merge_step(agent, index, op, edges, x)
+        assert merge_step(seed_agent, index, op, edges, x) == error
+        assert merge_state(agent) == merge_state(seed_agent)
 
 
 def seed_keeps(trees, sw_a, sw_b):

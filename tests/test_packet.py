@@ -1,5 +1,7 @@
 """Tests for the packet format: tags, wire encoding, sizes."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.packet import (
@@ -127,6 +129,29 @@ class TestPacket:
     def test_fork_gets_new_uid(self):
         packet = Packet(src="a")
         assert packet.fork().uid != packet.uid
+
+    def test_fork_equals_source_but_for_uid(self):
+        """Every field but ``uid`` is copied (none left at its default),
+        the fork draws exactly the next uid, and its tags are equal but
+        independent."""
+        packet = Packet(
+            src="a", dst="b", ethertype=ETHERTYPE_NOTIFY, tags=PathTags([4, 5, 6]),
+            payload=("note", 3), payload_bytes=20, ttl=7, ecn_marked=True, priority=0,
+        )
+        packet.tags.pop()
+        before = Packet(src="x").uid
+        clone = packet.fork()
+        assert clone.uid == before + 1
+        assert Packet(src="y").uid == clone.uid + 1
+        for spec in dataclasses.fields(Packet):
+            if spec.name != "uid":
+                assert getattr(packet, spec.name) != spec.default, spec.name
+                assert getattr(clone, spec.name) == getattr(packet, spec.name), spec.name
+        assert clone.payload is packet.payload
+        assert clone.tags is not packet.tags
+        assert clone.tags.original == packet.tags.original
+        clone.tags.pop()
+        assert packet.tags.remaining == (5, 6) and clone.tags.remaining == (6,)
 
     def test_mtu_constant(self):
         # The paper sets host MTU to 1450 to leave label room.

@@ -2,9 +2,14 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.messages import PathReply
-from repro.core.pathcache import CachedPath, PathTable, TopoCache
+from repro.core.pathcache import BINDING_DEAD, CachedPath, PathTable, TopoCache
 from repro.topology import figure1
+from repro.topology.graph import Topology, TopologyError
 
 
 def make_reply(topo, src, dst, nonce=1, version=1):
@@ -85,6 +90,62 @@ class TestTopoCache:
         cache = TopoCache("H4")
         assert not cache.fragment.has_host("H5")
         assert cache.attachment("H5") is None
+
+
+def edges_reply(edges):
+    return PathReply(
+        nonce=1, src="H4", dst="H5", found=True, src_attachment=None,
+        dst_attachment=None, edges=tuple(edges), version=1,
+    )
+
+
+class TestMergeLinks:
+    def test_fragments_share_one_value_per_cable(self):
+        """Two hosts caching the same reply hold the same ``Link``
+        objects; the ground truth's ``add_link`` builds its own."""
+        topo = figure1()
+        one, two = TopoCache("H4"), TopoCache("H1")
+        one.merge_reply(make_reply(topo, "H4", "H5"))
+        two.merge_reply(make_reply(topo, "H1", "H5"))
+        assert set(one.fragment._links) == set(topo._links)
+        for key, link in one.fragment._links.items():
+            assert two.fragment._links[key] is link
+            assert topo._links[key] == link and topo._links[key] is not link
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (("S1", 1, "S1", 2), "'S1' cannot be cabled to itself"),
+            (("S1", 1, "S1", 1), "'S1' cannot be cabled to itself"),
+            (("S1", 255, "S2", 1), "port 255 out of range 1..254 on 'S1'"),
+            (("S1", 1, "S3", 0), "port 0 out of range 1..254 on 'S3'"),
+        ],
+    )
+    def test_bad_cable_raises_after_the_edges_before_it(self, edge, message):
+        cache = TopoCache("H4")
+        with pytest.raises(TopologyError, match=message):
+            cache.merge_reply(edges_reply([("S1", 3, "S2", 3), edge, ("S4", 1, "S5", 1)]))
+        fragment = cache.fragment
+        assert fragment.has_link("S1", 3, "S2", 3)
+        assert set(fragment.switches) == {"S1", "S2"} | {edge[0], edge[2]}
+        assert len(fragment.links) == 1
+
+    def test_interned_cable_still_checks_this_topology_ports(self):
+        edge = ("S1", 10, "S2", 10)
+        Topology().merge_links([edge], 254)  # the cable is interned now
+        small = Topology()
+        small.add_switch("S1", 4)
+        with pytest.raises(TopologyError, match="port 10 out of range 1..4 on 'S1'"):
+            small.merge_links([edge], 254)
+        assert small.has_switch("S2") and not small.links
+
+    def test_occupied_port_skips_the_edge_before_any_check(self):
+        """A cable whose port is taken is skipped, even a bad one: the
+        old per-edge merge asked ``peer`` before ``add_link``."""
+        topo = Topology()
+        topo.merge_links([("S1", 3, "S2", 3), ("S1", 3, "S1", 4), ("S2", 3, "S9", 999)], 8)
+        assert topo.switches == ["S1", "S2", "S9"]
+        assert [str(link) for link in topo.links] == ["S1-3<->S2-3"]
 
 
 class TestPathTable:
@@ -266,3 +327,68 @@ class TestBindingRemap:
         assert table.lookup("dst", flow_key="f") is None
         entry = table.entry("dst")
         assert entry.backup is None and not entry.backup_flows
+
+
+hop_lists = st.lists(st.sampled_from(["S1", "S2", "S3"]), max_size=6)
+tag_lists = st.lists(st.integers(1, 3), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(switches=hop_lists, tags=tag_lists)
+def test_uses_is_hop_set_membership(switches, tags):
+    """``uses`` scans the hops; it must answer what membership in the
+    path's (switch, out-port) frozenset answers, loops and ragged
+    lengths included."""
+    path = cached(switches, tags)
+    hops = frozenset(zip(switches, tags))
+    for switch in ("S1", "S2", "S3", "S4"):
+        for port in range(0, 5):
+            assert path.uses(switch, port) == ((switch, port) in hops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.lists(st.tuples(hop_lists, tag_lists), max_size=4),
+            st.one_of(st.none(), st.tuples(hop_lists, tag_lists)),
+            st.lists(st.integers(-1, 4), max_size=5),
+        ),
+        max_size=4,
+    ),
+    switch=st.sampled_from(["S1", "S2", "S3"]),
+    port=st.integers(1, 3),
+)
+def test_invalidate_port_matches_a_hop_set_oracle(entries, switch, port):
+    """Every path, primary or backup, whose hop set holds (switch, port)
+    goes; survivors keep their order and their flows, the dead paths'
+    flows are tombstoned, and the count is what the hop sets say."""
+    table = PathTable(rng=random.Random(0))
+    want, want_dropped = {}, 0
+    for index, (primaries, backup, bound) in enumerate(entries):
+        paths = [cached(*hops) for hops in primaries]
+        spare = cached(*backup) if backup is not None else None
+        entry = table.install(f"d{index}", paths, spare)
+        entry.flow_bindings = {f"f{n}": i for n, i in enumerate(bound)}
+        dead = [(switch, port) in frozenset(zip(p.switches, p.tags)) for p in paths]
+        alive = [p for p, gone in zip(paths, dead) if not gone]
+        bindings = dict(entry.flow_bindings)
+        if any(dead):  # a surviving flow follows its path object
+            position = {id(p): j for j, p in enumerate(alive)}
+            bindings = {
+                flow: position.get(id(paths[i]), BINDING_DEAD)
+                if 0 <= i < len(paths) else BINDING_DEAD
+                for flow, i in bindings.items()
+            }
+        spare_dead = spare is not None and (switch, port) in frozenset(
+            zip(spare.switches, spare.tags)
+        )
+        want[f"d{index}"] = (alive, None if spare_dead else spare, bindings)
+        want_dropped += sum(dead) + spare_dead
+    assert table.invalidate_port(switch, port) == want_dropped
+    got = {
+        dst: (e.primaries, e.backup, e.flow_bindings)
+        for dst in table.destinations()
+        for e in [table.entry(dst)]
+    }
+    assert got == want
