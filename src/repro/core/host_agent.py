@@ -42,7 +42,7 @@ from .messages import (
     next_nonce,
 )
 from .packet import ETHERTYPE_DUMBNET, ETHERTYPE_NOTIFY, Packet, PathTags
-from .pathcache import CachedPath, PathTable, TopoCache
+from .pathcache import FRAGMENT_PORTS, CachedPath, PathTable, TopoCache
 from .pathgraph import primary_and_backup
 
 __all__ = [
@@ -122,9 +122,10 @@ class HostAgent(Device):
         self.obs = None
         self._obs_query_t0: Dict[str, float] = {}
 
-        # Application delivery.
-        self.app_receive: Optional[Callable[[str, Any, float], None]] = None
+        # Application delivery: ``app_receive`` gets each payload once; the
+        # default logs it, an installed receiver passes on what it skips.
         self.delivered: List[Tuple[float, str, Any]] = []
+        self.app_receive: Callable[[str, Any, float], None] = self._log_delivery
 
         # Statistics.
         self.app_sent = 0
@@ -305,19 +306,15 @@ class HostAgent(Device):
         elif isinstance(payload, PathRequest):
             self.handle_path_request(payload)
         elif isinstance(payload, AppData):
-            self._deliver(packet)
+            self.app_delivered += 1
+            self.app_receive(packet.src, payload.data, self.loop.now)
         elif isinstance(payload, Ack):
             pass
         else:
             self.dropped_invalid += 1
 
-    def _deliver(self, packet: Packet) -> None:
-        self.app_delivered += 1
-        now = self.loop.now
-        payload = packet.payload.data if isinstance(packet.payload, AppData) else packet.payload
-        self.delivered.append((now, packet.src, payload))
-        if self.app_receive is not None:
-            self.app_receive(packet.src, payload, now)
+    def _log_delivery(self, src: str, payload: Any, now: float) -> None:
+        self.delivered.append((now, src, payload))
 
     # ------------------------------------------------------------------
     # probe handling
@@ -411,10 +408,8 @@ class HostAgent(Device):
                 self.topo_cache.port_up(sw_a, port_a)
                 self.topo_cache.port_up(sw_b, port_b)
                 fragment = self.topo_cache.fragment
-                # A cable already cached occupies both of these ports.
                 if fragment.has_switch(sw_a) and fragment.has_switch(sw_b):
-                    if fragment.peer(sw_a, port_a) is None and fragment.peer(sw_b, port_b) is None:
-                        fragment.add_link(sw_a, port_a, sw_b, port_b)
+                    fragment.merge_links([(sw_a, port_a, sw_b, port_b)], FRAGMENT_PORTS)
             elif change.op == "switch-up":
                 switch, num_ports = change.args
                 if not self.topo_cache.fragment.has_switch(switch):

@@ -12,7 +12,7 @@ the router's CPU entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .host_agent import HostAgent
 
@@ -86,7 +86,7 @@ class SoftwareRouter:
         if subnet in self.interfaces:
             raise ValueError(f"duplicate interface for subnet {subnet!r}")
         self.interfaces[subnet] = agent
-        agent.app_receive = self._make_receiver(subnet)
+        agent.app_receive = self._make_receiver(subnet, agent.app_receive)
 
     def add_route(self, prefix: str, subnet: str, via: Optional[str] = None) -> None:
         if subnet not in self.interfaces:
@@ -105,10 +105,12 @@ class SoftwareRouter:
 
     # ------------------------------------------------------------------
 
-    def _make_receiver(self, in_subnet: str):
+    def _make_receiver(self, in_subnet: str, previous: Callable[[str, Any, float], None]):
         def receive(src: str, payload: Any, now: float) -> None:
             if isinstance(payload, L3Datagram):
                 self.forward(payload, in_subnet)
+            else:
+                previous(src, payload, now)
         return receive
 
     def forward(self, datagram: L3Datagram, in_subnet: str) -> bool:

@@ -21,9 +21,8 @@ Protocol messages ride as ordinary application payloads:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .host_agent import HostAgent
 from .packet import DUMBNET_MTU
@@ -230,5 +229,4 @@ class PHostEndpoint:
             if kind == "phost-done":
                 self._on_done(src, payload[1])
                 return
-        if self._previous_receive is not None:
-            self._previous_receive(src, payload, now)
+        self._previous_receive(src, payload, now)

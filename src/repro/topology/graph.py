@@ -244,7 +244,7 @@ class Topology:
         if host in self._hosts:
             raise TopologyError(f"duplicate host {host!r}")
         ref = self._check_port(switch, port)
-        self._claim_port(ref, HostAttachment(host, ref))
+        self._claim_ports(HostAttachment(host, ref), ref)
         self._hosts[host] = ref
         self._hosts_on_switch[switch].append(host)
 
@@ -289,8 +289,7 @@ class Topology:
     def _wire(self, link: Link) -> None:
         """Insert a checked cable: occupancy, adjacency, bits, version."""
         a, b = link.a, link.b
-        self._claim_port(a, link)
-        self._claim_port(b, link)
+        self._claim_ports(link, a, b)
         self._links[link.key()] = link
         sw_a, sw_b = a.switch, b.switch
         bit_a, bit_b = self._bit[sw_a], self._bit[sw_b]
@@ -358,10 +357,13 @@ class Topology:
             )
         return PortRef(switch, port)
 
-    def _claim_port(self, ref: PortRef, user: object) -> None:
-        if ref in self._port_use:
-            raise TopologyError(f"port {ref} already in use by {self._port_use[ref]}")
-        self._port_use[ref] = user
+    def _claim_ports(self, user: object, *refs: PortRef) -> None:
+        """Occupy every port in ``refs`` for ``user``, or none of them."""
+        for ref in refs:
+            if ref in self._port_use:
+                raise TopologyError(f"port {ref} already in use by {self._port_use[ref]}")
+        for ref in refs:
+            self._port_use[ref] = user
 
     # ------------------------------------------------------------------
     # queries

@@ -15,9 +15,8 @@ emulator's event loop), so they sit outside the flow-program pipeline.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.fabric import DumbNetFabric
 from ..core.host_agent import HostAgent
@@ -31,9 +30,10 @@ class CbrStream:
 
     ``start``/``stop`` bracket the stream; the receive side records
     arrival bytes so :meth:`throughput_bins` can produce a rate-vs-time
-    series.  One packet is scheduled at a time (self-clocking), so a
-    stalled network simply pauses the stream instead of flooding the
-    event heap.
+    series; it consumes its own frames (they reach no ``delivered``
+    log) and passes other payloads on.  One packet is scheduled at a
+    time (self-clocking), so a stalled network simply pauses the stream
+    instead of flooding the event heap.
     """
 
     def __init__(
@@ -65,7 +65,7 @@ class CbrStream:
         def receive(src: str, payload: object, now: float) -> None:
             if isinstance(payload, tuple) and payload[:1] == ("cbr",) and payload[1] is me.flow_key:
                 me.arrivals.append((now, me.packet_bytes))
-            elif previous is not None:
+            else:
                 previous(src, payload, now)
 
         self.dst.app_receive = receive
@@ -121,7 +121,7 @@ class CbrStream:
         return bins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RttSample:
     src: str
     dst: str
@@ -143,7 +143,8 @@ def measure_rtts(
     end-to-end round-trip time" (Section 7.2.2).  ``stagger_s = 0``
     starts all pairs simultaneously, reproducing the paper's worst-case
     concurrent-query tail; a positive stagger spreads the cold-start
-    queries out.
+    queries out.  Pings and pongs are consumed (they reach no
+    ``delivered`` log); other payloads pass on to the replaced receiver.
     """
     hosts = fabric.topology.hosts
     if pairs is None:
@@ -174,7 +175,7 @@ def measure_rtts(
                             cold_start=cold,
                         )
                     )
-            elif _prev is not None:
+            else:
                 _prev(src, payload, now)
 
         agent.app_receive = receive

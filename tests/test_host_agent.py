@@ -6,6 +6,7 @@ import reference_graph as ref
 from repro.core.discovery import ProbeSpec
 from repro.core.fabric import DumbNetFabric
 from repro.core.host_agent import HostAgent
+from repro.core.l3router import AddressMap, L3Datagram, SoftwareRouter
 from repro.core.messages import AppData, ProbeMessage, ProbeReply
 from repro.core.packet import ETHERTYPE_DUMBNET, ETHERTYPE_IPV4, Packet, PathTags
 from repro.netsim import EventLoop
@@ -43,6 +44,61 @@ class TestReceiveFiltering:
         packet = Packet(src="x", ethertype=ETHERTYPE_DUMBNET, tags=PathTags([]), payload=AppData(42))
         agent.handle_packet(1, packet)
         assert seen == [("x", 42)]
+
+
+def app_packet(src, data):
+    return Packet(src=src, ethertype=ETHERTYPE_DUMBNET, tags=PathTags([]), payload=AppData(data))
+
+
+class TestDeliveryContract:
+    """Each delivered payload has one consumer: the receiver installed
+    last, which passes on what it does not take; the default receiver
+    logs it in ``delivered``."""
+
+    def test_without_a_receiver_every_delivery_is_logged(self):
+        loop = EventLoop()
+        agent = HostAgent("h", loop)
+        agent.handle_packet(1, app_packet("x", "a"))
+        agent.handle_packet(1, app_packet("y", ("b", 2)))
+        assert agent.delivered == [(0.0, "x", "a"), (0.0, "y", ("b", 2))]
+        assert agent.app_delivered == 2
+
+    def test_a_consumed_payload_is_not_logged(self):
+        loop = EventLoop()
+        agent = HostAgent("h", loop)
+        seen = []
+        agent.app_receive = lambda src, payload, now: seen.append(payload)
+        agent.handle_packet(1, app_packet("x", "mine"))
+        assert seen == ["mine"]
+        assert agent.delivered == []
+        assert agent.app_delivered == 1
+
+    def test_a_chained_payload_is_logged_once(self):
+        loop = EventLoop()
+        agent = HostAgent("h", loop)
+        previous, seen = agent.app_receive, []
+
+        def receive(src, payload, now):
+            if payload == "mine":
+                seen.append(payload)
+            else:
+                previous(src, payload, now)
+
+        agent.app_receive = receive
+        agent.handle_packet(1, app_packet("x", "mine"))
+        agent.handle_packet(1, app_packet("x", "other"))
+        assert seen == ["mine"]
+        assert agent.delivered == [(0.0, "x", "other")]
+
+    def test_a_router_interface_chains_non_datagrams_to_the_log(self):
+        loop = EventLoop()
+        agent = HostAgent("r", loop)
+        router = SoftwareRouter("gw", AddressMap())
+        router.add_interface("10.1.", agent)
+        agent.handle_packet(1, app_packet("x", "hello"))
+        agent.handle_packet(1, app_packet("x", L3Datagram("10.1.0.1", "10.9.0.1", "body")))
+        assert agent.delivered == [(0.0, "x", "hello")]
+        assert router.dropped_no_route == 1
 
 
 class TestProbing:

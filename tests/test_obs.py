@@ -377,8 +377,10 @@ class TestSnapshot:
 
 class TestEventRecord:
     def test_trace_does_not_grow_with_traffic(self):
-        """Delivered packets are kept once, in ``HostAgent.delivered``:
-        five pings per pair leave the same trace as one."""
+        """Five pings per pair leave the same trace as one, and the same
+        ``HostAgent.delivered`` log: it keeps only what no installed
+        receiver consumes (here the warm-up payloads), and
+        ``measure_rtts`` consumes every ping and pong."""
         lengths, delivered = [], []
         for packets in (1, 5):
             fabric = DumbNetFabric.from_topology(
@@ -392,4 +394,4 @@ class TestEventRecord:
             lengths.append(len(list(fabric.tracer)))
             delivered.append(sum(len(a.delivered) for a in fabric.agents.values()))
         assert lengths[0] == lengths[1]
-        assert delivered[1] > delivered[0]
+        assert delivered[1] == delivered[0]

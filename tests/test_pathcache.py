@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import PathReply
+from repro.core.host_agent import HostAgent
+from repro.core.messages import PathReply, TopologyChange, TopologyPatch
 from repro.core.pathcache import BINDING_DEAD, CachedPath, PathTable, TopoCache
+from repro.netsim import EventLoop
 from repro.topology import figure1
-from repro.topology.graph import Topology, TopologyError
+from repro.topology.graph import _CABLES, PortRef, Topology, TopologyError
 
 
 def make_reply(topo, src, dst, nonce=1, version=1):
@@ -146,6 +148,23 @@ class TestMergeLinks:
         topo.merge_links([("S1", 3, "S2", 3), ("S1", 3, "S1", 4), ("S2", 3, "S9", 999)], 8)
         assert topo.switches == ["S1", "S2", "S9"]
         assert [str(link) for link in topo.links] == ["S1-3<->S2-3"]
+
+    def test_patched_link_up_rewires_the_interned_cable(self):
+        """A link-down / link-up patch pair goes through the same merge
+        rule as a reply, so the cable comes back as the shared value."""
+        topo = figure1()
+        agent = HostAgent("H4", EventLoop())
+        reply = make_reply(topo, "H4", "H5")
+        agent.topo_cache.merge_reply(reply)
+        edge = reply.edges[0]
+        for version, op in enumerate(("link-down", "link-up"), start=2):
+            agent._on_patch(TopologyPatch(
+                version=version, changes=(TopologyChange(op, edge),), origin="ctl"
+            ))
+        fragment = agent.topo_cache.fragment
+        key = frozenset((PortRef(edge[0], edge[1]), PortRef(edge[2], edge[3])))
+        assert fragment._links[key] is _CABLES[edge]
+        assert set(fragment._links) == set(topo._links)
 
 
 class TestPathTable:

@@ -66,6 +66,18 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             topo.add_link("S", 1, "T", 2)
 
+    def test_failed_add_link_claims_neither_port(self):
+        topo = Topology()
+        topo.add_switch("A", 4)
+        topo.add_switch("B", 4)
+        topo.add_host("h", "B", 2)
+        with pytest.raises(TopologyError, match="port B-2 already in use"):
+            topo.add_link("A", 1, "B", 2)
+        assert topo.peer("A", 1) is None
+        assert not topo.links
+        topo.add_link("A", 1, "B", 3)
+        assert topo.peer("A", 1) == PortRef("B", 3)
+
     def test_self_link_rejected(self):
         topo = Topology()
         topo.add_switch("S", 4)
