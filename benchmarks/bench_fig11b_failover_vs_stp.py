@@ -22,7 +22,7 @@ from repro.analysis import render_series
 from repro.baselines import L2Host, StpBridge
 from repro.baselines.stp import L2Frame
 from repro.core.fabric import DumbNetFabric
-from repro.faultinject import ChaosFabric, ChaosRunner, FaultSchedule
+from repro.faultinject import ChaosRunner, FaultSchedule
 from repro.netsim import LinkSpec, Network, Tracer
 from repro.topology import paper_testbed
 from repro.workloads import CbrStream
@@ -83,7 +83,7 @@ def run_dumbnet():
         return ("leaf2", port, peer.switch, peer.port)
 
     schedule = FaultSchedule().link_down(FAIL_AT_S, bound_link)
-    ChaosRunner(ChaosFabric.wrap(fabric), schedule).install()
+    ChaosRunner(fabric, schedule).install()
     fabric.run(until=base + RUN_FOR_S)
     stream.stop()
     arrivals = [t - base for t, _b in stream.arrivals]

@@ -7,11 +7,16 @@ Three escalating demos of ``repro.faultinject``:
   inject a loss burst, crash a spine switch -- while the runner checks
   loop-freedom and cache coherence continuously and reachability at
   quiesce;
-* a *seeded random* schedule on a fat-tree(4) with standby controllers,
-  including a switch crash and a controller failover, printing the
-  applied timeline;
-* the same seed run twice, demonstrating byte-identical timelines
-  (the property CI's smoke test enforces).
+* a *seeded random* schedule (seed 42, 22 faults) on a fat-tree(4)
+  with two standby controllers, including a switch crash and a
+  controller failover, printing the applied timeline;
+* the same seed run twice, demonstrating byte-identical timelines.
+
+CI runs this file, so its asserts are the seeded chaos gate: both
+random runs finish with no invariant violation and every connected
+pair reconnected, the controllers' path service served the run (its
+hit / miss counters are not both zero), and the two timeline digests
+are identical.
 
 Run:  python examples/chaos_testing.py
 """
@@ -45,13 +50,18 @@ def random_demo(seed: int) -> str:
     schedule = FaultSchedule.random(
         fabric.topology,
         seed=seed,
-        n_faults=20,
-        protect_hosts=fabric.controller_hosts,
+        n_faults=22,
+        protect_hosts=(fabric.controller_host, *fabric.standbys),
     )
     report = ChaosRunner(fabric, schedule, traffic_seed=seed).run()
     for line in report.applied:
         print(f"  {line}")
     print(report.summary())
+    assert report.ok(), "chaos run found violations or unreachable pairs"
+    served = report.path_service
+    assert served.get("hits", 0) + served.get("misses", 0) > 0, (
+        "the path service is not wired into the serving path"
+    )
     return report.timeline_digest()
 
 

@@ -13,11 +13,18 @@ slices, exactly the loop a terminal UI or scrape agent would run:
   category (``fabric.tracer.last``);
 * the same snapshot renders as a CLI table or as JSON.
 
+The run asserts all three: every frame leaves the event count, the
+pending events and the clock as they were, the record holds one
+``fault-applied`` event per scheduled fault, and the JSON snapshot
+parses back to the same clock and loop counters.
+
 Run:  python examples/observability.py
 """
 
+import json
+
 from repro.core.telemetry import StatsSwitch, TelemetryCollector
-from repro.faultinject import ChaosFabric, ChaosRunner, FaultSchedule
+from repro.faultinject import ChaosRunner, FaultSchedule
 from repro.topology import leaf_spine
 
 
@@ -38,7 +45,12 @@ def build_fabric():
 
 
 def dashboard_frame(fabric, step: int) -> None:
+    loop = fabric.loop
+    before = (loop.events_run, loop.pending, fabric.now)
     observation = fabric.observe()
+    assert (loop.events_run, loop.pending, fabric.now) == before, (
+        "observe() changed the run it watched"
+    )
     print(f"\n===== dashboard frame {step} @ t={fabric.now:.3f}s =====")
     print(observation.summary())
 
@@ -67,7 +79,7 @@ def main() -> None:
     )
     # install() schedules the faults but leaves the driving to us, so
     # we can interleave dashboard frames with simulation slices.
-    runner = ChaosRunner(ChaosFabric.wrap(fabric), schedule, traffic_seed=7)
+    runner = ChaosRunner(fabric, schedule, traffic_seed=7)
     runner.install()
 
     agents = sorted(fabric.agents)
@@ -82,10 +94,14 @@ def main() -> None:
         dashboard_frame(fabric, step)
 
     print(f"\nchaos window spanned {fabric.now - start:.3f} simulated seconds")
+    assert fabric.tracer.seen("fault-applied") == len(schedule.events())
 
     # The same data, machine-readable: JSON for dashboards.
     observation = fabric.observe()
-    print(f"\nJSON snapshot: {len(observation.to_json())} bytes")
+    text = observation.to_json()
+    print(f"\nJSON snapshot: {len(text)} bytes")
+    parsed, data = json.loads(text), observation.as_dict()
+    assert (parsed["now"], parsed["loop"]) == (data["now"], data["loop"])
 
     # In-band telemetry speaks the same report protocol.
     report = TelemetryCollector(fabric.controller, fabric.network).collect()

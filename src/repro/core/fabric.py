@@ -1,19 +1,23 @@
-"""Convenience assembly of a full DumbNet fabric.
+"""The one assembly of a full DumbNet fabric.
 
 :class:`DumbNetFabric` wires a :class:`~repro.topology.Topology` into a
 live emulated network of :class:`~repro.core.switch.DumbSwitch` devices
 and :class:`~repro.core.host_agent.HostAgent` hosts, one of which is the
 :class:`~repro.core.controller.Controller`, and bootstraps the whole
-thing: discovery, announcements, and optional warm path caches.
+thing: discovery, announcements, and optional warm path caches.  Hosts
+named as ``standbys`` are controller replicas (Section 4.1): once the
+primary has a view they join a
+:class:`~repro.core.replication.ReplicatedControlPlane`
+(``fabric.plane``), and ``fabric.controller`` follows failover.
 
-This is the primary public API: examples and benchmarks build fabrics
-through it.
+This is the primary public API: examples, benchmarks and the chaos
+harness build fabrics through it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..netsim.device import Device
 from ..netsim.network import LinkSpec, Network
@@ -24,6 +28,9 @@ from .controller import Controller, ControllerConfig
 from .discovery import DiscoveryResult
 from .host_agent import HostAgent
 from .switch import DumbSwitch
+
+if TYPE_CHECKING:
+    from .replication import ReplicatedControlPlane
 
 __all__ = ["DumbNetFabric"]
 
@@ -61,6 +68,7 @@ class DumbNetFabric:
         notify_script_delay_s: float = 0.0,
         switch_cls: Optional[type] = None,
         obs: bool = False,
+        standbys: Sequence[str] = (),
     ) -> None:
         """Everything after ``controller_host`` is keyword-only: the
         tail is long, all-optional, and call sites that spelled the
@@ -74,6 +82,11 @@ class DumbNetFabric:
         (``fabric.obs``), wired into every host agent and channel,
         hot-plugged ones included.  Off (the default) the fabric pays
         nothing beyond dormant ``is not None`` gates.
+
+        ``standbys`` names the hosts that run controller replicas
+        beside ``controller_host``; they join ``fabric.plane`` once
+        the primary has a view (:meth:`bootstrap` or
+        :meth:`adopt_blueprint`).
         """
         if not topology.hosts:
             raise ValueError("a DumbNet fabric needs at least one host")
@@ -83,9 +96,20 @@ class DumbNetFabric:
         self.controller_host = controller_host or topology.hosts[0]
         if not topology.has_host(self.controller_host):
             raise ValueError(f"controller host {self.controller_host!r} not in topology")
+        self.standbys: Tuple[str, ...] = tuple(standbys)
+        controller_hosts = {self.controller_host, *self.standbys}
+        if len(controller_hosts) != 1 + len(self.standbys) or not all(
+            map(topology.has_host, self.standbys)
+        ):
+            raise ValueError(
+                f"standbys must be distinct topology hosts other than "
+                f"{self.controller_host!r}; got {self.standbys!r}"
+            )
         self._rng = random.Random(seed)
         self.agents: Dict[str, HostAgent] = {}
-        self.controller: Optional[Controller] = None
+        #: The replicated control plane, once the primary has a view;
+        #: None on a fabric without standbys.
+        self.plane: Optional["ReplicatedControlPlane"] = None
         self.obs: Optional[FabricObs] = FabricObs() if obs else None
 
         switch_type = switch_cls or DumbSwitch
@@ -101,7 +125,7 @@ class DumbNetFabric:
 
         def make_host(name: str, network: Network) -> Device:
             rng = random.Random(self._rng.randrange(2**31))
-            if name == self.controller_host:
+            if name in controller_hosts:
                 agent: HostAgent = Controller(
                     name,
                     network.loop,
@@ -109,7 +133,6 @@ class DumbNetFabric:
                     config=self.controller_config,
                     rng=rng,
                 )
-                self.controller = agent  # type: ignore[assignment]
             else:
                 agent = HostAgent(name, network.loop, tracer=self.tracer, rng=rng)
             agent.obs = self.obs
@@ -199,10 +222,32 @@ class DumbNetFabric:
 
     # ------------------------------------------------------------------
 
+    @property
+    def controller(self) -> Controller:
+        """The serving controller: the plane's primary once standbys
+        replicate it (so it follows failover), else the bootstrap one."""
+        if self.plane is not None:
+            return self.plane.primary
+        return self.agents[self.controller_host]  # type: ignore[return-value]
+
+    def _join_standbys(self) -> None:
+        """Form the replicated plane once the primary has a view."""
+        if not self.standbys or self.plane is not None:
+            return
+        # Loaded here: a fabric without standbys never imports consensus/.
+        from .replication import ReplicatedControlPlane
+
+        self.plane = ReplicatedControlPlane(
+            self.network,
+            self.controller,
+            [self.agents[name] for name in self.standbys],  # type: ignore[arg-type]
+        )
+
     def bootstrap(self) -> DiscoveryResult:
         """Run discovery + controller announcements; fabric is then live."""
-        assert self.controller is not None
-        return self.controller.bootstrap(self.network)
+        result = self.controller.bootstrap(self.network)
+        self._join_standbys()
+        return result
 
     def adopt_blueprint(self) -> None:
         """Skip probing: install the ground-truth topology as the view.
@@ -211,10 +256,10 @@ class DumbNetFabric:
         configuration" bootstrap mode of Section 4.1; useful when an
         experiment does not measure discovery itself.
         """
-        assert self.controller is not None
         self.controller.adopt_view(self.topology.copy())
         self.controller.announce_all()
         self.network.run_until_idle()
+        self._join_standbys()
 
     def warm_paths(self, pairs: Optional[List[Tuple[str, str]]] = None) -> None:
         """Pre-populate path caches for host pairs (default: all pairs).

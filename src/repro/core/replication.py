@@ -5,10 +5,12 @@ replicas use Apache ZooKeeper to keep a consistency view of the network
 topology and serve host requests in the same way."
 
 :class:`ReplicatedControlPlane` glues the pieces together on a live
-fabric: the primary :class:`~repro.core.controller.Controller` logs
-every topology change into a :class:`~repro.consensus.store.
-ReplicatedTopologyStore`; standby controllers (ordinary hosts promoted
-on demand) hold consistent view replicas.  When the primary dies,
+fabric (``DumbNetFabric(..., standbys=...)`` builds one as
+``fabric.plane``): the primary :class:`~repro.core.controller.
+Controller` logs every topology change into a
+:class:`~repro.consensus.store.ReplicatedTopologyStore`; standby
+controllers (ordinary hosts promoted on demand) hold consistent view
+replicas.  When the primary dies,
 :meth:`fail_primary` promotes a standby: it adopts the replicated view,
 re-announces itself, and hosts transparently re-target their queries.
 """
@@ -37,10 +39,10 @@ class ReplicatedControlPlane:
         primary: Controller,
         standbys: Sequence[Controller],
     ) -> None:
-        """``standbys`` must be :class:`Controller` instances (built by
-        e.g. :func:`~repro.faultinject.runner.build_chaos_fabric`'s
-        controller-capable hosts): promotion installs a view and starts
-        answering path queries, which a plain
+        """``standbys`` must be :class:`Controller` instances (a
+        :class:`~repro.core.fabric.DumbNetFabric` builds one for each
+        host named in its ``standbys``): promotion installs a view and
+        starts answering path queries, which a plain
         :class:`~repro.core.host_agent.HostAgent` cannot do."""
         if primary.view is None:
             raise ReplicationError("primary has no view; bootstrap first")
@@ -59,10 +61,6 @@ class ReplicatedControlPlane:
         primary.replicator = self.store
 
     # ------------------------------------------------------------------
-
-    @property
-    def current_primary(self) -> Controller:
-        return self.primary
 
     def fail_primary(self) -> Controller:
         """Kill the primary host and promote a standby."""

@@ -15,18 +15,20 @@ first-class subsystem:
   cache/dead-port coherence) and, at quiesce, that every cached path
   avoids dead links and every physically-connected host pair can still
   exchange traffic.
-* :func:`build_chaos_fabric` -- a fabric with standby controllers so
-  schedules can exercise controller failover via
+* :func:`build_chaos_fabric` -- a blueprint-bootstrapped
+  :class:`~repro.core.fabric.DumbNetFabric` with standby controllers,
+  so schedules can exercise controller failover via its
   :class:`~repro.core.replication.ReplicatedControlPlane`.
-* ``python -m repro.faultinject.smoke`` -- a seeded chaos smoke run
-  (used by CI) that also asserts run-to-run determinism.
+
+``examples/chaos_testing.py`` runs the seeded demo (in CI) and asserts
+run-to-run determinism.
 """
 
 from .. import _lazy_namespace
 
 __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
     ".schedule": ("FaultEvent", "FaultSchedule", "ScheduleError"),
-    ".runner": ("ChaosFabric", "ChaosReport", "ChaosRunner", "build_chaos_fabric"),
+    ".runner": ("ChaosReport", "ChaosRunner", "build_chaos_fabric"),
     ".invariants": (
         "Violation",
         "check_loop_free",

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.controller import Controller
-from ..core.host_agent import HostAgent
-from ..core.replication import ReplicatedControlPlane
-from ..core.switch import DumbSwitch
-from ..netsim.network import Network
-from ..netsim.trace import Tracer
+from ..core.fabric import DumbNetFabric
 from ..obs.report import ReportBase
 from ..topology.graph import Topology
 from .invariants import (
@@ -32,110 +28,37 @@ from .invariants import (
 )
 from .schedule import FaultEvent, FaultSchedule
 
-__all__ = ["ChaosFabric", "ChaosReport", "ChaosRunner", "build_chaos_fabric"]
+__all__ = ["ChaosReport", "ChaosRunner", "build_chaos_fabric"]
 
 #: Controller-capable hosts of a chaos fabric when the caller names none.
 N_CONTROLLERS = 3
-
-
-@dataclass
-class ChaosFabric:
-    """A live fabric plus everything a schedule can act on."""
-
-    topology: Topology
-    network: Network
-    agents: Dict[str, HostAgent]
-    controller_hosts: Tuple[str, ...]
-    plane: Optional[ReplicatedControlPlane]
-    tracer: Tracer
-
-    @property
-    def controller(self) -> Controller:
-        if self.plane is not None:
-            return self.plane.current_primary
-        agent = self.agents[self.controller_hosts[0]]
-        assert isinstance(agent, Controller)
-        return agent
-
-    @property
-    def loop(self):
-        return self.network.loop
-
-    @classmethod
-    def wrap(cls, fabric) -> "ChaosFabric":
-        """Adapt a :class:`~repro.core.fabric.DumbNetFabric` (no
-        standby controllers) so schedules can target it -- used by
-        benchmarks that build their fabric elsewhere."""
-        return cls(
-            topology=fabric.topology,
-            network=fabric.network,
-            agents=fabric.agents,
-            controller_hosts=(fabric.controller_host,),
-            plane=None,
-            tracer=fabric.tracer,
-        )
 
 
 def build_chaos_fabric(
     topology: Topology,
     seed: int = 0,
     controller_hosts: Optional[Sequence[str]] = None,
-) -> ChaosFabric:
-    """A DumbNet fabric with standby controllers, ready for chaos.
+) -> DumbNetFabric:
+    """A blueprint-bootstrapped DumbNet fabric with standby controllers.
 
     The first :data:`N_CONTROLLERS` hosts (sorted by name) become
     controller-capable unless ``controller_hosts`` picks them
-    explicitly; the first of those bootstraps as primary and the rest
-    join a :class:`~repro.core.replication.ReplicatedControlPlane` so
-    schedules can exercise ``controller-failover`` events.  Every rng
-    in the fabric derives from ``seed``.
+    explicitly; the first of those is the primary and the rest are its
+    ``standbys`` (``fabric.plane``), so schedules can exercise
+    ``controller-failover`` events.  Every rng in the fabric derives
+    from ``seed``.
     """
     if controller_hosts is None:
-        controller_hosts = tuple(sorted(topology.hosts)[:N_CONTROLLERS])
-    else:
-        controller_hosts = tuple(controller_hosts)
-    if not controller_hosts:
+        controller_hosts = sorted(topology.hosts)[:N_CONTROLLERS]
+    hosts = tuple(controller_hosts)
+    if not hosts:
         raise ValueError("need at least one controller host")
-    master = random.Random(seed)
-    tracer = Tracer()
-    agents: Dict[str, HostAgent] = {}
-    controller_set = set(controller_hosts)
-
-    def make_switch(name: str, ports: int, network: Network) -> DumbSwitch:
-        return DumbSwitch(name, ports, network.loop, tracer=tracer)
-
-    def make_host(name: str, network: Network) -> HostAgent:
-        rng = random.Random(master.randrange(2**31))
-        if name in controller_set:
-            agent: HostAgent = Controller(name, network.loop, tracer=tracer, rng=rng)
-        else:
-            agent = HostAgent(name, network.loop, tracer=tracer, rng=rng)
-        agents[name] = agent
-        return agent
-
-    network = Network(
+    return DumbNetFabric.from_topology(
         topology,
-        make_switch,
-        make_host,
-        seed=master.randrange(2**31),
-        tracer=tracer,
-    )
-    primary = agents[controller_hosts[0]]
-    assert isinstance(primary, Controller)
-    primary.adopt_view(topology.copy())
-    primary.announce_all()
-    network.run_until_idle()
-    plane: Optional[ReplicatedControlPlane] = None
-    if len(controller_hosts) > 1:
-        standbys = [agents[name] for name in controller_hosts[1:]]
-        plane = ReplicatedControlPlane(network, primary, standbys)
-    return ChaosFabric(
-        topology=topology,
-        network=network,
-        agents=agents,
-        controller_hosts=controller_hosts,
-        plane=plane,
-        tracer=tracer,
+        bootstrap="blueprint",
+        controller_host=hosts[0],
+        standbys=hosts[1:],
+        seed=seed,
     )
 
 
@@ -240,7 +163,7 @@ class ChaosRunner:
 
     def __init__(
         self,
-        fabric: ChaosFabric,
+        fabric: DumbNetFabric,
         schedule: FaultSchedule,
         traffic_seed: int = 7,
     ) -> None:
@@ -285,7 +208,7 @@ class ChaosRunner:
             if self.fabric.plane is None:
                 raise RuntimeError(
                     "controller-failover needs a fabric with standbys "
-                    "(build_chaos_fabric with two or more controller hosts)"
+                    "(DumbNetFabric(..., standbys=...))"
                 )
             self.fabric.plane.fail_primary()
         else:  # pragma: no cover - FaultEvent validates kinds

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.pathcache import BINDING_DEAD
 from repro.faultinject import (
-    ChaosFabric,
     ChaosRunner,
     FaultEvent,
     FaultSchedule,

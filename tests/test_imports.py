@@ -54,6 +54,18 @@ def test_sharded_control_plane_loads_no_emulator():
     assert {"repro.core.pathservice", "repro.consensus.store"} <= loaded
 
 
+def test_fabric_loads_consensus_only_with_standbys():
+    build = (
+        "from repro.core.fabric import DumbNetFabric\n"
+        "from repro.topology import paper_testbed\n"
+        "DumbNetFabric.from_topology(paper_testbed(), bootstrap='blueprint'{})\n"
+    )
+    native = loaded_after(build.format(""))
+    assert not any(m.startswith("repro.consensus") for m in native)
+    replicated = loaded_after(build.format(", standbys=('h1_0',)"))
+    assert {"repro.core.replication", "repro.consensus.store"} <= replicated
+
+
 def test_scenario_surface_loads_its_engines_not_the_emulator():
     loaded = loaded_after("import repro.workloads.scenario")
     assert not any(m.startswith("repro.netsim") for m in loaded)

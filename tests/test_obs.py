@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.fabric import DumbNetFabric
 from repro.core.telemetry import FabricReport, StatsSwitch, TelemetryCollector
-from repro.faultinject import ChaosFabric, ChaosRunner, FaultEvent, FaultSchedule
+from repro.faultinject import ChaosRunner, FaultEvent, FaultSchedule
 from repro.obs import FabricObs, Histogram, ReportBase
 from repro.topology import leaf_spine, paper_testbed
 from repro.workloads.iperf import measure_rtts
@@ -284,7 +284,7 @@ class TestFabricObsWiring:
         links = [(1, "leaf0", 9), (2, "leaf1", 9), (3, "spine0", 9)]
         join = FaultEvent(0.01, "switch-join", ("racked0", 8, tuple(links)))
         schedule = FaultSchedule().add(join)
-        ChaosRunner(ChaosFabric.wrap(fabric), schedule).install()
+        ChaosRunner(fabric, schedule).install()
         fabric.run_until_idle()
         assert isinstance(fabric.network.switches["racked0"], StatsSwitch)
         for new_port, peer, peer_port in links:
@@ -319,7 +319,7 @@ def chaos_observed():
     fabric.run_until_idle()
     flap = (link.a.switch, link.a.port, link.b.switch, link.b.port)
     schedule = FaultSchedule().link_flap(0.01, flap, down_for=0.02)
-    chaos = ChaosRunner(ChaosFabric.wrap(fabric), schedule, traffic_seed=23).run()
+    chaos = ChaosRunner(fabric, schedule, traffic_seed=23).run()
     return fabric, chaos
 
 

@@ -2,46 +2,21 @@
 
 import pytest
 
-from repro.core.controller import Controller, ControllerConfig
+from repro.core.controller import Controller
 from repro.core.fabric import DumbNetFabric
-from repro.core.host_agent import HostAgent
 from repro.core.replication import ReplicatedControlPlane, ReplicationError
-from repro.netsim import Network
 from repro.topology import paper_testbed
 
 
 def build_plane():
     """A fabric whose first three hosts are controller-capable."""
-    topo = paper_testbed()
-    controller_hosts = ["h0_0", "h1_0", "h2_0"]
-    agents = {}
-    tracer_box = {}
-
-    from repro.core.switch import DumbSwitch
-    from repro.netsim.trace import Tracer
-
-    tracer = Tracer()
-
-    def make_switch(name, ports, network):
-        return DumbSwitch(name, ports, network.loop, tracer=tracer)
-
-    def make_host(name, network):
-        if name in controller_hosts:
-            agent = Controller(name, network.loop, tracer=tracer)
-        else:
-            agent = HostAgent(name, network.loop, tracer=tracer)
-        agents[name] = agent
-        return agent
-
-    network = Network(topo, make_switch, make_host, tracer=tracer)
-    primary = agents["h0_0"]
-    primary.adopt_view(topo.copy())
-    primary.announce_all()
-    network.run_until_idle()
-    plane = ReplicatedControlPlane(
-        network, primary, [agents["h1_0"], agents["h2_0"]]
+    fabric = DumbNetFabric.from_topology(
+        paper_testbed(),
+        bootstrap="blueprint",
+        controller_host="h0_0",
+        standbys=("h1_0", "h2_0"),
     )
-    return network, agents, plane, tracer
+    return fabric.network, fabric.agents, fabric.plane, fabric.tracer
 
 
 class TestReplicatedControlPlane:
@@ -88,7 +63,7 @@ class TestReplicatedControlPlane:
         network, agents, plane, _tracer = build_plane()
         with pytest.raises(ReplicationError):
             ReplicatedControlPlane(
-                network, plane.current_primary, [agents["h4_4"]]
+                network, plane.primary, [agents["h4_4"]]
             )
 
     def test_unbootstrapped_primary_rejected(self):
@@ -168,7 +143,7 @@ class TestApplyReconciliation:
         network.run_until_idle()
         assert plane.store.apply_stats["h2_0"]["dropped"] == 1
         assert plane.store.total_drops() == 1
-        report = TelemetryCollector(plane.current_primary, network).collect()
+        report = TelemetryCollector(plane.primary, network).collect()
         assert report.replication["h2_0"]["dropped"] == 1
         assert "DROPPED" in report.summary()
         assert report.as_dict()["replication"]["h2_0"]["dropped"] == 1
@@ -180,5 +155,63 @@ class TestStandbyTypeCheck:
         network, agents, plane, _tracer = build_plane()
         with pytest.raises(ReplicationError, match="HostAgent"):
             ReplicatedControlPlane(
-                network, plane.current_primary, [agents["h4_4"]]
+                network, plane.primary, [agents["h4_4"]]
             )
+
+
+class TestFabricStandbys:
+    """``DumbNetFabric(standbys=...)`` is the one replicated assembly."""
+
+    @pytest.mark.parametrize("bootstrap", ["blueprint", "discover"])
+    def test_every_replica_matches_the_primary(self, bootstrap):
+        fabric = DumbNetFabric.from_topology(
+            paper_testbed(),
+            bootstrap=bootstrap,
+            controller_host="h0_0",
+            standbys=("h1_0", "h2_0"),
+            seed=4,
+        )
+        plane = fabric.plane
+        assert plane is not None and fabric.controller is plane.primary
+        assert [s.name for s in plane.standbys] == ["h1_0", "h2_0"]
+        fabric.fail_link("leaf3", 1, "spine0", 4)
+        fabric.run_until_idle()
+        primary_view = fabric.controller.view
+        assert not primary_view.has_link("leaf3", 1, "spine0", 4)
+        for name in ("h0_0", "h1_0", "h2_0"):
+            assert plane.store.view_of(name).same_wiring(primary_view), name
+
+    def test_controller_follows_failover(self):
+        from repro.faultinject import ChaosRunner, FaultSchedule
+
+        fabric = DumbNetFabric.from_topology(
+            paper_testbed(),
+            bootstrap="blueprint",
+            controller_host="h0_0",
+            standbys=("h1_0", "h2_0"),
+        )
+        first = fabric.controller
+        ChaosRunner(fabric, FaultSchedule().controller_failover(0.01)).install()
+        fabric.run_until_idle()
+        promoted = fabric.controller
+        assert promoted is fabric.plane.primary
+        assert promoted is not first
+        assert promoted.name in ("h1_0", "h2_0")
+        assert promoted is fabric.agents[promoted.name]
+        assert fabric.observe().as_dict()["controller"]["name"] == promoted.name
+
+    def test_no_standbys_no_plane(self):
+        fabric = DumbNetFabric.from_topology(
+            paper_testbed(), bootstrap="blueprint", controller_host="h0_0"
+        )
+        assert fabric.plane is None
+        assert fabric.controller is fabric.agents["h0_0"]
+
+    @pytest.mark.parametrize(
+        "standbys",
+        [("h9_9",), ("h1_0", "h1_0"), ("h0_0",), ("h1_0", "h0_0")],
+        ids=["unknown", "duplicate", "controller-host", "controller-host-later"],
+    )
+    def test_bad_standbys_rejected(self, standbys):
+        with pytest.raises(ValueError, match="standbys must be distinct"):
+            DumbNetFabric(paper_testbed(), "h0_0", standbys=standbys)

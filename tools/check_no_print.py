@@ -4,9 +4,9 @@ Library modules under ``src/repro/`` must report through the obs layer
 (histograms, the tracer's event record, report ``summary()``) or raise
 -- a stray debug print bypasses all of it and pollutes stdout for every
 embedder.  Entry points that legitimately talk to a terminal are
-allowlisted: ``cli.py``, the ``*/smoke.py`` CI gate, and -- when pointed at the
-``benchmarks/`` tree -- the ``bench_*.py`` drivers and their ``_util``
-publisher (benchmarks print their results by design).
+allowlisted: ``cli.py`` and -- when pointed at the ``benchmarks/`` tree
+-- the ``bench_*.py`` drivers and their ``_util`` publisher (benchmarks
+print their results by design).
 
 A call is any ``print(...)`` the parser sees, wherever it sits on its
 line and inside f-string expressions too; strings, comments and
@@ -26,7 +26,7 @@ import ast
 import os
 import sys
 
-ALLOWED_BASENAMES = {"cli.py", "smoke.py", "_util.py"}
+ALLOWED_BASENAMES = {"cli.py", "_util.py"}
 
 
 def allowed(filename: str) -> bool:

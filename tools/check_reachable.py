@@ -3,8 +3,7 @@
 A function, method or class under ``src/repro/`` is *reached* when its
 name is referenced from a root, or from a def that is already reached;
 the scan repeats until nothing changes.  The roots are the programs a
-user or CI runs: ``src/repro/cli.py``, the one ``src/repro/*/smoke.py``
-CI gate (the seeded chaos smoke), ``examples/``, ``benchmarks/``
+user or CI runs: ``src/repro/cli.py``, ``examples/``, ``benchmarks/``
 (``e2e/`` included) and ``tools/``.  ``examples/`` counts because CI
 runs every example in a fresh interpreter and fails on a non-zero exit.
 The top-level statements of every ``src/`` module run on import, so
@@ -79,7 +78,6 @@ ALLOWLIST: Dict[str, str] = {
 #: Root files and directories, relative to the repo root.
 ROOT_DIRS = ("examples", "benchmarks", "tools")
 ROOT_SRC_FILES = ("repro/cli.py",)
-ROOT_SRC_BASENAME = "smoke.py"
 
 ENTRY_STRING = re.compile(r"^[A-Za-z_][\w.]*:([A-Za-z_][\w.]*)$")
 IDENTIFIER = re.compile(r"^[A-Za-z_]\w*$")
@@ -176,7 +174,7 @@ def scan(repo: str, allowlist: Mapping[str, str]) -> Tuple[List[Def], List[str]]
     for filename in python_files(src):
         rel = os.path.relpath(filename, src).replace(os.sep, "/")
         tree = parse(filename)
-        if rel in ROOT_SRC_FILES or os.path.basename(rel) == ROOT_SRC_BASENAME:
+        if rel in ROOT_SRC_FILES:
             referenced |= references([tree])
             continue
         # Top-level statements run on import.
