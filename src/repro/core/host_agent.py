@@ -557,7 +557,7 @@ class EmulatedProbeTransport(ProbeTransport):
             nonces.append(args[1].nonce)
             return i * spacing, agent.send_tagged, args
 
-        agent.loop.call_batch(later(i, spec) for i, spec in islice(enumerate(specs), 1, None))
+        agent.loop.call_batch([later(i, spec) for i, spec in islice(enumerate(specs), 1, None)])
         self._sent += len(specs)
         self.network.run_until_idle()
         outcomes = [self.agent.collect_probe(nonce) for nonce in nonces]

@@ -72,9 +72,7 @@ def detour_vertices(
 
     ``level_masks`` substitutes a memoized source -> level-mask provider
     (e.g. the path service's shared ``SSSPTree.masks``) for a fresh
-    search per window end.  Mask bits mean something only in the bit
-    table of the ``Topology`` object that made them: the masks must come
-    from ``topology`` itself, not from a copy or a shard view of it.
+    search per window end.
     """
     if s < 1:
         raise ValueError(f"detour window s must be >= 1, got {s}")

@@ -17,7 +17,8 @@ order:
   fire-and-forget fast path used by the per-frame hot code (channels,
   device service queues): no handle object is allocated, the heap entry
   is a plain ``(time, seq, callback, args)`` tuple.
-  :meth:`EventLoop.call_batch` arms many, heaping only the earliest.
+  :meth:`EventLoop.call_batch` arms a time-ordered batch, heaping
+  only its next item.
 
 Cancellation is lazy: a cancelled handle is only marked dead, and the
 heap skips it on pop.  So cancel-heavy workloads (protocol timers that
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Collection, List, Optional, Tuple
 
 __all__ = ["EventLoop", "EventHandle", "SimulationError", "COMPACT_MIN_DEAD"]
 
@@ -141,37 +142,46 @@ class EventLoop:
         heappush(self._heap, (time, seq, callback, args))
         self._live += 1
 
-    def call_batch(self, items: Iterable[Tuple[float, Callable[..., None], Tuple[Any, ...]]]) -> None:
+    def call_batch(self, items: Collection[Tuple[float, Callable[..., None], Tuple[Any, ...]]]) -> None:
         """``call_after(delay, callback, *args)`` per item, in order, with
         the same seqs and ``pending`` -- but only the batch's head sits
-        in the heap, so other events pay heap depth for what is really
-        in flight.  Same order: the batch is sorted once by ``(time,
-        seq)`` (seq is unique; callbacks are never compared), so every
-        unfired entry is >= the head, and firing the head pushes the
-        next entry *before* its callback runs -- any entry that could be
-        the minimum at a pop (nested ``run`` included) is in the heap.
-        A negative delay raises before anything is scheduled.
+        in the heap, and the batch is read one item at a time.
+
+        ``items`` is sized and re-iterable, and ordered by ``now +
+        delay``: items at the same time fire in the given order.  One
+        pass checks that order (and that no delay is negative) without
+        keeping anything, and a bad batch raises before anything is
+        scheduled.  Then the batch draws ``len(items)`` consecutive
+        seqs; firing the head pushes the next item *before* its callback
+        runs, so every unfired item is >= the head and any item that
+        could be the minimum at a pop (nested ``run`` included) is in
+        the heap.
         """
-        now, seq, heap = self.now, self._seq, self._heap
-        entries: list = []  # (time, seq, callback, args), descending
-
-        def fire(_time, _seq, callback, args):
-            if entries:
-                head = entries.pop()
-                heappush(heap, (head[0], head[1], fire, head))
-            callback(*args)
-
-        for delay, callback, args in items:
+        now = last = self.now
+        for delay, _callback, _args in items:
+            time = now + delay
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
-            entries.append((now + delay, seq, callback, args))
-            seq += 1
-        if entries:
-            entries.sort(reverse=True)
-            self._live += len(entries)
-            self._seq = seq
-            head = entries.pop()
-            heappush(heap, (head[0], head[1], fire, head))
+            if time < last:
+                raise SimulationError(f"batch out of time order (delay={delay})")
+            last = time
+        count = len(items)
+        if not count:
+            return
+        seq, heap, pull = self._seq, self._heap, iter(items).__next__
+        end = self._seq = seq + count
+        self._live += count
+
+        def push(seq: int) -> None:
+            delay, callback, args = pull()
+            heappush(heap, (now + delay, seq, fire, (seq, callback, args)))
+
+        def fire(seq, callback, args):
+            if seq + 1 < end:
+                push(seq + 1)
+            callback(*args)
+
+        push(seq)
 
     # ------------------------------------------------------------------
 

@@ -93,13 +93,42 @@ class Link:
         return f"{self.a}<->{self.b}"
 
 
+#: One bit per switch name, process-wide: ``_BIT[name]`` is ``1 << i``
+#: where ``_NAMES[i] == name``.  Every :class:`Topology` that holds a
+#: switch of that name uses that bit, so masks from one topology mean
+#: the same switches in any other.  Append-only: a name keeps its bit
+#: after every topology has removed it.
+_BIT: Dict[str, int] = {}
+_NAMES: List[str] = []
+
+#: An adjacency entry: (neighbour switch, cable, neighbour's bit).
+_Entry = Tuple[str, Link, int]
+
 #: Interned cables for :meth:`Topology.merge_links`, keyed by the
-#: oriented ``(a switch, a port, b switch, b port)`` tuple.  ``Link`` and
-#: ``PortRef`` are frozen values (:meth:`Topology.copy` already shares
-#: them between twins), so every host fragment folding in the same
-#: controller replies holds one value per cable instead of its own copy.
-#: Grows only with the distinct edges that reach a fragment.
-_CABLES: Dict[Tuple[str, int, str, int], Link] = {}
+#: oriented ``(a switch, a port, b switch, b port)`` tuple: the ``Link``
+#: and its two adjacency entries, ``a``'s then ``b``'s.  ``Link``,
+#: ``PortRef`` and the entries are frozen values (:meth:`Topology.copy`
+#: already shares them between twins), so every host fragment folding
+#: in the same controller replies holds one value per cable instead of
+#: its own copy.  Grows only with the distinct edges that reach a
+#: fragment.
+_CABLES: Dict[Tuple[str, int, str, int], Tuple[Link, _Entry, _Entry]] = {}
+
+
+def _reach(nmask: Dict[str, int], mask: int) -> int:
+    """The union of ``nmask`` over the switches whose bits ``mask`` sets."""
+    names, reach = _NAMES, 0
+    while mask:
+        i = mask.bit_length() - 1
+        reach |= nmask[names[i]]
+        mask ^= 1 << i
+    return reach
+
+
+def _entries(link: Link) -> Tuple[_Entry, _Entry]:
+    """``link``'s adjacency entries on its ``a`` and ``b`` switches."""
+    sw_a, sw_b = link.a.switch, link.b.switch
+    return (sw_b, link, _BIT[sw_b]), (sw_a, link, _BIT[sw_a])
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,14 +147,14 @@ class SSSPTree:
     :meth:`Topology.shortest_switch_path`, are the level before its own
     filtered by its neighbour mask.
 
-    A tree is no snapshot: it reads the topology's live bit tables, so
+    A tree is no snapshot: it reads the topology's live mask table, so
     it is valid only under the ``(uid, topo_version)`` it was built for,
     or while a :class:`~repro.core.pathservice.PathService` keeps it (the
     service flushes it on any other mutation).  After any other mutation
     it may give wrong parents or raise ``KeyError``.
     """
 
-    __slots__ = ("source", "dist", "levels", "masks", "_nmask", "_bit", "_names")
+    __slots__ = ("source", "dist", "levels", "masks", "_nmask")
 
     def __init__(
         self,
@@ -134,12 +163,11 @@ class SSSPTree:
         levels: List[List[str]],
         masks: List[int],
         nmask: Dict[str, int],
-        topology: "Topology",
     ) -> None:
         self.source, self.dist, self.levels, self.masks = source, dist, levels, masks
-        # The topology's live bit tables; ``nmask`` is a filtered copy
-        # when the search cut cables.
-        self._nmask, self._bit, self._names = nmask, topology._bit, topology._names
+        # The topology's live mask table; a filtered copy when the
+        # search cut cables.
+        self._nmask = nmask
 
     def parents_of(self, switch: str) -> List[str]:
         """``switch``'s equal-cost predecessors, in relaxation order."""
@@ -147,7 +175,7 @@ class SSSPTree:
         if not depth:
             return []
         tied = self._nmask[switch] & self.masks[depth - 1]
-        bit = self._bit
+        bit = _BIT
         return [sw for sw in self.levels[depth - 1] if bit[sw] & tied]
 
     def path_to(
@@ -160,7 +188,7 @@ class SSSPTree:
         depth = self.dist.get(dst)
         if depth is None:
             return None
-        nmask, masks, levels, bit = self._nmask, self.masks, self.levels, self._bit
+        nmask, masks, levels, bit = self._nmask, self.masks, self.levels, _BIT
         path = [dst]
         for level in range(int(depth) - 1, -1, -1):
             tied = nmask[path[-1]] & masks[level]
@@ -173,7 +201,7 @@ class SSSPTree:
                         if not tied or rng is None:
                             break
             else:
-                choices = [self._names[tied.bit_length() - 1]]
+                choices = [_NAMES[tied.bit_length() - 1]]
             path.append(rng.choice(choices) if rng is not None else choices[0])
         path.reverse()
         return path
@@ -200,21 +228,17 @@ class Topology:
         # Occupancy of every wired port: PortRef -> Link | HostAttachment
         self._port_use: Dict[PortRef, object] = {}
         self._links: Dict[FrozenSet[PortRef], Link] = {}
-        # Adjacency: switch -> list[(neighbor switch, Link, neighbor's
-        # bit)], in wiring order -- the order the path searches relax
-        # edges in.
-        self._adj: Dict[str, List[Tuple[str, Link, int]]] = {}
-        # Sorted distinct neighbors per switch, and the cables a switch
-        # is the ``a`` side of as edge tuples (shared by every cached path
-        # graph): filled on demand, dropped for the switches a mutation
-        # touches.
-        self._nbrs: Dict[str, Tuple[str, ...]] = {}
+        # Adjacency: switch -> list of adjacency entries (neighbor
+        # switch, Link, neighbor's bit), in wiring order -- the order the
+        # path searches relax edges in.
+        self._adj: Dict[str, List[_Entry]] = {}
+        # The cables a switch is the ``a`` side of as edge tuples (shared
+        # by every cached path graph): filled on demand, dropped for the
+        # switches a mutation touches.
         self._aside: Dict[str, List[Tuple[str, int, str, int]]] = {}
-        # One bit per switch, never reused: ``1 << i`` is ``_names[i]``;
-        # ``_nmask`` is the union of a switch's neighbours' bits.
-        self._bit: Dict[str, int] = {}
-        self._names: List[str] = []
+        # The union of a switch's neighbours' bits (:data:`_BIT`).
         self._nmask: Dict[str, int] = {}
+        # Only switches with a host attached have a list.
         self._hosts_on_switch: Dict[str, List[str]] = {}
         #: Bumped by every switch-graph mutation (switches and cables,
         #: not host attachments).  Consumers that memoize shortest-path
@@ -233,10 +257,10 @@ class Topology:
             raise TopologyError(f"switch {switch!r} needs at least one port")
         self._switch_ports[switch] = num_ports
         self._adj[switch] = []
-        self._bit[switch] = 1 << len(self._names)
-        self._names.append(switch)
+        if switch not in _BIT:
+            _BIT[switch] = 1 << len(_NAMES)
+            _NAMES.append(switch)
         self._nmask[switch] = 0
-        self._hosts_on_switch[switch] = []
         self.topo_version += 1
 
     def add_host(self, host: str, switch: str, port: int) -> None:
@@ -246,14 +270,14 @@ class Topology:
         ref = self._check_port(switch, port)
         self._claim_ports(HostAttachment(host, ref), ref)
         self._hosts[host] = ref
-        self._hosts_on_switch[switch].append(host)
+        self._hosts_on_switch.setdefault(switch, []).append(host)
 
     def add_link(self, sw_a: str, port_a: int, sw_b: str, port_b: int) -> Link:
         """Wire a cable between two switch ports."""
         link = Link(*self._check_cable(sw_a, port_a, sw_b, port_b))
         if link.key() in self._links:
             raise TopologyError(f"duplicate link {link}")
-        self._wire(link)
+        self._wire(link, *_entries(link))
         return link
 
     def merge_links(
@@ -264,8 +288,8 @@ class Topology:
         unknown switches are added with ``num_ports`` ports (even when
         the cable is then skipped), and a cable is wired only when both
         of its ports are free.  A self-cable or an out-of-range port
-        raises as in :meth:`add_link`.  Wired cables are the interned
-        values of :data:`_CABLES`.
+        raises as in :meth:`add_link`.  Wired cables, and their
+        adjacency entries, are the interned values of :data:`_CABLES`.
         """
         ports, use = self._switch_ports, self._port_use
         for edge in edges:
@@ -274,31 +298,30 @@ class Topology:
                 self.add_switch(sw_a, num_ports)
             if sw_b not in ports:
                 self.add_switch(sw_b, num_ports)
-            link = _CABLES.get(edge)
-            if link is None:
+            cable = _CABLES.get(edge)
+            if cable is None:
                 a, b = PortRef(sw_a, port_a), PortRef(sw_b, port_b)
             else:
-                a, b = link.a, link.b
+                a, b = cable[0].a, cable[0].b
             if a in use or b in use:
                 continue  # a cable already here occupies one of the ports
             self._check_cable(sw_a, port_a, sw_b, port_b)
-            if link is None:
-                link = _CABLES[edge] = Link(a, b)
-            self._wire(link)
+            if cable is None:
+                link = Link(a, b)
+                cable = _CABLES[edge] = (link, *_entries(link))
+            self._wire(*cable)
 
-    def _wire(self, link: Link) -> None:
-        """Insert a checked cable: occupancy, adjacency, bits, version."""
+    def _wire(self, link: Link, on_a: _Entry, on_b: _Entry) -> None:
+        """Insert a checked cable with its adjacency entries on its
+        ``a`` and ``b`` switches: occupancy, adjacency, masks, version."""
         a, b = link.a, link.b
         self._claim_ports(link, a, b)
         self._links[link.key()] = link
         sw_a, sw_b = a.switch, b.switch
-        bit_a, bit_b = self._bit[sw_a], self._bit[sw_b]
-        self._adj[sw_a].append((sw_b, link, bit_b))
-        self._adj[sw_b].append((sw_a, link, bit_a))
-        self._nmask[sw_a] |= bit_b
-        self._nmask[sw_b] |= bit_a
-        self._nbrs.pop(sw_a, None)
-        self._nbrs.pop(sw_b, None)
+        self._adj[sw_a].append(on_a)
+        self._adj[sw_b].append(on_b)
+        self._nmask[sw_a] |= on_a[2]
+        self._nmask[sw_b] |= on_b[2]
         self._aside.pop(sw_a, None)
         self.topo_version += 1
 
@@ -313,7 +336,6 @@ class Topology:
         for sw in (link.a.switch, link.b.switch):
             adj = self._adj[sw] = [edge for edge in self._adj[sw] if edge[1] is not link]
             self._nmask[sw] = sum({bit for _nbr, _lnk, bit in adj})  # distinct bits
-            self._nbrs.pop(sw, None)
         self._aside.pop(link.a.switch, None)
         self.topo_version += 1
 
@@ -323,14 +345,11 @@ class Topology:
             raise TopologyError(f"unknown switch {switch!r}")
         for link in list(self.links_of(switch)):
             self.remove_link(link.a.switch, link.a.port, link.b.switch, link.b.port)
-        for host in list(self._hosts_on_switch[switch]):
+        for host in list(self._hosts_on_switch.get(switch, ())):
             self.remove_host(host)
         del self._switch_ports[switch]
         del self._adj[switch]
-        del self._hosts_on_switch[switch]
-        del self._bit[switch]
         del self._nmask[switch]
-        self._nbrs.pop(switch, None)
         self._aside.pop(switch, None)
         self.topo_version += 1
 
@@ -339,7 +358,10 @@ class Topology:
         if ref is None:
             raise TopologyError(f"unknown host {host!r}")
         del self._port_use[ref]
-        self._hosts_on_switch[ref.switch].remove(host)
+        on = self._hosts_on_switch[ref.switch]
+        on.remove(host)
+        if not on:
+            del self._hosts_on_switch[ref.switch]
 
     def _check_cable(
         self, sw_a: str, port_a: int, sw_b: str, port_b: int
@@ -426,19 +448,7 @@ class Topology:
 
     def neighbors(self, switch: str) -> List[str]:
         """Distinct neighbor switches (parallel links collapse)."""
-        if switch not in self._adj:
-            return []
-        return list(self._sorted_neighbors(switch))
-
-    def _sorted_neighbors(self, switch: str) -> Tuple[str, ...]:
-        """:meth:`neighbors` of a known switch as a shared, memoized
-        tuple -- what the BFS loops iterate."""
-        nbrs = self._nbrs.get(switch)
-        if nbrs is None:
-            nbrs = self._nbrs[switch] = tuple(
-                sorted({nbr for nbr, _link, _bit in self._adj[switch]})
-            )
-        return nbrs
+        return sorted({nbr for nbr, _link, _bit in self._adj.get(switch, ())})
 
     def links_between(self, sw_a: str, sw_b: str) -> List[Link]:
         return [link for nbr, link, _bit in self._adj.get(sw_a, ()) if nbr == sw_b]
@@ -463,13 +473,12 @@ class Topology:
     # comparisons and copies
 
     def copy(self) -> "Topology":
-        """A twin with its own uid: same wiring, adjacency order and bits."""
+        """A twin with its own uid: same wiring, adjacency order and masks."""
         clone = Topology()
         clone._switch_ports, clone._hosts = dict(self._switch_ports), dict(self._hosts)
         clone._port_use, clone._links = dict(self._port_use), dict(self._links)
         clone._adj = {sw: list(adj) for sw, adj in self._adj.items()}
-        clone._bit, clone._nmask = dict(self._bit), dict(self._nmask)
-        clone._names = list(self._names)
+        clone._nmask = dict(self._nmask)
         clone._hosts_on_switch = {sw: list(on) for sw, on in self._hosts_on_switch.items()}
         clone.topo_version = self.topo_version
         return clone
@@ -493,7 +502,8 @@ class Topology:
     # graph algorithms used by the controller
 
     def switch_distances(self, source: str) -> Dict[str, int]:
-        """Hop distance from ``source`` to every reachable switch (BFS)."""
+        """Hop distance from ``source`` to every reachable switch (BFS
+        over sorted neighbours, which sets the key order)."""
         if source not in self._switch_ports:
             raise TopologyError(f"unknown switch {source!r}")
         dist = {source: 0}
@@ -503,7 +513,7 @@ class Topology:
             hops += 1
             nxt: List[str] = []
             for sw in frontier:
-                for nbr in self._sorted_neighbors(sw):
+                for nbr in self.neighbors(sw):
                     if nbr not in dist:
                         dist[nbr] = hops
                         nxt.append(nbr)
@@ -533,16 +543,16 @@ class Topology:
         and ``stop`` alone in its own, exactly what ``path_to(stop)``
         walks.
         """
-        bit = self._bit.get(source)
-        if bit is None:
+        if source not in self._switch_ports:
             raise TopologyError(f"unknown switch {source!r}")
+        bit = _BIT[source]
         nmask, adj = self._nmask, self._adj
         if avoid:
             # Only the avoided pairs' own switches lose mask bits.
             nmask = dict(nmask)
             for here, there in avoid:
-                nmask[here] &= ~self._bit[there]
-                nmask[there] &= ~self._bit[here]
+                nmask[here] &= ~_BIT[there]
+                nmask[there] &= ~_BIT[here]
         into_stop = nmask.get(stop, 0)
         dist: Dict[str, float] = {source: 0.0}
         levels, masks = [[source]], [bit]
@@ -552,7 +562,7 @@ class Topology:
             d += 1.0
             if into_stop & masks[-1]:
                 levels.append([stop])
-                masks.append(self._bit[stop])
+                masks.append(_BIT[stop])
                 dist[stop] = d
                 break
             nxt: List[str] = []
@@ -573,12 +583,12 @@ class Topology:
                 dist[sw] = d
             levels.append(nxt)
             masks.append(seen ^ before)
-        return SSSPTree(source, dist, levels, masks, nmask, self)
+        return SSSPTree(source, dist, levels, masks, nmask)
 
     def switches_in(self, mask: int) -> Set[str]:
         """The switches whose bits are set in ``mask`` (an
         :attr:`SSSPTree.masks` entry, or a union of them)."""
-        names, found = self._names, set()
+        names, found = _NAMES, set()
         while mask:
             low = mask & -mask
             found.add(names[low.bit_length() - 1])
@@ -714,39 +724,49 @@ class Topology:
         banned_nodes: Iterable[str],
         banned_first_hops: Collection[str],
     ) -> Optional[List[str]]:
-        """BFS shortest path that never enters ``banned_nodes`` and does
+        """The shortest path that never enters ``banned_nodes`` and does
         not leave ``src`` towards any of ``banned_first_hops`` (Yen only
-        ever bans edges out of the spur node).  Stops as soon as ``dst``
-        is reached: its predecessor chain is fixed from then on."""
-        # Banned switches start out "visited"; nothing ever points at them.
-        prev: Dict[str, Optional[str]] = dict.fromkeys(banned_nodes)
-        if src in prev or dst in prev:
+        ever bans edges out of the spur node); of several, the one whose
+        switch names are smallest position by position -- the path a BFS
+        over sorted neighbours finds.
+
+        In switch bits: level masks out from ``src`` (banned switches
+        start out seen, first-hop bans apply to level 1 only) until one
+        holds ``dst``; back from ``dst``, each level's switches that
+        lie on a shortest path; then from ``src`` the smallest name
+        among each step's candidates."""
+        nmask, bit = self._nmask, _BIT
+        banned = 0
+        for sw in banned_nodes:
+            banned |= bit[sw]
+        if (bit[src] | bit[dst]) & banned:
             return None
         if src == dst:
             return [src]
-        prev[src] = None
-        neighbors = self._sorted_neighbors
-        skip = banned_first_hops
-        frontier = [src]
-        while frontier:
-            nxt: List[str] = []
-            for sw in frontier:
-                for nbr in neighbors(sw):
-                    if nbr in prev or nbr in skip:
-                        continue
-                    prev[nbr] = sw
-                    if nbr == dst:
-                        path = [dst]
-                        cur: Optional[str] = sw
-                        while cur is not None:
-                            path.append(cur)
-                            cur = prev[cur]
-                        path.reverse()
-                        return path
-                    nxt.append(nbr)
-            skip = ()  # only the first level leaves src
-            frontier = nxt
-        return None
+        seen, levels = banned | bit[src], []
+        frontier = nmask[src] & ~seen
+        for sw in banned_first_hops:
+            frontier &= ~bit[sw]
+        while not frontier & bit[dst]:
+            if not frontier:
+                return None
+            levels.append(frontier)
+            seen |= frontier
+            frontier = _reach(nmask, frontier) & ~seen
+        # Per level, back from dst: the switches with a shortest way on.
+        kept = [bit[dst]]
+        for level in reversed(levels):
+            kept.append(level & _reach(nmask, kept[-1]))
+        names, path = _NAMES, [src]
+        for on in reversed(kept):
+            tied, best = nmask[path[-1]] & on, None
+            while tied:
+                i = tied.bit_length() - 1
+                if best is None or names[i] < best:
+                    best = names[i]
+                tied ^= 1 << i
+            path.append(best)
+        return path
 
     # ------------------------------------------------------------------
     # tag encoding (Section 3.2)

@@ -16,6 +16,8 @@ emulator's event loop), so they sit outside the flow-program pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import merge
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.fabric import DumbNetFabric
@@ -187,9 +189,42 @@ def measure_rtts(
         agent.send_app(dst, ("ping", src, seq), payload_bytes=64)
 
     fabric.loop.call_batch(
-        (index * stagger_s + seq * gap_s, launch, (src, dst, seq))
-        for index, (src, dst) in enumerate(pairs)
-        for seq in range(packets_per_pair)
+        _PingBatch(fabric.loop.now, pairs, packets_per_pair, gap_s, stagger_s, launch)
     )
     fabric.run_until_idle()
     return samples
+
+
+class _PingBatch:
+    """:func:`measure_rtts`' pings as one sized, re-iterable
+    :meth:`~repro.netsim.events.EventLoop.call_batch` batch: ping
+    ``seq`` of pair ``index`` is due ``index * stagger_s + seq * gap_s``
+    after ``now``, and pings due at one instant keep their pair-major
+    listing order.  Pairs due at the same offsets (all of them when
+    ``stagger_s`` is 0) form one run in time order; iterating merges
+    the runs lazily on ``(time, index, seq)`` tuples."""
+
+    def __init__(self, now, pairs, per_pair, gap_s, stagger_s, launch) -> None:
+        self.now, self.pairs, self.per_pair = now, pairs, per_pair
+        self.gap_s, self.stagger_s, self.launch = gap_s, stagger_s, launch
+
+    def __len__(self) -> int:
+        return len(self.pairs) * self.per_pair
+
+    def __iter__(self):
+        now, gap_s, launch = self.now, self.gap_s, self.launch
+        runs: Dict[float, list] = {}  # base delay -> [(index, src, dst)]
+        for index, (src, dst) in enumerate(self.pairs):
+            runs.setdefault(index * self.stagger_s, []).append((index, src, dst))
+
+        def run(base: float, group: list):
+            times = groupby(range(self.per_pair), lambda seq: now + (base + seq * gap_s))
+            for time, seqs in times:
+                seqs = list(seqs)
+                for index, src, dst in group:
+                    for seq in seqs:
+                        yield time, index, seq, base + seq * gap_s, src, dst
+
+        merged = merge(*(run(base, group) for base, group in runs.items()))
+        for _time, _index, seq, delay, src, dst in merged:
+            yield delay, launch, (src, dst, seq)

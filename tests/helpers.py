@@ -89,12 +89,14 @@ def drive_incast_packets(
     Every sender transmits its burst at once (plus ``gap_s`` pacing);
     returns how many packets the sink delivered.
     """
-    fabric.loop.call_batch(
-        (spec.start_s + i * gap_s, fabric.agents[sender].send_app,
-         (spec.sink, ("incast", sender, i), packet_bytes, (sender, spec.sink)))
-        for sender in spec.senders
-        for i in range(packets_per_sender)
-    )
+    now = fabric.loop.now
+    fabric.loop.call_batch(sorted(
+        ((spec.start_s + i * gap_s, fabric.agents[sender].send_app,
+          (spec.sink, ("incast", sender, i), packet_bytes, (sender, spec.sink)))
+         for sender in spec.senders
+         for i in range(packets_per_sender)),
+        key=lambda item: now + item[0],
+    ))
     fabric.run_until_idle()
     sink = fabric.agents[spec.sink]
     return sum(

@@ -3,13 +3,16 @@
 ``reference_graph.py`` holds the bodies ``Topology`` and
 ``build_path_graph`` had before the kernel rewrite.  The property below
 wires random views (parallel cables included), interleaves queries with
-``add_link`` / ``remove_link`` / ``remove_switch`` so every memo is
-filled and then invalidated, and demands equal answers: same distances,
-same parent lists *in the same order*, same paths for the same seeded
-rng (and the rng left in the same state), same Yen lists, same
-``PathGraph``.  The switch-bit ``sssp_tree`` is held to the dict BFS it
-replaced (``ref.bfs_tree``) on full, ``stop`` and ``avoid`` searches.  More properties pin the pieces that stopped being the seed's
-searches: the backup BFS against the penalised Dijkstra, a host agent's
+``add_link`` / ``remove_link`` / ``remove_switch`` (and a switch removed
+and added back) so every memo is filled and then invalidated, and
+demands equal answers: same distances, same parent lists *in the same
+order*, same paths for the same seeded rng (and the rng left in the
+same state), same Yen lists, same ``PathGraph``.  The switch-bit
+``sssp_tree`` is held to the dict BFS it replaced (``ref.bfs_tree``) on
+full, ``stop`` and ``avoid`` searches.  More properties pin the pieces
+that stopped being the seed's searches: Yen's bit-walking spur search
+against the seed's BFS over sorted neighbours, the backup BFS against
+the penalised Dijkstra, a host agent's
 installs against seed Yen + the seed builder on its fragment over time,
 its cache merges (``Topology.merge_links`` over interned cables) against
 the seed's per-edge merge, and the path service's keep / rebuild
@@ -37,7 +40,7 @@ from repro.core.pathgraph import backup_path, build_path_graph, detour_vertices
 from repro.core.pathservice import PathService, StablePathRng
 from repro.netsim.events import EventLoop
 from repro.topology import cube, fat_tree, jellyfish
-from repro.topology.graph import Topology, TopologyError
+from repro.topology.graph import _BIT, Topology, TopologyError
 
 
 def make_view(kind, a, b, seed):
@@ -58,6 +61,20 @@ def free_port(topo, switch):
     return None
 
 
+def cycle_switch(topo, switch, keep):
+    """Remove ``switch`` and add it back under its name (so its bit),
+    with its hosts and the first ``keep`` of its cables in wiring order."""
+    ports = topo.num_ports(switch)
+    cables = [(l.a.switch, l.a.port, l.b.switch, l.b.port) for l in topo.links_of(switch)]
+    hosts = [(host, topo.host_port(host).port) for host in topo.hosts_on(switch)]
+    topo.remove_switch(switch)
+    topo.add_switch(switch, ports)
+    for host, port in hosts:
+        topo.add_host(host, switch, port)
+    for cable in cables[:keep]:
+        topo.add_link(*cable)
+
+
 def mutate(topo, op, x, y):
     """One wiring change; silently a no-op when it cannot apply."""
     switches = sorted(topo.switches)
@@ -68,6 +85,9 @@ def mutate(topo, op, x, y):
         topo.remove_link(*links[x % len(links)])
     elif op == "remove_switch" and len(switches) > 4:
         topo.remove_switch(switches[x % len(switches)])
+    elif op == "cycle_switch":
+        switch = switches[x % len(switches)]
+        cycle_switch(topo, switch, y % (topo.degree(switch) + 1))
     elif op in ("add_link", "parallel"):
         if op == "parallel" and links:
             sw_a, _pa, sw_b, _pb = links[x % len(links)]
@@ -206,7 +226,7 @@ def assert_kernel_matches_reference(topo, pick, service):
     ops=st.lists(
         st.tuples(
             st.sampled_from(
-                ["parallel", "add_link", "remove_link", "remove_switch"]
+                ["parallel", "add_link", "remove_link", "remove_switch", "cycle_switch"]
             ),
             st.integers(0, 10**6),
             st.integers(0, 10**6),
@@ -258,6 +278,55 @@ def test_yen_equals_seed_for_every_k_up_to_8(kind, a, b, seed, bundles, pick):
         for k in range(1, 9):
             assert topo.k_shortest_switch_paths(src, dst, k) == \
                 ref.k_shortest_switch_paths(topo, src, dst, k)
+
+
+#: Names whose string order is neither the order nor the reverse order
+#: of their bits: the spur-search test gives them bits in list order.
+SPUR_NAMES = ["yen-s9", "yen-s10", "yen-b", "yen-a2", "yen-a10", "yen-z", "yen-m", "yen-s1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.permutations(SPUR_NAMES),
+    n=st.integers(3, len(SPUR_NAMES)),
+    cables=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=4, max_size=24),
+    cycled=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3),
+    queries=st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 99),
+                  st.lists(st.integers(0, 99), max_size=2),
+                  st.lists(st.integers(0, 99), max_size=2)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_spur_search_equals_the_sorted_neighbour_bfs(order, n, cables, cycled, queries):
+    """Yen's spur search walks switch bits; the path must be the one the
+    seed's BFS over sorted neighbours finds (the smallest names, position
+    by position, among the shortest), on multigraphs whose switches were
+    removed and re-added, with banned switches (the root path) and
+    banned first hops."""
+    for name in SPUR_NAMES:
+        Topology().add_switch(name, 1)  # only the first call hands out bits
+    names = order[:n]
+    topo = Topology()
+    for name in names:
+        topo.add_switch(name, 64)
+    for x, y in cables:
+        sw_a, sw_b = names[x % n], names[y % n]
+        if sw_a != sw_b:
+            topo.add_link(sw_a, free_port(topo, sw_a), sw_b, free_port(topo, sw_b))
+    for x, keep in cycled:
+        switch = names[x % n]
+        cycle_switch(topo, switch, keep % (topo.degree(switch) + 1))
+    unbanned = [(x, y, (), ()) for x in range(n) for y in range(n)]
+    for x, y, banned, first in unbanned + queries:
+        src, dst = names[x % n], names[y % n]
+        banned_nodes = [names[i % n] for i in banned]
+        first_hops = {names[i % n] for i in first}
+        assert topo._shortest_avoiding(src, dst, banned_nodes, first_hops) == \
+            ref._shortest_avoiding(
+                topo, src, dst, set(banned_nodes), {(src, sw) for sw in first_hops}
+            )
 
 
 def assert_backup_and_detours_match_reference(topo, primary, pick, service):
@@ -497,8 +566,7 @@ def merge_state(agent):
     return (
         list(topo._switch_ports.items()),
         [(sw, list(adj)) for sw, adj in topo._adj.items()],
-        list(topo._bit.items()),
-        list(topo._names),
+        [(sw, _BIT[sw]) for sw in topo._switch_ports],
         list(topo._nmask.items()),
         topo.topo_version,
         list(topo._links.items()),
@@ -628,7 +696,7 @@ def seed_keeps(trees, sw_a, sw_b):
     parallel=st.lists(st.integers(0, 10**6), max_size=4),
     steps=st.lists(
         st.tuples(
-            st.sampled_from(["down", "up", "up-flipped", "query", "query"]),
+            st.sampled_from(["down", "up", "up-flipped", "cycle", "query", "query"]),
             st.integers(0, 10**6),
         ),
         min_size=1,
@@ -674,6 +742,12 @@ def test_service_keeps_the_trees_the_seed_rule_keeps(kind, a, b, seed, parallel,
             undone = service.stats.restores == restores + 1
             assert undone >= (undo and op == "up")
             assert set(service._trees) == (kept_at_down if undone else set())
+        elif op == "cycle":
+            # The switch comes back with its bit; the service flushes.
+            switch = switches[x % len(switches)]
+            cycle_switch(topo, switch, topo.degree(switch))
+            service.note_topology_change(topo, "switch-up", (switch,))
+            assert not service._trees
         else:
             for src in (switches[x % len(switches)], switches[(x // 7) % len(switches)]):
                 service.tree(topo, src)

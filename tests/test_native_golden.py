@@ -9,6 +9,8 @@ recorded at commit 30d9219, when each timer was its own heap entry.
 
 import hashlib
 
+import pytest
+
 from helpers import IncastSpec, drive_incast_packets
 from repro.core.fabric import DumbNetFabric
 from repro.netsim import LinkSpec
@@ -39,6 +41,39 @@ def test_measure_rtts_on_a_warm_fat_tree():
     )
     assert fabric.loop.events_run == 15416
     assert fabric.now == 0.05808302620583104  # exact, not approx
+
+
+@pytest.mark.parametrize("gap_s, stagger_s", [(200e-6, 100e-6), (200e-6, 0.0), (0.0, 0.0)])
+def test_measure_rtts_merge_fires_like_one_call_after_per_ping(gap_s, stagger_s):
+    """The lazy merge of the pings' runs against every ping armed by its
+    own ``call_after`` in listing order (pair-major): a stagger that puts
+    pings of different pairs at one instant, the unstaggered run, and a
+    zero gap that puts every ping at one instant."""
+
+    def run(per_item):
+        topology = fat_tree(4)
+        fabric = DumbNetFabric(topology, controller_host=CONTROLLER, seed=5)
+        fabric.adopt_blueprint()
+        hosts = [h for h in topology.hosts if h != CONTROLLER]
+        pairs = [(a, b) for a in hosts for b in hosts if a != b][::7]
+        fabric.warm_paths(pairs + [(b, a) for a, b in pairs])
+        loop = fabric.loop
+        if per_item:
+            def call_batch(items):
+                listed = sorted(items, key=lambda item: (pairs.index(item[2][:2]), item[2][2]))
+                for delay, callback, args in listed:
+                    loop.call_after(delay, callback, *args)
+
+            loop.call_batch = call_batch
+        samples = measure_rtts(
+            fabric, pairs=pairs, packets_per_pair=5, gap_s=gap_s, stagger_s=stagger_s
+        )
+        rows = [(s.src, s.dst, s.seq, s.rtt_s, s.cold_start) for s in samples]
+        return rows, loop.events_run, fabric.now
+
+    batched, per_item = run(False), run(True)
+    assert len(batched[0]) == 5 * 30
+    assert batched == per_item
 
 
 def test_drive_incast_packets_on_a_slow_fat_tree():

@@ -95,12 +95,13 @@ class TestEventLoop:
         loop = EventLoop()
         order = []
         loop.call_after(1.0, order.append, "before")
-        loop.call_batch((d, order.append, (i,)) for i, d in enumerate([2.0, 1.0, 0.0, 1.0]))
+        loop.call_batch([(0.0, order.append, (0,)), (1.0, order.append, (1,)),
+                         (1.0, order.append, (2,)), (2.0, order.append, (3,))])
         loop.call_after(1.0, order.append, "after")
         assert loop.pending == 6
         assert len(loop._heap) == 3  # the batch keeps only its head there
         assert loop.run() == 6
-        assert order == [2, "before", 1, 3, "after", 0]
+        assert order == [0, "before", 1, 2, "after", 3]
         assert loop.now == 2.0 and loop.events_run == 6 and loop.pending == 0
 
     def test_call_batch_negative_delay_schedules_nothing(self):
@@ -110,6 +111,47 @@ class TestEventLoop:
         assert loop.pending == 0 and loop.run() == 0
         loop.call_batch([])
         assert loop.pending == 0
+
+    def test_call_batch_out_of_order_or_negative_schedules_nothing(self):
+        loop = EventLoop()
+        loop.call_after(1.0, print)
+        heap = list(loop._heap)
+        for batch in (
+            [(1.0, print, ()), (0.5, print, ())],
+            [(0.0, print, ()), (2.0, print, ()), (2.0, print, ()), (1.0, print, ())],
+            [(-1e-9, print, ()), (0.0, print, ())],
+        ):
+            with pytest.raises(SimulationError):
+                loop.call_batch(batch)
+            assert loop.pending == 1 and loop._heap == heap and loop._seq == 1
+
+    def test_call_batch_pulls_at_most_one_item_ahead_of_its_head(self):
+        class Counting:
+            """A re-iterable batch that counts the items each pass pulled."""
+
+            def __init__(self, items):
+                self.items, self.pulled = items, 0
+
+            def __len__(self):
+                return len(self.items)
+
+            def __iter__(self):
+                self.pulled = 0
+                for item in self.items:
+                    self.pulled += 1
+                    yield item
+
+        loop = EventLoop()
+        seen = []
+        batch = Counting([(0.5 * (i // 2), lambda i: seen.append((i, batch.pulled)), (i,))
+                          for i in range(7)])
+        loop.call_batch(batch)
+        assert batch.pulled == 1 and loop.pending == 7
+        loop.run(max_events=3)
+        assert batch.pulled == 4
+        loop.run()
+        # Firing item i has pulled item i + 1 (the last one, nothing more).
+        assert seen == [(i, min(i + 2, 7)) for i in range(7)]
 
     def test_call_at_past_time_rejected(self):
         loop = EventLoop()

@@ -6,7 +6,8 @@
 both and demand equal answers -- ``==`` on floats, no tolerance:
 
 * timers: ``call_batch`` on the production loop against the same items
-  sent one by one through ``call_after`` on the seed loop, with
+  sent one by one through ``call_after`` on the seed loop (each batch
+  stably sorted by time, the order ``call_batch`` takes), with
   schedule / cancel / call_at / nested batches and nested runs issued
   from callbacks, and the drain split by ``until`` and ``max_events``;
 * fabrics: small random switch / host graphs with unwired ports, probe
@@ -75,7 +76,11 @@ class _Timers:
         if kind == "after":
             loop.call_after(op[1], self.fire, next(self.ids))
         elif kind == "batch":
-            items = [(delay, self.fire, (next(self.ids),)) for delay in op[1]]
+            now = loop.now
+            items = sorted(
+                ((delay, self.fire, (next(self.ids),)) for delay in op[1]),
+                key=lambda item: now + item[0],
+            )
             if self.batched:
                 loop.call_batch(items)
             else:
@@ -258,12 +263,13 @@ class _Fabric:
             if kind in ("off", "on"):
                 device = self.devices[index % len(self.devices)]
                 loop.schedule(at, device.power_off if kind == "off" else device.power_on)
-        items = [
-            (at, self.hosts[host].launch, (kind, tags, reply if kind == "ping" else ()))
-            for at, host, kind, tags, reply in traffic
-        ]
+        items = sorted(
+            ((at, self.hosts[host].launch, (kind, tags, reply if kind == "ping" else ()))
+             for at, host, kind, tags, reply in traffic),
+            key=lambda item: item[0],
+        )
         if mod is netsim:
-            loop.call_batch(iter(items))
+            loop.call_batch(items)
         else:
             for delay, callback, args in items:
                 loop.call_after(delay, callback, *args)

@@ -10,6 +10,9 @@ re-pinned by a change that claims only host time.
 
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.pathshard import ShardedPathService
 from repro.topology import fat_tree
@@ -99,3 +102,22 @@ def test_fluid_websearch_cell_paths_and_finish_times_are_pinned():
     assert _blake2(k_paths) == KPATHS_DIGEST
     finish = [(f.src, f.dst, f.size_bits, f.finished_at) for f in flows]
     assert _blake2(finish) == FINISH_TIMES_DIGEST
+
+
+def test_goldens_hold_behind_a_thousand_unrelated_switch_bits():
+    """Switch bits are process-wide, numbered in the order names first
+    appear.  In a fresh interpreter whose bit table already holds 1 000
+    unrelated names, every native and path golden still holds."""
+    tests = Path(__file__).resolve().parent
+    code = f"""
+import sys
+sys.path.insert(0, {str(tests.parent / "src")!r})
+from repro.topology.graph import Topology
+unrelated = Topology()
+for i in range(1000):
+    unrelated.add_switch(f"unrelated-{{i}}", 1)
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "not thousand",
+                      {str(tests / "test_native_golden.py")!r}, {str(tests / "test_path_golden.py")!r}]))
+"""
+    subprocess.run([sys.executable, "-B", "-c", code], cwd=tests.parent, check=True)

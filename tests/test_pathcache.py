@@ -114,6 +114,32 @@ class TestMergeLinks:
             assert two.fragment._links[key] is link
             assert topo._links[key] == link and topo._links[key] is not link
 
+    def test_fragments_share_adjacency_entries_and_masks_match_the_truth(self):
+        topo = figure1()
+        one, two = TopoCache("H4"), TopoCache("H1")
+        one.merge_reply(make_reply(topo, "H4", "H5"))
+        two.merge_reply(make_reply(topo, "H1", "H5"))
+        for sw, adj in one.fragment._adj.items():
+            assert len(adj) == len(two.fragment._adj[sw]) == len(topo._adj[sw])
+            for mine, theirs, truth in zip(adj, two.fragment._adj[sw], topo._adj[sw]):
+                assert mine is theirs and mine == truth
+        assert one.fragment._nmask == two.fragment._nmask == topo._nmask
+
+    def test_cutting_one_fragment_leaves_the_other_intact(self):
+        topo = figure1()
+        one, two = TopoCache("H4"), TopoCache("H1")
+        one.merge_reply(make_reply(topo, "H4", "H5"))
+        two.merge_reply(make_reply(topo, "H1", "H5"))
+        adj = {sw: list(entries) for sw, entries in two.fragment._adj.items()}
+        masks = dict(two.fragment._nmask)
+        one.port_down("S4", 3)
+        link = one.fragment.links[0]
+        one.fragment.remove_link(link.a.switch, link.a.port, link.b.switch, link.b.port)
+        assert len(one.fragment.links) == len(topo.links) - 2
+        assert one.fragment._nmask != masks
+        assert two.fragment._adj == adj and two.fragment._nmask == masks
+        assert two.fragment._nmask == topo._nmask
+
     @pytest.mark.parametrize(
         "edge, message",
         [
@@ -163,7 +189,10 @@ class TestMergeLinks:
             ))
         fragment = agent.topo_cache.fragment
         key = frozenset((PortRef(edge[0], edge[1]), PortRef(edge[2], edge[3])))
-        assert fragment._links[key] is _CABLES[edge]
+        link, on_a, on_b = _CABLES[edge]
+        assert fragment._links[key] is link
+        assert any(entry is on_a for entry in fragment._adj[edge[0]])
+        assert any(entry is on_b for entry in fragment._adj[edge[2]])
         assert set(fragment._links) == set(topo._links)
 
 
