@@ -19,10 +19,10 @@ controller.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import SSSPTree, Topology
+from ..topology.graph import SSSPTree, Topology, mask_of, switches_in
 
 __all__ = ["PathGraph", "backup_path", "build_path_graph", "detour_vertices", "primary_and_backup"]
 
@@ -31,25 +31,32 @@ __all__ = ["PathGraph", "backup_path", "build_path_graph", "detour_vertices", "p
 BACKUP_LINK_PENALTY = 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathGraph:
-    """The serializable result of :func:`build_path_graph`."""
+    """The result of :func:`build_path_graph`.  Its ``mask`` of process-wide
+    switch bits names the same switches in every topology, shard and replica
+    of the process that built it, and none in any other process."""
 
     src_switch: str
     dst_switch: str
     primary: Tuple[str, ...]
     backup: Optional[Tuple[str, ...]]
-    #: Every switch included in the subgraph (primary + detours + backup).
-    nodes: FrozenSet[str]
+    #: The switches cached (primary + detours + backup): their bits ORed.
+    mask: int
     #: Induced edges as (switch, port, switch, port) tuples.
     edges: Tuple[Tuple[str, int, str, int], ...]
     s: int
     epsilon: int
 
     @property
+    def nodes(self) -> Set[str]:
+        """The switches ``mask`` names."""
+        return switches_in(self.mask)
+
+    @property
     def size(self) -> int:
         """Number of switches cached -- the Figure 12 metric."""
-        return len(self.nodes)
+        return self.mask.bit_count()
 
     @property
     def num_edges(self) -> int:
@@ -63,7 +70,15 @@ def detour_vertices(
     epsilon: int,
     level_masks: Optional[Callable[[str], Sequence[int]]] = None,
 ) -> Set[str]:
-    """Algorithm 1: vertices of all "s-step, ε-good" local detours.
+    """Algorithm 1's detour switches by name: :func:`_detour_mask` decoded."""
+    return switches_in(_detour_mask(topology, primary, s, epsilon, level_masks))
+
+
+def _detour_mask(
+    topology: Topology, primary: Sequence[str], s: int, epsilon: int,
+    level_masks: Optional[Callable[[str], Sequence[int]]],
+) -> int:
+    """Algorithm 1: the switch bits of all "s-step, ε-good" local detours.
 
     Walks the primary path in strides of ``s/2``; for each window
     ``(a, b) = (p_i, p_{i+s})`` it collects every switch ``x`` with
@@ -95,7 +110,7 @@ def detour_vertices(
         for r, ring in enumerate(rings_a[: budget + 1]):
             found |= ring & balls[min(budget - r, last)]
         i += step
-    return topology.switches_in(found)
+    return found
 
 
 def backup_path(
@@ -174,27 +189,21 @@ def build_path_graph(
     path always runs a fresh search because the cables it avoids are
     this primary's.
     """
-    primary, backup = primary_and_backup(
-        topology, src_switch, dst_switch, rng, tree
-    )
+    primary, backup = primary_and_backup(topology, src_switch, dst_switch, rng, tree)
     if primary is None:
         return None
 
-    nodes: Set[str] = set(primary)
-    if backup:
-        nodes.update(backup)
+    mask = mask_of(primary) | mask_of(backup or ())
     if len(primary) > 1:
-        nodes.update(
-            detour_vertices(topology, primary, s, epsilon, level_masks=level_masks)
-        )
+        mask |= _detour_mask(topology, primary, s, epsilon, level_masks)
 
     return PathGraph(
         src_switch=src_switch,
         dst_switch=dst_switch,
         primary=tuple(primary),
         backup=tuple(backup) if backup else None,
-        nodes=frozenset(nodes),
-        edges=tuple(sorted(topology.links_within(nodes))),
+        mask=mask,
+        edges=tuple(sorted(topology.links_within(mask))),
         s=s,
         epsilon=epsilon,
     )

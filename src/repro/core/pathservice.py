@@ -41,12 +41,13 @@ byte-identical to a fresh computation:
   as the next mutation, drops what the outage cached and restores the
   evicted graphs (at the LRU's oldest end, in their old order) and the
   kept pre-down trees.  A path graph depends only on wiring
-  (:class:`StablePathRng` is order-free, ``edges`` sorted, ``nodes`` a
-  frozenset, the detour set a set), so it is exact again if the cable
-  keeps its ``a`` side; a kept tree is, as the returning cable is
-  appended to both adjacency lists, which cannot move ``v``'s discovery
-  when ``u`` is not its first parent.  Anything else that can create
-  shortest paths, or is not a one-step epoch advance, flushes.
+  (:class:`StablePathRng` is order-free, ``edges`` sorted, its switches
+  one ``mask`` int of process-wide switch bits, valid only in the
+  process that built it), so it is exact again if the cable keeps its
+  ``a`` side; a kept tree is, as the returning cable is appended to
+  both adjacency lists, which cannot move ``v``'s discovery when ``u``
+  is not its first parent.  Anything else that can create shortest
+  paths, or is not a one-step epoch advance, flushes.
 
 **Determinism contract.**  Randomized tie-breaking among equal-cost
 parents is what spreads load across shortest paths (§4.3), but a
@@ -66,7 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import SSSPTree, Topology
+from ..topology.graph import SSSPTree, Topology, mask_of
 from .pathgraph import PathGraph, build_path_graph
 
 __all__ = [
@@ -128,21 +129,12 @@ class PathServiceStats:
         "stale_flushes",
         "tree_builds",
         "tree_hits",
-        "restores",
+        "restores",  # link flaps undone on link-up instead of flushed
     )
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.capacity_evictions = 0
-        self.link_evictions = 0
-        self.link_invalidations = 0
-        self.flushes = 0
-        self.stale_flushes = 0
-        self.tree_builds = 0
-        self.tree_hits = 0
-        #: Link flaps undone on link-up instead of flushed.
-        self.restores = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     @property
     def lookups(self) -> int:
@@ -311,12 +303,12 @@ class PathService:
         # later capacity evictions).  The caller may name the cable from
         # either side; the graphs holding it name it from its ``a`` side.
         named = {(sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)}
+        both = mask_of((sw_a, sw_b))
         evicted = [
             (key, graph)
             for key, graph in self._graphs.items()
             if graph is not None
-            and sw_a in graph.nodes
-            and sw_b in graph.nodes
+            and graph.mask & both == both
             and not named.isdisjoint(graph.edges)
         ]
         cable = named.intersection(evicted[0][1].edges) if evicted else named
@@ -368,7 +360,7 @@ class PathService:
         if (
             outage is None
             or (view.uid, view.topo_version - 1) != outage.epoch
-            or outage.cable.isdisjoint(view.links_within((args[0], args[2])))
+            or outage.cable.isdisjoint(view.links_within(mask_of(args[::2])))
         ):
             return False
         self._outage = None

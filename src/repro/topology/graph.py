@@ -28,12 +28,8 @@ from typing import (
 )
 
 __all__ = [
-    "PortRef",
-    "Link",
-    "HostAttachment",
-    "SSSPTree",
-    "Topology",
-    "TopologyError",
+    "PortRef", "Link", "HostAttachment", "SSSPTree", "Topology", "TopologyError",
+    "mask_of", "switches_in",
 ]
 
 
@@ -125,6 +121,24 @@ def _reach(nmask: Dict[str, int], mask: int) -> int:
     return reach
 
 
+def switches_in(mask: int) -> Set[str]:
+    """The switches whose bits are set in ``mask``."""
+    names, found = _NAMES, set()
+    while mask:
+        low = mask & -mask
+        found.add(names[low.bit_length() - 1])
+        mask ^= low
+    return found
+
+
+def mask_of(switches: Iterable[str]) -> int:
+    """The OR of ``switches``' bits: the inverse of :func:`switches_in`."""
+    mask = 0
+    for sw in switches:
+        mask |= _BIT[sw]
+    return mask
+
+
 def _entries(link: Link) -> Tuple[_Entry, _Entry]:
     """``link``'s adjacency entries on its ``a`` and ``b`` switches."""
     sw_a, sw_b = link.a.switch, link.b.switch
@@ -175,8 +189,7 @@ class SSSPTree:
         if not depth:
             return []
         tied = self._nmask[switch] & self.masks[depth - 1]
-        bit = _BIT
-        return [sw for sw in self.levels[depth - 1] if bit[sw] & tied]
+        return [sw for sw in self.levels[depth - 1] if _BIT[sw] & tied]
 
     def path_to(
         self, dst: str, rng: Optional[random.Random] = None
@@ -453,10 +466,10 @@ class Topology:
     def links_between(self, sw_a: str, sw_b: str) -> List[Link]:
         return [link for nbr, link, _bit in self._adj.get(sw_a, ()) if nbr == sw_b]
 
-    def links_within(self, switches: Collection[str]) -> List[Tuple[str, int, str, int]]:
-        """Every cable with both ends in ``switches``, once, as ``(a
+    def links_within(self, mask: int) -> List[Tuple[str, int, str, int]]:
+        """Every cable with both ends' bits set in ``mask``, once, as ``(a
         switch, a port, b switch, b port)``: emitted from its ``a`` side."""
-        aside = self._aside
+        aside, switches = self._aside, switches_in(mask)
         for sw in switches:
             if sw not in aside:
                 aside[sw] = [
@@ -584,16 +597,6 @@ class Topology:
             levels.append(nxt)
             masks.append(seen ^ before)
         return SSSPTree(source, dist, levels, masks, nmask)
-
-    def switches_in(self, mask: int) -> Set[str]:
-        """The switches whose bits are set in ``mask`` (an
-        :attr:`SSSPTree.masks` entry, or a union of them)."""
-        names, found = _NAMES, set()
-        while mask:
-            low = mask & -mask
-            found.add(names[low.bit_length() - 1])
-            mask ^= low
-        return found
 
     def shortest_switch_path(
         self,
@@ -736,17 +739,13 @@ class Topology:
         lie on a shortest path; then from ``src`` the smallest name
         among each step's candidates."""
         nmask, bit = self._nmask, _BIT
-        banned = 0
-        for sw in banned_nodes:
-            banned |= bit[sw]
+        banned = mask_of(banned_nodes)
         if (bit[src] | bit[dst]) & banned:
             return None
         if src == dst:
             return [src]
         seen, levels = banned | bit[src], []
-        frontier = nmask[src] & ~seen
-        for sw in banned_first_hops:
-            frontier &= ~bit[sw]
+        frontier = nmask[src] & ~seen & ~mask_of(banned_first_hops)
         while not frontier & bit[dst]:
             if not frontier:
                 return None

@@ -10,7 +10,10 @@ and the double-walk edge induction.  ``bfs_tree`` and :class:`DictTree`
 are the dict-based level-order BFS and parent-list tree that replaced
 that Dijkstra before the switch-bit kernel did.  They read only
 ``_adj`` and ``_switch_ports`` and share no code with the kernel, so
-``test_graph_differential.py`` can demand kernel == reference.
+``test_graph_differential.py`` can demand kernel == reference.  The
+seed builder keeps its switches as a set; it reads the process-wide
+switch bits (``_BIT``) only to encode that set as the ``PathGraph``
+mask it returns.
 :func:`merge_reply` is the host cache's per-edge merge from before
 ``Topology.merge_links`` (it wires through ``add_link``, so it checks
 the loop, not the insertion body).  :func:`decode_tags` is the tag-walk
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pathcache import FRAGMENT_PORTS
 from repro.core.pathgraph import PathGraph
-from repro.topology.graph import HostAttachment, TopologyError
+from repro.topology.graph import _BIT, HostAttachment, TopologyError
 
 BACKUP_LINK_PENALTY = 1000.0
 
@@ -275,6 +278,22 @@ def backup_path(topo, primary, rng=None):
     return None if backup == list(primary) else backup
 
 
+def links_within(topo, nodes):
+    """The double-walk edge induction: every cable with both ends in the
+    set ``nodes``, once, as ``(a switch, a port, b switch, b port)``."""
+    edges = []
+    seen_edges = set()
+    for node in nodes:
+        for link in links_of(topo, node):
+            if link.a.switch in nodes and link.b.switch in nodes:
+                if link_key(link) not in seen_edges:
+                    seen_edges.add(link_key(link))
+                    edges.append(
+                        (link.a.switch, link.a.port, link.b.switch, link.b.port)
+                    )
+    return edges
+
+
 def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
     """The seed builder without its ``tree`` / ``distances`` shortcuts
     (both were required to agree with the fresh searches below)."""
@@ -294,23 +313,13 @@ def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
             )
         )
 
-    edges = []
-    seen_edges = set()
-    for node in nodes:
-        for link in links_of(topo, node):
-            if link.a.switch in nodes and link.b.switch in nodes:
-                if link_key(link) not in seen_edges:
-                    seen_edges.add(link_key(link))
-                    edges.append(
-                        (link.a.switch, link.a.port, link.b.switch, link.b.port)
-                    )
     return PathGraph(
         src_switch=src_switch,
         dst_switch=dst_switch,
         primary=tuple(primary),
         backup=tuple(backup) if backup else None,
-        nodes=frozenset(nodes),
-        edges=tuple(sorted(edges)),
+        mask=sum(_BIT[node] for node in nodes),  # the set, encoded only here
+        edges=tuple(sorted(links_within(topo, nodes))),
         s=s,
         epsilon=epsilon,
     )

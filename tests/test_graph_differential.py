@@ -40,7 +40,7 @@ from repro.core.pathgraph import backup_path, build_path_graph, detour_vertices
 from repro.core.pathservice import PathService, StablePathRng
 from repro.netsim.events import EventLoop
 from repro.topology import cube, fat_tree, jellyfish
-from repro.topology.graph import _BIT, Topology, TopologyError
+from repro.topology.graph import _BIT, Topology, TopologyError, mask_of, switches_in
 
 
 def make_view(kind, a, b, seed):
@@ -111,7 +111,7 @@ def assert_tree_equals_oracle(topo, tree, want, pick):
     assert [sw for level in tree.levels for sw in level] == list(tree.dist)
     for depth, (level, mask) in enumerate(zip(tree.levels, tree.masks)):
         assert {tree.dist[sw] for sw in level} == {float(depth)}
-        assert topo.switches_in(mask) == set(level)
+        assert switches_in(mask) == set(level)
     mine, theirs = random.Random(pick), random.Random(pick)
     stable = StablePathRng(f"{pick}:{tree.source}")
     for dst in tree.dist:
@@ -327,6 +327,50 @@ def test_spur_search_equals_the_sorted_neighbour_bfs(order, n, cables, cycled, q
             ref._shortest_avoiding(
                 topo, src, dst, set(banned_nodes), {(src, sw) for sw in first_hops}
             )
+
+
+def assert_links_within_match_reference(topo, subset):
+    got = topo.links_within(mask_of(subset))
+    assert len(got) == len(set(got))
+    assert set(got) == set(ref.links_within(topo, subset))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kind=st.sampled_from(["jellyfish", "fat_tree", "cube"]),
+    a=st.integers(0, 50),
+    b=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+    bundles=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 10**6), max_size=12),
+    x=st.integers(0, 10**6),
+)
+def test_links_within_a_mask_equals_the_set_induction(kind, a, b, seed, bundles, picks, x):
+    """``links_within`` takes a mask of switch bits and keeps each
+    member's cached ``a``-side edges whose far end is a member too; as
+    a set it must be the seed's double walk over the same switches.  Every subset
+    holds both ends of a parallel bundle, and is checked again after
+    one of the bundle's cables, then one of its switches' cables, is
+    unplugged (each drops a cached ``a``-side list)."""
+    topo = make_view(kind, a, b, seed)
+    for y in bundles:
+        mutate(topo, "parallel", y, 0)
+    switches = sorted(topo.switches)
+    pairs = [(l.a.switch, l.b.switch) for l in topo.links]
+    doubled = sorted({pair for pair in pairs if pairs.count(pair) > 1})
+    bundle = doubled[x % len(doubled)]
+    subset = {switches[i % len(switches)] for i in picks} | set(bundle)
+    for whole in (subset, set(switches), {bundle[0]}, set()):
+        assert_links_within_match_reference(topo, whole)
+    for sw in bundle:
+        link = next(topo.links_of(sw))
+        topo.remove_link(link.a.switch, link.a.port, link.b.switch, link.b.port)
+        assert_links_within_match_reference(topo, subset)
+        assert_links_within_match_reference(topo, set(switches))
 
 
 def assert_backup_and_detours_match_reference(topo, primary, pick, service):

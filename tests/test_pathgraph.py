@@ -4,8 +4,23 @@ import random
 
 import pytest
 
-from repro.core.pathgraph import build_path_graph, detour_vertices
+import reference_graph as ref
+from repro.core.pathgraph import PathGraph, build_path_graph, detour_vertices
 from repro.topology import Topology, cube, fat_tree, leaf_spine, line, ring
+from repro.topology.graph import switches_in
+
+
+def theta():
+    """A "theta" shape where one edge, A-B, is a mandatory bridge."""
+    topo = Topology()
+    for sw in "ABCDE":
+        topo.add_switch(sw, 8)
+    topo.add_link("A", 1, "B", 1)  # bridge edge
+    topo.add_link("B", 2, "C", 1)
+    topo.add_link("B", 3, "D", 1)
+    topo.add_link("C", 2, "E", 1)
+    topo.add_link("D", 2, "E", 2)
+    return topo
 
 
 def connected_within(nodes, edges, start):
@@ -48,16 +63,7 @@ class TestBuildPathGraph:
         assert graph.backup is None
 
     def test_backup_reuses_only_when_unavoidable(self):
-        # A "theta" shape where one edge is a mandatory bridge.
-        topo = Topology()
-        for sw in "ABCDE":
-            topo.add_switch(sw, 8)
-        topo.add_link("A", 1, "B", 1)  # bridge edge
-        topo.add_link("B", 2, "C", 1)
-        topo.add_link("B", 3, "D", 1)
-        topo.add_link("C", 2, "E", 1)
-        topo.add_link("D", 2, "E", 2)
-        graph = build_path_graph(topo, "A", "E")
+        graph = build_path_graph(theta(), "A", "E")
         assert graph.backup is not None
         # Both must cross the A-B bridge, but diverge afterwards.
         assert graph.backup[:2] == ("A", "B")
@@ -148,3 +154,47 @@ class TestDetourVertices:
         primary = topo.shortest_switch_path("c0_0", "c2_2")
         detours = detour_vertices(topo, primary, 6, 6)
         assert detours == set(topo.switches)
+
+
+#: (topology, src, dst, s, epsilon) as the tests above build them.
+FIXTURES = [
+    (lambda: cube([4, 4], num_ports=16), "c0_0", "c3_3", 2, 1),
+    (lambda: ring(8), "R0", "R4", 1, 0),
+    (lambda: line(5), "L0", "L4", 2, 1),
+    (theta, "A", "E", 2, 1),
+    (lambda: cube([4, 4, 4], num_ports=16), "c0_0_0", "c3_2_1", 2, 2),
+    (lambda: line(3), "L1", "L1", 2, 1),
+    (lambda: fat_tree(4), "edge0_0", "edge2_1", 2, 1),
+    (lambda: ring(6), "R0", "R3", 2, 1),
+]
+
+
+class TestMask:
+    """A path graph holds its switches as one int of switch bits."""
+
+    def test_no_instance_dict(self):
+        graph = build_path_graph(ring(6), "R0", "R3")
+        assert not hasattr(graph, "__dict__")
+        assert "mask" in PathGraph.__slots__
+
+    @pytest.mark.parametrize("make, src, dst, s, eps", FIXTURES)
+    def test_nodes_decode_the_mask(self, make, src, dst, s, eps):
+        graph = build_path_graph(make(), src, dst, s, eps, rng=random.Random(3))
+        assert graph.nodes == switches_in(graph.mask)
+        assert graph.size == len(graph.nodes) == bin(graph.mask).count("1")
+
+    @pytest.mark.parametrize("make, src, dst, s, eps", FIXTURES)
+    def test_nodes_are_the_seed_node_set(self, make, src, dst, s, eps):
+        """The switches are primary + backup + the seed's detour scan
+        over whole distance maps, built as a set without switch bits."""
+        topo = make()
+        graph = build_path_graph(topo, src, dst, s, eps, rng=random.Random(3))
+        want = set(graph.primary) | set(graph.backup or ())
+        if len(graph.primary) > 1:
+            want |= ref.detour_vertices(
+                topo, graph.primary, s, eps,
+                lambda source: ref.switch_distances(topo, source),
+            )
+        assert graph.nodes == want
+        assert graph.size == len(want)
+        assert set(graph.edges) == set(ref.links_within(topo, want))

@@ -69,6 +69,11 @@ ALLOWLIST: Dict[str, str] = {
     "repro/consensus/log.py:Cluster.committed_everywhere": _RAFT,
     "repro/consensus/store.py:ReplicatedTopologyStore.step_down": _RAFT_MACHINES,
     "repro/consensus/store.py:ReplicatedTopologyStore.recover": _RAFT_MACHINES,
+    "repro/core/pathgraph.py:detour_vertices": (
+        "inventory row 'Path graph: ... local detours (Algorithm 1)': the "
+        "detour set by name, which build_path_graph takes as switch bits; "
+        "tests/test_pathgraph.py, tests/test_graph_differential.py"
+    ),
     "repro/flowsim/simulator.py:FluidSimulator.at": (
         "fluid fault hook; the outage digests in tests/test_flow_golden.py "
         "and the fault properties in tests/test_flowsim.py, tests/test_hybrid.py"
