@@ -22,6 +22,7 @@ from repro.workloads import CbrStream
 RATE = 0.5e9
 FAIL_AT = 0.3
 RUN_FOR = 1.2
+FORWARD_DELAY_S = 0.15
 
 
 def dumbnet_side():
@@ -62,7 +63,7 @@ def stp_side():
     def bridge(name, ports, network):
         return StpBridge(
             name, ports, network.loop, tracer=tracer,
-            hello_s=0.02, max_age_s=0.2, forward_delay_s=0.15,
+            hello_s=0.02, max_age_s=0.2, forward_delay_s=FORWARD_DELAY_S,
         )
 
     def host(name, network):
@@ -121,6 +122,12 @@ def main() -> None:
     stp_gap = recovery_gap(stp_arrivals, FAIL_AT)
     print(f"  traffic gap: {stp_gap * 1e3:.2f} ms")
     print(f"\nDumbNet recovered {stp_gap / gap:.1f}x faster (paper: ~4.7x)")
+    # Both stages reach every host (the patch all but the controller that
+    # floods it), the sender fails over within milliseconds, and STP
+    # walks its listening and learning forward delays first.
+    assert len(news_ms) == 27 and len(patch_ms) == 26, (news_ms, patch_ms)
+    assert gap < 0.01, gap
+    assert stp_gap >= 2 * FORWARD_DELAY_S, stp_gap
 
 
 if __name__ == "__main__":

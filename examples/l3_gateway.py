@@ -70,6 +70,7 @@ def main() -> None:
     ]
     print(f"Routed delivery at b-cache: {received}")
     print(f"Gateway forwarded {gateway.forwarded} datagram(s)")
+    assert received == ["routed hello"] and gateway.forwarded == 1
 
     # Shortcut path: splice a-db's route to the border switch A2 with
     # the gateway's cached leg from B1 to b-cache, through A2 port 8.
@@ -88,6 +89,7 @@ def main() -> None:
         f"Shortcut delivery at b-cache: {shortcut} "
         f"(gateway CPU involved: {gateway.forwarded - before} times)"
     )
+    assert shortcut == ["shortcut hello"] and gateway.forwarded == before
 
 
 if __name__ == "__main__":

@@ -31,12 +31,15 @@ def main() -> None:
             f"switches={sorted(tenant.switches)}, "
             f"connected={manager.tenant_connected(tenant.name)}"
         )
+        assert manager.tenant_connected(tenant.name)
 
     print("\nTopology an application on h0_0 is shown:")
     view = manager.topology_for("h0_0")
     print(f"  {view.summary()}")
     for link in view.links:
         print(f"  {link}")
+    # Blue's slice only: red's spine, leaves and hosts are not shown.
+    assert set(view.switches) == blue.switches and set(view.hosts) == blue.hosts
 
     # A well-behaved blue route: leaf0 -> spine0 -> leaf1.
     good_switches = ["leaf0", "spine0", "leaf1"]
@@ -46,6 +49,7 @@ def main() -> None:
         f"\nblue route via spine0 allowed: "
         f"{manager.path_allowed('h0_0', 'h0_0', 'h1_0', good)}"
     )
+    assert manager.path_allowed("h0_0", "h0_0", "h1_0", good)
 
     # A malicious blue route that sneaks through red's spine.
     evil_switches = ["leaf0", "spine1", "leaf1"]
@@ -56,6 +60,7 @@ def main() -> None:
         f"{manager.path_allowed('h0_0', 'h0_0', 'h1_0', evil)}  "
         "(rejected by the path verifier)"
     )
+    assert not manager.path_allowed("h0_0", "h0_0", "h1_0", evil)
 
     # Cross-tenant traffic is rejected outright.
     cross_switches = ["leaf0", "spine0", "leaf3"]
@@ -65,6 +70,7 @@ def main() -> None:
         f"blue -> red host allowed:      "
         f"{manager.path_allowed('h0_0', 'h0_0', 'h3_0', cross)}"
     )
+    assert not manager.path_allowed("h0_0", "h0_0", "h3_0", cross)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,13 @@ def phost_incast():
         endpoints[sender].transfer(SINK, PACKETS, on_complete=done.append)
     fabric.run_until_idle()
     duration = max(s.duration_s for s in done)
-    return sum(s.packets for s in done), duration, marks(fabric)
+    # The fewest cached paths any sender's data packets took.
+    spread = min(
+        len({i for key, i in fabric.agents[s].path_table.entry(SINK).flow_bindings.items()
+             if len(key) == 4})
+        for s in SENDERS
+    )
+    return sum(s.packets for s in done), duration, marks(fabric), spread
 
 
 def main() -> None:
@@ -83,10 +89,13 @@ def main() -> None:
     got, duration, marked = naive_blast()
     print(f"naive blast : {got} packets in {duration * 1e3:7.2f} ms, "
           f"{marked} ECN-marked frames")
+    assert got == len(SENDERS) * PACKETS and marked > 0
 
-    got, duration, marked = phost_incast()
+    got, duration, marked, spread = phost_incast()
     print(f"pHost paced : {got} packets in {duration * 1e3:7.2f} ms, "
           f"{marked} ECN-marked frames")
+    assert got == len(SENDERS) * PACKETS and marked == 0
+    assert spread >= 2, spread  # every sender sprayed over two paths or more
     print("\nReceiver pacing keeps the queue (and the mark counter) flat —")
     print("and DumbNet sprays each token's packet over a different cached path.")
 

@@ -27,7 +27,7 @@ from repro.workloads import (
 )
 
 
-def packet_level_demo() -> None:
+def packet_level_demo() -> Counter:
     print("Packet level: one flow, many flowlets, four spines")
     topo = leaf_spine(spines=4, leaves=2, hosts_per_leaf=2, num_ports=32)
     fabric = DumbNetFabric.from_topology(
@@ -61,15 +61,17 @@ def packet_level_demo() -> None:
     for spine, count in sorted(spine_use.items()):
         bar = "#" * (count // 2)
         print(f"  {spine}: {count:4d} {bar}")
+    return spine_use
 
 
-def flow_level_demo() -> None:
+def flow_level_demo() -> dict:
     print("\nFlow level: Terasort shuffle on the testbed, 500 Mbps spines")
     mechanisms = {
         "DumbNet flowlet TE": ("flowlet", {"k": 4}),
         "Conventional ECMP": ("ecmp", {"k": 2, "seed": 3}),
         "Single path": ("single", {}),
     }
+    durations = {}
     for name, (te, te_kwargs) in mechanisms.items():
         scenario = Scenario(
             HiBenchWorkload("Terasort", scale=0.25),
@@ -82,11 +84,16 @@ def flow_level_demo() -> None:
         )
         run = run_scenario(scenario, rng=legacy_task_rng(7, "Terasort"))
         print(f"  {name:22s} {run.result.duration_s:8.1f} s")
+        durations[te] = run.result.duration_s
+    return durations
 
 
 def main() -> None:
-    packet_level_demo()
-    flow_level_demo()
+    spine_use = packet_level_demo()
+    assert len(spine_use) == 4, spine_use  # the one flow used every spine
+    durations = flow_level_demo()
+    # Figure 13's order: flowlet TE no slower than ECMP, both ahead of one path.
+    assert durations["flowlet"] <= durations["ecmp"] < durations["single"], durations
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..netsim.events import EventLoop
 from ..netsim.network import Network
-from ..topology.graph import PortRef, Topology
+from ..topology.graph import PortRef, SwitchIndex, Topology
 from .discovery import AsyncProbeDriver, DiscoveryResult, RediscoveryEngine, discover
 from .host_agent import HOST_PROC_DELAY_S, EmulatedProbeTransport, HostAgent
 from .messages import (
@@ -95,10 +95,12 @@ class Controller(HostAgent):
         tracer=None,
         config: Optional[ControllerConfig] = None,
         rng: Optional[random.Random] = None,
+        index: Optional[SwitchIndex] = None,
     ) -> None:
         self.config = config or ControllerConfig()
         super().__init__(
-            name, loop, tracer=tracer, rng=rng, proc_delay_s=self.config.proc_delay_s
+            name, loop, tracer=tracer, rng=rng, proc_delay_s=self.config.proc_delay_s,
+            index=index,
         )
         #: The authoritative network view.
         self.view: Optional[Topology] = None

@@ -208,7 +208,6 @@ class OracleProbeTransport(ProbeTransport):
         # Delivered to another host: it replies along spec.reply_tags.
         if not spec.reply_tags:
             return None
-        self._sent += 1  # the remote host's reply is also a message
         reply_landing = self._follow_tags(host, spec.reply_tags)
         if reply_landing is None or reply_landing[0] != self.origin:
             return None

@@ -8,7 +8,8 @@ thing: discovery, announcements, and optional warm path caches.  Hosts
 named as ``standbys`` are controller replicas (Section 4.1): once the
 primary has a view they join a
 :class:`~repro.core.replication.ReplicatedControlPlane`
-(``fabric.plane``), and ``fabric.controller`` follows failover.
+(``fabric.plane``), and ``fabric.controller`` follows failover.  Every
+host's path-cache fragment shares the ground truth's switch index.
 
 This is the primary public API: examples, benchmarks and the chaos
 harness build fabrics through it.
@@ -132,9 +133,12 @@ class DumbNetFabric:
                     tracer=self.tracer,
                     config=self.controller_config,
                     rng=rng,
+                    index=topology.index,
                 )
             else:
-                agent = HostAgent(name, network.loop, tracer=self.tracer, rng=rng)
+                agent = HostAgent(
+                    name, network.loop, tracer=self.tracer, rng=rng, index=topology.index
+                )
             agent.obs = self.obs
             self.agents[name] = agent
             return agent

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..netsim.device import Device
 from ..netsim.events import EventLoop
 from ..netsim.network import HOST_NIC_PORT, Network
-from ..topology.graph import TopologyError
+from ..topology.graph import SwitchIndex, TopologyError
 from .discovery import ProbeOutcome, ProbeSpec, ProbeTransport
 from .messages import (
     Ack,
@@ -83,9 +83,12 @@ class HostAgent(Device):
         tracer=None,
         rng: Optional[random.Random] = None,
         proc_delay_s: float = HOST_PROC_DELAY_S,
+        index: Optional[SwitchIndex] = None,
     ) -> None:
         """``proc_delay_s`` is the per-frame service time; only the
-        controller, whose Figure 10 service time is calibrated, sets it."""
+        controller, whose Figure 10 service time is calibrated, sets it.
+        ``index`` is the fabric's switch index, shared by every host's
+        TopoCache fragment (a fresh one when None)."""
         super().__init__(name, loop, proc_delay=proc_delay_s)
         self.tracer = tracer
         # A string seed is digested the same way in every process.
@@ -97,7 +100,7 @@ class HostAgent(Device):
         self.tags_to_controller: Optional[Tuple[int, ...]] = None
 
         # The two-level path cache (Section 5.2).
-        self.topo_cache = TopoCache(name)
+        self.topo_cache = TopoCache(name, index)
         self.path_table = PathTable(rng=self.rng)
 
         # Extension hooks (Section 6.1).

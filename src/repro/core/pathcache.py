@@ -9,9 +9,10 @@
   a switch through a failed port (a scan of each path's few hops).
 
 Both structures are plain host memory: the paper measures the whole
-cache at < 10 MB for a 2,000-switch network (Section 7.3).  Fragments
-share the interned cables of :meth:`Topology.merge_links
-<repro.topology.graph.Topology.merge_links>`; a path is two tuples.
+cache at < 10 MB for a 2,000-switch network (Section 7.3).  A fabric's
+fragments share one :class:`~repro.topology.graph.SwitchIndex`, so they
+share the cables :meth:`Topology.merge_links
+<repro.topology.graph.Topology.merge_links>` interns; a path is two tuples.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import Topology, TopologyError
+from ..topology.graph import SwitchIndex, Topology, TopologyError
 from .messages import PathReply
 
 __all__ = ["TopoCache", "PathTable", "CachedPath", "PathTableEntry"]
@@ -49,9 +50,9 @@ class CachedPath:
 class TopoCache:
     """Partial network view assembled from controller path graphs."""
 
-    def __init__(self, owner: str) -> None:
+    def __init__(self, owner: str, index: Optional[SwitchIndex] = None) -> None:
         self.owner = owner
-        self.fragment = Topology()
+        self.fragment = Topology(index)
         self.version = 0
         #: (switch, port) pairs known dead; survives fragment rebuilds.
         self.dead_ports: Set[Tuple[str, int]] = set()

@@ -19,10 +19,10 @@ controller.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import SSSPTree, Topology, mask_of, switches_in
+from ..topology.graph import SSSPTree, SwitchIndex, Topology
 
 __all__ = ["PathGraph", "backup_path", "build_path_graph", "detour_vertices", "primary_and_backup"]
 
@@ -33,9 +33,10 @@ BACKUP_LINK_PENALTY = 1000.0
 
 @dataclass(frozen=True, slots=True)
 class PathGraph:
-    """The result of :func:`build_path_graph`.  Its ``mask`` of process-wide
-    switch bits names the same switches in every topology, shard and replica
-    of the process that built it, and none in any other process."""
+    """The result of :func:`build_path_graph`.  Its ``mask`` holds bits of
+    the topology's :class:`~repro.topology.graph.SwitchIndex`, so it names
+    the same switches in every topology sharing that index (the view's
+    copies, shards and replicas); equality compares masks, not indexes."""
 
     src_switch: str
     dst_switch: str
@@ -47,11 +48,13 @@ class PathGraph:
     edges: Tuple[Tuple[str, int, str, int], ...]
     s: int
     epsilon: int
+    #: The index ``mask`` was built in.
+    index: SwitchIndex = field(compare=False, repr=False)
 
     @property
     def nodes(self) -> Set[str]:
         """The switches ``mask`` names."""
-        return switches_in(self.mask)
+        return self.index.switches_in(self.mask)
 
     @property
     def size(self) -> int:
@@ -71,7 +74,8 @@ def detour_vertices(
     level_masks: Optional[Callable[[str], Sequence[int]]] = None,
 ) -> Set[str]:
     """Algorithm 1's detour switches by name: :func:`_detour_mask` decoded."""
-    return switches_in(_detour_mask(topology, primary, s, epsilon, level_masks))
+    mask = _detour_mask(topology, primary, s, epsilon, level_masks)
+    return topology.index.switches_in(mask)
 
 
 def _detour_mask(
@@ -193,7 +197,7 @@ def build_path_graph(
     if primary is None:
         return None
 
-    mask = mask_of(primary) | mask_of(backup or ())
+    mask = topology.index.mask_of(primary + (backup or []))
     if len(primary) > 1:
         mask |= _detour_mask(topology, primary, s, epsilon, level_masks)
 
@@ -206,4 +210,5 @@ def build_path_graph(
         edges=tuple(sorted(topology.links_within(mask))),
         s=s,
         epsilon=epsilon,
+        index=topology.index,
     )

@@ -67,7 +67,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..topology.graph import SSSPTree, Topology, mask_of
+from ..topology.graph import SSSPTree, Topology
 from .pathgraph import PathGraph, build_path_graph
 
 __all__ = [
@@ -303,7 +303,7 @@ class PathService:
         # later capacity evictions).  The caller may name the cable from
         # either side; the graphs holding it name it from its ``a`` side.
         named = {(sw_a, port_a, sw_b, port_b), (sw_b, port_b, sw_a, port_a)}
-        both = mask_of((sw_a, sw_b))
+        both = view.index.mask_of((sw_a, sw_b))
         evicted = [
             (key, graph)
             for key, graph in self._graphs.items()
@@ -360,7 +360,7 @@ class PathService:
         if (
             outage is None
             or (view.uid, view.topo_version - 1) != outage.epoch
-            or outage.cable.isdisjoint(view.links_within(mask_of(args[::2])))
+            or outage.cable.isdisjoint(view.links_within(view.index.mask_of(args[::2])))
         ):
             return False
         self._outage = None

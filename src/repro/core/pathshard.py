@@ -107,11 +107,12 @@ class PodMap:
         the links among them, and the pod's hosts -- added in the full
         view's insertion order so adjacency iteration (and therefore
         SSSP relaxation order and equal-cost parent lists) matches the
-        full view exactly."""
+        full view exactly; it shares the view's switch index, so its
+        path graphs' masks are the full view's."""
         include = {
             sw for sw in view.switches if self.pod_of(sw) in (pod, None)
         }
-        sub = Topology()
+        sub = Topology(view.index)
         for sw in view.switches:
             if sw in include:
                 sub.add_switch(sw, view.num_ports(sw))

@@ -28,8 +28,8 @@ from typing import (
 )
 
 __all__ = [
-    "PortRef", "Link", "HostAttachment", "SSSPTree", "Topology", "TopologyError",
-    "mask_of", "switches_in",
+    "PortRef", "Link", "HostAttachment", "SSSPTree", "SwitchIndex", "Topology",
+    "TopologyError",
 ]
 
 
@@ -89,60 +89,59 @@ class Link:
         return f"{self.a}<->{self.b}"
 
 
-#: One bit per switch name, process-wide: ``_BIT[name]`` is ``1 << i``
-#: where ``_NAMES[i] == name``.  Every :class:`Topology` that holds a
-#: switch of that name uses that bit, so masks from one topology mean
-#: the same switches in any other.  Append-only: a name keeps its bit
-#: after every topology has removed it.
-_BIT: Dict[str, int] = {}
-_NAMES: List[str] = []
-
 #: An adjacency entry: (neighbour switch, cable, neighbour's bit).
 _Entry = Tuple[str, Link, int]
 
-#: Interned cables for :meth:`Topology.merge_links`, keyed by the
-#: oriented ``(a switch, a port, b switch, b port)`` tuple: the ``Link``
-#: and its two adjacency entries, ``a``'s then ``b``'s.  ``Link``,
-#: ``PortRef`` and the entries are frozen values (:meth:`Topology.copy`
-#: already shares them between twins), so every host fragment folding
-#: in the same controller replies holds one value per cable instead of
-#: its own copy.  Grows only with the distinct edges that reach a
-#: fragment.
-_CABLES: Dict[Tuple[str, int, str, int], Tuple[Link, _Entry, _Entry]] = {}
 
+class SwitchIndex:
+    """Switch bits and interned cables, shared by one fabric's topologies
+    (:meth:`Topology.copy` shares its own; a bare ``Topology()`` gets a
+    fresh one).
 
-def _reach(nmask: Dict[str, int], mask: int) -> int:
-    """The union of ``nmask`` over the switches whose bits ``mask`` sets."""
-    names, reach = _NAMES, 0
-    while mask:
-        i = mask.bit_length() - 1
-        reach |= nmask[names[i]]
-        mask ^= 1 << i
-    return reach
+    ``bit[name]`` is ``1 << i`` where ``names[i] == name``, in the order
+    names first reach the index; a removed switch keeps its bit.
+    ``cables`` maps an oriented ``(a switch, a port, b switch, b port)``
+    to the frozen ``Link`` and adjacency entries (``a``'s, ``b``'s)
+    :meth:`Topology.merge_links` wires, so host fragments folding in the
+    same replies hold one value per cable.
+    """
 
+    __slots__ = ("bit", "names", "cables")
 
-def switches_in(mask: int) -> Set[str]:
-    """The switches whose bits are set in ``mask``."""
-    names, found = _NAMES, set()
-    while mask:
-        low = mask & -mask
-        found.add(names[low.bit_length() - 1])
-        mask ^= low
-    return found
+    def __init__(self) -> None:
+        self.bit: Dict[str, int] = {}
+        self.names: List[str] = []
+        self.cables: Dict[Tuple[str, int, str, int], Tuple[Link, _Entry, _Entry]] = {}
 
+    def mask_of(self, switches: Iterable[str]) -> int:
+        """The OR of ``switches``' bits: the inverse of :meth:`switches_in`."""
+        bit, mask = self.bit, 0
+        for sw in switches:
+            mask |= bit[sw]
+        return mask
 
-def mask_of(switches: Iterable[str]) -> int:
-    """The OR of ``switches``' bits: the inverse of :func:`switches_in`."""
-    mask = 0
-    for sw in switches:
-        mask |= _BIT[sw]
-    return mask
+    def switches_in(self, mask: int) -> Set[str]:
+        """The switches whose bits are set in ``mask``."""
+        names, found = self.names, set()
+        while mask:
+            low = mask & -mask
+            found.add(names[low.bit_length() - 1])
+            mask ^= low
+        return found
 
+    def reach(self, nmask: Dict[str, int], mask: int) -> int:
+        """The union of ``nmask`` over the switches whose bits ``mask`` sets."""
+        names, reach = self.names, 0
+        while mask:
+            i = mask.bit_length() - 1
+            reach |= nmask[names[i]]
+            mask ^= 1 << i
+        return reach
 
-def _entries(link: Link) -> Tuple[_Entry, _Entry]:
-    """``link``'s adjacency entries on its ``a`` and ``b`` switches."""
-    sw_a, sw_b = link.a.switch, link.b.switch
-    return (sw_b, link, _BIT[sw_b]), (sw_a, link, _BIT[sw_a])
+    def entries(self, link: Link) -> Tuple[_Entry, _Entry]:
+        """``link``'s adjacency entries on its ``a`` and ``b`` switches."""
+        sw_a, sw_b = link.a.switch, link.b.switch
+        return (sw_b, link, self.bit[sw_b]), (sw_a, link, self.bit[sw_a])
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,14 +160,14 @@ class SSSPTree:
     :meth:`Topology.shortest_switch_path`, are the level before its own
     filtered by its neighbour mask.
 
-    A tree is no snapshot: it reads the topology's live mask table, so
-    it is valid only under the ``(uid, topo_version)`` it was built for,
-    or while a :class:`~repro.core.pathservice.PathService` keeps it (the
-    service flushes it on any other mutation).  After any other mutation
-    it may give wrong parents or raise ``KeyError``.
+    A tree is no snapshot: it reads the topology's live mask table and
+    index, so it is valid only under the ``(uid, topo_version)`` it was
+    built for, or while a :class:`~repro.core.pathservice.PathService`
+    keeps it (the service flushes it on any other mutation).  After any
+    other mutation it may give wrong parents or raise ``KeyError``.
     """
 
-    __slots__ = ("source", "dist", "levels", "masks", "_nmask")
+    __slots__ = ("source", "dist", "levels", "masks", "_nmask", "_index")
 
     def __init__(
         self,
@@ -177,11 +176,13 @@ class SSSPTree:
         levels: List[List[str]],
         masks: List[int],
         nmask: Dict[str, int],
+        index: SwitchIndex,
     ) -> None:
         self.source, self.dist, self.levels, self.masks = source, dist, levels, masks
         # The topology's live mask table; a filtered copy when the
         # search cut cables.
         self._nmask = nmask
+        self._index = index
 
     def parents_of(self, switch: str) -> List[str]:
         """``switch``'s equal-cost predecessors, in relaxation order."""
@@ -189,7 +190,8 @@ class SSSPTree:
         if not depth:
             return []
         tied = self._nmask[switch] & self.masks[depth - 1]
-        return [sw for sw in self.levels[depth - 1] if _BIT[sw] & tied]
+        bit = self._index.bit
+        return [sw for sw in self.levels[depth - 1] if bit[sw] & tied]
 
     def path_to(
         self, dst: str, rng: Optional[random.Random] = None
@@ -201,7 +203,7 @@ class SSSPTree:
         depth = self.dist.get(dst)
         if depth is None:
             return None
-        nmask, masks, levels, bit = self._nmask, self.masks, self.levels, _BIT
+        nmask, masks, levels, bit = self._nmask, self.masks, self.levels, self._index.bit
         path = [dst]
         for level in range(int(depth) - 1, -1, -1):
             tied = nmask[path[-1]] & masks[level]
@@ -214,7 +216,7 @@ class SSSPTree:
                         if not tied or rng is None:
                             break
             else:
-                choices = [_NAMES[tied.bit_length() - 1]]
+                choices = [self._index.names[tied.bit_length() - 1]]
             path.append(rng.choice(choices) if rng is not None else choices[0])
         path.reverse()
         return path
@@ -231,7 +233,10 @@ class Topology:
 
     _uids = itertools.count(1)
 
-    def __init__(self) -> None:
+    def __init__(self, index: Optional[SwitchIndex] = None) -> None:
+        #: The switch bits and interned cables; shared with every
+        #: topology built from this one, fresh when none is given.
+        self.index = index if index is not None else SwitchIndex()
         #: Process-unique and never reused (unlike ``id()``); a
         #: :meth:`copy` gets its own.  With :attr:`topo_version` it is
         #: the coherency key for anything memoized against this object.
@@ -249,7 +254,7 @@ class Topology:
         # by every cached path graph): filled on demand, dropped for the
         # switches a mutation touches.
         self._aside: Dict[str, List[Tuple[str, int, str, int]]] = {}
-        # The union of a switch's neighbours' bits (:data:`_BIT`).
+        # The union of a switch's neighbours' bits (:attr:`index`).
         self._nmask: Dict[str, int] = {}
         # Only switches with a host attached have a list.
         self._hosts_on_switch: Dict[str, List[str]] = {}
@@ -270,9 +275,10 @@ class Topology:
             raise TopologyError(f"switch {switch!r} needs at least one port")
         self._switch_ports[switch] = num_ports
         self._adj[switch] = []
-        if switch not in _BIT:
-            _BIT[switch] = 1 << len(_NAMES)
-            _NAMES.append(switch)
+        index = self.index
+        if switch not in index.bit:
+            index.bit[switch] = 1 << len(index.names)
+            index.names.append(switch)
         self._nmask[switch] = 0
         self.topo_version += 1
 
@@ -290,7 +296,7 @@ class Topology:
         link = Link(*self._check_cable(sw_a, port_a, sw_b, port_b))
         if link.key() in self._links:
             raise TopologyError(f"duplicate link {link}")
-        self._wire(link, *_entries(link))
+        self._wire(link, *self.index.entries(link))
         return link
 
     def merge_links(
@@ -302,16 +308,16 @@ class Topology:
         the cable is then skipped), and a cable is wired only when both
         of its ports are free.  A self-cable or an out-of-range port
         raises as in :meth:`add_link`.  Wired cables, and their
-        adjacency entries, are the interned values of :data:`_CABLES`.
+        adjacency entries, are the values interned in ``index.cables``.
         """
-        ports, use = self._switch_ports, self._port_use
+        ports, use, cables = self._switch_ports, self._port_use, self.index.cables
         for edge in edges:
             sw_a, port_a, sw_b, port_b = edge
             if sw_a not in ports:
                 self.add_switch(sw_a, num_ports)
             if sw_b not in ports:
                 self.add_switch(sw_b, num_ports)
-            cable = _CABLES.get(edge)
+            cable = cables.get(edge)
             if cable is None:
                 a, b = PortRef(sw_a, port_a), PortRef(sw_b, port_b)
             else:
@@ -321,7 +327,7 @@ class Topology:
             self._check_cable(sw_a, port_a, sw_b, port_b)
             if cable is None:
                 link = Link(a, b)
-                cable = _CABLES[edge] = (link, *_entries(link))
+                cable = cables[edge] = (link, *self.index.entries(link))
             self._wire(*cable)
 
     def _wire(self, link: Link, on_a: _Entry, on_b: _Entry) -> None:
@@ -469,7 +475,7 @@ class Topology:
     def links_within(self, mask: int) -> List[Tuple[str, int, str, int]]:
         """Every cable with both ends' bits set in ``mask``, once, as ``(a
         switch, a port, b switch, b port)``: emitted from its ``a`` side."""
-        aside, switches = self._aside, switches_in(mask)
+        aside, switches = self._aside, self.index.switches_in(mask)
         for sw in switches:
             if sw not in aside:
                 aside[sw] = [
@@ -486,8 +492,9 @@ class Topology:
     # comparisons and copies
 
     def copy(self) -> "Topology":
-        """A twin with its own uid: same wiring, adjacency order and masks."""
-        clone = Topology()
+        """A twin with its own uid: same wiring, adjacency order and masks,
+        and the same :class:`SwitchIndex`."""
+        clone = Topology(self.index)
         clone._switch_ports, clone._hosts = dict(self._switch_ports), dict(self._hosts)
         clone._port_use, clone._links = dict(self._port_use), dict(self._links)
         clone._adj = {sw: list(adj) for sw, adj in self._adj.items()}
@@ -558,24 +565,23 @@ class Topology:
         """
         if source not in self._switch_ports:
             raise TopologyError(f"unknown switch {source!r}")
-        bit = _BIT[source]
-        nmask, adj = self._nmask, self._adj
+        bits, nmask, adj = self.index.bit, self._nmask, self._adj
         if avoid:
             # Only the avoided pairs' own switches lose mask bits.
             nmask = dict(nmask)
             for here, there in avoid:
-                nmask[here] &= ~_BIT[there]
-                nmask[there] &= ~_BIT[here]
+                nmask[here] &= ~bits[there]
+                nmask[there] &= ~bits[here]
         into_stop = nmask.get(stop, 0)
         dist: Dict[str, float] = {source: 0.0}
-        levels, masks = [[source]], [bit]
-        seen = bit
+        seen = bits[source]
+        levels, masks = [[source]], [seen]
         d = 0.0
         while stop not in dist:
             d += 1.0
             if into_stop & masks[-1]:
                 levels.append([stop])
-                masks.append(_BIT[stop])
+                masks.append(bits[stop])
                 dist[stop] = d
                 break
             nxt: List[str] = []
@@ -596,7 +602,7 @@ class Topology:
                 dist[sw] = d
             levels.append(nxt)
             masks.append(seen ^ before)
-        return SSSPTree(source, dist, levels, masks, nmask)
+        return SSSPTree(source, dist, levels, masks, nmask, self.index)
 
     def shortest_switch_path(
         self,
@@ -738,25 +744,26 @@ class Topology:
         holds ``dst``; back from ``dst``, each level's switches that
         lie on a shortest path; then from ``src`` the smallest name
         among each step's candidates."""
-        nmask, bit = self._nmask, _BIT
-        banned = mask_of(banned_nodes)
+        nmask, index = self._nmask, self.index
+        bit = index.bit
+        banned = index.mask_of(banned_nodes)
         if (bit[src] | bit[dst]) & banned:
             return None
         if src == dst:
             return [src]
         seen, levels = banned | bit[src], []
-        frontier = nmask[src] & ~seen & ~mask_of(banned_first_hops)
+        frontier = nmask[src] & ~seen & ~index.mask_of(banned_first_hops)
         while not frontier & bit[dst]:
             if not frontier:
                 return None
             levels.append(frontier)
             seen |= frontier
-            frontier = _reach(nmask, frontier) & ~seen
+            frontier = index.reach(nmask, frontier) & ~seen
         # Per level, back from dst: the switches with a shortest way on.
         kept = [bit[dst]]
         for level in reversed(levels):
-            kept.append(level & _reach(nmask, kept[-1]))
-        names, path = _NAMES, [src]
+            kept.append(level & index.reach(nmask, kept[-1]))
+        names, path = index.names, [src]
         for on in reversed(kept):
             tied, best = nmask[path[-1]] & on, None
             while tied:

@@ -11,9 +11,9 @@ are the dict-based level-order BFS and parent-list tree that replaced
 that Dijkstra before the switch-bit kernel did.  They read only
 ``_adj`` and ``_switch_ports`` and share no code with the kernel, so
 ``test_graph_differential.py`` can demand kernel == reference.  The
-seed builder keeps its switches as a set; it reads the process-wide
-switch bits (``_BIT``) only to encode that set as the ``PathGraph``
-mask it returns.
+seed builder keeps its switches as a set; it reads the topology's
+switch index only to encode that set as the ``PathGraph`` mask it
+returns.
 :func:`merge_reply` is the host cache's per-edge merge from before
 ``Topology.merge_links`` (it wires through ``add_link``, so it checks
 the loop, not the insertion body).  :func:`decode_tags` is the tag-walk
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pathcache import FRAGMENT_PORTS
 from repro.core.pathgraph import PathGraph
-from repro.topology.graph import _BIT, HostAttachment, TopologyError
+from repro.topology.graph import HostAttachment, TopologyError
 
 BACKUP_LINK_PENALTY = 1000.0
 
@@ -318,10 +318,11 @@ def build_path_graph(topo, src_switch, dst_switch, s=2, epsilon=1, rng=None):
         dst_switch=dst_switch,
         primary=tuple(primary),
         backup=tuple(backup) if backup else None,
-        mask=sum(_BIT[node] for node in nodes),  # the set, encoded only here
+        mask=sum(topo.index.bit[node] for node in nodes),  # the set, encoded only here
         edges=tuple(sorted(links_within(topo, nodes))),
         s=s,
         epsilon=epsilon,
+        index=topo.index,
     )
 
 

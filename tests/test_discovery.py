@@ -101,10 +101,12 @@ class TestOracleWalk:
         assert outcomes[1].switch_id == "S1"
 
     def test_reply_counts_as_message(self):
+        """A remote host's reply is one message: the reply received, not
+        a second probe sent (the emulated transport counts it so too)."""
         topo = figure1()
         transport = OracleProbeTransport(topo, "C3")
         transport.probe_round([ProbeSpec(tags=(5,), reply_tags=(9,))])
-        assert transport.probes_sent == 2  # probe + host reply
+        assert transport.probes_sent == 1
         assert transport.replies_received == 1
 
 

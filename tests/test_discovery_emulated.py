@@ -5,7 +5,7 @@ import pytest
 from repro.core.discovery import OracleProbeTransport, ProbeSpec, discover
 from repro.core.fabric import DumbNetFabric
 from repro.core.host_agent import EmulatedProbeTransport
-from repro.topology import figure1, leaf_spine, line, ring
+from repro.topology import figure1, leaf_spine, line, paper_testbed, ring
 
 
 @pytest.mark.parametrize(
@@ -36,6 +36,27 @@ def test_emulated_transport_counts_messages():
     assert transport.probes_sent > 100
     assert transport.replies_received < transport.probes_sent
     assert transport.elapsed() > 0
+
+
+@pytest.mark.parametrize(
+    "topo_factory, controller",
+    [(paper_testbed, "h0_0"), (lambda: leaf_spine(2, 3, 2), "h0_0")],
+)
+def test_both_transports_count_messages_alike(topo_factory, controller):
+    """A remote host's reply is one message on either transport: the
+    oracle and the emulator send as many probes, receive as many replies
+    and map the same wiring (Figure 8's probe counts mix the two)."""
+    oracle = OracleProbeTransport(topo_factory(), controller)
+    oracle_view = discover(oracle, controller).view
+    fabric = DumbNetFabric(topo_factory(), controller_host=controller, seed=1)
+    emulated = EmulatedProbeTransport(fabric.controller, fabric.network)
+    emulated_view = discover(emulated, controller).view
+    assert (oracle.probes_sent, oracle.replies_received) == (
+        emulated.probes_sent,
+        emulated.replies_received,
+    )
+    assert emulated_view.same_wiring(oracle_view)
+    assert emulated_view.same_wiring(fabric.topology)
 
 
 def test_emulated_probe_spacing_serializes_controller():

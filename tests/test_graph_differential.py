@@ -19,7 +19,6 @@ the seed's per-edge merge, and the path service's keep / rebuild
 decision for its trees across link-down / link-up sequences.
 """
 
-import functools
 import itertools
 import random
 
@@ -40,7 +39,7 @@ from repro.core.pathgraph import backup_path, build_path_graph, detour_vertices
 from repro.core.pathservice import PathService, StablePathRng
 from repro.netsim.events import EventLoop
 from repro.topology import cube, fat_tree, jellyfish
-from repro.topology.graph import _BIT, Topology, TopologyError, mask_of, switches_in
+from repro.topology.graph import SwitchIndex, Topology, TopologyError
 
 
 def make_view(kind, a, b, seed):
@@ -111,7 +110,7 @@ def assert_tree_equals_oracle(topo, tree, want, pick):
     assert [sw for level in tree.levels for sw in level] == list(tree.dist)
     for depth, (level, mask) in enumerate(zip(tree.levels, tree.masks)):
         assert {tree.dist[sw] for sw in level} == {float(depth)}
-        assert switches_in(mask) == set(level)
+        assert topo.index.switches_in(mask) == set(level)
     mine, theirs = random.Random(pick), random.Random(pick)
     stable = StablePathRng(f"{pick}:{tree.source}")
     for dst in tree.dist:
@@ -330,7 +329,7 @@ def test_spur_search_equals_the_sorted_neighbour_bfs(order, n, cables, cycled, q
 
 
 def assert_links_within_match_reference(topo, subset):
-    got = topo.links_within(mask_of(subset))
+    got = topo.links_within(topo.index.mask_of(subset))
     assert len(got) == len(set(got))
     assert set(got) == set(ref.links_within(topo, subset))
 
@@ -591,17 +590,19 @@ def reply_edge(kind, i, port_a, hop, port_b):
     return (sw_a, port_a, sw_b, port_b)
 
 
-@functools.cache
 def intern_half_the_edges():
-    """Put every well-formed edge with an odd port sum in the shared
-    cable table, as another host's fragment would: ``merge_links`` then
-    meets both cables it has interned before and cables it has not."""
+    """A switch index with every well-formed edge with an odd port sum
+    among its interned cables, as another host's fragment in the same
+    fabric would leave it: ``merge_links`` then meets both cables it has
+    interned before and cables it has not."""
+    index = SwitchIndex()
     for i, hop, port_a, port_b in itertools.product(
         range(6), range(1, 6), range(1, 5), range(1, 5)
     ):
         if (port_a + port_b) % 2:
             edge = reply_edge(2, i, port_a, hop, port_b)
-            Topology().merge_links([edge], FRAGMENT_PORTS)
+            Topology(index).merge_links([edge], FRAGMENT_PORTS)
+    return index
 
 
 def merge_state(agent):
@@ -610,7 +611,7 @@ def merge_state(agent):
     return (
         list(topo._switch_ports.items()),
         [(sw, list(adj)) for sw, adj in topo._adj.items()],
-        [(sw, _BIT[sw]) for sw in topo._switch_ports],
+        [(sw, topo.index.bit[sw]) for sw in topo._switch_ports],
         list(topo._nmask.items()),
         topo.topo_version,
         list(topo._links.items()),
@@ -701,9 +702,10 @@ def test_merge_links_equals_the_per_edge_merge(seed, steps):
     and dead ports, the installed routes and the rng must be what the
     seed's per-edge merge leaves, and a bad edge raises the same
     ``TopologyError``."""
-    intern_half_the_edges()
+    index = intern_half_the_edges()
     agent, seed_agent = (
-        HostAgent("h0", EventLoop(), rng=random.Random(seed)) for _ in range(2)
+        HostAgent("h0", EventLoop(), rng=random.Random(seed), index=index)
+        for _ in range(2)
     )
     seed_cache = seed_agent.topo_cache
     seed_cache.merge_reply = lambda reply: ref.merge_reply(seed_cache, reply)

@@ -105,9 +105,9 @@ def test_fluid_websearch_cell_paths_and_finish_times_are_pinned():
 
 
 def test_goldens_hold_behind_a_thousand_unrelated_switch_bits():
-    """Switch bits are process-wide, numbered in the order names first
-    appear.  In a fresh interpreter whose bit table already holds 1 000
-    unrelated names, every native and path golden still holds."""
+    """In a fresh interpreter that first built a topology of 1 000
+    unrelated switch names, every native and path golden still holds:
+    no answer depends on what else the process built."""
     tests = Path(__file__).resolve().parent
     code = f"""
 import sys

@@ -11,7 +11,7 @@ from repro.core.messages import PathReply, TopologyChange, TopologyPatch
 from repro.core.pathcache import BINDING_DEAD, CachedPath, PathTable, TopoCache
 from repro.netsim import EventLoop
 from repro.topology import figure1
-from repro.topology.graph import _CABLES, PortRef, Topology, TopologyError
+from repro.topology.graph import PortRef, SwitchIndex, Topology, TopologyError
 
 
 def make_reply(topo, src, dst, nonce=1, version=1):
@@ -103,10 +103,10 @@ def edges_reply(edges):
 
 class TestMergeLinks:
     def test_fragments_share_one_value_per_cable(self):
-        """Two hosts caching the same reply hold the same ``Link``
-        objects; the ground truth's ``add_link`` builds its own."""
+        """Two hosts of one fabric caching the same reply hold the same
+        ``Link`` objects; the ground truth's ``add_link`` builds its own."""
         topo = figure1()
-        one, two = TopoCache("H4"), TopoCache("H1")
+        one, two = TopoCache("H4", topo.index), TopoCache("H1", topo.index)
         one.merge_reply(make_reply(topo, "H4", "H5"))
         two.merge_reply(make_reply(topo, "H1", "H5"))
         assert set(one.fragment._links) == set(topo._links)
@@ -116,7 +116,7 @@ class TestMergeLinks:
 
     def test_fragments_share_adjacency_entries_and_masks_match_the_truth(self):
         topo = figure1()
-        one, two = TopoCache("H4"), TopoCache("H1")
+        one, two = TopoCache("H4", topo.index), TopoCache("H1", topo.index)
         one.merge_reply(make_reply(topo, "H4", "H5"))
         two.merge_reply(make_reply(topo, "H1", "H5"))
         for sw, adj in one.fragment._adj.items():
@@ -127,7 +127,7 @@ class TestMergeLinks:
 
     def test_cutting_one_fragment_leaves_the_other_intact(self):
         topo = figure1()
-        one, two = TopoCache("H4"), TopoCache("H1")
+        one, two = TopoCache("H4", topo.index), TopoCache("H1", topo.index)
         one.merge_reply(make_reply(topo, "H4", "H5"))
         two.merge_reply(make_reply(topo, "H1", "H5"))
         adj = {sw: list(entries) for sw, entries in two.fragment._adj.items()}
@@ -160,8 +160,9 @@ class TestMergeLinks:
 
     def test_interned_cable_still_checks_this_topology_ports(self):
         edge = ("S1", 10, "S2", 10)
-        Topology().merge_links([edge], 254)  # the cable is interned now
-        small = Topology()
+        index = SwitchIndex()
+        Topology(index).merge_links([edge], 254)  # the cable is interned now
+        small = Topology(index)
         small.add_switch("S1", 4)
         with pytest.raises(TopologyError, match="port 10 out of range 1..4 on 'S1'"):
             small.merge_links([edge], 254)
@@ -189,7 +190,7 @@ class TestMergeLinks:
             ))
         fragment = agent.topo_cache.fragment
         key = frozenset((PortRef(edge[0], edge[1]), PortRef(edge[2], edge[3])))
-        link, on_a, on_b = _CABLES[edge]
+        link, on_a, on_b = fragment.index.cables[edge]
         assert fragment._links[key] is link
         assert any(entry is on_a for entry in fragment._adj[edge[0]])
         assert any(entry is on_b for entry in fragment._adj[edge[2]])

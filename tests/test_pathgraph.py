@@ -7,7 +7,6 @@ import pytest
 import reference_graph as ref
 from repro.core.pathgraph import PathGraph, build_path_graph, detour_vertices
 from repro.topology import Topology, cube, fat_tree, leaf_spine, line, ring
-from repro.topology.graph import switches_in
 
 
 def theta():
@@ -179,8 +178,10 @@ class TestMask:
 
     @pytest.mark.parametrize("make, src, dst, s, eps", FIXTURES)
     def test_nodes_decode_the_mask(self, make, src, dst, s, eps):
-        graph = build_path_graph(make(), src, dst, s, eps, rng=random.Random(3))
-        assert graph.nodes == switches_in(graph.mask)
+        topo = make()
+        graph = build_path_graph(topo, src, dst, s, eps, rng=random.Random(3))
+        assert graph.index is topo.index
+        assert graph.nodes == topo.index.switches_in(graph.mask)
         assert graph.size == len(graph.nodes) == bin(graph.mask).count("1")
 
     @pytest.mark.parametrize("make, src, dst, s, eps", FIXTURES)
